@@ -18,9 +18,9 @@ from .algebra import (
     fundamental_action,
     wedge_single,
 )
-from .errors import InputError, PreconditionError, SizeGuardError
-from .linalg import Matrix, vec_add, vec_scale, vec_zero
-from .reynolds import check_reynolds, induced_bracket
+from .errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError
+from .linalg import Matrix, SparseMatrix, vec_add, vec_scale, vec_zero
+from .reynolds import check_reynolds, tabulate_induced_bracket
 from .rings import QQ_ZERO
 from .verdict import fail, ok
 from .wedge import WedgeBasis
@@ -184,6 +184,11 @@ def reynolds_representation(algebra, op):
     pre = check_reynolds(algebra, op)
     if not pre:
         raise PreconditionError("operator is not a Reynolds operator", pre.counterexample)
+    return tabulate_reynolds_representation(algebra, op)
+
+
+def tabulate_reynolds_representation(algebra, op):
+    """rho_R of an operator the caller has already verified."""
     n, d = algebra.arity, algebra.dim
     tables = {}
     for tup in WedgeBasis(d, n - 1):
@@ -226,8 +231,8 @@ class ReynoldsComplex:
             raise PreconditionError("operator is not a Reynolds operator", pre.counterexample)
         self.base = algebra
         self.op = op
-        self.induced = induced_bracket(algebra, op)
-        self.rho = reynolds_representation(algebra, op)
+        self.induced = tabulate_induced_bracket(algebra, op)
+        self.rho = tabulate_reynolds_representation(algebra, op)
         self.wedge = WedgeBasis(algebra.dim, algebra.arity - 1)
 
     def cochain_dim(self, m):
@@ -241,55 +246,122 @@ class ReynoldsComplex:
         return coboundary(self.induced, self.rho, cochain)
 
     def delta_matrix(self):
-        """Matrix of delta_R: C^0 -> C^1 in the flattened bases."""
+        """Sparse matrix of delta_R: C^0 -> C^1 in the flattened bases."""
         d = self.base.dim
-        cols = []
-        for tup in self.wedge:
-            cols.append(delta_r_cochain(self.base, self.op, wedge_single(tup, d)).data)
-        rows = d * d
-        return Matrix([[cols[c][r] for c in range(len(cols))] for r in range(rows)])
+        rows = [{} for _ in range(d * d)]
+        for c, tup in enumerate(self.wedge):
+            for r, a in enumerate(delta_r_cochain(self.base, self.op, wedge_single(tup, d)).data):
+                rows[r][c] = a
+        return SparseMatrix(d * d, len(self.wedge), rows)
 
     def differential_matrix(self, m, size_guard=DEFAULT_SIZE_GUARD):
-        """Matrix of the level-m differential (m >= 0)."""
+        """Sparse matrix of the level-m differential (m >= 0)."""
         if m == 0:
             return self.delta_matrix()
-        n, d = self.base.arity, self.base.dim
         src = self.cochain_dim(m)
         dst = self.cochain_dim(m + 1)
         if src * dst > size_guard:
             raise SizeGuardError(
                 f"differential at degree {m} needs a {dst}x{src} matrix, over the guard {size_guard}"
             )
-        cols = []
-        for c in range(src):
-            data = [QQ_ZERO] * src
-            data[c] = Fraction(1)
-            basis_cochain = Cochain(n, d, d, m, data)
-            cols.append(self.d_r(basis_cochain).data)
-        return Matrix([[cols[c][r] for c in range(src)] for r in range(dst)])
+        return self._assemble(m)
+
+    def _assemble(self, m):
+        """d_R: C^m -> C^{m+1} (m >= 1) in one walk over the output basis.
+
+        Each term of the formula in ``coboundary``, evaluated at output
+        (X_1, ..., X_m, e_j), reads the input cochain at a few basis slots;
+        every such read becomes one (row, column, coefficient) entry.
+        """
+        alg, rho = self.induced, self.rho
+        n, d = alg.arity, alg.dim
+        tuples = self.wedge.tuples
+        b = len(tuples)
+        singles = [wedge_single(t, d) for t in tuples]
+        # X_x o X_y, [X_x, e_j] and rho_R(X_x) as (index, coefficient) lists
+        action = [[[(self.wedge.index[key], c) for key, c in fundamental_action(alg, x, y).items()]
+                   for y in singles] for x in singles]
+        moved = [[_nonzero(alg.bracket_on_basis(t + (j,))) for j in range(1, d + 1)] for t in tuples]
+        acts = [_matrix_terms(rho.matrix_for_tuple(t)) for t in tuples]
+        # last-block terms: rho(X_m minus its i-th index, e_j) on the value at e_{X_m[i]}
+        last = [[[(t[i - 1] - 1, vo, vi, (-1) ** (n + m - i + 1) * c)
+                  for i in range(1, n)
+                  for vo, vi, c in _matrix_terms(rho.matrix_for_tuple(t[:i - 1] + t[i:] + (j,)))]
+                 for j in range(1, d + 1)] for t in tuples]
+
+        def column(blocks, k, v):
+            idx = 0
+            for x in blocks:
+                idx = idx * b + x
+            return (idx * d + k) * d + v
+
+        rows = []
+        for blocks in product(range(b), repeat=m):
+            drop = [blocks[:a] + blocks[a + 1:] for a in range(m)]
+            for j in range(d):
+                out = [{} for _ in range(d)]
+
+                def add(v, col, c):
+                    out[v][col] = out[v].get(col, QQ_ZERO) + c
+
+                for a in range(m):
+                    sign = -1 if a % 2 == 0 else 1  # (-1)^a for 1-based a
+                    for bb in range(a + 1, m):
+                        for z, c in action[blocks[a]][blocks[bb]]:
+                            args = drop[a][:bb - 1] + (z,) + drop[a][bb:]
+                            for v in range(d):
+                                add(v, column(args, j, v), sign * c)
+                    for k, c in moved[blocks[a]][j]:
+                        for v in range(d):
+                            add(v, column(drop[a], k, v), sign * c)
+                    for vo, vi, c in acts[blocks[a]]:
+                        add(vo, column(drop[a], j, vi), -sign * c)
+                for k, vo, vi, c in last[blocks[m - 1]][j]:
+                    add(vo, column(blocks[:m - 1], k, vi), c)
+                rows.extend(out)
+        return SparseMatrix(len(rows), self.cochain_dim(m), rows)
 
     def dimensions(self, m_max, size_guard=DEFAULT_SIZE_GUARD):
         """[(m, dim Z^m, dim B^m, dim H^m)] for m = 0..m_max.
 
-        H^0 = ker(delta_R); asserts square-zero of consecutive differentials.
+        H^0 = ker(delta_R).  Each assembled d_m (m >= 1) is checked against
+        ``coboundary`` on one dense cochain, and d_m d_{m-1} = 0 is asserted.
         """
         if m_max < 0:
             raise InputError("m_max must be >= 0")
         mats = [self.differential_matrix(m, size_guard) for m in range(m_max + 1)]
         out = []
         prev_rank = 0
-        for m in range(m_max + 1):
-            dm = mats[m]
+        for m, dm in enumerate(mats):
+            if m > 0:
+                self._cross_check(m, dm)
+                if not (dm @ mats[m - 1]).is_zero():
+                    raise PreconditionError(f"differential square is nonzero at degree {m}")
             rank = dm.rank()
             z = dm.cols - rank
             b = prev_rank
-            if m > 0 and not (mats[m] @ mats[m - 1]).is_zero():
-                raise PreconditionError(f"differential square is nonzero at degree {m}")
             if z - b < 0:
                 raise PreconditionError(f"negative cohomology dimension at degree {m}")
             out.append((m, z, b, z - b))
             prev_rank = rank
         return out
+
+    def _cross_check(self, m, dm):
+        """The assembled d_m against ``coboundary`` on one dense cochain."""
+        n, d = self.base.arity, self.base.dim
+        f = Cochain(n, d, d, m, [Fraction(1 + c % 7) for c in range(dm.cols)])
+        if dm.apply(f.data) != list(self.d_r(f).data):
+            raise InternalConsistencyError(
+                f"assembled differential at degree {m} disagrees with the coboundary formula"
+            )
+
+
+def _nonzero(vec):
+    return [(k, c) for k, c in enumerate(vec) if c]
+
+
+def _matrix_terms(mat):
+    return [(i, j, c) for i, row in enumerate(mat.entries) for j, c in enumerate(row) if c]
 
 
 def check_complex(algebra, rho, degree, sample_cochains):

@@ -1,14 +1,16 @@
-"""Exact dense linear algebra over the rationals (and dual numbers).
+"""Exact linear algebra over the rationals (and dual numbers).
 
-Rank and nullspace go through fraction-free Bareiss elimination on an
-integer-cleared copy, so all pivoting arithmetic stays in Z.  Dual-number
-matrices support the ring operations (add/mul/apply) but are rejected by
+``Matrix`` is dense.  ``SparseMatrix`` keeps one {column: value} dict per
+row; rank and nullspace of either go through its fraction-free echelon
+form, whose pivoting arithmetic stays in Z.  Dual-number matrices support
+the ring operations (add/mul/apply) but are rejected by
 rank/nullspace/solve, which need a field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError, NotInvertibleError, UnsupportedRingError
 from .rings import Dual, QQ_ZERO, QQ_ONE
@@ -112,62 +114,26 @@ class Matrix:
         if not self.is_rational():
             raise UnsupportedRingError(f"{what} is only defined over the rationals, not dual numbers")
 
-    # -- fraction-free elimination -------------------------------------
-
-    def _integer_rows(self):
-        out = []
-        for row in self.entries:
-            row = [Fraction(a) for a in row]
-            lcm = 1
-            for a in row:
-                if a:
-                    g = _gcd(lcm, a.denominator)
-                    lcm = lcm // g * a.denominator
-            out.append([int(a * lcm) for a in row])
-        return out
-
-    def _bareiss_echelon(self):
-        """Fraction-free row echelon form; returns (rows, pivot column list)."""
-        m = self._integer_rows()
-        nr, nc = self.rows, self.cols
-        pivots = []
-        prev = 1
-        r = 0
-        for c in range(nc):
-            piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            if piv != r:
-                m[r], m[piv] = m[piv], m[r]
-            for i in range(r + 1, nr):
-                for j in range(c + 1, nc):
-                    m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-                m[i][c] = 0
-            prev = m[r][c]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return m, pivots
+    # -- elimination -----------------------------------------------------
 
     def rank(self):
         self._require_rational("rank")
-        _, pivots = self._bareiss_echelon()
-        return len(pivots)
+        return SparseMatrix.from_dense(self).rank()
 
     def nullspace_basis(self):
         """Exact basis of the right nullspace, one vector per free column."""
         self._require_rational("nullspace")
-        m, pivots = self._bareiss_echelon()
-        free = [c for c in range(self.cols) if c not in pivots]
+        pivots = SparseMatrix.from_dense(self).echelon()
         basis = []
-        for fc in free:
+        for fc in range(self.cols):
+            if fc in pivots:
+                continue
             v = [QQ_ZERO] * self.cols
             v[fc] = QQ_ONE
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                s = sum(Fraction(m[r][j]) * v[j] for j in range(pc + 1, self.cols))
-                v[pc] = -s / m[r][pc]
+            for pc in sorted(pivots, reverse=True):
+                row = pivots[pc]
+                s = sum((a * v[j] for j, a in row.items() if j != pc), QQ_ZERO)
+                v[pc] = -s / row[pc]
             basis.append(v)
         return basis
 
@@ -246,10 +212,96 @@ class Matrix:
         return Matrix([row[n:] for row in m])
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+class SparseMatrix:
+    """Exact rational matrix stored as one {column: value} dict per row.
+
+    Zero entries are never stored.  ``entries`` is a read-only dense view,
+    built on each access, so no dense copy outlives its reader.
+    """
+
+    __slots__ = ("rows", "cols", "row_maps")
+
+    def __init__(self, rows, cols, row_maps):
+        if len(row_maps) != rows:
+            raise InputError(f"{len(row_maps)} row dicts for {rows} rows")
+        self.rows = rows
+        self.cols = cols
+        self.row_maps = [{j: a for j, a in row.items() if a} for row in row_maps]
+
+    @classmethod
+    def from_dense(cls, mat):
+        return cls(mat.rows, mat.cols, [dict(enumerate(row)) for row in mat.entries])
+
+    @property
+    def entries(self):
+        return tuple(tuple(row.get(j, QQ_ZERO) for j in range(self.cols)) for row in self.row_maps)
+
+    def apply(self, vec):
+        if len(vec) != self.cols:
+            raise InputError(f"vector length {len(vec)} != {self.cols}")
+        return [sum((a * vec[j] for j, a in row.items()), QQ_ZERO) for row in self.row_maps]
+
+    def __matmul__(self, other):
+        if self.cols != other.rows:
+            raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        out = []
+        for row in self.row_maps:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.row_maps[k].items():
+                    acc[j] = acc.get(j, QQ_ZERO) + a * b
+            out.append(acc)
+        return SparseMatrix(self.rows, other.cols, out)
+
+    def is_zero(self):
+        return not any(self.row_maps)
+
+    def echelon(self):
+        """An echelon basis of the row space, as {leading column: integer row}.
+
+        Each row is scaled to coprime integers and reduced against the
+        pivot of its leading column by cross-multiplication (then divided
+        by its content) until it vanishes or leads in a new column.  Rows
+        enter sparsest first, to keep fill low.  The leading columns of an
+        echelon basis are those of the row space itself, so they do not
+        depend on that order: they are the pivot columns of left-to-right
+        Gaussian elimination.
+        """
+        pivots = {}
+        for row in sorted(self.row_maps, key=len):
+            row = _primitive(_integer_row(row))
+            while row:
+                lead = min(row)
+                piv = pivots.get(lead)
+                if piv is None:
+                    pivots[lead] = row
+                    break
+                g = gcd(piv[lead], row[lead])
+                a, b = piv[lead] // g, row[lead] // g
+                row = {j: a * x for j, x in row.items()}
+                for j, x in piv.items():
+                    y = row.get(j, 0) - b * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                row = _primitive(row)
+        return pivots
+
+    def rank(self):
+        return len(self.echelon())
+
+
+def _integer_row(row):
+    """A rational row dict scaled by the lcm of its denominators."""
+    scale = lcm(*(a.denominator for a in row.values()))
+    return {j: a.numerator * (scale // a.denominator) for j, a in row.items()}
+
+
+def _primitive(row):
+    """An integer row dict divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
 def vec_add(u, v):

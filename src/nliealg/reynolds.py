@@ -21,11 +21,12 @@ from .verdict import fail, ok
 from .wedge import increasing_tuples
 
 
-def _reynolds_rhs(algebra, op, tup):
-    """sum_i R[Rx_1,...,x_i,...,Rx_n] - R[Rx_1,...,Rx_n] on a basis tuple.
+def induced_value(algebra, op, tup):
+    """[x_1,...,x_n]_R = sum_i [Rx_1,...,x_i,...,Rx_n] - [Rx_1,...,Rx_n]
+    on a basis tuple.
 
-    The hatted form of the identity, with x_i moved back into slot i,
-    absorbs the (-1)^{n-i} sign.
+    R of it is the right-hand side of the Reynolds identity: the hatted
+    form, with x_i moved back into slot i, absorbs the (-1)^{n-i} sign.
     """
     n = algebra.arity
     units = algebra.units(tup)
@@ -35,8 +36,7 @@ def _reynolds_rhs(algebra, op, tup):
         args = list(r_units)
         args[i] = units[i]
         acc = vec_add(acc, algebra.bracket(args))
-    acc = [a - b for a, b in zip(acc, algebra.bracket(r_units))]
-    return op.apply(acc)
+    return [a - b for a, b in zip(acc, algebra.bracket(r_units))]
 
 
 def check_reynolds(algebra, op):
@@ -45,7 +45,7 @@ def check_reynolds(algebra, op):
         raise InputError("operator dimension mismatch")
     for tup in increasing_tuples(algebra.dim, algebra.arity):
         lhs = algebra.bracket([op.apply(u) for u in algebra.units(tup)])
-        rhs = _reynolds_rhs(algebra, op, tup)
+        rhs = op.apply(induced_value(algebra, op, tup))
         if lhs != rhs:
             return fail("reynolds", {"tuple": tup}, lhs, rhs)
     return ok("reynolds")
@@ -56,19 +56,14 @@ def induced_bracket(algebra, op):
     pre = check_reynolds(algebra, op)
     if not pre:
         raise PreconditionError("operator is not a Reynolds operator", pre.counterexample)
+    return tabulate_induced_bracket(algebra, op)
 
-    def value(tup):
-        units = algebra.units(tup)
-        r_units = [op.apply(u) for u in units]
-        acc = vec_zero(algebra.dim)
-        for i in range(algebra.arity):
-            args = list(r_units)
-            args[i] = units[i]
-            acc = vec_add(acc, algebra.bracket(args))
-        return [a - b for a, b in zip(acc, algebra.bracket(r_units))]
 
+def tabulate_induced_bracket(algebra, op):
+    """The induced bracket of an operator the caller has already verified."""
     return algebra_from_bracket_function(
-        algebra.arity, algebra.dim, value, basis_names=algebra.basis_names
+        algebra.arity, algebra.dim, lambda tup: induced_value(algebra, op, tup),
+        basis_names=algebra.basis_names
     )
 
 

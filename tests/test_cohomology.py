@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from nliealg.algebra import adjoint_representation, wedge_single
+from nliealg.algebra import (
+    NAryAlgebra,
+    ad,
+    adjoint_representation,
+    algebra_from_bracket_function,
+    wedge_single,
+)
 from nliealg.cohomology import (
     Cochain,
     ReynoldsComplex,
@@ -12,9 +18,9 @@ from nliealg.cohomology import (
     delta_r_operator,
     reynolds_representation,
 )
-from nliealg.errors import PreconditionError, SizeGuardError
-from nliealg.linalg import Matrix, unit_vector
-from nliealg.reynolds import induced_bracket
+from nliealg.errors import InternalConsistencyError, PreconditionError, SizeGuardError
+from nliealg.linalg import Matrix, SparseMatrix, unit_vector
+from nliealg.reynolds import derivation_to_reynolds, induced_bracket
 from nliealg.wedge import WedgeBasis
 
 from conftest import rand_fraction, rand_matrix
@@ -109,3 +115,102 @@ def test_size_guard_triggers(lie3, family1):
 def test_complex_requires_reynolds(lie3):
     with pytest.raises(PreconditionError):
         ReynoldsComplex(lie3, Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_published_table_lie3_family1_to_degree_3(lie3, family1):
+    assert ReynoldsComplex(lie3, family1).dimensions(3) == [
+        (0, 2, 0, 2), (1, 6, 1, 5), (2, 13, 3, 10), (3, 34, 14, 20)]
+
+
+def test_zero_operator_on_three_lie4_to_degree_2(three_lie4):
+    """With R = 0 the induced bracket and rho_R vanish, so every
+    differential is zero and H^m = C^m."""
+    cx = ReynoldsComplex(three_lie4, Matrix.zero(4))
+    assert [row[3] for row in cx.dimensions(2)] == [6, 16, 96]
+
+
+# -- the assembled differential against the column-by-column oracle --------
+
+
+def dense_differential(cx, m):
+    """d_m column by column: ``coboundary`` on each basis cochain."""
+    n, d = cx.base.arity, cx.base.dim
+    src = cx.cochain_dim(m)
+    cols = []
+    for c in range(src):
+        data = [Fraction(0)] * src
+        data[c] = Fraction(1)
+        cols.append(cx.d_r(Cochain(n, d, d, m, data)).data)
+    return Matrix([[cols[c][r] for c in range(src)] for r in range(cx.cochain_dim(m + 1))])
+
+
+def simple_a4():
+    """The simple 3-Lie algebra A_4: [e_1..^e_i..e_4] = (-1)^(4+i) e_i."""
+    return NAryAlgebra(3, 4, {
+        tuple(k for k in range(1, 5) if k != i): [(-1) ** (4 + i) if k == i else 0 for k in range(1, 5)]
+        for i in range(1, 5)
+    })
+
+
+def conjugate(alg, op, rng):
+    """(phi.g, phi R phi^-1) for a seeded invertible integer phi."""
+    while True:
+        phi = Matrix([[rng.randint(-2, 2) for _ in range(alg.dim)] for _ in range(alg.dim)])
+        if phi.det():
+            break
+    inv = phi.inverse()
+    moved = algebra_from_bracket_function(
+        alg.arity, alg.dim,
+        lambda tup: phi.apply(alg.bracket([inv.apply(u) for u in alg.units(tup)])))
+    return moved, phi @ op @ inv
+
+
+def _oracle_cases():
+    lie3 = NAryAlgebra(2, 3, {(1, 2): [0, 1, 0]})
+    family1 = Matrix([[1, 0, 1], [1, 0, 1], [0, 0, 1]])
+    family2 = Matrix([[-1, 1, 0], [-1, 1, 0], [0, 0, 1]])
+    sl2_like = NAryAlgebra(2, 3, {(1, 2): [0, 0, 1], (1, 3): [-2, 0, 0], (2, 3): [0, 2, 0]})
+    a4 = simple_a4()
+    return {
+        "lie3/family1": (lie3, family1, 3),
+        "lie3/family2": (lie3, family2, 3),
+        "abelian33/zero": (NAryAlgebra(3, 3, {}), Matrix.zero(3), 2),
+        "sl2_like/zero": (sl2_like, Matrix.zero(3), 2),
+        "three_lie4/zero": (NAryAlgebra(3, 4, {(1, 2, 3): [0, 0, 0, 1]}), Matrix.zero(4), 1),
+        "a4/ad12": (a4, derivation_to_reynolds(a4, ad(a4, wedge_single((1, 2), 4))), 1),
+        "lie3/family1/conjugate": conjugate(lie3, family1, random.Random(31)) + (2,),
+    }
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_assembled_differential_equals_coboundary_columns(case):
+    alg, op, top = ORACLE_CASES[case]
+    cx = ReynoldsComplex(alg, op)
+    for m in range(1, top + 1):
+        sparse = cx.differential_matrix(m)
+        assert isinstance(sparse, SparseMatrix)
+        assert Matrix(sparse.entries) == dense_differential(cx, m), (case, m)
+
+
+def test_conjugate_fixture_is_a_dense_change_of_basis():
+    alg, op, _ = ORACLE_CASES["lie3/family1/conjugate"]
+    assert ReynoldsComplex(alg, op).dimensions(2) == [(0, 2, 0, 2), (1, 6, 1, 5), (2, 13, 3, 10)]
+    assert sum(1 for row in op.entries for a in row if a) > 5
+
+
+def test_corrupted_entry_trips_the_cross_check(lie3, family1, monkeypatch):
+    assemble = ReynoldsComplex._assemble
+
+    def corrupted(self, m):
+        mat = assemble(self, m)
+        row = next(r for r in mat.row_maps if r)
+        col = next(iter(row))
+        row[col] += 1
+        return mat
+
+    monkeypatch.setattr(ReynoldsComplex, "_assemble", corrupted)
+    with pytest.raises(InternalConsistencyError):
+        ReynoldsComplex(lie3, family1).dimensions(2)

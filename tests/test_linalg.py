@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from nliealg.errors import NotInvertibleError, UnsupportedRingError
-from nliealg.linalg import Matrix, unit_vector, vec_is_zero
+from nliealg.errors import InputError, NotInvertibleError, UnsupportedRingError
+from nliealg.linalg import Matrix, SparseMatrix, unit_vector, vec_is_zero
 from nliealg.rings import Dual
 
 from conftest import rand_matrix, rand_vector
@@ -119,3 +119,70 @@ def test_dual_matrix_arithmetic_still_works():
 
 def test_unit_vector():
     assert unit_vector(3, 1) == [Fraction(0), Fraction(1), Fraction(0)]
+
+
+def sparse_random(rng, rows, cols):
+    """A sparse-ish random rational matrix with some zero rows and columns
+    and, often, rows that are combinations of earlier ones."""
+    zero_rows = {r for r in range(rows) if rng.random() < 0.2}
+    zero_cols = {c for c in range(cols) if rng.random() < 0.2}
+    entries = [[Fraction(0) if r in zero_rows or c in zero_cols or rng.random() < 0.5
+                else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for c in range(cols)] for r in range(rows)]
+    if rows > 2 and rng.random() < 0.5:
+        a, b = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2), 3)
+        entries[-1] = [a * x + b * y for x, y in zip(entries[0], entries[1])]
+    return Matrix(entries)
+
+
+SHAPES = [(1, 1), (1, 6), (6, 1), (3, 7), (7, 3), (6, 6), (9, 5)]
+
+
+def test_sparse_rank_matches_naive_gauss():
+    rng = random.Random(21)
+    for rows, cols in SHAPES:
+        for _ in range(25):
+            mat = sparse_random(rng, rows, cols)
+            assert SparseMatrix.from_dense(mat).rank() == naive_rank(mat), mat
+            assert mat.rank() == naive_rank(mat)
+    assert Matrix.zero(3, 4).rank() == 0
+    assert Matrix([[0, 0], [0, 5]]).rank() == 1
+
+
+def test_sparse_dense_view_round_trips():
+    rng = random.Random(22)
+    for rows, cols in SHAPES:
+        mat = sparse_random(rng, rows, cols)
+        sparse = SparseMatrix.from_dense(mat)
+        assert (sparse.rows, sparse.cols) == (mat.rows, mat.cols)
+        assert Matrix(sparse.entries) == mat
+        assert all(a for row in sparse.row_maps for a in row.values())
+
+
+def test_sparse_product_and_is_zero_match_dense():
+    rng = random.Random(23)
+    for rows, inner in SHAPES:
+        for _ in range(10):
+            a = sparse_random(rng, rows, inner)
+            b = sparse_random(rng, inner, rng.randint(1, 6))
+            product = SparseMatrix.from_dense(a) @ SparseMatrix.from_dense(b)
+            assert Matrix(product.entries) == a @ b
+            assert product.is_zero() == (a @ b).is_zero()
+            vec = rand_vector(rng, inner)
+            assert SparseMatrix.from_dense(a).apply(vec) == a.apply(vec)
+    left = SparseMatrix.from_dense(Matrix([[1, 1]]))
+    right = SparseMatrix.from_dense(Matrix([[2], [-2]]))
+    assert (left @ right).is_zero()
+    with pytest.raises(InputError):
+        right @ right
+
+
+def test_nullspace_basis_is_reduced_and_exact():
+    """One vector per free column, 1 there and 0 on the other free columns;
+    no float, also where a pivot has no entry to its right."""
+    cases = [(Matrix([[0, 1, 2], [0, 2, 4]]), [[1, 0, 0], [0, -2, 1]]),
+             (Matrix([[0, 1]]), [[1, 0]])]
+    for mat, expect in cases:
+        basis = mat.nullspace_basis()
+        assert basis == expect
+        assert all(isinstance(a, Fraction) for v in basis for a in v)
