@@ -289,35 +289,37 @@ class ReynoldsComplex:
                   for vo, vi, c in _matrix_terms(rho.matrix_for_tuple(t[:i - 1] + t[i:] + (j,)))]
                  for j in range(1, d + 1)] for t in tuples]
 
-        def column(blocks, k, v):
+        def column(blocks, k):
+            """Input position of (blocks, e_k) at module coordinate 0."""
             idx = 0
             for x in blocks:
                 idx = idx * b + x
-            return (idx * d + k) * d + v
+            return (idx * d + k) * d
+
+        def add(v, col, c):
+            out[v][col] = out[v].get(col, QQ_ZERO) + c
 
         rows = []
         for blocks in product(range(b), repeat=m):
             drop = [blocks[:a] + blocks[a + 1:] for a in range(m)]
             for j in range(d):
                 out = [{} for _ in range(d)]
-
-                def add(v, col, c):
-                    out[v][col] = out[v].get(col, QQ_ZERO) + c
-
                 for a in range(m):
                     sign = -1 if a % 2 == 0 else 1  # (-1)^a for 1-based a
-                    for bb in range(a + 1, m):
-                        for z, c in action[blocks[a]][blocks[bb]]:
-                            args = drop[a][:bb - 1] + (z,) + drop[a][bb:]
+                    for later in range(a + 1, m):
+                        for z, c in action[blocks[a]][blocks[later]]:
+                            col = column(drop[a][:later - 1] + (z,) + drop[a][later:], j)
                             for v in range(d):
-                                add(v, column(args, j, v), sign * c)
+                                add(v, col + v, sign * c)
                     for k, c in moved[blocks[a]][j]:
+                        col = column(drop[a], k)
                         for v in range(d):
-                            add(v, column(drop[a], k, v), sign * c)
+                            add(v, col + v, sign * c)
+                    col = column(drop[a], j)
                     for vo, vi, c in acts[blocks[a]]:
-                        add(vo, column(drop[a], j, vi), -sign * c)
+                        add(vo, col + vi, -sign * c)
                 for k, vo, vi, c in last[blocks[m - 1]][j]:
-                    add(vo, column(blocks[:m - 1], k, vi), c)
+                    add(vo, column(blocks[:m - 1], k) + vi, c)
                 rows.extend(out)
         return SparseMatrix(len(rows), self.cochain_dim(m), rows)
 
