@@ -2,21 +2,22 @@
 
 An algebra stores its bracket only on canonical index tuples: strictly
 increasing for alternating brackets, non-decreasing for the symmetric
-(commutative associative) variant.  Every evaluation on other tuples
-routes through wedge canonicalization, and brackets of arbitrary vectors
-expand multilinearly over the stored constants.
+(commutative associative) variant.  Brackets of basis or arbitrary
+vectors go through ``expand`` (shared with the curly bracket of
+``ns.NSAlgebra``), which sorts each index tuple it meets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from functools import reduce
+from itertools import product
 
 from .errors import InputError, PreconditionError
-from .linalg import Matrix, unit_vector, vec_add, vec_is_zero, vec_scale, vec_zero
-from .rings import QQ_ZERO
+from .linalg import Matrix, combine, unit_vector, vec_add, vec_is_zero, vec_scale, vec_zero
+from .rings import QQ_ONE, QQ_ZERO
 from .verdict import CheckResult, fail, ok
-from .wedge import canonicalize_wedge, increasing_tuples
+from .wedge import canonicalize_wedge, check_indices, increasing_tuples
 
 ALTERNATING = "alternating"
 SYMMETRIC = "symmetric"
@@ -49,9 +50,7 @@ class NAryAlgebra:
             key = tuple(key)
             if len(key) != arity:
                 raise InputError(f"bracket tuple {key} has length != arity {arity}")
-            for i in key:
-                if not 1 <= i <= dim:
-                    raise InputError(f"basis index {i} out of range 1..{dim}")
+            check_indices(key, dim)
             if symmetry == ALTERNATING:
                 if any(a >= b for a, b in zip(key, key[1:])):
                     raise InputError(f"alternating bracket tuple {key} is not strictly increasing")
@@ -64,6 +63,10 @@ class NAryAlgebra:
             if not vec_is_zero(vec):
                 clean[key] = vec
         self.brackets = clean
+        # a symmetric product is looked up in both orders, an alternating one sorted
+        self._skew = arity if symmetry == ALTERNATING else 0
+        mirrored = {} if self._skew else {key[::-1]: vec for key, vec in clean.items()}
+        self._terms = term_table({**mirrored, **clean})
 
     def __eq__(self, other):
         if not isinstance(other, NAryAlgebra):
@@ -88,39 +91,53 @@ class NAryAlgebra:
         """Bracket of basis vectors, any index order."""
         if len(indices) != self.arity:
             raise InputError(f"expected {self.arity} indices, got {len(indices)}")
-        if self.symmetry == SYMMETRIC:
-            key = tuple(sorted(indices))
-            vec = self.brackets.get(key)
-            return list(vec) if vec else vec_zero(self.dim)
-        canon = canonicalize_wedge(indices, self.dim)
-        if canon is None:
-            return vec_zero(self.dim)
-        key, sign = canon
-        vec = self.brackets.get(key)
-        if vec is None:
-            return vec_zero(self.dim)
-        return list(vec) if sign > 0 else [-v for v in vec]
+        check_indices(indices, self.dim)
+        return expand(self._terms, self.units(indices), self.dim, self._skew)
 
     def bracket(self, args):
         """Multilinear expansion on arbitrary coefficient vectors."""
         if len(args) != self.arity:
             raise InputError(f"expected {self.arity} arguments, got {len(args)}")
-        for v in args:
-            if len(v) != self.dim:
-                raise InputError(f"argument length {len(v)} != dim {self.dim}")
-        supports = [[i for i, c in enumerate(v) if c] for v in args]
-        out = vec_zero(self.dim)
-        for picks in product(*supports):
-            coeff = args[0][picks[0]]
-            for slot in range(1, self.arity):
-                coeff = coeff * args[slot][picks[slot]]
-            base = self.bracket_on_basis(tuple(p + 1 for p in picks))
-            if not vec_is_zero(base):
-                out = vec_add(out, vec_scale(coeff, base))
-        return out
+        return expand(self._terms, args, self.dim, self._skew)
 
     def units(self, indices):
         return [unit_vector(self.dim, i - 1) for i in indices]
+
+
+def term_table(values):
+    """{0-based index tuple: [(i, c), ...]} of the nonzero entries of each
+    stored value, keyed by its 1-based index tuple."""
+    return {
+        tuple(k - 1 for k in key): [(i, c) for i, c in enumerate(vec) if c]
+        for key, vec in values.items()
+    }
+
+
+def expand(table, args, dim, skew):
+    """Multilinear extension of a ``term_table`` to coefficient vectors.
+
+    Only the supports of ``args`` are walked.  The first ``skew`` slots
+    alternate: a pick is looked up with them sorted (table keys increase
+    there) and its terms take the sign of the sorting permutation.
+    """
+    for v in args:
+        if len(v) != dim:
+            raise InputError(f"argument length {len(v)} != dim {dim}")
+    coeffs, hits = [], []
+    for picks in product(*([i for i, c in enumerate(v) if c] for v in args)):
+        head = picks[:skew]
+        terms = table.get(tuple(sorted(head)) + picks[skew:])
+        if terms is not None:
+            coeff = reduce(_times, (v[p] for v, p in zip(args, picks)), QQ_ONE)
+            odd = sum(a > b for i, a in enumerate(head) for b in head[i + 1:]) % 2
+            coeffs.append(-coeff if odd else coeff)
+            hits.append(terms)
+    return combine(coeffs, hits, dim)
+
+
+def _times(a, b):
+    """a * b, skipping a factor that is the shared ``QQ_ONE``."""
+    return b if a is QQ_ONE else a if b is QQ_ONE else a * b
 
 
 class RepresentationTable:
@@ -163,17 +180,12 @@ class RepresentationTable:
         """Linear extension to a Lambda^{n-1} coefficient dict."""
         out = Matrix.zero(self.module_dim)
         for key, coeff in sorted(wedge_elem.items()):
-            if coeff:
-                out = out + self.matrix_for_tuple(key).scale(coeff)
+            out = out + self.matrix_for_tuple(key).scale(coeff)
         return out
 
     def matrix_for_mixed(self, prefix, vec):
         """rho(e_{prefix}, v) with the last slot an arbitrary vector."""
-        out = Matrix.zero(self.module_dim)
-        for j, coeff in enumerate(vec):
-            if coeff:
-                out = out + self.matrix_for_tuple(tuple(prefix) + (j + 1,)).scale(coeff)
-        return out
+        return self.matrix_for_wedge({tuple(prefix) + (j + 1,): c for j, c in enumerate(vec) if c})
 
 
 # -- wedge-coefficient elements of Lambda^{n-1}(g) ----------------------
@@ -203,11 +215,6 @@ def wedge_add_term(acc, indices, coeff, dim):
         acc[key] = new
     elif key in acc:
         del acc[key]
-
-
-def wedge_equal(x, y):
-    keys = set(x) | set(y)
-    return all(x.get(k, QQ_ZERO) == y.get(k, QQ_ZERO) for k in keys)
 
 
 # -- checkers ------------------------------------------------------------

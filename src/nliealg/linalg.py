@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals (and dual numbers).
 
-``Matrix`` is dense.  ``SparseMatrix`` keeps one {column: value} dict per
-row; rank and nullspace of either go through its fraction-free echelon
-form, whose pivoting arithmetic stays in Z.  Dual-number matrices support
+``Matrix`` is dense, but its products, sums and scalings skip zero
+terms.  ``SparseMatrix`` keeps one {column: value} dict per row; rank and
+nullspace of either go through its fraction-free echelon form, whose
+pivoting arithmetic stays in Z.  Dual-number matrices support
 the ring operations (add/mul/apply) but are rejected by
 rank/nullspace/solve, which need a field.
 """
@@ -10,10 +11,11 @@ rank/nullspace/solve, which need a field.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from .errors import InputError, NotInvertibleError, UnsupportedRingError
-from .rings import Dual, QQ_ZERO, QQ_ONE
+from .rings import Dual, QQ_ZERO, QQ_ONE, plus
 
 
 class Matrix:
@@ -63,34 +65,30 @@ class Matrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        return Matrix([vec_add(ra, rb) for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        return Matrix([vec_sub(ra, rb) for ra, rb in zip(self.entries, other.entries)])
 
     def __neg__(self):
         return Matrix([[-a for a in row] for row in self.entries])
 
     def scale(self, c):
-        return Matrix([[c * a for a in row] for row in self.entries])
+        return Matrix([vec_scale(c, row) for row in self.entries])
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return Matrix(
-            [
-                [sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), QQ_ZERO)
-                 for j in range(other.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        return Matrix([combine(row, right, other.cols) for row in self.entries])
 
     def apply(self, vec):
         """Matrix-vector product; entry [i][j] is the e_i-coefficient of the image of e_j."""
         if len(vec) != self.cols:
             raise InputError(f"vector length {len(vec)} != {self.cols}")
-        return [sum((self.entries[i][j] * vec[j] for j in range(self.cols)), QQ_ZERO) for i in range(self.rows)]
+        terms = [(j, x) for j, x in enumerate(vec) if x]
+        return [reduce(plus, (row[j] * x for j, x in terms if row[j]), QQ_ZERO) for row in self.entries]
 
     def power(self, k):
         if self.rows != self.cols:
@@ -103,15 +101,12 @@ class Matrix:
     def is_zero(self):
         return all(not a for row in self.entries for a in row)
 
-    def is_rational(self):
-        return all(not isinstance(a, Dual) for row in self.entries for a in row)
-
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch")
 
     def _require_rational(self, what):
-        if not self.is_rational():
+        if any(isinstance(a, Dual) for row in self.entries for a in row):
             raise UnsupportedRingError(f"{what} is only defined over the rationals, not dual numbers")
 
     # -- elimination -----------------------------------------------------
@@ -304,16 +299,29 @@ def _primitive(row):
     return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
+def combine(coeffs, sparse_rows, width):
+    """sum_k coeffs[k] * row_k, where row_k lists its nonzero (j, b); zero
+    coefficients and a product with the shared ``QQ_ONE`` are skipped."""
+    acc = [QQ_ZERO] * width
+    for a, terms in zip(coeffs, sparse_rows):
+        if a:
+            for j, b in terms:
+                acc[j] = plus(acc[j], b if a is QQ_ONE else a * b)
+    return acc
+
+
 def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
+    return [plus(a, b) for a, b in zip(u, v)]
 
 
 def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
+    return [a if not b else -b if not a else a - b for a, b in zip(u, v)]
 
 
 def vec_scale(c, v):
-    return [c * a for a in v]
+    if not c:
+        return [QQ_ZERO] * len(v)
+    return list(v) if c == 1 else [c * a if a else a for a in v]
 
 
 def vec_zero(n):

@@ -9,7 +9,6 @@ for structures passing the axioms it satisfies the Filippov identity
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .algebra import (
     NAryAlgebra,
@@ -17,13 +16,15 @@ from .algebra import (
     algebra_from_bracket_function,
     check_filippov,
     check_representation,
+    expand,
+    term_table,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import Matrix, vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .nijenhuis import check_nijenhuis, deformed_bracket_ladder
 from .reynolds import check_reynolds
 from .verdict import fail, ok
-from .wedge import canonicalize_wedge, increasing_tuples
+from .wedge import check_indices, increasing_tuples
 
 
 class NSAlgebra:
@@ -52,38 +53,23 @@ class NSAlgebra:
             if not vec_is_zero(vec):
                 clean[(prefix, j)] = vec
         self.curly_table = clean
+        self._terms = term_table({prefix + (j,): vec for (prefix, j), vec in clean.items()})
 
     def curly_on_basis(self, prefix, j):
         """{e_{i1},...,e_{i_{n-1}}, e_j}; the prefix may be unordered."""
-        canon = canonicalize_wedge(prefix, self.dim)
-        if canon is None:
-            return vec_zero(self.dim)
-        key, sign = canon
-        vec = self.curly_table.get((key, j))
-        if vec is None:
-            return vec_zero(self.dim)
-        return list(vec) if sign > 0 else [-v for v in vec]
+        indices = tuple(prefix) + (j,)
+        check_indices(indices, self.dim)
+        return expand(self._terms, self.units(indices), self.dim, self.arity - 1)
 
     def curly(self, args):
         """Multilinear curly bracket on arbitrary coefficient vectors."""
         if len(args) != self.arity:
             raise InputError(f"expected {self.arity} arguments, got {len(args)}")
-        supports = [[i for i, c in enumerate(v) if c] for v in args]
-        out = vec_zero(self.dim)
-        for picks in product(*supports):
-            coeff = args[0][picks[0]]
-            for slot in range(1, self.arity):
-                coeff = coeff * args[slot][picks[slot]]
-            base = self.curly_on_basis(tuple(p + 1 for p in picks[:-1]), picks[-1] + 1)
-            if not vec_is_zero(base):
-                out = vec_add(out, vec_scale(coeff, base))
-        return out
+        return expand(self._terms, args, self.dim, self.arity - 1)
 
     def curly_matrix(self, prefix):
         """The operator x -> {e_prefix, x}."""
-        cols = [self.curly_on_basis(prefix, j) for j in range(1, self.dim + 1)]
-        d = self.dim
-        return Matrix([[cols[j][i] for j in range(d)] for i in range(d)])
+        return Matrix(zip(*(self.curly_on_basis(prefix, j) for j in range(1, self.dim + 1))))
 
     def units(self, indices):
         return self.square.units(indices)

@@ -88,12 +88,13 @@ def _as_dual(x):
     return NotImplemented
 
 
-def is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
-def scalar_is_zero(x) -> bool:
-    return not x
+def plus(a, b):
+    """a + b, or the other operand itself (and its ring) when one side is zero."""
+    if not a:
+        return b
+    if not b:
+        return a
+    return a + b
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -126,9 +127,3 @@ def parse_scalar(obj):
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def format_scalar(x):
-    if isinstance(x, Dual):
-        return {"a": format_rational(x.a), "b": format_rational(x.b)}
-    return format_rational(x)

@@ -13,16 +13,20 @@ from itertools import combinations
 from .errors import InputError
 
 
-def canonicalize_wedge(indices, dim):
-    """Sort ``indices``; returns (increasing tuple, sign) or None on a repeat."""
-    indices = tuple(indices)
+def check_indices(indices, dim):
+    """Raise ``InputError`` unless every basis index lies in 1..dim."""
     for i in indices:
         if not 1 <= i <= dim:
             raise InputError(f"basis index {i} out of range 1..{dim}")
+
+
+def canonicalize_wedge(indices, dim):
+    """Sort ``indices``; returns (increasing tuple, sign) or None on a repeat."""
+    indices = tuple(indices)
+    check_indices(indices, dim)
     if len(set(indices)) != len(indices):
         return None
-    perm = sorted(range(len(indices)), key=lambda p: indices[p])
-    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b])
+    inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1:])
     return tuple(sorted(indices)), -1 if inversions % 2 else 1
 
 

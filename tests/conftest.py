@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,7 @@ def pytest_terminal_summary(terminalreporter):
 from nliealg.algebra import NAryAlgebra
 from nliealg.constructions import LinearFunctional, comm_assoc_algebra
 from nliealg.linalg import Matrix
+from nliealg.rings import Dual
 
 
 @pytest.fixture
@@ -115,6 +117,59 @@ def euler_derivation(dim, monomial_degrees):
         [Fraction(monomial_degrees[i]) if i == j else Fraction(0) for j in range(dim)]
         for i in range(dim)
     ])
+
+
+def naive_expansion(value_on_basis, args, dim):
+    """Multilinear expansion over every index tuple, supports or not, from
+    the value on basis vectors (1-based indices, any order, repeats); the
+    reference for ``NAryAlgebra.bracket`` and ``NSAlgebra.curly``."""
+    out = [Fraction(0)] * dim
+    for picks in product(range(dim), repeat=len(args)):
+        coeff = Fraction(1)
+        for v, p in zip(args, picks):
+            coeff = coeff * v[p]
+        base = value_on_basis(tuple(p + 1 for p in picks))
+        out = [o + coeff * b for o, b in zip(out, base)]
+    return out
+
+
+def _sorted_with_sign(indices):
+    """(sorted tuple, sign of the sorting permutation), sign 0 on a repeat."""
+    if len(set(indices)) < len(indices):
+        return tuple(sorted(indices)), 0
+    inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1:])
+    return tuple(sorted(indices)), (-1) ** inversions
+
+
+def stored_bracket(algebra):
+    """The bracket on 1-based basis tuples, read from ``algebra.brackets``."""
+    def value(picks):
+        if algebra.symmetry == "symmetric":
+            key, sign = tuple(sorted(picks)), 1
+        else:
+            key, sign = _sorted_with_sign(picks)
+        return [sign * v for v in algebra.brackets.get(key, [Fraction(0)] * algebra.dim)]
+    return value
+
+
+def stored_curly(ns):
+    """The curly bracket on 1-based basis tuples, read from ``ns.curly_table``."""
+    def value(picks):
+        key, sign = _sorted_with_sign(picks[:-1])
+        return [sign * v for v in ns.curly_table.get((key, picks[-1]), [Fraction(0)] * ns.dim)]
+    return value
+
+
+def sparse_args(rng, arity, dim, dual=False):
+    """Seeded coefficient vectors, about half their entries zero; with
+    ``dual``, some entries are dual numbers."""
+    args = []
+    for _ in range(arity):
+        vec = [rand_fraction(rng) if rng.random() < 0.5 else Fraction(0) for _ in range(dim)]
+        if dual:
+            vec = [Dual(x, rng.randint(-2, 2)) if rng.random() < 0.4 else x for x in vec]
+        args.append(vec)
+    return args
 
 
 def rand_fraction(rng, span=3):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -19,7 +19,14 @@ from nliealg.errors import InputError, PreconditionError
 from nliealg.linalg import Matrix, unit_vector, vec_zero
 from nliealg.wedge import increasing_tuples
 
-from conftest import lie3_nilpotent_derivation, rand_vector, trunc_xyz
+from conftest import (
+    lie3_nilpotent_derivation,
+    naive_expansion,
+    rand_vector,
+    sparse_args,
+    stored_bracket,
+    trunc_xyz,
+)
 
 
 def dense_bracket_oracle(algebra, args):
@@ -66,6 +73,28 @@ def test_bracket_matches_dense_oracle(rng, sl2_like, three_lie4):
         for _ in range(25):
             args = [rand_vector(rng, alg.dim) for _ in range(alg.arity)]
             assert alg.bracket(args) == dense_bracket_oracle(alg, args)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["fraction", "dual"])
+def test_bracket_matches_naive_expansion(dual, sl2_like, three_lie4, trunc_xy, trunc_x3):
+    rng = random.Random(31)
+    a4 = NAryAlgebra(3, 4, {(1, 2, 3): [1, 0, 0, 0], (1, 2, 4): [0, 0, 0, 1],
+                            (1, 3, 4): [0, -1, 2, 0], (2, 3, 4): [0, 0, 0, 0]})
+    for alg in (sl2_like, three_lie4, a4, trunc_xy, trunc_x3, trunc_xyz()):
+        stored = stored_bracket(alg)
+        for picks in product(range(1, alg.dim + 1), repeat=alg.arity):
+            assert alg.bracket_on_basis(picks) == stored(picks)
+        for _ in range(8):
+            args = sparse_args(rng, alg.arity, alg.dim, dual)
+            assert alg.bracket(args) == naive_expansion(stored, args, alg.dim)
+
+
+def test_bracket_on_basis_rejects_out_of_range_indices(trunc_xy):
+    symmetric = NAryAlgebra(2, 2, {}, symmetry="symmetric")
+    for alg in (NAryAlgebra(2, 2, {(1, 2): [1, 0]}), symmetric, trunc_xy):
+        for bad in ((0, 1), (1, alg.dim + 1), (0, 3)):
+            with pytest.raises(InputError):
+                alg.bracket_on_basis(bad)
 
 
 def test_bracket_on_basis_any_order(three_lie4):

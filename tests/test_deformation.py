@@ -5,12 +5,15 @@ import pytest
 from nliealg.algebra import wedge_single
 from nliealg.cohomology import delta_r_operator
 from nliealg.deformation import (
+    _t_linear_check,
     check_equivalence_witness,
     is_infinitesimal_deformation,
     is_trivial_deformation,
 )
 from nliealg.errors import PreconditionError
 from nliealg.linalg import Matrix
+from nliealg.reynolds import check_reynolds
+from nliealg.rings import EPS
 
 from conftest import rand_matrix
 
@@ -76,3 +79,19 @@ def test_non_cocycle_direction_is_rejected(lie3, family1, rng):
             is_trivial_deformation(lie3, family1, direction)
         return
     pytest.fail("no non-cocycle direction found")
+
+
+def test_both_routes_agree_on_zero_coboundary_and_non_cocycle(lie3, family1):
+    """The t-linear check and the dual-number re-check give one verdict.
+    R + EPS*0 holds rational zeros, so S = 0 re-checks R itself."""
+    zero = Matrix.zero(3)
+    cases = [(zero, True),
+             (delta_r_operator(lie3, family1, wedge_single((2,), 3)), True),
+             (Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), False)]
+    for direction, verdict in cases:
+        dual_op = family1 + direction.scale(EPS)
+        assert bool(_t_linear_check(lie3, family1, direction)) is verdict
+        assert bool(check_reynolds(lie3, dual_op)) is verdict
+        assert bool(is_infinitesimal_deformation(lie3, family1, direction)) is verdict
+    assert family1 + zero.scale(EPS) == family1
+    assert (family1 + zero.scale(EPS)).rank() == family1.rank()

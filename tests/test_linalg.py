@@ -5,7 +5,7 @@ import pytest
 
 from nliealg.errors import InputError, NotInvertibleError, UnsupportedRingError
 from nliealg.linalg import Matrix, SparseMatrix, unit_vector, vec_is_zero
-from nliealg.rings import Dual
+from nliealg.rings import Dual, EPS
 
 from conftest import rand_matrix, rand_vector
 
@@ -186,3 +186,79 @@ def test_nullspace_basis_is_reduced_and_exact():
         basis = mat.nullspace_basis()
         assert basis == expect
         assert all(isinstance(a, Fraction) for v in basis for a in v)
+
+
+# -- textbook dense kernels: the oracle for the zero-skipping ones -----------
+
+
+def textbook_matmul(a, b):
+    return [[sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def textbook_apply(a, vec):
+    return [sum((a.entries[i][j] * vec[j] for j in range(a.cols)), Fraction(0))
+            for i in range(a.rows)]
+
+
+def textbook_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
+
+
+def textbook_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
+
+
+def textbook_scale(c, a):
+    return [[c * x for x in row] for row in a.entries]
+
+
+def with_duals(rng, mat):
+    """``mat`` with about a third of its entries replaced by dual numbers,
+    nonzero ones and Dual(0, 0) alike."""
+    return Matrix([[Dual(x, rng.randint(-2, 2)) if rng.random() < 0.35 else x for x in row]
+                   for row in mat.entries])
+
+
+def rows_of(mat):
+    return [list(row) for row in mat.entries]
+
+
+def test_zero_skipping_kernels_match_textbook_kernels():
+    rng = random.Random(24)
+    for rows, inner in SHAPES:
+        for trial in range(12):
+            a = sparse_random(rng, rows, inner)
+            b = sparse_random(rng, inner, rng.randint(1, 6))
+            same = sparse_random(rng, rows, inner)
+            vec = [x if rng.random() < 0.5 else Fraction(0) for x in rand_vector(rng, inner)]
+            c = rng.choice([Fraction(0), Fraction(1), Fraction(-2, 3), Dual(0, 1), Dual(2, -1)])
+            if trial % 2:
+                a, b, same = with_duals(rng, a), with_duals(rng, b), with_duals(rng, same)
+                vec = [Dual(x, rng.randint(-1, 1)) if rng.random() < 0.3 else x for x in vec]
+            assert rows_of(a @ b) == textbook_matmul(a, b)
+            assert a.apply(vec) == textbook_apply(a, vec)
+            assert rows_of(a + same) == textbook_add(a, same)
+            assert rows_of(a - same) == textbook_sub(a, same)
+            assert rows_of(a.scale(c)) == textbook_scale(c, a)
+    with pytest.raises(InputError):
+        Matrix.zero(2, 3) @ Matrix.zero(2, 3)
+    with pytest.raises(InputError):
+        Matrix.zero(2, 3).apply([Fraction(0)] * 2)
+
+
+def test_skipped_zeros_keep_the_ring_of_the_surviving_operand():
+    rational = lambda m: all(type(a) is Fraction for row in m.entries for a in row)
+    zero = Matrix.zero(2)
+    # EPS * 0 is skipped, so the zero matrix stays rational, and rank works
+    assert rational(zero.scale(EPS))
+    assert zero.scale(EPS).rank() == 0
+    ident = Matrix.identity(2)
+    assert rational(ident + zero.scale(EPS))
+    dual = Matrix([[Dual(1, 1), Fraction(0)], [Fraction(0), Dual(0, 1)]])
+    assert (dual + zero).entries[0][0] is dual.entries[0][0]
+    assert (zero - dual).entries[1][1] == Dual(0, -1)
+    assert (dual @ ident).entries == dual.entries
+    assert type((Matrix([[Fraction(0), Fraction(1)]]) @ dual).entries[0][0]) is Fraction
+    with pytest.raises(UnsupportedRingError):
+        (ident + ident.scale(EPS)).rank()

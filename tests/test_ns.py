@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,7 +19,7 @@ from nliealg.ns import (
 from nliealg.reynolds import induced_bracket
 from nliealg.wedge import increasing_tuples
 
-from conftest import rand_fraction
+from conftest import naive_expansion, rand_fraction, sparse_args, stored_curly
 
 
 def test_zero_curly_reduces_to_filippov(lie3, three_lie4):
@@ -42,6 +44,36 @@ def test_curly_prefix_skew_symmetry(three_lie4):
     assert ns.curly_on_basis((2, 1), 3) == [0, 0, 0, -1]
     assert ns.curly_on_basis((1, 1), 3) == [0, 0, 0, 0]
     assert ns.curly_on_basis((1, 2), 1) == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["fraction", "dual"])
+def test_curly_matches_naive_expansion(dual, lie3, family1, three_lie4):
+    rng = random.Random(32)
+    dense = {}
+    for prefix in increasing_tuples(4, 2):
+        for j in range(1, 5):
+            dense[(prefix, j)] = [rand_fraction(rng, 1) for _ in range(4)]
+    structures = [
+        ns_from_reynolds(lie3, family1),
+        NSAlgebra(3, 4, dense, three_lie4.brackets),
+        NSAlgebra(3, 4, {((1, 3), 2): [0, 1, 0, -1], ((2, 4), 4): [3, 0, 0, 0]}, {}),
+    ]
+    for ns in structures:
+        stored = stored_curly(ns)
+        for picks in product(range(1, ns.dim + 1), repeat=ns.arity):
+            assert ns.curly_on_basis(picks[:-1], picks[-1]) == stored(picks)
+        for _ in range(8):
+            args = sparse_args(rng, ns.arity, ns.dim, dual)
+            assert ns.curly(args) == naive_expansion(stored, args, ns.dim)
+
+
+def test_curly_rejects_out_of_range_indices():
+    ns = NSAlgebra(3, 4, {((1, 2), 3): [0, 0, 0, 1]}, {})
+    for prefix, j in (((1, 2), 5), ((1, 2), 0), ((0, 2), 3)):
+        with pytest.raises(InputError):
+            ns.curly_on_basis(prefix, j)
+    with pytest.raises(InputError):
+        ns.curly([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1]])
 
 
 def test_constructor_validation():
