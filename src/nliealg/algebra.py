@@ -155,6 +155,7 @@ class RepresentationTable:
             key = tuple(key)
             if len(key) != arity - 1:
                 raise InputError(f"representation tuple {key} has length != {arity - 1}")
+            check_indices(key, algebra_dim)
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise InputError(f"representation tuple {key} is not strictly increasing")
             if not isinstance(mat, Matrix):
@@ -285,15 +286,27 @@ def fundamental_action(algebra, x_wedge, y_wedge):
 
 
 def check_representation(algebra, rho):
-    """Both compatibility identities of an n-Lie representation."""
+    """Both compatibility identities of an n-Lie representation.
+
+    Each basis matrix, basis bracket and product of two basis matrices is
+    formed once; the loops compare the same matrices, in the same order,
+    as the plain expansion of each identity.
+    """
     n, d = algebra.arity, algebra.dim
     if rho.arity != n or rho.algebra_dim != d:
         raise InputError("representation/algebra dimension mismatch")
-    for xs in increasing_tuples(d, n - 1):
-        rx = rho.matrix_for_tuple(xs)
-        for ys in increasing_tuples(d, n - 1):
-            ry = rho.matrix_for_tuple(ys)
-            lhs = rx @ ry - ry @ rx
+    tuples = increasing_tuples(d, n - 1)
+    mats = {xs: rho.matrix_for_tuple(xs) for xs in tuples}
+    products = {}
+
+    def product(a, b):
+        if (a, b) not in products:
+            products[a, b] = mats[a] @ mats[b]
+        return products[a, b]
+
+    for xs in tuples:
+        for ys in tuples:
+            lhs = product(xs, ys) - product(ys, xs)
             action = fundamental_action(algebra, wedge_single(xs, d), wedge_single(ys, d))
             rhs = rho.matrix_for_wedge(action)
             if lhs != rhs:
@@ -303,15 +316,18 @@ def check_representation(algebra, rho):
                     [a for row in lhs.entries for a in row],
                     [a for row in rhs.entries for a in row],
                 )
+    brackets = {ys: algebra.bracket_on_basis(ys) for ys in increasing_tuples(d, n)}
     for prefix in increasing_tuples(d, n - 2):
-        for ys in increasing_tuples(d, n):
-            lhs = rho.matrix_for_mixed(prefix, algebra.bracket_on_basis(ys))
+        for ys, bracket in brackets.items():
+            lhs = rho.matrix_for_mixed(prefix, bracket)
             rhs = Matrix.zero(rho.module_dim)
             for i in range(n):
-                rest = ys[:i] + ys[i + 1:]
-                sign = (-1) ** (n - 1 - i)
-                term = rho.matrix_for_tuple(rest) @ rho.matrix_for_tuple(prefix + (ys[i],))
-                rhs = rhs + term.scale(Fraction(sign))
+                canon = canonicalize_wedge(prefix + (ys[i],), d)
+                if canon is None:
+                    continue
+                key, sign = canon
+                term = product(ys[:i] + ys[i + 1:], key)
+                rhs = rhs + term.scale(Fraction(sign * (-1) ** (n - 1 - i)))
             if lhs != rhs:
                 return fail(
                     "representation-bracket",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import constructions, deformation, documents, nijenhuis, ns, reynolds
 from .algebra import (
@@ -23,7 +24,9 @@ from .linalg import Matrix
 from .verdict import CheckResult, ok
 
 
+@cache
 def _build_parser():
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="nlie",
         description="Exact checks and constructions for n-Lie algebras with "

@@ -45,8 +45,7 @@ class NSAlgebra:
                 raise InputError(f"curly prefix {prefix} has length != {arity - 1}")
             if any(a >= b for a, b in zip(prefix, prefix[1:])):
                 raise InputError(f"curly prefix {prefix} is not strictly increasing")
-            if not 1 <= j <= dim:
-                raise InputError(f"curly last index {j} out of range 1..{dim}")
+            check_indices(prefix + (j,), dim)
             vec = [Fraction(v) for v in vec]
             if len(vec) != dim:
                 raise InputError(f"curly value for ({prefix}, {j}) has length != dim {dim}")
@@ -90,58 +89,76 @@ def angle_on_basis(ns, tup):
     return angle_bracket(ns, ns.units(tup))
 
 
+def _angle_algebra(ns):
+    """The angle bracket tabulated on increasing n-tuples.
+
+    The angle bracket is alternating by construction, whether or not the
+    axioms hold, so this table equals ``angle_bracket`` on every input.
+    """
+    return algebra_from_bracket_function(
+        ns.arity, ns.dim, lambda tup: angle_on_basis(ns, tup), basis_names=ns.basis_names
+    )
+
+
 def check_ns(ns):
-    """All three compatibility axioms on basis tuples."""
+    """All three compatibility axioms on basis tuples.
+
+    Each basis curly value, angle value and square value is computed once;
+    the loops compare the same vectors, in the same order, as the plain
+    expansion of each axiom.
+    """
     n, d = ns.arity, ns.dim
     xs_range = increasing_tuples(d, n - 1)
+    ys_range = increasing_tuples(d, n)
+    basis = range(1, d + 1)
+    angle = _angle_algebra(ns)
+    curly = {(xs, j): ns.curly_on_basis(xs, j) for xs in xs_range for j in basis}
+    angle_x = {xs: [angle.bracket_on_basis(xs + (y,)) for y in basis] for xs in xs_range}
     # axiom 1: iterated curly brackets
     for xs in xs_range:
         x_units = ns.units(xs)
         for ys in xs_range:
             y_units = ns.units(ys)
-            for yn in range(1, d + 1):
+            moved = [angle_x[xs][y - 1] for y in ys]
+            for yn in basis:
                 last = ns.units((yn,))[0]
-                lhs = ns.curly(x_units + [ns.curly(y_units + [last])])
-                rhs = ns.curly(y_units + [ns.curly(x_units + [last])])
+                lhs = ns.curly(x_units + [curly[ys, yn]])
+                rhs = ns.curly(y_units + [curly[xs, yn]])
                 for j in range(n - 1):
                     mixed = list(y_units)
-                    mixed[j] = angle_bracket(ns, x_units + [y_units[j]])
+                    mixed[j] = moved[j]
                     rhs = vec_add(rhs, ns.curly(mixed + [last]))
                 if lhs != rhs:
                     return fail("ns-axiom-1", {"x": xs, "y": ys, "last": yn}, lhs, rhs)
     # axiom 2: angle bracket in the first curly slot
-    for ys in increasing_tuples(d, n):
+    angle_y = {ys: angle.bracket_on_basis(ys) for ys in ys_range}
+    first = {(y, xs): ns.curly_on_basis((y,) + xs[:-1], xs[-1]) for y in basis for xs in xs_range}
+    for ys in ys_range:
         y_units = ns.units(ys)
-        angle = angle_on_basis(ns, ys)
         for xs in xs_range:
             x_units = ns.units(xs)
-            lhs = ns.curly([angle] + x_units)
+            lhs = ns.curly([angle_y[ys]] + x_units)
             rhs = vec_zero(d)
             for j in range(n):
                 rest = y_units[:j] + y_units[j + 1:]
-                inner = ns.curly([y_units[j]] + x_units)
                 sign = Fraction((-1) ** (n - 1 - j))
-                rhs = vec_add(rhs, vec_scale(sign, ns.curly(rest + [inner])))
+                rhs = vec_add(rhs, vec_scale(sign, ns.curly(rest + [first[ys[j], xs]])))
             if lhs != rhs:
                 return fail("ns-axiom-2", {"x": xs, "y": ys}, lhs, rhs)
     # axiom 3: square bracket against the angle bracket
+    square_y = {ys: ns.square.bracket_on_basis(ys) for ys in ys_range}
+    square_x = {xs: [ns.square.bracket_on_basis(xs + (y,)) for y in basis] for xs in xs_range}
     for xs in xs_range:
         x_units = ns.units(xs)
-        for ys in increasing_tuples(d, n):
+        for ys in ys_range:
             y_units = ns.units(ys)
-            lhs = ns.square.bracket(x_units + [angle_on_basis(ns, ys)])
-            rhs = vec_sub(vec_zero(d), ns.curly(x_units + [ns.square.bracket(y_units)]))
+            lhs = ns.square.bracket(x_units + [angle_y[ys]])
+            rhs = vec_sub(vec_zero(d), ns.curly(x_units + [square_y[ys]]))
             for j in range(n):
                 rest = y_units[:j] + y_units[j + 1:]
                 sign = Fraction((-1) ** (n - 1 - j))
-                rhs = vec_add(
-                    rhs,
-                    vec_scale(sign, ns.square.bracket(rest + [angle_bracket(ns, x_units + [y_units[j]])])),
-                )
-                rhs = vec_add(
-                    rhs,
-                    vec_scale(sign, ns.curly(rest + [ns.square.bracket(x_units + [y_units[j]])])),
-                )
+                rhs = vec_add(rhs, vec_scale(sign, ns.square.bracket(rest + [angle_x[xs][ys[j] - 1]])))
+                rhs = vec_add(rhs, vec_scale(sign, ns.curly(rest + [square_x[xs][ys[j] - 1]])))
             if lhs != rhs:
                 return fail("ns-axiom-3", {"x": xs, "y": ys}, lhs, rhs)
     return ok("ns-axioms")
@@ -153,9 +170,7 @@ def subadjacent(ns):
     if not pre:
         raise PreconditionError("axioms fail", pre.counterexample)
     n, d = ns.arity, ns.dim
-    algebra = algebra_from_bracket_function(
-        n, d, lambda tup: angle_on_basis(ns, tup), basis_names=ns.basis_names
-    )
+    algebra = _angle_algebra(ns)
     fil = check_filippov(algebra)
     if not fil:
         raise InternalConsistencyError(

@@ -25,10 +25,14 @@ def pytest_terminal_summary(terminalreporter):
         status = "PASS" if _criterion_results[number] else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {number}: {status}")
 
-from nliealg.algebra import NAryAlgebra
+from nliealg.algebra import NAryAlgebra, fundamental_action, wedge_single
 from nliealg.constructions import LinearFunctional, comm_assoc_algebra
-from nliealg.linalg import Matrix
+from nliealg.errors import InputError
+from nliealg.linalg import Matrix, vec_add, vec_scale, vec_sub, vec_zero
+from nliealg.ns import angle_bracket, angle_on_basis
 from nliealg.rings import Dual
+from nliealg.verdict import fail, ok
+from nliealg.wedge import increasing_tuples
 
 
 @pytest.fixture
@@ -158,6 +162,104 @@ def stored_curly(ns):
         key, sign = _sorted_with_sign(picks[:-1])
         return [sign * v for v in ns.curly_table.get((key, picks[-1]), [Fraction(0)] * ns.dim)]
     return value
+
+
+def naive_check_ns(ns):
+    """All three compatibility axioms on basis tuples, every value expanded
+    where it is used; the reference for ``ns.check_ns``."""
+    n, d = ns.arity, ns.dim
+    xs_range = increasing_tuples(d, n - 1)
+    # axiom 1: iterated curly brackets
+    for xs in xs_range:
+        x_units = ns.units(xs)
+        for ys in xs_range:
+            y_units = ns.units(ys)
+            for yn in range(1, d + 1):
+                last = ns.units((yn,))[0]
+                lhs = ns.curly(x_units + [ns.curly(y_units + [last])])
+                rhs = ns.curly(y_units + [ns.curly(x_units + [last])])
+                for j in range(n - 1):
+                    mixed = list(y_units)
+                    mixed[j] = angle_bracket(ns, x_units + [y_units[j]])
+                    rhs = vec_add(rhs, ns.curly(mixed + [last]))
+                if lhs != rhs:
+                    return fail("ns-axiom-1", {"x": xs, "y": ys, "last": yn}, lhs, rhs)
+    # axiom 2: angle bracket in the first curly slot
+    for ys in increasing_tuples(d, n):
+        y_units = ns.units(ys)
+        angle = angle_on_basis(ns, ys)
+        for xs in xs_range:
+            x_units = ns.units(xs)
+            lhs = ns.curly([angle] + x_units)
+            rhs = vec_zero(d)
+            for j in range(n):
+                rest = y_units[:j] + y_units[j + 1:]
+                inner = ns.curly([y_units[j]] + x_units)
+                sign = Fraction((-1) ** (n - 1 - j))
+                rhs = vec_add(rhs, vec_scale(sign, ns.curly(rest + [inner])))
+            if lhs != rhs:
+                return fail("ns-axiom-2", {"x": xs, "y": ys}, lhs, rhs)
+    # axiom 3: square bracket against the angle bracket
+    for xs in xs_range:
+        x_units = ns.units(xs)
+        for ys in increasing_tuples(d, n):
+            y_units = ns.units(ys)
+            lhs = ns.square.bracket(x_units + [angle_on_basis(ns, ys)])
+            rhs = vec_sub(vec_zero(d), ns.curly(x_units + [ns.square.bracket(y_units)]))
+            for j in range(n):
+                rest = y_units[:j] + y_units[j + 1:]
+                sign = Fraction((-1) ** (n - 1 - j))
+                rhs = vec_add(
+                    rhs,
+                    vec_scale(sign, ns.square.bracket(rest + [angle_bracket(ns, x_units + [y_units[j]])])),
+                )
+                rhs = vec_add(
+                    rhs,
+                    vec_scale(sign, ns.curly(rest + [ns.square.bracket(x_units + [y_units[j]])])),
+                )
+            if lhs != rhs:
+                return fail("ns-axiom-3", {"x": xs, "y": ys}, lhs, rhs)
+    return ok("ns-axioms")
+
+
+def naive_check_representation(algebra, rho):
+    """Both compatibility identities of an n-Lie representation, every
+    matrix product formed where it is used; the reference for
+    ``algebra.check_representation``."""
+    n, d = algebra.arity, algebra.dim
+    if rho.arity != n or rho.algebra_dim != d:
+        raise InputError("representation/algebra dimension mismatch")
+    for xs in increasing_tuples(d, n - 1):
+        rx = rho.matrix_for_tuple(xs)
+        for ys in increasing_tuples(d, n - 1):
+            ry = rho.matrix_for_tuple(ys)
+            lhs = rx @ ry - ry @ rx
+            action = fundamental_action(algebra, wedge_single(xs, d), wedge_single(ys, d))
+            rhs = rho.matrix_for_wedge(action)
+            if lhs != rhs:
+                return fail(
+                    "representation-commutator",
+                    {"x": xs, "y": ys},
+                    [a for row in lhs.entries for a in row],
+                    [a for row in rhs.entries for a in row],
+                )
+    for prefix in increasing_tuples(d, n - 2):
+        for ys in increasing_tuples(d, n):
+            lhs = rho.matrix_for_mixed(prefix, algebra.bracket_on_basis(ys))
+            rhs = Matrix.zero(rho.module_dim)
+            for i in range(n):
+                rest = ys[:i] + ys[i + 1:]
+                sign = (-1) ** (n - 1 - i)
+                term = rho.matrix_for_tuple(rest) @ rho.matrix_for_tuple(prefix + (ys[i],))
+                rhs = rhs + term.scale(Fraction(sign))
+            if lhs != rhs:
+                return fail(
+                    "representation-bracket",
+                    {"x": prefix, "y": ys},
+                    [a for row in lhs.entries for a in row],
+                    [a for row in rhs.entries for a in row],
+                )
+    return ok("representation")
 
 
 def sparse_args(rng, arity, dim, dual=False):

@@ -6,6 +6,7 @@ import pytest
 
 from nliealg.algebra import (
     NAryAlgebra,
+    RepresentationTable,
     ad,
     adjoint_representation,
     check_filippov,
@@ -21,6 +22,7 @@ from nliealg.wedge import increasing_tuples
 
 from conftest import (
     lie3_nilpotent_derivation,
+    naive_check_representation,
     naive_expansion,
     rand_vector,
     sparse_args,
@@ -162,9 +164,57 @@ def test_semidirect_product_is_filippov(three_lie4):
 
 
 def test_semidirect_rejects_non_representation(three_lie4):
-    from nliealg.algebra import RepresentationTable
     bad = RepresentationTable(3, 4, 4, {
         tup: Matrix.identity(4) for tup in increasing_tuples(4, 2)
     })
     with pytest.raises(PreconditionError):
         semidirect_product(three_lie4, bad)
+
+
+def test_representation_table_validation():
+    for key in ((0, 7), (1, 4), (0, 2)):
+        with pytest.raises(InputError):
+            RepresentationTable(3, 3, 3, {key: Matrix.identity(3)})
+    with pytest.raises(InputError):
+        RepresentationTable(3, 3, 3, {(2, 1): Matrix.identity(3)})
+
+
+def _perturbed(rho, rng):
+    """``rho`` with one random entry of one basis matrix moved by +-1."""
+    tables = {key: [list(row) for row in mat.entries] for key, mat in rho.tables.items()}
+    key = rng.choice(increasing_tuples(rho.algebra_dim, rho.arity - 1))
+    mat = tables.setdefault(key, [[Fraction(0)] * rho.module_dim for _ in range(rho.module_dim)])
+    mat[rng.randrange(rho.module_dim)][rng.randrange(rho.module_dim)] += rng.choice((-1, 1))
+    return RepresentationTable(rho.arity, rho.algebra_dim, rho.module_dim, tables)
+
+
+def _scalar_action(omegas):
+    """The abelian 3-Lie algebra of dim 4 acting diagonally on a module of
+    dim len(omegas), by one 2-form per diagonal entry. The commutator identity
+    holds; the bracket identity holds exactly when each omega has
+    omega ^ omega = 0 (omega_12 omega_34 - omega_13 omega_24 + omega_14 omega_23)."""
+    m = len(omegas)
+    tables = {
+        key: [[omegas[i].get(key, 0) if i == j else 0 for j in range(m)] for i in range(m)]
+        for key in increasing_tuples(4, 2)
+    }
+    return NAryAlgebra(3, 4, {}), RepresentationTable(3, 4, m, tables)
+
+
+def test_check_representation_matches_naive_oracle(lie3, sl2_like, three_lie4):
+    rng = random.Random(52)
+    adjoint = [(alg, adjoint_representation(alg)) for alg in (lie3, sl2_like, three_lie4)]
+    cases = adjoint + [(sl2_like, RepresentationTable(2, 3, 3, {
+        key: mat.scale(Fraction(2)) for key, mat in adjoint_representation(sl2_like).tables.items()
+    }))]
+    cases += [(alg, _perturbed(rho, rng)) for alg, rho in adjoint for _ in range(4)]
+    cases.append(_scalar_action([{(1, 2): 1, (3, 4): 1}]))
+    pairs = increasing_tuples(4, 2)
+    for m in (1, 1, 2, 2, 2):
+        cases.append(_scalar_action([{key: rng.randint(-1, 1) for key in pairs} for _ in range(m)]))
+    names = []
+    for alg, rho in cases:
+        result = check_representation(alg, rho)
+        assert result == naive_check_representation(alg, rho)
+        names.append(result.check_name)
+    assert {"representation", "representation-commutator", "representation-bracket"} <= set(names)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nliealg import cli
 from nliealg.cli import run_command
 from nliealg.documents import (
     algebra_document,
@@ -10,6 +11,8 @@ from nliealg.documents import (
     operator_document,
 )
 from nliealg.linalg import Matrix
+
+from conftest import euler_derivation
 
 
 @pytest.fixture
@@ -139,3 +142,36 @@ def test_construct_det3_requires_variant(docs):
         "construct", "det3", "--algebra", docs["g.json"],
         "--operator", docs["zero3.json"]])
     assert code == 2
+
+
+def test_parser_is_built_once_and_reused(tmp_path, trunc_xy, capsys):
+    """Later calls in one process print what a first call prints: the
+    shared parser keeps no state between calls (``--operator`` appends)."""
+    paths = {}
+    docs = {"alg": algebra_document(trunc_xy)}
+    for name, degrees in (("dx", [0, 1, 0, 1]), ("dy", [0, 0, 1, 1]), ("dxy", [0, 1, 1, 2])):
+        docs[name] = operator_document(euler_derivation(4, degrees))
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(emit_document(doc))
+    det3 = ["construct", "det3", "--algebra", str(paths["alg"]), "--json"]
+    argvs = [
+        det3 + ["--variant", "dd", "--operator", str(paths["dx"]), "--operator", str(paths["dy"])],
+        det3 + ["--variant", "ddd"] + [a for n in ("dx", "dy", "dxy") for a in ("--operator", str(paths[n]))],
+        ["construct", "det3", "--variant", "dd"],
+        ["--help"],
+    ]
+
+    def call(argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    shared = [call(argv) for argv in argvs]
+    assert cli._build_parser() is cli._build_parser()
+    first = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        first.append(call(argv))
+    assert shared == first
+    assert [code for code, _, _ in first] == [0, 0, 2, 0]

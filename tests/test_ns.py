@@ -19,7 +19,7 @@ from nliealg.ns import (
 from nliealg.reynolds import induced_bracket
 from nliealg.wedge import increasing_tuples
 
-from conftest import naive_expansion, rand_fraction, sparse_args, stored_curly
+from conftest import naive_check_ns, naive_expansion, rand_fraction, sparse_args, stored_curly
 
 
 def test_zero_curly_reduces_to_filippov(lie3, three_lie4):
@@ -79,6 +79,9 @@ def test_curly_rejects_out_of_range_indices():
 def test_constructor_validation():
     with pytest.raises(InputError):
         NSAlgebra(3, 4, {((2, 1), 3): [0, 0, 0, 1]}, {})
+    for prefix in ((5,), (0,)):
+        with pytest.raises(InputError):
+            NSAlgebra(2, 2, {(prefix, 1): [1, 0]}, {})
     with pytest.raises(InputError):
         NSAlgebra(3, 4, {((1, 2), 5): [0, 0, 0, 1]}, {})
     with pytest.raises(InputError):
@@ -136,3 +139,58 @@ def test_random_curly_perturbation_usually_fails(three_lie4, rng):
         if not check_ns(ns):
             failures += 1
     assert failures >= 8
+
+
+def _perturbed(ns, rng):
+    """``ns`` with one random entry of its curly or square table moved by +-1."""
+    curly = {key: list(vec) for key, vec in ns.curly_table.items()}
+    square = {key: list(vec) for key, vec in ns.square.brackets.items()}
+    n, d = ns.arity, ns.dim
+    if rng.random() < 0.5:
+        table = curly
+        key = (rng.choice(increasing_tuples(d, n - 1)), rng.randint(1, d))
+    else:
+        table = square
+        key = rng.choice(increasing_tuples(d, n))
+    vec = table.setdefault(key, [Fraction(0)] * d)
+    vec[rng.randrange(d)] += rng.choice((-1, 1))
+    return NSAlgebra(n, d, curly, square)
+
+
+def _omega_curly(omega):
+    """{e_i, e_j, e_5} = omega_ij e_5 on a 5-dim space, zero square. Axioms 1
+    and 3 hold; axiom 2 holds exactly when the 2-form omega on e1..e4 has
+    omega ^ omega = 0 (omega_12 omega_34 - omega_13 omega_24 + omega_14 omega_23)."""
+    return NSAlgebra(3, 5, {(key, 5): [0, 0, 0, 0, c] for key, c in omega.items() if c}, {})
+
+
+def test_check_ns_matches_naive_oracle(lie3, family1, family2, three_lie4):
+    from nliealg.reynolds import derivation_to_reynolds
+    rng = random.Random(41)
+    deriv = Matrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+    induced = [
+        ns_from_reynolds(lie3, family1),
+        ns_from_reynolds(lie3, family2),
+        ns_from_reynolds(three_lie4, derivation_to_reynolds(three_lie4, deriv)),
+        ns_from_nijenhuis(lie3, Matrix.identity(3).scale(Fraction(2))),
+        ns_from_nijenhuis(three_lie4, Matrix.identity(4).scale(Fraction(1, 2))),
+    ]
+    structures = induced + [
+        NSAlgebra(3, 4, {}, three_lie4.brackets),
+        NSAlgebra(2, 3, {}, {(1, 2): [0, 0, 1], (1, 3): [-2, 0, 0], (2, 3): [0, 2, 1]}),
+        _omega_curly({(1, 2): 1, (3, 4): 1}),
+    ]
+    structures += [_perturbed(ns, rng) for ns in induced for _ in range(4)]
+    pairs = increasing_tuples(4, 2)
+    structures += [_omega_curly({key: rng.randint(-1, 1) for key in pairs}) for _ in range(6)]
+    # zero curly: the axioms reduce to the Jacobi identity of the square bracket (axiom 3)
+    structures += [
+        NSAlgebra(2, 3, {}, {key: [rng.randint(-1, 1) for _ in range(3)] for key in increasing_tuples(3, 2)})
+        for _ in range(4)
+    ]
+    names = []
+    for ns in structures:
+        result = check_ns(ns)
+        assert result == naive_check_ns(ns)
+        names.append(result.check_name)
+    assert {"ns-axioms", "ns-axiom-1", "ns-axiom-2", "ns-axiom-3"} <= set(names)
