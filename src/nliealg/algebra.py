@@ -92,7 +92,7 @@ class NAryAlgebra:
         if len(indices) != self.arity:
             raise InputError(f"expected {self.arity} indices, got {len(indices)}")
         check_indices(indices, self.dim)
-        return expand(self._terms, self.units(indices), self.dim, self._skew)
+        return expand_supports(self._terms, unit_supports(indices), self.dim, self._skew)
 
     def bracket(self, args):
         """Multilinear expansion on arbitrary coefficient vectors."""
@@ -100,39 +100,63 @@ class NAryAlgebra:
             raise InputError(f"expected {self.arity} arguments, got {len(args)}")
         return expand(self._terms, args, self.dim, self._skew)
 
+    def bracket_supports(self, supports):
+        """``bracket`` of arguments given by their supports."""
+        if len(supports) != self.arity:
+            raise InputError(f"expected {self.arity} arguments, got {len(supports)}")
+        return expand_supports(self._terms, supports, self.dim, self._skew)
+
     def units(self, indices):
         return [unit_vector(self.dim, i - 1) for i in indices]
 
 
+def support(vec):
+    """The nonzero (0-based index, coefficient) pairs of a vector."""
+    return [(i, c) for i, c in enumerate(vec) if c]
+
+
 def term_table(values):
-    """{0-based index tuple: [(i, c), ...]} of the nonzero entries of each
-    stored value, keyed by its 1-based index tuple."""
-    return {
-        tuple(k - 1 for k in key): [(i, c) for i, c in enumerate(vec) if c]
-        for key, vec in values.items()
-    }
+    """{0-based index tuple: support} of each stored value, keyed by its
+    1-based index tuple."""
+    return {tuple(k - 1 for k in key): support(vec) for key, vec in values.items()}
 
 
 def expand(table, args, dim, skew):
-    """Multilinear extension of a ``term_table`` to coefficient vectors.
-
-    Only the supports of ``args`` are walked.  The first ``skew`` slots
-    alternate: a pick is looked up with them sorted (table keys increase
-    there) and its terms take the sign of the sorting permutation.
-    """
+    """Multilinear extension of a ``term_table`` to coefficient vectors,
+    each scanned once for its support."""
+    supports = []
     for v in args:
         if len(v) != dim:
             raise InputError(f"argument length {len(v)} != dim {dim}")
+        supports.append(support(v))
+    return expand_supports(table, supports, dim, skew)
+
+
+def expand_supports(table, supports, dim, skew):
+    """Multilinear extension of a ``term_table`` to arguments given by
+    their supports: one list of nonzero (0-based index, coefficient) pairs
+    per slot.
+
+    The first ``skew`` slots alternate: a pick is looked up with them
+    sorted (table keys increase there) and its terms take the sign of the
+    sorting permutation.
+    """
     coeffs, hits = [], []
-    for picks in product(*([i for i, c in enumerate(v) if c] for v in args)):
-        head = picks[:skew]
-        terms = table.get(tuple(sorted(head)) + picks[skew:])
+    for picks in product(*supports):
+        indices = tuple(i for i, _ in picks)
+        head = indices[:skew]
+        terms = table.get(tuple(sorted(head)) + indices[skew:])
         if terms is not None:
-            coeff = reduce(_times, (v[p] for v, p in zip(args, picks)), QQ_ONE)
+            coeff = reduce(_times, (c for _, c in picks), QQ_ONE)
             odd = sum(a > b for i, a in enumerate(head) for b in head[i + 1:]) % 2
             coeffs.append(-coeff if odd else coeff)
             hits.append(terms)
     return combine(coeffs, hits, dim)
+
+
+def unit_supports(indices):
+    """Supports of the basis vectors at 1-based ``indices``."""
+    return [[(i - 1, QQ_ONE)] for i in indices]
 
 
 def _times(a, b):
@@ -165,6 +189,8 @@ class RepresentationTable:
             if not mat.is_zero():
                 clean[key] = mat
         self.tables = clean
+        # the support of each stored matrix, flattened row-major
+        self._terms = {key: support([c for row in mat.entries for c in row]) for key, mat in clean.items()}
 
     def matrix_for_tuple(self, indices):
         """Matrix of rho(e_{i1}, ..., e_{i_{n-1}}), any index order."""
@@ -178,11 +204,18 @@ class RepresentationTable:
         return mat if sign > 0 else -mat
 
     def matrix_for_wedge(self, wedge_elem):
-        """Linear extension to a Lambda^{n-1} coefficient dict."""
-        out = Matrix.zero(self.module_dim)
+        """Linear extension to a Lambda^{n-1} coefficient dict, accumulated
+        over the nonzero entries of the basis matrices it touches."""
+        dv = self.module_dim
+        coeffs, terms = [], []
         for key, coeff in sorted(wedge_elem.items()):
-            out = out + self.matrix_for_tuple(key).scale(coeff)
-        return out
+            canon = canonicalize_wedge(key, self.algebra_dim)
+            if canon is None or canon[0] not in self._terms:
+                continue
+            coeffs.append(coeff if canon[1] > 0 else -coeff)
+            terms.append(self._terms[canon[0]])
+        flat = combine(coeffs, terms, dv * dv)
+        return Matrix([flat[i * dv:(i + 1) * dv] for i in range(dv)])
 
     def matrix_for_mixed(self, prefix, vec):
         """rho(e_{prefix}, v) with the last slot an arbitrary vector."""
@@ -226,16 +259,19 @@ def check_filippov(algebra):
     if algebra.symmetry != ALTERNATING:
         raise InputError("Filippov check applies to alternating brackets")
     n, d = algebra.arity, algebra.dim
+    ys_range = increasing_tuples(d, n)
+    # arguments go in as supports: basis brackets are scanned once each
+    inner = {ys: support(algebra.bracket_on_basis(ys)) for ys in ys_range}
     for xs in increasing_tuples(d, n - 1):
-        x_units = algebra.units(xs)
-        for ys in increasing_tuples(d, n):
-            inner = algebra.bracket_on_basis(ys)
-            lhs = algebra.bracket(x_units + [inner])
+        x_units = unit_supports(xs)
+        moved = [support(algebra.bracket_on_basis(xs + (y,))) for y in range(1, d + 1)]
+        for ys in ys_range:
+            lhs = algebra.bracket_supports(x_units + [inner[ys]])
             rhs = vec_zero(d)
             for i in range(n):
-                args = list(algebra.units(ys))
-                args[i] = algebra.bracket_on_basis(xs + (ys[i],))
-                rhs = vec_add(rhs, algebra.bracket(args))
+                args = unit_supports(ys)
+                args[i] = moved[ys[i] - 1]
+                rhs = vec_add(rhs, algebra.bracket_supports(args))
             if lhs != rhs:
                 return fail("filippov", {"x": xs, "y": ys}, lhs, rhs)
     return ok("filippov")

@@ -16,10 +16,11 @@ from .algebra import (
     RepresentationTable,
     ad,
     fundamental_action,
+    support,
     wedge_single,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError
-from .linalg import Matrix, SparseMatrix, vec_add, vec_scale, vec_zero
+from .linalg import Matrix, SparseMatrix, unit_vector, vec_add, vec_scale, vec_zero
 from .reynolds import check_reynolds, tabulate_induced_bracket
 from .rings import QQ_ZERO
 from .verdict import fail, ok
@@ -134,21 +135,27 @@ def coboundary(algebra, rho, cochain):
     if rho.arity != n or rho.algebra_dim != d or rho.module_dim != cochain.module_dim:
         raise InputError("representation/cochain mismatch")
     m = cochain.degree
-    wedge = cochain.wedge
     dv = cochain.module_dim
+    # block-level values, formed once per call
+    units = [unit_vector(d, j) for j in range(d)]
+    singles = {blk: wedge_single(blk, d) for blk in cochain.wedge}
+    moved = {blk: [ad(algebra, x).apply(u) for u in units] for blk, x in singles.items()}
+    acts = {blk: rho.matrix_for_wedge(x) for blk, x in singles.items()}
+    actions, mats = {}, {}
     out = []
-    for blocks in product(wedge.tuples, repeat=m):
+    for blocks in product(cochain.wedge.tuples, repeat=m):
+        block_dicts = [singles[blk] for blk in blocks]
         for j in range(1, d + 1):
             vec = vec_zero(dv)
-            block_dicts = [wedge_single(blk, d) for blk in blocks]
-            unit_j = vec_zero(d)
-            unit_j[j - 1] = Fraction(1)
+            unit_j = units[j - 1]
             # pair terms: X_a o X_b replaces X_b, X_a removed
             for a in range(1, m + 1):
                 for b in range(a + 1, m + 1):
-                    action = fundamental_action(algebra, block_dicts[a - 1], block_dicts[b - 1])
+                    pair = blocks[a - 1], blocks[b - 1]
+                    if pair not in actions:
+                        actions[pair] = fundamental_action(algebra, *(singles[blk] for blk in pair))
                     args = [
-                        (action if idx == b else block_dicts[idx - 1])
+                        (actions[pair] if idx == b else block_dicts[idx - 1])
                         for idx in range(1, m + 1)
                         if idx != a
                     ]
@@ -157,23 +164,21 @@ def coboundary(algebra, rho, cochain):
             # bracket into the plain slot
             for a in range(1, m + 1):
                 args = [block_dicts[idx - 1] for idx in range(1, m + 1) if idx != a]
-                moved = ad(algebra, block_dicts[a - 1]).apply(unit_j)
-                term = cochain.evaluate(args, moved)
+                term = cochain.evaluate(args, moved[blocks[a - 1]][j - 1])
                 vec = vec_add(vec, vec_scale(Fraction((-1) ** a), term))
             # representation acting on the value
             for a in range(1, m + 1):
                 args = [block_dicts[idx - 1] for idx in range(1, m + 1) if idx != a]
-                term = rho.matrix_for_wedge(block_dicts[a - 1]).apply(cochain.evaluate(args, unit_j))
+                term = acts[blocks[a - 1]].apply(cochain.evaluate(args, unit_j))
                 vec = vec_add(vec, vec_scale(Fraction((-1) ** (a + 1)), term))
             # last-block terms
             last = blocks[m - 1]
-            head = [wedge_single(blk, d) for blk in blocks[:m - 1]]
+            head = block_dicts[:m - 1]
             for i in range(1, n):
-                prefix = last[:i - 1] + last[i:]
-                mat = rho.matrix_for_tuple(prefix + (j,))
-                unit_i = vec_zero(d)
-                unit_i[last[i - 1] - 1] = Fraction(1)
-                term = mat.apply(cochain.evaluate(head, unit_i))
+                key = last[:i - 1] + last[i:] + (j,)
+                if key not in mats:
+                    mats[key] = rho.matrix_for_tuple(key)
+                term = mats[key].apply(cochain.evaluate(head, units[last[i - 1] - 1]))
                 vec = vec_add(vec, vec_scale(Fraction((-1) ** (n + m - i + 1)), term))
             out.extend(vec)
     return Cochain(n, d, dv, m + 1, out)
@@ -199,7 +204,7 @@ def tabulate_reynolds_representation(algebra, op):
             x = vec_zero(d)
             x[j - 1] = Fraction(1)
             val = algebra.bracket(r_units + [x])
-            val = vec_add(val, op.apply(algebra.bracket(r_units + [x])))
+            val = vec_add(val, op.apply(val))
             for i in range(n - 1):
                 args = list(r_units)
                 args[i] = units[i]
@@ -281,7 +286,7 @@ class ReynoldsComplex:
         # X_x o X_y, [X_x, e_j] and rho_R(X_x) as (index, coefficient) lists
         action = [[[(self.wedge.index[key], c) for key, c in fundamental_action(alg, x, y).items()]
                    for y in singles] for x in singles]
-        moved = [[_nonzero(alg.bracket_on_basis(t + (j,))) for j in range(1, d + 1)] for t in tuples]
+        moved = [[support(alg.bracket_on_basis(t + (j,))) for j in range(1, d + 1)] for t in tuples]
         acts = [_matrix_terms(rho.matrix_for_tuple(t)) for t in tuples]
         # last-block terms: rho(X_m minus its i-th index, e_j) on the value at e_{X_m[i]}
         last = [[[(t[i - 1] - 1, vo, vi, (-1) ** (n + m - i + 1) * c)
@@ -356,10 +361,6 @@ class ReynoldsComplex:
             raise InternalConsistencyError(
                 f"assembled differential at degree {m} disagrees with the coboundary formula"
             )
-
-
-def _nonzero(vec):
-    return [(k, c) for k, c in enumerate(vec) if c]
 
 
 def _matrix_terms(mat):

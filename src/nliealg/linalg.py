@@ -53,9 +53,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))

@@ -17,7 +17,10 @@ from .algebra import (
     check_filippov,
     check_representation,
     expand,
+    expand_supports,
+    support,
     term_table,
+    unit_supports,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import Matrix, vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
@@ -58,13 +61,19 @@ class NSAlgebra:
         """{e_{i1},...,e_{i_{n-1}}, e_j}; the prefix may be unordered."""
         indices = tuple(prefix) + (j,)
         check_indices(indices, self.dim)
-        return expand(self._terms, self.units(indices), self.dim, self.arity - 1)
+        return expand_supports(self._terms, unit_supports(indices), self.dim, self.arity - 1)
 
     def curly(self, args):
         """Multilinear curly bracket on arbitrary coefficient vectors."""
         if len(args) != self.arity:
             raise InputError(f"expected {self.arity} arguments, got {len(args)}")
         return expand(self._terms, args, self.dim, self.arity - 1)
+
+    def curly_supports(self, supports):
+        """``curly`` of arguments given by their supports."""
+        if len(supports) != self.arity:
+            raise InputError(f"expected {self.arity} arguments, got {len(supports)}")
+        return expand_supports(self._terms, supports, self.dim, self.arity - 1)
 
     def curly_matrix(self, prefix):
         """The operator x -> {e_prefix, x}."""
@@ -107,58 +116,65 @@ def check_ns(ns):
     the loops compare the same vectors, in the same order, as the plain
     expansion of each axiom.
     """
+    return _check_ns(ns, _angle_algebra(ns))
+
+
+def _check_ns(ns, angle):
+    """``check_ns`` with the angle bracket already tabulated."""
     n, d = ns.arity, ns.dim
     xs_range = increasing_tuples(d, n - 1)
     ys_range = increasing_tuples(d, n)
     basis = range(1, d + 1)
-    angle = _angle_algebra(ns)
-    curly = {(xs, j): ns.curly_on_basis(xs, j) for xs in xs_range for j in basis}
-    angle_x = {xs: [angle.bracket_on_basis(xs + (y,)) for y in basis] for xs in xs_range}
+    curly, square = ns.curly_supports, ns.square.bracket_supports
+    # arguments go in as supports: basis vectors as one-term supports, and
+    # each tabulated value scanned once
+    curly_x = {(xs, j): support(ns.curly_on_basis(xs, j)) for xs in xs_range for j in basis}
+    angle_x = {xs: [support(angle.bracket_on_basis(xs + (y,))) for y in basis] for xs in xs_range}
     # axiom 1: iterated curly brackets
     for xs in xs_range:
-        x_units = ns.units(xs)
+        x_units = unit_supports(xs)
         for ys in xs_range:
-            y_units = ns.units(ys)
+            y_units = unit_supports(ys)
             moved = [angle_x[xs][y - 1] for y in ys]
             for yn in basis:
-                last = ns.units((yn,))[0]
-                lhs = ns.curly(x_units + [curly[ys, yn]])
-                rhs = ns.curly(y_units + [curly[xs, yn]])
+                last = unit_supports((yn,))[0]
+                lhs = curly(x_units + [curly_x[ys, yn]])
+                rhs = curly(y_units + [curly_x[xs, yn]])
                 for j in range(n - 1):
                     mixed = list(y_units)
                     mixed[j] = moved[j]
-                    rhs = vec_add(rhs, ns.curly(mixed + [last]))
+                    rhs = vec_add(rhs, curly(mixed + [last]))
                 if lhs != rhs:
                     return fail("ns-axiom-1", {"x": xs, "y": ys, "last": yn}, lhs, rhs)
     # axiom 2: angle bracket in the first curly slot
-    angle_y = {ys: angle.bracket_on_basis(ys) for ys in ys_range}
-    first = {(y, xs): ns.curly_on_basis((y,) + xs[:-1], xs[-1]) for y in basis for xs in xs_range}
+    angle_y = {ys: support(angle.bracket_on_basis(ys)) for ys in ys_range}
+    first = {(y, xs): support(ns.curly_on_basis((y,) + xs[:-1], xs[-1])) for y in basis for xs in xs_range}
     for ys in ys_range:
-        y_units = ns.units(ys)
+        y_units = unit_supports(ys)
         for xs in xs_range:
-            x_units = ns.units(xs)
-            lhs = ns.curly([angle_y[ys]] + x_units)
+            x_units = unit_supports(xs)
+            lhs = curly([angle_y[ys]] + x_units)
             rhs = vec_zero(d)
             for j in range(n):
                 rest = y_units[:j] + y_units[j + 1:]
                 sign = Fraction((-1) ** (n - 1 - j))
-                rhs = vec_add(rhs, vec_scale(sign, ns.curly(rest + [first[ys[j], xs]])))
+                rhs = vec_add(rhs, vec_scale(sign, curly(rest + [first[ys[j], xs]])))
             if lhs != rhs:
                 return fail("ns-axiom-2", {"x": xs, "y": ys}, lhs, rhs)
     # axiom 3: square bracket against the angle bracket
-    square_y = {ys: ns.square.bracket_on_basis(ys) for ys in ys_range}
-    square_x = {xs: [ns.square.bracket_on_basis(xs + (y,)) for y in basis] for xs in xs_range}
+    square_y = {ys: support(ns.square.bracket_on_basis(ys)) for ys in ys_range}
+    square_x = {xs: [support(ns.square.bracket_on_basis(xs + (y,))) for y in basis] for xs in xs_range}
     for xs in xs_range:
-        x_units = ns.units(xs)
+        x_units = unit_supports(xs)
         for ys in ys_range:
-            y_units = ns.units(ys)
-            lhs = ns.square.bracket(x_units + [angle_y[ys]])
-            rhs = vec_sub(vec_zero(d), ns.curly(x_units + [square_y[ys]]))
+            y_units = unit_supports(ys)
+            lhs = square(x_units + [angle_y[ys]])
+            rhs = vec_sub(vec_zero(d), curly(x_units + [square_y[ys]]))
             for j in range(n):
                 rest = y_units[:j] + y_units[j + 1:]
                 sign = Fraction((-1) ** (n - 1 - j))
-                rhs = vec_add(rhs, vec_scale(sign, ns.square.bracket(rest + [angle_x[xs][ys[j] - 1]])))
-                rhs = vec_add(rhs, vec_scale(sign, ns.curly(rest + [square_x[xs][ys[j] - 1]])))
+                rhs = vec_add(rhs, vec_scale(sign, square(rest + [angle_x[xs][ys[j] - 1]])))
+                rhs = vec_add(rhs, vec_scale(sign, curly(rest + [square_x[xs][ys[j] - 1]])))
             if lhs != rhs:
                 return fail("ns-axiom-3", {"x": xs, "y": ys}, lhs, rhs)
     return ok("ns-axioms")
@@ -166,11 +182,11 @@ def check_ns(ns):
 
 def subadjacent(ns):
     """The algebra carried by the angle bracket, with the curly action on it."""
-    pre = check_ns(ns)
+    algebra = _angle_algebra(ns)
+    pre = _check_ns(ns, algebra)
     if not pre:
         raise PreconditionError("axioms fail", pre.counterexample)
     n, d = ns.arity, ns.dim
-    algebra = _angle_algebra(ns)
     fil = check_filippov(algebra)
     if not fil:
         raise InternalConsistencyError(

@@ -21,31 +21,36 @@ from .verdict import fail, ok
 from .wedge import increasing_tuples
 
 
-def induced_value(algebra, op, tup):
+def induced_value(algebra, units, r_units, r_bracket):
     """[x_1,...,x_n]_R = sum_i [Rx_1,...,x_i,...,Rx_n] - [Rx_1,...,Rx_n]
-    on a basis tuple.
+    from the basis vectors x_i, their images Rx_i and [Rx_1,...,Rx_n].
 
     R of it is the right-hand side of the Reynolds identity: the hatted
     form, with x_i moved back into slot i, absorbs the (-1)^{n-i} sign.
     """
-    n = algebra.arity
-    units = algebra.units(tup)
-    r_units = [op.apply(u) for u in units]
     acc = vec_zero(algebra.dim)
-    for i in range(n):
+    for i in range(algebra.arity):
         args = list(r_units)
         args[i] = units[i]
         acc = vec_add(acc, algebra.bracket(args))
-    return [a - b for a, b in zip(acc, algebra.bracket(r_units))]
+    return [a - b for a, b in zip(acc, r_bracket)]
+
+
+def basis_images(algebra, op):
+    """The basis vectors and their images under ``op``, 0-based."""
+    units = algebra.units(range(1, algebra.dim + 1))
+    return units, [op.apply(u) for u in units]
 
 
 def check_reynolds(algebra, op):
     """Verify the Reynolds identity on all increasing basis n-tuples."""
     if op.rows != algebra.dim or op.cols != algebra.dim:
         raise InputError("operator dimension mismatch")
+    units, images = basis_images(algebra, op)
     for tup in increasing_tuples(algebra.dim, algebra.arity):
-        lhs = algebra.bracket([op.apply(u) for u in algebra.units(tup)])
-        rhs = op.apply(induced_value(algebra, op, tup))
+        r_units = [images[i - 1] for i in tup]
+        lhs = algebra.bracket(r_units)
+        rhs = op.apply(induced_value(algebra, [units[i - 1] for i in tup], r_units, lhs))
         if lhs != rhs:
             return fail("reynolds", {"tuple": tup}, lhs, rhs)
     return ok("reynolds")
@@ -61,9 +66,14 @@ def induced_bracket(algebra, op):
 
 def tabulate_induced_bracket(algebra, op):
     """The induced bracket of an operator the caller has already verified."""
+    units, images = basis_images(algebra, op)
+
+    def value(tup):
+        r_units = [images[i - 1] for i in tup]
+        return induced_value(algebra, [units[i - 1] for i in tup], r_units, algebra.bracket(r_units))
+
     return algebra_from_bracket_function(
-        algebra.arity, algebra.dim, lambda tup: induced_value(algebra, op, tup),
-        basis_names=algebra.basis_names
+        algebra.arity, algebra.dim, value, basis_names=algebra.basis_names
     )
 
 

@@ -25,9 +25,12 @@ def pytest_terminal_summary(terminalreporter):
         status = "PASS" if _criterion_results[number] else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {number}: {status}")
 
-from nliealg.algebra import NAryAlgebra, fundamental_action, wedge_single
+from nliealg.algebra import ALTERNATING, NAryAlgebra, ad, fundamental_action, wedge_single
+from nliealg.cohomology import Cochain, delta_r_operator
 from nliealg.constructions import LinearFunctional, comm_assoc_algebra
-from nliealg.errors import InputError
+from nliealg.documents import Report
+from nliealg.deformation import TrivialityResult, check_equivalence_witness, is_infinitesimal_deformation
+from nliealg.errors import InputError, PreconditionError
 from nliealg.linalg import Matrix, vec_add, vec_scale, vec_sub, vec_zero
 from nliealg.ns import angle_bracket, angle_on_basis
 from nliealg.rings import Dual
@@ -260,6 +263,194 @@ def naive_check_representation(algebra, rho):
                     [a for row in rhs.entries for a in row],
                 )
     return ok("representation")
+
+
+def naive_check_filippov(algebra):
+    """The Filippov identity on all basis tuples, every basis bracket formed
+    where it is used; the reference for ``algebra.check_filippov``."""
+    if algebra.symmetry != ALTERNATING:
+        raise InputError("Filippov check applies to alternating brackets")
+    n, d = algebra.arity, algebra.dim
+    for xs in increasing_tuples(d, n - 1):
+        x_units = algebra.units(xs)
+        for ys in increasing_tuples(d, n):
+            inner = algebra.bracket_on_basis(ys)
+            lhs = algebra.bracket(x_units + [inner])
+            rhs = vec_zero(d)
+            for i in range(n):
+                args = list(algebra.units(ys))
+                args[i] = algebra.bracket_on_basis(xs + (ys[i],))
+                rhs = vec_add(rhs, algebra.bracket(args))
+            if lhs != rhs:
+                return fail("filippov", {"x": xs, "y": ys}, lhs, rhs)
+    return ok("filippov")
+
+
+def naive_induced_value(algebra, op, tup):
+    """[x_1,...,x_n]_R on a basis tuple, every image formed where it is
+    used; the reference for ``reynolds.induced_value``."""
+    n = algebra.arity
+    units = algebra.units(tup)
+    r_units = [op.apply(u) for u in units]
+    acc = vec_zero(algebra.dim)
+    for i in range(n):
+        args = list(r_units)
+        args[i] = units[i]
+        acc = vec_add(acc, algebra.bracket(args))
+    return [a - b for a, b in zip(acc, algebra.bracket(r_units))]
+
+
+def naive_check_reynolds(algebra, op):
+    """The Reynolds identity on all increasing basis n-tuples, with
+    [Rx_1,...,Rx_n] formed on both sides; the reference for
+    ``reynolds.check_reynolds``."""
+    if op.rows != algebra.dim or op.cols != algebra.dim:
+        raise InputError("operator dimension mismatch")
+    for tup in increasing_tuples(algebra.dim, algebra.arity):
+        lhs = algebra.bracket([op.apply(u) for u in algebra.units(tup)])
+        rhs = op.apply(naive_induced_value(algebra, op, tup))
+        if lhs != rhs:
+            return fail("reynolds", {"tuple": tup}, lhs, rhs)
+    return ok("reynolds")
+
+
+def naive_matrix_for_wedge(rho, wedge_elem):
+    """A chain of dense sums of scaled basis matrices; the reference for
+    ``RepresentationTable.matrix_for_wedge``."""
+    out = Matrix.zero(rho.module_dim)
+    for key, coeff in sorted(wedge_elem.items()):
+        out = out + rho.matrix_for_tuple(key).scale(coeff)
+    return out
+
+
+def naive_coboundary(algebra, rho, cochain):
+    """The n-Lie coboundary with every block-level value formed once per
+    output slot; the reference for ``cohomology.coboundary``."""
+    n, d = algebra.arity, algebra.dim
+    if cochain.arity != n or cochain.dim != d:
+        raise InputError("cochain/algebra mismatch")
+    if rho.arity != n or rho.algebra_dim != d or rho.module_dim != cochain.module_dim:
+        raise InputError("representation/cochain mismatch")
+    m = cochain.degree
+    wedge = cochain.wedge
+    dv = cochain.module_dim
+    out = []
+    for blocks in product(wedge.tuples, repeat=m):
+        for j in range(1, d + 1):
+            vec = vec_zero(dv)
+            block_dicts = [wedge_single(blk, d) for blk in blocks]
+            unit_j = vec_zero(d)
+            unit_j[j - 1] = Fraction(1)
+            # pair terms: X_a o X_b replaces X_b, X_a removed
+            for a in range(1, m + 1):
+                for b in range(a + 1, m + 1):
+                    action = fundamental_action(algebra, block_dicts[a - 1], block_dicts[b - 1])
+                    args = [
+                        (action if idx == b else block_dicts[idx - 1])
+                        for idx in range(1, m + 1)
+                        if idx != a
+                    ]
+                    term = cochain.evaluate(args, unit_j)
+                    vec = vec_add(vec, vec_scale(Fraction((-1) ** a), term))
+            # bracket into the plain slot
+            for a in range(1, m + 1):
+                args = [block_dicts[idx - 1] for idx in range(1, m + 1) if idx != a]
+                moved = ad(algebra, block_dicts[a - 1]).apply(unit_j)
+                term = cochain.evaluate(args, moved)
+                vec = vec_add(vec, vec_scale(Fraction((-1) ** a), term))
+            # representation acting on the value
+            for a in range(1, m + 1):
+                args = [block_dicts[idx - 1] for idx in range(1, m + 1) if idx != a]
+                term = naive_matrix_for_wedge(rho, block_dicts[a - 1]).apply(cochain.evaluate(args, unit_j))
+                vec = vec_add(vec, vec_scale(Fraction((-1) ** (a + 1)), term))
+            # last-block terms
+            last = blocks[m - 1]
+            head = [wedge_single(blk, d) for blk in blocks[:m - 1]]
+            for i in range(1, n):
+                prefix = last[:i - 1] + last[i:]
+                mat = rho.matrix_for_tuple(prefix + (j,))
+                unit_i = vec_zero(d)
+                unit_i[last[i - 1] - 1] = Fraction(1)
+                term = mat.apply(cochain.evaluate(head, unit_i))
+                vec = vec_add(vec, vec_scale(Fraction((-1) ** (n + m - i + 1)), term))
+            out.extend(vec)
+    return Cochain(n, d, dv, m + 1, out)
+
+
+def naive_t_linear_check(algebra, op, direction):
+    """The first-order condition with every bracket formed where it is
+    used; the reference for ``deformation._t_linear_check``."""
+    n, d = algebra.arity, algebra.dim
+    for tup in increasing_tuples(d, n):
+        units = algebra.units(tup)
+        r_units = [op.apply(u) for u in units]
+        s_units = [direction.apply(u) for u in units]
+        lhs = vec_zero(d)
+        for i in range(n):
+            args = list(r_units)
+            args[i] = s_units[i]
+            lhs = vec_add(lhs, algebra.bracket(args))
+        rhs = vec_zero(d)
+        for i in range(n):
+            args = list(r_units)
+            args[i] = units[i]
+            rhs = vec_add(rhs, direction.apply(algebra.bracket(args)))
+        rhs = vec_sub(rhs, direction.apply(algebra.bracket(r_units)))
+        for i in range(n):
+            args = list(r_units)
+            args[i] = s_units[i]
+            rhs = vec_sub(rhs, op.apply(algebra.bracket(args)))
+        for i in range(n):
+            for j in range(n):
+                if j == i:
+                    continue
+                args = list(r_units)
+                args[i] = units[i]
+                args[j] = s_units[j]
+                rhs = vec_add(rhs, op.apply(algebra.bracket(args)))
+        if lhs != rhs:
+            return fail("deformation-cocycle", {"tuple": tup}, lhs, rhs)
+    return ok("deformation-cocycle")
+
+
+def naive_is_trivial_deformation(algebra, op, direction):
+    """Triviality with the cocycle test re-run on both directions of the
+    witness pair; the reference for ``deformation.is_trivial_deformation``."""
+    res = is_infinitesimal_deformation(algebra, op, direction)
+    if not res:
+        raise PreconditionError("direction is not a cocycle", res.counterexample)
+    d = algebra.dim
+    basis = increasing_tuples(d, algebra.arity - 1)
+    cols = []
+    for tup in basis:
+        delta = delta_r_operator(algebra, op, {tup: Fraction(1)})
+        cols.append([delta.entries[i][j] for i in range(d) for j in range(d)])
+    target = [direction.entries[i][j] for i in range(d) for j in range(d)]
+    system = Matrix([[cols[c][r] for c in range(len(basis))] for r in range(d * d)])
+    solution = system.solve(target)
+    if solution is None:
+        return TrivialityResult("nontrivial")
+    witness = {tup: c for tup, c in zip(basis, solution) if c}
+    verdict = check_equivalence_witness(
+        algebra, op, direction, Matrix.zero(d), witness
+    )
+    if verdict:
+        return TrivialityResult("trivial", witness=witness)
+    return TrivialityResult("unknown", witness=witness, detail=verdict)
+
+
+def report_bytes(result):
+    """A check result as the JSON report prints it."""
+    return Report([], [result]).to_json()
+
+
+def simple_n_lie(n):
+    """The simple n-Lie algebra A_{n+1}: [e_1..^e_i..e_{n+1}] = (-1)^(n+1+i) e_i."""
+    d = n + 1
+    return NAryAlgebra(n, d, {
+        tuple(k for k in range(1, d + 1) if k != i): [(-1) ** (d + i) if k == i else 0 for k in range(1, d + 1)]
+        for i in range(1, d + 1)
+    })
 
 
 def sparse_args(rng, arity, dim, dual=False):

@@ -14,17 +14,24 @@ from nliealg.algebra import (
     fundamental_action,
     is_derivation,
     semidirect_product,
+    unit_supports,
     wedge_single,
 )
 from nliealg.errors import InputError, PreconditionError
 from nliealg.linalg import Matrix, unit_vector, vec_zero
+from nliealg.rings import Dual
 from nliealg.wedge import increasing_tuples
 
 from conftest import (
     lie3_nilpotent_derivation,
+    naive_check_filippov,
     naive_check_representation,
     naive_expansion,
+    naive_matrix_for_wedge,
+    rand_fraction,
     rand_vector,
+    report_bytes,
+    simple_n_lie,
     sparse_args,
     stored_bracket,
     trunc_xyz,
@@ -218,3 +225,72 @@ def test_check_representation_matches_naive_oracle(lie3, sl2_like, three_lie4):
         assert result == naive_check_representation(alg, rho)
         names.append(result.check_name)
     assert {"representation", "representation-commutator", "representation-bracket"} <= set(names)
+
+
+def _perturbed_algebra(alg, rng):
+    """``alg`` with one random entry of one stored bracket moved by +-1."""
+    brackets = {key: list(vec) for key, vec in alg.brackets.items()}
+    key = rng.choice(increasing_tuples(alg.dim, alg.arity))
+    vec = brackets.setdefault(key, [Fraction(0)] * alg.dim)
+    vec[rng.randrange(alg.dim)] += rng.choice((-1, 1))
+    return NAryAlgebra(alg.arity, alg.dim, brackets)
+
+
+def test_check_filippov_matches_naive_oracle(lie3, sl2_like, three_lie4, abelian33):
+    rng = random.Random(61)
+    algebras = [lie3, sl2_like, three_lie4, abelian33] + [simple_n_lie(n) for n in (2, 3, 4)]
+    cases = algebras + [_perturbed_algebra(alg, rng) for alg in algebras for _ in range(3)]
+    verdicts = []
+    for alg in cases:
+        result = check_filippov(alg)
+        expected = naive_check_filippov(alg)
+        assert result == expected
+        assert report_bytes(result) == report_bytes(expected)
+        verdicts.append(result.passed)
+    assert True in verdicts and False in verdicts
+
+
+def _random_wedge(rng, dim, k, dual):
+    """A seeded wedge element with some unsorted, repeated and colliding
+    keys; with ``dual``, some coefficients are dual numbers."""
+    out = {}
+    for _ in range(rng.randint(0, 5)):
+        key = tuple(rng.randint(1, dim) for _ in range(k))
+        c = rand_fraction(rng)
+        out[key] = Dual(c, rng.randint(-2, 2)) if dual and rng.random() < 0.5 else c
+    return out
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["fraction", "dual"])
+def test_matrix_for_wedge_matches_naive_oracle(dual, sl2_like, three_lie4):
+    rng = random.Random(67)
+    reps = [adjoint_representation(alg) for alg in (sl2_like, three_lie4, simple_n_lie(3))]
+    reps.append(_perturbed(reps[1], rng))
+    reps.append(RepresentationTable(3, 4, 2, {
+        (1, 2): [[1, 0], [0, Dual(0, 1)]], (2, 4): [[Dual(2, -1), 3], [0, 0]],
+    }))
+    for rho in reps:
+        for _ in range(12):
+            wedge = _random_wedge(rng, rho.algebra_dim, rho.arity - 1, dual)
+            assert rho.matrix_for_wedge(wedge) == naive_matrix_for_wedge(rho, wedge)
+        prefix = increasing_tuples(rho.algebra_dim, rho.arity - 2)[0]
+        vec = sparse_args(rng, 1, rho.algebra_dim, dual)[0]
+        expected = naive_matrix_for_wedge(rho, {prefix + (j + 1,): c for j, c in enumerate(vec) if c})
+        assert rho.matrix_for_mixed(prefix, vec) == expected
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["fraction", "dual"])
+def test_bracket_supports_matches_naive_expansion(dual, sl2_like, three_lie4, trunc_xy):
+    rng = random.Random(71)
+    for alg in (sl2_like, three_lie4, trunc_xy, simple_n_lie(3)):
+        stored = stored_bracket(alg)
+        for _ in range(8):
+            args = sparse_args(rng, alg.arity, alg.dim, dual)
+            supports = [[(i, c) for i, c in enumerate(v) if c] for v in args]
+            got = alg.bracket_supports(supports)
+            assert got == naive_expansion(stored, args, alg.dim)
+            assert got == alg.bracket(args)
+        for picks in product(range(1, alg.dim + 1), repeat=alg.arity):
+            assert alg.bracket_supports(unit_supports(picks)) == stored(picks)
+        with pytest.raises(InputError):
+            alg.bracket_supports(unit_supports(range(1, alg.arity)))

@@ -5,6 +5,7 @@ import pytest
 
 from nliealg.algebra import (
     NAryAlgebra,
+    RepresentationTable,
     ad,
     adjoint_representation,
     algebra_from_bracket_function,
@@ -21,9 +22,10 @@ from nliealg.cohomology import (
 from nliealg.errors import InternalConsistencyError, PreconditionError, SizeGuardError
 from nliealg.linalg import Matrix, SparseMatrix, unit_vector
 from nliealg.reynolds import derivation_to_reynolds, induced_bracket
+from nliealg.rings import Dual
 from nliealg.wedge import WedgeBasis
 
-from conftest import rand_fraction, rand_matrix
+from conftest import naive_coboundary, rand_fraction, rand_matrix, simple_n_lie
 
 
 def rand_cochain(rng, arity, dim, module_dim, degree, span=2):
@@ -214,3 +216,28 @@ def test_corrupted_entry_trips_the_cross_check(lie3, family1, monkeypatch):
     monkeypatch.setattr(ReynoldsComplex, "_assemble", corrupted)
     with pytest.raises(InternalConsistencyError):
         ReynoldsComplex(lie3, family1).dimensions(2)
+
+
+def test_coboundary_matches_naive_oracle(lie3, family1, family2, sl2_like, three_lie4):
+    """Whole cochains equal the parent formula's, at degrees 1 and 2, on
+    representations, non-representations and dual-number cochains."""
+    rng = random.Random(89)
+    pairs = []
+    for op in (family1, family2):
+        cx = ReynoldsComplex(lie3, op)
+        pairs.append((cx.induced, cx.rho, 2))
+    pairs.append((sl2_like, adjoint_representation(sl2_like), 2))
+    pairs.append((three_lie4, adjoint_representation(three_lie4), 1))
+    a4 = simple_n_lie(3)
+    cx = ReynoldsComplex(a4, derivation_to_reynolds(a4, ad(a4, wedge_single((1, 2), 4))))
+    pairs.append((cx.induced, cx.rho, 1))
+    pairs.append((lie3, RepresentationTable(2, 3, 2, {
+        (1,): [[1, 2], [0, -1]], (3,): [[0, 1], [Fraction(1, 2), 0]]}), 2))
+    for alg, rho, top in pairs:
+        for m in range(1, top + 1):
+            for dual in (False, True):
+                f = rand_cochain(rng, alg.arity, alg.dim, rho.module_dim, m)
+                if dual:
+                    f = Cochain(f.arity, f.dim, f.module_dim, m,
+                                [Dual(a, rng.randint(-1, 1)) if rng.random() < 0.3 else a for a in f.data])
+                assert coboundary(alg, rho, f) == naive_coboundary(alg, rho, f), (alg.dim, m, dual)

@@ -1,9 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from nliealg.algebra import wedge_single
-from nliealg.cohomology import delta_r_operator
+from nliealg import deformation
+from nliealg.algebra import ad, wedge_single
+from nliealg.cli import run_command
+from nliealg.cohomology import Cochain, ReynoldsComplex, delta_r_operator
+from nliealg.documents import algebra_document, emit_document, operator_document
 from nliealg.deformation import (
     _t_linear_check,
     check_equivalence_witness,
@@ -12,10 +16,16 @@ from nliealg.deformation import (
 )
 from nliealg.errors import PreconditionError
 from nliealg.linalg import Matrix
-from nliealg.reynolds import check_reynolds
+from nliealg.reynolds import check_reynolds, derivation_to_reynolds
 from nliealg.rings import EPS
 
-from conftest import rand_matrix
+from conftest import (
+    naive_is_trivial_deformation,
+    naive_t_linear_check,
+    rand_matrix,
+    report_bytes,
+    simple_n_lie,
+)
 
 
 def test_zero_direction_is_a_trivial_cocycle(lie3, family1):
@@ -95,3 +105,73 @@ def test_both_routes_agree_on_zero_coboundary_and_non_cocycle(lie3, family1):
         assert bool(is_infinitesimal_deformation(lie3, family1, direction)) is verdict
     assert family1 + zero.scale(EPS) == family1
     assert (family1 + zero.scale(EPS)).rank() == family1.rank()
+
+
+def _cocycle_directions(alg, op):
+    """A basis of Z^1 of the Reynolds complex, as operators."""
+    cx = ReynoldsComplex(alg, op)
+    d1 = Matrix(cx.differential_matrix(1).entries)
+    return [Cochain(alg.arity, alg.dim, alg.dim, 1, v).to_operator() for v in d1.nullspace_basis()]
+
+
+def test_is_trivial_deformation_matches_naive_oracle(lie3, family1, family2, rng):
+    statuses = []
+    for op in (family1, family2):
+        cocycles = _cocycle_directions(lie3, op)
+        directions = [Matrix.zero(3)] + cocycles
+        directions += [delta_r_operator(lie3, op, wedge_single(t, 3)) for t in ((1,), (2,), (3,))]
+        directions += [cocycles[0] + cocycles[-1].scale(Fraction(-2)), rand_matrix(rng, 3)]
+        for direction in directions:
+            try:
+                expected = naive_is_trivial_deformation(lie3, op, direction)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError) as info:
+                    is_trivial_deformation(lie3, op, direction)
+                assert info.value.args == exc.args
+                statuses.append("non-cocycle")
+                continue
+            assert is_trivial_deformation(lie3, op, direction) == expected
+            statuses.append(expected.status)
+    assert {"trivial", "nontrivial", "non-cocycle"} <= set(statuses)
+
+
+def test_trivial_deform_job_runs_the_cocycle_check_twice(lie3, family1, tmp_path, monkeypatch):
+    """One CLI triviality job: the CLI's cocycle check and the one inside
+    is_trivial_deformation; the witness pair is not re-checked as cocycles."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("is_infinitesimal_deformation", "check_reynolds", "_t_linear_check"):
+        monkeypatch.setattr(deformation, name, counted(name, getattr(deformation, name)))
+    paths = {}
+    direction = delta_r_operator(lie3, family1, wedge_single((2,), 3))
+    for name, doc in (("g", algebra_document(lie3)), ("r", operator_document(family1)),
+                      ("s", operator_document(direction))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(emit_document(doc))
+    report, code = run_command(["deform", "--algebra", str(paths["g"]), "--reynolds", str(paths["r"]),
+                                "--direction", str(paths["s"]), "--json"])
+    assert code == 0
+    assert "status: trivial" in report.notes
+    assert calls == {"is_infinitesimal_deformation": 2, "check_reynolds": 4, "_t_linear_check": 2}
+
+
+def test_t_linear_check_matches_naive_oracle(lie3, family1, family2, rng):
+    a4 = simple_n_lie(3)
+    r4 = derivation_to_reynolds(a4, ad(a4, wedge_single((1, 2), 4)))
+    verdicts = []
+    for alg, op in ((lie3, family1), (lie3, family2), (a4, r4), (a4, Matrix.zero(4))):
+        directions = [Matrix.zero(alg.dim)] + _cocycle_directions(alg, op)[:3]
+        directions += [rand_matrix(rng, alg.dim) for _ in range(3)]
+        for direction in directions:
+            result = _t_linear_check(alg, op, direction)
+            expected = naive_t_linear_check(alg, op, direction)
+            assert result == expected
+            assert report_bytes(result) == report_bytes(expected)
+            verdicts.append(result.passed)
+    assert True in verdicts and False in verdicts

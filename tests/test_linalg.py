@@ -262,3 +262,27 @@ def test_skipped_zeros_keep_the_ring_of_the_surviving_operand():
     assert type((Matrix([[Fraction(0), Fraction(1)]]) @ dual).entries[0][0]) is Fraction
     with pytest.raises(UnsupportedRingError):
         (ident + ident.scale(EPS)).rank()
+
+
+def test_matrix_equality_compares_shapes_and_mixed_rings():
+    def textbook_eq(a, b):
+        return (a.rows, a.cols) == (b.rows, b.cols) and all(
+            x == y for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
+
+    rational = Matrix([[Fraction(1), Fraction(0)], [Fraction(2, 3), Fraction(-1)]])
+    same_dual = Matrix([[Dual(1), Dual(0, 0)], [Dual(Fraction(2, 3)), Fraction(-1)]])
+    with_eps = Matrix([[Dual(1, 1), Fraction(0)], [Fraction(2, 3), Fraction(-1)]])
+    ints = Matrix([[1, 0], [Fraction(2, 3), -1]])
+    pairs = [
+        (rational, same_dual, True), (same_dual, rational, True),
+        (rational, with_eps, False), (with_eps, rational, False),
+        (rational, ints, True), (with_eps, with_eps, True),
+        (Matrix.zero(2, 3), Matrix.zero(3, 2), False), (Matrix.zero(1, 4), Matrix.zero(4, 1), False),
+        (Matrix.zero(2), Matrix.zero(2).scale(EPS), True), (Matrix.zero(2), Matrix.zero(2, 3), False),
+    ]
+    for a, b, expected in pairs:
+        assert (a == b) is expected, (a, b)
+        assert (a != b) is (not expected)
+        assert textbook_eq(a, b) is expected
+    assert rational != rational.entries
+    assert (rational == [[1, 0], [2, -1]]) is False

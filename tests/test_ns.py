@@ -64,7 +64,9 @@ def test_curly_matches_naive_expansion(dual, lie3, family1, three_lie4):
             assert ns.curly_on_basis(picks[:-1], picks[-1]) == stored(picks)
         for _ in range(8):
             args = sparse_args(rng, ns.arity, ns.dim, dual)
-            assert ns.curly(args) == naive_expansion(stored, args, ns.dim)
+            expected = naive_expansion(stored, args, ns.dim)
+            assert ns.curly(args) == expected
+            assert ns.curly_supports([[(i, c) for i, c in enumerate(v) if c] for v in args]) == expected
 
 
 def test_curly_rejects_out_of_range_indices():
@@ -194,3 +196,21 @@ def test_check_ns_matches_naive_oracle(lie3, family1, family2, three_lie4):
         assert result == naive_check_ns(ns)
         names.append(result.check_name)
     assert {"ns-axioms", "ns-axiom-1", "ns-axiom-2", "ns-axiom-3"} <= set(names)
+
+
+def test_subadjacent_tabulates_the_angle_bracket_once(lie3, family1, monkeypatch):
+    from nliealg import ns as ns_module
+
+    tabulated = []
+    angle_algebra = ns_module._angle_algebra
+
+    def counted(ns):
+        tabulated.append(ns)
+        return angle_algebra(ns)
+
+    ns = ns_from_reynolds(lie3, family1)
+    monkeypatch.setattr(ns_module, "_angle_algebra", counted)
+    algebra, rep = subadjacent(ns)
+    assert len(tabulated) == 1
+    assert algebra == induced_bracket(lie3, family1)
+    assert all(rep.matrix_for_tuple(t) == ns.curly_matrix(t) for t in increasing_tuples(3, 1))

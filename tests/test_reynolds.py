@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from nliealg.algebra import NAryAlgebra, check_filippov, is_derivation
+from nliealg.algebra import NAryAlgebra, ad, check_filippov, is_derivation, wedge_single
+from nliealg.cohomology import delta_r_operator
 from nliealg.errors import NotInvertibleError, PreconditionError
 from nliealg.linalg import Matrix
 from nliealg.reynolds import (
@@ -10,11 +12,23 @@ from nliealg.reynolds import (
     check_reynolds,
     derivation_to_reynolds,
     induced_bracket,
+    induced_value,
     reynolds_from_nilpotent_derivation,
     reynolds_to_derivation,
+    tabulate_induced_bracket,
 )
+from nliealg.rings import EPS, Dual
+from nliealg.wedge import increasing_tuples
 
-from conftest import lie3_nilpotent_derivation, strictly_upper
+from conftest import (
+    lie3_nilpotent_derivation,
+    naive_check_reynolds,
+    naive_induced_value,
+    rand_matrix,
+    report_bytes,
+    simple_n_lie,
+    strictly_upper,
+)
 
 
 def test_operator_families_are_reynolds(lie3, family1, family2):
@@ -108,3 +122,48 @@ def test_reynolds_on_three_lie(three_lie4, rng):
         assert is_derivation(three_lie4, deriv)
         op = derivation_to_reynolds(three_lie4, deriv)
         assert check_reynolds(three_lie4, op)
+
+
+def _reynolds_cases(lie3, family1, family2, three_lie4, abelian33):
+    """Passing and failing operators: the families, c * Id for c in and out
+    of {0, n - 1}, seeded random and conjugated operators, and dual-number
+    operators R + eps * S."""
+    rng = random.Random(83)
+    a4 = simple_n_lie(3)
+    cases = [(lie3, family1), (lie3, family2), (abelian33, Matrix.identity(3))]
+    for alg in (lie3, three_lie4, a4):
+        n = alg.arity
+        for c in (0, n - 1, 2 * n - 1, Fraction(1, 2), -1):
+            cases.append((alg, Matrix.identity(alg.dim).scale(Fraction(c))))
+        cases += [(alg, rand_matrix(rng, alg.dim)) for _ in range(3)]
+    cases.append((a4, derivation_to_reynolds(a4, ad(a4, wedge_single((1, 2), 4)))))
+    for _ in range(3):
+        direction = rand_matrix(rng, 3)
+        cases.append((lie3, family1 + direction.scale(EPS)))
+    cases.append((lie3, family1 + delta_r_operator(lie3, family1, wedge_single((2,), 3)).scale(EPS)))
+    cases.append((lie3, family1 + Matrix.zero(3).scale(EPS)))
+    return cases
+
+
+def test_check_reynolds_matches_naive_oracle(lie3, family1, family2, three_lie4, abelian33):
+    verdicts = []
+    for alg, op in _reynolds_cases(lie3, family1, family2, three_lie4, abelian33):
+        result = check_reynolds(alg, op)
+        expected = naive_check_reynolds(alg, op)
+        assert result == expected
+        assert report_bytes(result) == report_bytes(expected)
+        verdicts.append(result.passed)
+    assert True in verdicts and False in verdicts
+
+
+def test_induced_value_matches_naive_induced_value(lie3, family1, family2, three_lie4, abelian33):
+    for alg, op in _reynolds_cases(lie3, family1, family2, three_lie4, abelian33):
+        rational = not any(isinstance(a, Dual) for row in op.entries for a in row)
+        table = tabulate_induced_bracket(alg, op) if rational else None
+        for tup in increasing_tuples(alg.dim, alg.arity):
+            units = alg.units(tup)
+            r_units = [op.apply(u) for u in units]
+            expected = naive_induced_value(alg, op, tup)
+            assert induced_value(alg, units, r_units, alg.bracket(r_units)) == expected
+            if table is not None:
+                assert table.bracket_on_basis(tup) == expected
