@@ -9,13 +9,12 @@ vectors go through ``expand`` (shared with the curly bracket of
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 
 from .errors import InputError, PreconditionError
 from .linalg import Matrix, combine, unit_vector, vec_add, vec_is_zero, vec_scale, vec_zero
-from .rings import QQ_ONE, QQ_ZERO
+from .rings import QQ_ONE, QQ_ZERO, rational, sign
 from .verdict import CheckResult, fail, ok
 from .wedge import canonicalize_wedge, check_indices, increasing_tuples
 
@@ -57,7 +56,7 @@ class NAryAlgebra:
             else:
                 if any(a > b for a, b in zip(key, key[1:])):
                     raise InputError(f"symmetric product tuple {key} is not non-decreasing")
-            vec = [Fraction(v) for v in vec]
+            vec = [rational(v) for v in vec]
             if len(vec) != dim:
                 raise InputError(f"bracket value for {key} has length != dim {dim}")
             if not vec_is_zero(vec):
@@ -160,8 +159,9 @@ def unit_supports(indices):
 
 
 def _times(a, b):
-    """a * b, skipping a factor that is the shared ``QQ_ONE``."""
-    return b if a is QQ_ONE else a if b is QQ_ONE else a * b
+    """a * b, skipping an integer factor 1: the product is then the other
+    factor, in its own ring."""
+    return b if type(a) is int and a == 1 else a if type(b) is int and b == 1 else a * b
 
 
 class RepresentationTable:
@@ -197,11 +197,11 @@ class RepresentationTable:
         canon = canonicalize_wedge(indices, self.algebra_dim)
         if canon is None:
             return Matrix.zero(self.module_dim)
-        key, sign = canon
+        key, flip = canon
         mat = self.tables.get(key)
         if mat is None:
             return Matrix.zero(self.module_dim)
-        return mat if sign > 0 else -mat
+        return mat if flip > 0 else -mat
 
     def matrix_for_wedge(self, wedge_elem):
         """Linear extension to a Lambda^{n-1} coefficient dict, accumulated
@@ -233,8 +233,8 @@ def wedge_single(indices, dim):
     canon = canonicalize_wedge(indices, dim)
     if canon is None:
         return {}
-    key, sign = canon
-    return {key: Fraction(sign)}
+    key, flip = canon
+    return {key: flip}
 
 
 def wedge_add_term(acc, indices, coeff, dim):
@@ -243,8 +243,8 @@ def wedge_add_term(acc, indices, coeff, dim):
     canon = canonicalize_wedge(indices, dim)
     if canon is None:
         return
-    key, sign = canon
-    new = acc.get(key, QQ_ZERO) + (coeff if sign > 0 else -coeff)
+    key, flip = canon
+    new = acc.get(key, QQ_ZERO) + (coeff if flip > 0 else -coeff)
     if new:
         acc[key] = new
     elif key in acc:
@@ -307,14 +307,17 @@ def ad(algebra, wedge_elem):
 
 def fundamental_action(algebra, x_wedge, y_wedge):
     """X o Y = sum_i y_1 ^ ... ^ [X, y_i] ^ ... ^ y_{n-1}."""
-    d = algebra.dim
+    return _action(x_wedge, y_wedge, lambda xk, y: algebra.bracket_on_basis(xk + (y,)), algebra.dim)
+
+
+def _action(x_wedge, y_wedge, moved, d):
+    """``fundamental_action`` with each [e_xk, e_y] read from ``moved(xk, y)``."""
     out = wedge_zero()
     for xk, xc in sorted(x_wedge.items()):
         for yk, yc in sorted(y_wedge.items()):
             coeff = xc * yc
             for i in range(len(yk)):
-                moved = algebra.bracket_on_basis(tuple(xk) + (yk[i],))
-                for j, mc in enumerate(moved):
+                for j, mc in enumerate(moved(tuple(xk), yk[i])):
                     if mc:
                         new = yk[:i] + (j + 1,) + yk[i + 1:]
                         wedge_add_term(out, new, coeff * mc, d)
@@ -333,7 +336,12 @@ def check_representation(algebra, rho):
         raise InputError("representation/algebra dimension mismatch")
     tuples = increasing_tuples(d, n - 1)
     mats = {xs: rho.matrix_for_tuple(xs) for xs in tuples}
+    # [e_xs, e_y] for the fundamental actions and the basis brackets below
+    brackets_with = {xs: [algebra.bracket_on_basis(xs + (y,)) for y in range(1, d + 1)] for xs in tuples}
     products = {}
+
+    def moved(xs, y):
+        return brackets_with[xs][y - 1]
 
     def product(a, b):
         if (a, b) not in products:
@@ -343,7 +351,7 @@ def check_representation(algebra, rho):
     for xs in tuples:
         for ys in tuples:
             lhs = product(xs, ys) - product(ys, xs)
-            action = fundamental_action(algebra, wedge_single(xs, d), wedge_single(ys, d))
+            action = _action(wedge_single(xs, d), wedge_single(ys, d), moved, d)
             rhs = rho.matrix_for_wedge(action)
             if lhs != rhs:
                 return fail(
@@ -352,7 +360,7 @@ def check_representation(algebra, rho):
                     [a for row in lhs.entries for a in row],
                     [a for row in rhs.entries for a in row],
                 )
-    brackets = {ys: algebra.bracket_on_basis(ys) for ys in increasing_tuples(d, n)}
+    brackets = {ys: moved(ys[:-1], ys[-1]) for ys in increasing_tuples(d, n)}
     for prefix in increasing_tuples(d, n - 2):
         for ys, bracket in brackets.items():
             lhs = rho.matrix_for_mixed(prefix, bracket)
@@ -361,9 +369,9 @@ def check_representation(algebra, rho):
                 canon = canonicalize_wedge(prefix + (ys[i],), d)
                 if canon is None:
                     continue
-                key, sign = canon
+                key, flip = canon
                 term = product(ys[:i] + ys[i + 1:], key)
-                rhs = rhs + term.scale(Fraction(sign * (-1) ** (n - 1 - i)))
+                rhs = rhs + term.scale(flip * sign(n - 1 - i))
             if lhs != rhs:
                 return fail(
                     "representation-bracket",

@@ -211,7 +211,9 @@ def _run_deform(args, report):
         return
     if args.witness:
         witness = _load(args.witness, "wedge_element")
-        verdict = deformation.check_equivalence_witness(
+        # the direction has just passed the cocycle test, and the zero
+        # direction is a cocycle of every Reynolds operator
+        verdict = deformation._witness_verdict(
             algebra, op, direction, Matrix.zero(algebra.dim), witness
         )
         report.add(verdict)

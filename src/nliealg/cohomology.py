@@ -9,7 +9,6 @@ Lambda^{n-1}(g) itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .algebra import (
@@ -22,7 +21,7 @@ from .algebra import (
 from .errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError
 from .linalg import Matrix, SparseMatrix, unit_vector, vec_add, vec_scale, vec_zero
 from .reynolds import check_reynolds, tabulate_induced_bracket
-from .rings import QQ_ZERO
+from .rings import QQ_ONE, QQ_ZERO, sign
 from .verdict import fail, ok
 from .wedge import WedgeBasis
 
@@ -90,7 +89,7 @@ class Cochain:
         out = vec_zero(self.module_dim)
         items = [sorted(blk.items()) for blk in blocks]
         for combo in product(*items) if items else [()]:
-            coeff = Fraction(1)
+            coeff = QQ_ONE
             keys = []
             for key, c in combo:
                 coeff *= c
@@ -160,17 +159,17 @@ def coboundary(algebra, rho, cochain):
                         if idx != a
                     ]
                     term = cochain.evaluate(args, unit_j)
-                    vec = vec_add(vec, vec_scale(Fraction((-1) ** a), term))
+                    vec = vec_add(vec, vec_scale(sign(a), term))
             # bracket into the plain slot
             for a in range(1, m + 1):
                 args = [block_dicts[idx - 1] for idx in range(1, m + 1) if idx != a]
                 term = cochain.evaluate(args, moved[blocks[a - 1]][j - 1])
-                vec = vec_add(vec, vec_scale(Fraction((-1) ** a), term))
+                vec = vec_add(vec, vec_scale(sign(a), term))
             # representation acting on the value
             for a in range(1, m + 1):
                 args = [block_dicts[idx - 1] for idx in range(1, m + 1) if idx != a]
                 term = acts[blocks[a - 1]].apply(cochain.evaluate(args, unit_j))
-                vec = vec_add(vec, vec_scale(Fraction((-1) ** (a + 1)), term))
+                vec = vec_add(vec, vec_scale(sign(a + 1), term))
             # last-block terms
             last = blocks[m - 1]
             head = block_dicts[:m - 1]
@@ -179,7 +178,7 @@ def coboundary(algebra, rho, cochain):
                 if key not in mats:
                     mats[key] = rho.matrix_for_tuple(key)
                 term = mats[key].apply(cochain.evaluate(head, units[last[i - 1] - 1]))
-                vec = vec_add(vec, vec_scale(Fraction((-1) ** (n + m - i + 1)), term))
+                vec = vec_add(vec, vec_scale(sign(n + m - i + 1), term))
             out.extend(vec)
     return Cochain(n, d, dv, m + 1, out)
 
@@ -202,7 +201,7 @@ def tabulate_reynolds_representation(algebra, op):
         cols = []
         for j in range(1, d + 1):
             x = vec_zero(d)
-            x[j - 1] = Fraction(1)
+            x[j - 1] = QQ_ONE
             val = algebra.bracket(r_units + [x])
             val = vec_add(val, op.apply(val))
             for i in range(n - 1):
@@ -289,7 +288,7 @@ class ReynoldsComplex:
         moved = [[support(alg.bracket_on_basis(t + (j,))) for j in range(1, d + 1)] for t in tuples]
         acts = [_matrix_terms(rho.matrix_for_tuple(t)) for t in tuples]
         # last-block terms: rho(X_m minus its i-th index, e_j) on the value at e_{X_m[i]}
-        last = [[[(t[i - 1] - 1, vo, vi, (-1) ** (n + m - i + 1) * c)
+        last = [[[(t[i - 1] - 1, vo, vi, sign(n + m - i + 1) * c)
                   for i in range(1, n)
                   for vo, vi, c in _matrix_terms(rho.matrix_for_tuple(t[:i - 1] + t[i:] + (j,)))]
                  for j in range(1, d + 1)] for t in tuples]
@@ -310,19 +309,19 @@ class ReynoldsComplex:
             for j in range(d):
                 out = [{} for _ in range(d)]
                 for a in range(m):
-                    sign = -1 if a % 2 == 0 else 1  # (-1)^a for 1-based a
+                    flip = sign(a + 1)  # (-1)^a for 1-based a
                     for later in range(a + 1, m):
                         for z, c in action[blocks[a]][blocks[later]]:
                             col = column(drop[a][:later - 1] + (z,) + drop[a][later:], j)
                             for v in range(d):
-                                add(v, col + v, sign * c)
+                                add(v, col + v, flip * c)
                     for k, c in moved[blocks[a]][j]:
                         col = column(drop[a], k)
                         for v in range(d):
-                            add(v, col + v, sign * c)
+                            add(v, col + v, flip * c)
                     col = column(drop[a], j)
                     for vo, vi, c in acts[blocks[a]]:
-                        add(vo, col + vi, -sign * c)
+                        add(vo, col + vi, -flip * c)
                 for k, vo, vi, c in last[blocks[m - 1]][j]:
                     add(vo, column(blocks[:m - 1], k) + vi, c)
                 rows.extend(out)
@@ -356,7 +355,7 @@ class ReynoldsComplex:
     def _cross_check(self, m, dm):
         """The assembled d_m against ``coboundary`` on one dense cochain."""
         n, d = self.base.arity, self.base.dim
-        f = Cochain(n, d, d, m, [Fraction(1 + c % 7) for c in range(dm.cols)])
+        f = Cochain(n, d, d, m, [1 + c % 7 for c in range(dm.cols)])
         if dm.apply(f.data) != list(self.d_r(f).data):
             raise InternalConsistencyError(
                 f"assembled differential at degree {m} disagrees with the coboundary formula"

@@ -9,7 +9,6 @@ from derivations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .algebra import (
@@ -22,6 +21,7 @@ from .algebra import (
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .reynolds import check_reynolds, induced_bracket
+from .rings import rational, sign
 from .verdict import fail, ok
 from .wedge import increasing_tuples
 
@@ -30,7 +30,7 @@ class LinearFunctional:
     """A covector, evaluated coordinate-wise on coefficient vectors."""
 
     def __init__(self, coefficients):
-        self.coefficients = [Fraction(c) for c in coefficients]
+        self.coefficients = [rational(c) for c in coefficients]
         self.dim = len(self.coefficients)
 
     def __call__(self, vec):
@@ -46,7 +46,7 @@ class LinearFunctional:
         for tup in increasing_tuples(algebra.dim, algebra.arity):
             val = self(algebra.bracket_on_basis(tup))
             if val:
-                return fail("functional-vanishes", {"tuple": tup}, [val], [Fraction(0)])
+                return fail("functional-vanishes", {"tuple": tup}, [val], [0])
         return ok("functional-vanishes")
 
 
@@ -90,8 +90,7 @@ def extend_by_functional(algebra, functional):
             if not c:
                 continue
             rest = tup[:i] + tup[i + 1:]
-            sign = Fraction((-1) ** i)
-            acc = vec_add(acc, vec_scale(sign * c, algebra.bracket_on_basis(rest)))
+            acc = vec_add(acc, vec_scale(sign(i) * c, algebra.bracket_on_basis(rest)))
         return acc
 
     return algebra_from_bracket_function(n + 1, d, value, basis_names=algebra.basis_names)
@@ -117,8 +116,7 @@ def reynolds_lift_criterion(algebra, op, functional):
             if not c:
                 continue
             rest = r_units[:i] + r_units[i + 1:]
-            sign = Fraction((-1) ** (n - i))
-            acc = vec_add(acc, vec_scale(sign * c, op.apply(algebra.bracket(rest))))
+            acc = vec_add(acc, vec_scale(sign(n - i) * c, op.apply(algebra.bracket(rest))))
         if not vec_is_zero(acc):
             return fail("lift-criterion", {"tuple": tup}, acc, vec_zero(d))
     lifted = check_reynolds(extend_by_functional(algebra, functional), op)
@@ -153,14 +151,13 @@ def corollary_bracket(algebra, op, functional):
                     if k == j:
                         continue
                     args.append(units[i] if k == i else r_units[k])
-                sign = Fraction((-1) ** j)
-                acc = vec_add(acc, vec_scale(sign * f_r[j], algebra.bracket(args)))
+                acc = vec_add(acc, vec_scale(sign(j) * f_r[j], algebra.bracket(args)))
         for i in range(n + 1):
             rest = [r_units[k] for k in range(n + 1) if k != i]
-            acc = vec_add(acc, vec_scale(Fraction((-1) ** i) * f_x[i], algebra.bracket(rest)))
+            acc = vec_add(acc, vec_scale(sign(i) * f_x[i], algebra.bracket(rest)))
         for j in range(n + 1):
             rest = [r_units[k] for k in range(n + 1) if k != j]
-            acc = vec_sub(acc, vec_scale(Fraction((-1) ** j) * f_r[j], algebra.bracket(rest)))
+            acc = vec_sub(acc, vec_scale(sign(j) * f_r[j], algebra.bracket(rest)))
         return acc
 
     result = algebra_from_bracket_function(
@@ -215,13 +212,13 @@ def lie_from_derivation(algebra, deriv):
 def _det_of_rows(algebra, rows):
     """The formal 3x3 determinant of element rows, multiplied in the algebra."""
     acc = vec_zero(algebra.dim)
-    for perm, sign in (
+    for perm, flip in (
         ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
         ((2, 1, 0), -1), ((1, 0, 2), -1), ((0, 2, 1), -1),
     ):
         prod = algebra.bracket([rows[0][perm[0]], rows[1][perm[1]]])
         prod = algebra.bracket([prod, rows[2][perm[2]]])
-        acc = vec_add(acc, vec_scale(Fraction(sign), prod))
+        acc = vec_add(acc, vec_scale(flip, prod))
     return acc
 
 
@@ -258,7 +255,7 @@ def three_lie_from_f_D(algebra, functional, deriv):
                 algebra.bracket([d_units[a], units[b]]),
                 algebra.bracket([d_units[b], units[a]]),
             )
-            acc = vec_add(acc, vec_scale(Fraction((-1) ** i) * f_vals[i], minor))
+            acc = vec_add(acc, vec_scale(sign(i) * f_vals[i], minor))
         return acc
 
     return algebra_from_bracket_function(3, d, value, basis_names=algebra.basis_names)
@@ -317,7 +314,7 @@ def det_triple_identity(algebra, op, cols, correction=2):
     cp = _det_of_rows(algebra, _cols_to_rows([rx, ry, z]))
     cp = vec_add(cp, _det_of_rows(algebra, _cols_to_rows([x, ry, rz])))
     cp = vec_add(cp, _det_of_rows(algebra, _cols_to_rows([rx, y, rz])))
-    rhs = op.apply(vec_sub(cp, vec_scale(Fraction(correction), lhs)))
+    rhs = op.apply(vec_sub(cp, vec_scale(rational(correction), lhs)))
     if lhs != rhs:
         return fail("det-triple-identity", {"correction": correction}, lhs, rhs)
     return ok("det-triple-identity")
@@ -355,7 +352,7 @@ def check_reynolds_on_det_3lie(algebra, op, variant, data):
                     algebra.bracket([dr_units[a], r_units[b]]),
                     algebra.bracket([dr_units[b], r_units[a]]),
                 )
-                acc = vec_add(acc, vec_scale(Fraction((-1) ** i) * f_vals[i], minor))
+                acc = vec_add(acc, vec_scale(sign(i) * f_vals[i], minor))
             if not vec_is_zero(acc):
                 return fail("det3-criterion", {"tuple": tup}, acc, vec_zero(d))
         return check_reynolds(three, op)

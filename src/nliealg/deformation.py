@@ -10,14 +10,13 @@ verdicts must agree; a mismatch is a bug, not a result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import ad
 from .cohomology import delta_r_operator
 from .errors import InternalConsistencyError, PreconditionError
 from .linalg import Matrix, vec_add, vec_sub, vec_zero
 from .reynolds import basis_images, check_hom_pair, check_reynolds, induced_value
-from .rings import EPS
+from .rings import EPS, QQ_ONE
 from .verdict import fail, ok
 from .wedge import increasing_tuples
 
@@ -131,7 +130,7 @@ def is_trivial_deformation(algebra, op, direction):
     basis = increasing_tuples(d, algebra.arity - 1)
     cols = []
     for tup in basis:
-        delta = delta_r_operator(algebra, op, {tup: Fraction(1)})
+        delta = delta_r_operator(algebra, op, {tup: QQ_ONE})
         cols.append([delta.entries[i][j] for i in range(d) for j in range(d)])
     target = [direction.entries[i][j] for i in range(d) for j in range(d)]
     system = Matrix([[cols[c][r] for c in range(len(basis))] for r in range(d * d)])

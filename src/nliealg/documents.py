@@ -18,7 +18,7 @@ from .constructions import LinearFunctional
 from .errors import InputError
 from .linalg import Matrix
 from .ns import NSAlgebra
-from .rings import format_rational, parse_rational
+from .rings import format_rational, parse_rational, rational
 
 KINDS = (
     "n_lie_algebra",
@@ -38,7 +38,7 @@ def _as_rational(value, pointer):
     if isinstance(value, bool):
         raise _err(pointer, "expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return rational(value)
     if isinstance(value, str):
         try:
             return parse_rational(value)
@@ -180,7 +180,7 @@ def _parse_wedge(doc):
         on = _as_index_tuple(entry.get("on"), arity - 1, dim, f"{pointer}/on")
         coeff = _as_rational(entry.get("coeff"), f"{pointer}/coeff")
         if coeff:
-            terms[on] = terms.get(on, Fraction(0)) + coeff
+            terms[on] = terms.get(on, 0) + coeff
     return {k: v for k, v in terms.items() if v}
 
 

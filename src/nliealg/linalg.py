@@ -15,7 +15,7 @@ from functools import reduce
 from math import gcd, lcm
 
 from .errors import InputError, NotInvertibleError, UnsupportedRingError
-from .rings import Dual, QQ_ZERO, QQ_ONE, plus
+from .rings import Dual, QQ_ZERO, QQ_ONE, plus, rational
 
 
 class Matrix:
@@ -126,7 +126,7 @@ class Matrix:
             for pc in sorted(pivots, reverse=True):
                 row = pivots[pc]
                 s = sum((a * v[j] for j, a in row.items() if j != pc), QQ_ZERO)
-                v[pc] = -s / row[pc]
+                v[pc] = rational(Fraction(-s) / row[pc])
             basis.append(v)
         return basis
 
@@ -146,7 +146,7 @@ class Matrix:
             if piv is None:
                 continue
             m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
+            inv = Fraction(1) / m[r][c]
             m[r] = [a * inv for a in m[r]]
             for i in range(nr):
                 if i != r and m[i][c]:
@@ -159,7 +159,7 @@ class Matrix:
                 return None
         x = [QQ_ZERO] * nc
         for row_idx, c in enumerate(pivots):
-            x[c] = m[row_idx][nc]
+            x[c] = rational(m[row_idx][nc])
         return x
 
     def det(self):
@@ -177,12 +177,12 @@ class Matrix:
                 m[c], m[piv] = m[piv], m[c]
                 out = -out
             out *= m[c][c]
-            inv = 1 / m[c][c]
+            inv = Fraction(1) / m[c][c]
             for i in range(c + 1, n):
                 if m[i][c]:
                     f = m[i][c] * inv
                     m[i] = [a - f * p for a, p in zip(m[i], m[c])]
-        return out
+        return rational(out)
 
     def inverse(self):
         self._require_rational("inverse")
@@ -196,13 +196,13 @@ class Matrix:
             if piv is None:
                 raise NotInvertibleError("matrix is singular")
             m[c], m[piv] = m[piv], m[c]
-            inv = 1 / m[c][c]
+            inv = Fraction(1) / m[c][c]
             m[c] = [a * inv for a in m[c]]
             for i in range(n):
                 if i != c and m[i][c]:
                     f = m[i][c]
                     m[i] = [a - f * p for a, p in zip(m[i], m[c])]
-        return Matrix([row[n:] for row in m])
+        return Matrix([[rational(a) for a in row[n:]] for row in m])
 
 
 class SparseMatrix:
@@ -299,12 +299,13 @@ def _primitive(row):
 
 def combine(coeffs, sparse_rows, width):
     """sum_k coeffs[k] * row_k, where row_k lists its nonzero (j, b); zero
-    coefficients and a product with the shared ``QQ_ONE`` are skipped."""
+    coefficients and products with an integer coefficient 1 are skipped."""
     acc = [QQ_ZERO] * width
     for a, terms in zip(coeffs, sparse_rows):
         if a:
+            one = type(a) is int and a == 1
             for j, b in terms:
-                acc[j] = plus(acc[j], b if a is QQ_ONE else a * b)
+                acc[j] = plus(acc[j], b if one else a * b)
     return acc
 
 

@@ -8,8 +8,6 @@ for structures passing the axioms it satisfies the Filippov identity
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (
     NAryAlgebra,
     RepresentationTable,
@@ -26,6 +24,7 @@ from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import Matrix, vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .nijenhuis import check_nijenhuis, deformed_bracket_ladder
 from .reynolds import check_reynolds
+from .rings import rational, sign
 from .verdict import fail, ok
 from .wedge import check_indices, increasing_tuples
 
@@ -49,7 +48,7 @@ class NSAlgebra:
             if any(a >= b for a, b in zip(prefix, prefix[1:])):
                 raise InputError(f"curly prefix {prefix} is not strictly increasing")
             check_indices(prefix + (j,), dim)
-            vec = [Fraction(v) for v in vec]
+            vec = [rational(v) for v in vec]
             if len(vec) != dim:
                 raise InputError(f"curly value for ({prefix}, {j}) has length != dim {dim}")
             if not vec_is_zero(vec):
@@ -89,8 +88,7 @@ def angle_bracket(ns, args):
     out = ns.square.bracket(args)
     for i in range(n):
         rest = args[:i] + args[i + 1:]
-        sign = Fraction((-1) ** (n - 1 - i))
-        out = vec_add(out, vec_scale(sign, ns.curly(rest + [args[i]])))
+        out = vec_add(out, vec_scale(sign(n - 1 - i), ns.curly(rest + [args[i]])))
     return out
 
 
@@ -157,8 +155,7 @@ def _check_ns(ns, angle):
             rhs = vec_zero(d)
             for j in range(n):
                 rest = y_units[:j] + y_units[j + 1:]
-                sign = Fraction((-1) ** (n - 1 - j))
-                rhs = vec_add(rhs, vec_scale(sign, curly(rest + [first[ys[j], xs]])))
+                rhs = vec_add(rhs, vec_scale(sign(n - 1 - j), curly(rest + [first[ys[j], xs]])))
             if lhs != rhs:
                 return fail("ns-axiom-2", {"x": xs, "y": ys}, lhs, rhs)
     # axiom 3: square bracket against the angle bracket
@@ -172,9 +169,9 @@ def _check_ns(ns, angle):
             rhs = vec_sub(vec_zero(d), curly(x_units + [square_y[ys]]))
             for j in range(n):
                 rest = y_units[:j] + y_units[j + 1:]
-                sign = Fraction((-1) ** (n - 1 - j))
-                rhs = vec_add(rhs, vec_scale(sign, square(rest + [angle_x[xs][ys[j] - 1]])))
-                rhs = vec_add(rhs, vec_scale(sign, curly(rest + [square_x[xs][ys[j] - 1]])))
+                flip = sign(n - 1 - j)
+                rhs = vec_add(rhs, vec_scale(flip, square(rest + [angle_x[xs][ys[j] - 1]])))
+                rhs = vec_add(rhs, vec_scale(flip, curly(rest + [square_x[xs][ys[j] - 1]])))
             if lhs != rhs:
                 return fail("ns-axiom-3", {"x": xs, "y": ys}, lhs, rhs)
     return ok("ns-axioms")

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .algebra import NAryAlgebra, algebra_from_bracket_function, is_derivation
 from .errors import InputError, NotInvertibleError, PreconditionError
 from .linalg import Matrix, vec_add, vec_zero
+from .rings import sign
 from .verdict import fail, ok
 from .wedge import increasing_tuples
 
@@ -138,7 +139,7 @@ def reynolds_from_nilpotent_derivation(algebra, deriv):
     acc = Matrix.zero(d)
     term = Matrix.identity(d)
     for m in range(d):
-        coeff = Fraction((-1) ** m * (n - 1) ** (m + 1))
+        coeff = sign(m) * (n - 1) ** (m + 1)
         acc = acc + term.scale(coeff)
         term = term @ deriv
         if term.is_zero():

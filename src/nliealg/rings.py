@@ -1,8 +1,10 @@
 """Exact coefficient rings: rationals and dual numbers Q[eps]/(eps^2).
 
-Rational scalars are plain ``fractions.Fraction`` values.  Dual numbers
-``a + b*eps`` are a small immutable class that mixes freely with Fraction
-and int in arithmetic, so every multilinear routine in the library works
+Scalars are exact ``int``/``Fraction`` values, never ``float``: an
+integral scalar is a plain ``int`` and a ``Fraction`` only carries a
+denominator other than 1 (``rational`` normalises to that form).  Dual
+numbers ``a + b*eps`` are a small immutable class that mixes freely with
+both in arithmetic, so every multilinear routine in the library works
 over either ring without modification.
 """
 
@@ -13,8 +15,22 @@ from fractions import Fraction
 
 from .errors import InputError
 
-QQ_ZERO = Fraction(0)
-QQ_ONE = Fraction(1)
+QQ_ZERO = 0
+QQ_ONE = 1
+
+
+def rational(x):
+    """x as an exact scalar: an ``int`` when it is integral, else a ``Fraction``."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def sign(k):
+    """(-1)**k as an ``int``, for any integer k (negative k included)."""
+    return -1 if k % 2 else 1
 
 
 class Dual:
@@ -23,8 +39,8 @@ class Dual:
     __slots__ = ("a", "b")
 
     def __init__(self, a, b=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", rational(a))
+        object.__setattr__(self, "b", rational(b))
 
     def __setattr__(self, *_):
         raise AttributeError("Dual is immutable")
@@ -100,16 +116,18 @@ def plus(a, b):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
-def parse_rational(text) -> Fraction:
+def parse_rational(text):
     """Parse "p/q" or "p" exactly; no decimals, no whitespace."""
     if isinstance(text, int):
-        return Fraction(text)
+        return rational(text)
     if not isinstance(text, str):
         raise InputError(f"rational literal must be a string, got {type(text).__name__}")
     if not _RATIONAL_RE.match(text):
         raise InputError(f"malformed rational literal {text!r}")
+    if "/" not in text:
+        return int(text)
     try:
-        return Fraction(text)
+        return rational(Fraction(text))
     except ZeroDivisionError as exc:
         raise InputError(f"zero denominator in {text!r}") from exc
 
@@ -124,6 +142,5 @@ def parse_scalar(obj):
     return parse_rational(obj)
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def format_rational(x) -> str:
+    return str(rational(x))

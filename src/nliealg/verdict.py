@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -26,5 +27,12 @@ def ok(name):
 
 
 def fail(name, where, lhs, rhs):
+    lhs, rhs = _reported(lhs), _reported(rhs)
     diff = [a - b for a, b in zip(lhs, rhs)]
     return CheckResult(name, False, {"where": where, "lhs": lhs, "rhs": rhs, "difference": diff})
+
+
+def _reported(vec):
+    """A compared vector with its integral entries as ``Fraction``, so a
+    report writes every scalar as a string, like the other rationals."""
+    return [Fraction(x) if type(x) is int else x for x in vec]

@@ -28,7 +28,13 @@ def pytest_terminal_summary(terminalreporter):
 from nliealg.algebra import ALTERNATING, NAryAlgebra, ad, fundamental_action, wedge_single
 from nliealg.cohomology import Cochain, delta_r_operator
 from nliealg.constructions import LinearFunctional, comm_assoc_algebra
-from nliealg.documents import Report
+from nliealg.documents import (
+    Report,
+    algebra_document,
+    emit_document,
+    functional_document,
+    operator_document,
+)
 from nliealg.deformation import TrivialityResult, check_equivalence_witness, is_infinitesimal_deformation
 from nliealg.errors import InputError, PreconditionError
 from nliealg.linalg import Matrix, vec_add, vec_scale, vec_sub, vec_zero
@@ -57,6 +63,26 @@ def family2():
 @pytest.fixture
 def trace_functional():
     return LinearFunctional([1, 0, 1])
+
+
+@pytest.fixture
+def docs(tmp_path, lie3, family1, abelian33, trace_functional):
+    """The CLI's input documents, written to files: {file name: path}."""
+    paths = {}
+
+    def write(name, doc):
+        p = tmp_path / name
+        p.write_text(emit_document(doc))
+        paths[name] = str(p)
+
+    write("g.json", algebra_document(lie3))
+    write("ab33.json", algebra_document(abelian33))
+    write("r1.json", operator_document(family1))
+    write("zero3.json", operator_document(Matrix.zero(3)))
+    write("ident3.json", operator_document(Matrix.identity(3)))
+    write("f.json", functional_document(trace_functional))
+    write("bad.json", {"kind": "n_lie_algebra"})
+    return paths
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -227,6 +228,24 @@ def test_check_representation_matches_naive_oracle(lie3, sl2_like, three_lie4):
     assert {"representation", "representation-commutator", "representation-bracket"} <= set(names)
 
 
+def test_check_representation_forms_each_basis_bracket_once(monkeypatch):
+    """On the adjoint of A_6: one bracket per (xs, y), shared by the
+    fundamental actions and the bracket identity, none of them twice."""
+    a6 = simple_n_lie(5)
+    rho = adjoint_representation(a6)
+    calls = Counter()
+    original = NAryAlgebra.bracket_on_basis
+
+    def counted(self, indices):
+        calls[tuple(indices)] += 1
+        return original(self, indices)
+
+    monkeypatch.setattr(NAryAlgebra, "bracket_on_basis", counted)
+    assert check_representation(a6, rho)
+    assert sum(calls.values()) == len(increasing_tuples(6, 4)) * 6
+    assert set(calls.values()) == {1}
+
+
 def _perturbed_algebra(alg, rng):
     """``alg`` with one random entry of one stored bracket moved by +-1."""
     brackets = {key: list(vec) for key, vec in alg.brackets.items()}
@@ -294,3 +313,12 @@ def test_bracket_supports_matches_naive_expansion(dual, sl2_like, three_lie4, tr
             assert alg.bracket_supports(unit_supports(picks)) == stored(picks)
         with pytest.raises(InputError):
             alg.bracket_supports(unit_supports(range(1, alg.arity)))
+
+
+def test_products_skip_only_an_integer_one(lie3):
+    """An integer factor 1 is skipped; Dual(1, 0) equals 1 but is not, so
+    the bracket stays over the dual numbers as the plain product would."""
+    out = lie3.bracket([[Dual(1, 0), 0, 0], [0, 1, 0]])
+    assert out == [0, 1, 0] and isinstance(out[1], Dual)
+    out = lie3.bracket([[1, 0, 0], [0, Fraction(1, 2), 0]])
+    assert out == [0, Fraction(1, 2), 0] and [type(x) for x in out] == [int, Fraction, int]

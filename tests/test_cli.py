@@ -1,37 +1,15 @@
 import json
 
-import pytest
-
 from nliealg import cli
 from nliealg.cli import run_command
 from nliealg.documents import (
     algebra_document,
     emit_document,
-    functional_document,
     operator_document,
 )
 from nliealg.linalg import Matrix
 
 from conftest import euler_derivation
-
-
-@pytest.fixture
-def docs(tmp_path, lie3, family1, abelian33, trace_functional):
-    paths = {}
-
-    def write(name, doc):
-        p = tmp_path / name
-        p.write_text(emit_document(doc))
-        paths[name] = str(p)
-
-    write("g.json", algebra_document(lie3))
-    write("ab33.json", algebra_document(abelian33))
-    write("r1.json", operator_document(family1))
-    write("zero3.json", operator_document(Matrix.zero(3)))
-    write("ident3.json", operator_document(Matrix.identity(3)))
-    write("f.json", functional_document(trace_functional))
-    write("bad.json", {"kind": "n_lie_algebra"})
-    return paths
 
 
 def test_check_filippov_passes(docs):

@@ -161,6 +161,40 @@ def test_trivial_deform_job_runs_the_cocycle_check_twice(lie3, family1, tmp_path
     assert calls == {"is_infinitesimal_deformation": 2, "check_reynolds": 4, "_t_linear_check": 2}
 
 
+def test_witness_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path, monkeypatch):
+    """One CLI witness job: only the CLI's own cocycle check runs; the
+    witness pair is judged without re-checking either direction."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("is_infinitesimal_deformation", "check_reynolds", "_t_linear_check"):
+        monkeypatch.setattr(deformation, name, counted(name, getattr(deformation, name)))
+    direction = delta_r_operator(lie3, family1, wedge_single((2,), 3))
+    docs = {"g": algebra_document(lie3), "r": operator_document(family1), "s": operator_document(direction)}
+    for coeff in ("1", "2"):
+        docs[f"x{coeff}"] = {"kind": "wedge_element", "dim": 3, "arity": 2,
+                             "terms": [{"on": [2], "coeff": coeff}]}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(emit_document(doc))
+    outcomes = []
+    for witness, code in (("x1", 0), ("x2", 1)):
+        calls.clear()
+        report, got = run_command(["deform", "--algebra", str(paths["g"]), "--reynolds", str(paths["r"]),
+                                   "--direction", str(paths["s"]), "--witness", str(paths[witness]), "--json"])
+        assert got == code
+        assert calls == {"is_infinitesimal_deformation": 1, "check_reynolds": 2, "_t_linear_check": 1}
+        outcomes.append([(v.check_name, v.passed) for v in report.verdicts])
+    assert outcomes == [[("deformation-cocycle", True), ("hom-pair", True)],
+                        [("deformation-cocycle", True), ("hom-square", False)]]
+
+
 def test_t_linear_check_matches_naive_oracle(lie3, family1, family2, rng):
     a4 = simple_n_lie(3)
     r4 = derivation_to_reynolds(a4, ad(a4, wedge_single((1, 2), 4)))

@@ -1,0 +1,303 @@
+"""No float, ever: integral scalars are plain ``int``, the others
+``Fraction``, on every exact path.
+
+``int / int`` is a float in Python, so every division in the library must
+have a ``Fraction`` operand, and a sign must not be spelled ``(-1) ** k``
+(a float for negative k).  The walker then checks what actually comes out:
+every CLI report, every verdict and every library object built on a set of
+inputs like the benchmark's.
+"""
+
+import ast
+import json
+import pathlib
+from fractions import Fraction
+
+from nliealg.algebra import (
+    NAryAlgebra,
+    RepresentationTable,
+    ad,
+    adjoint_representation,
+    algebra_from_bracket_function,
+    check_filippov,
+    check_representation,
+    semidirect_product,
+    wedge_single,
+)
+from nliealg.cli import run_command
+from nliealg.cohomology import Cochain, ReynoldsComplex, coboundary, delta_r_operator
+from nliealg.constructions import LinearFunctional, extend_by_functional
+from nliealg.deformation import (
+    TrivialityResult,
+    check_equivalence_witness,
+    is_infinitesimal_deformation,
+    is_trivial_deformation,
+)
+from nliealg.documents import (
+    Report,
+    algebra_document,
+    emit_document,
+    functional_document,
+    ns_document,
+    operator_document,
+    parse_document,
+    representation_document,
+)
+from nliealg.linalg import Matrix, SparseMatrix
+from nliealg.nijenhuis import deformed_algebra
+from nliealg.ns import NSAlgebra, check_ns, ns_from_nijenhuis, ns_from_reynolds, subadjacent
+from nliealg.reynolds import (
+    check_reynolds,
+    derivation_to_reynolds,
+    induced_bracket,
+    reynolds_to_derivation,
+)
+from nliealg.rings import EPS, Dual, sign
+from nliealg.verdict import CheckResult
+from nliealg.wedge import increasing_tuples
+
+from conftest import euler_derivation, simple_n_lie
+
+SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "nliealg").glob("*.py"))
+
+
+def _nodes():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
+def _is_fraction_call(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+
+
+def _is_minus_one(node):
+    try:
+        return ast.literal_eval(node) == -1
+    except ValueError:
+        return False
+
+
+def test_every_division_has_a_fraction_operand():
+    divisions = []
+    for name, node in _nodes():
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            divisions.append((name, node.lineno, node.left, node.right))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            divisions.append((name, node.lineno, node.target, node.value))
+    assert len(SOURCES) > 10 and divisions
+    bad = [(name, line) for name, line, *operands in divisions if not any(map(_is_fraction_call, operands))]
+    assert bad == []
+
+
+def test_no_power_has_base_minus_one():
+    bad = [
+        (name, node.lineno)
+        for name, node in _nodes()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _is_minus_one(node.left)
+    ]
+    assert bad == []
+
+
+# -- the walker ----------------------------------------------------------------
+
+
+def scalars(obj):
+    """Every scalar reachable from a result, report or library object."""
+    if isinstance(obj, Matrix):
+        yield from scalars(obj.entries)
+    elif isinstance(obj, SparseMatrix):
+        yield from scalars(obj.row_maps)
+    elif isinstance(obj, NAryAlgebra):
+        yield from scalars(obj.brackets)
+    elif isinstance(obj, NSAlgebra):
+        yield from scalars([obj.curly_table, obj.square])
+    elif isinstance(obj, RepresentationTable):
+        yield from scalars(obj.tables)
+    elif isinstance(obj, LinearFunctional):
+        yield from scalars(obj.coefficients)
+    elif isinstance(obj, Cochain):
+        yield from scalars(obj.data)
+    elif isinstance(obj, Dual):
+        yield from (obj.a, obj.b)
+    elif isinstance(obj, CheckResult):
+        yield from scalars(obj.counterexample)
+    elif isinstance(obj, TrivialityResult):
+        yield from scalars([obj.witness, obj.detail])
+    elif isinstance(obj, Report):
+        yield from scalars([obj.verdicts, obj.artifacts])
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from scalars(key)
+            yield from scalars(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from scalars(value)
+    elif obj is not None and not isinstance(obj, str):
+        yield obj
+
+
+def assert_exact(obj, seen):
+    """Every scalar of ``obj`` is an int or a Fraction: never a float or a bool."""
+    for x in scalars(obj):
+        assert type(x) in (int, Fraction), (type(x), x, obj)
+        seen.add(type(x))
+
+
+def assert_exact_report(report, seen):
+    """The parsed ``--json`` report: numbers are ints, the only bools are
+    the verdicts' ``passed``, and compared vectors are written as strings."""
+    payload = json.loads(report.to_json())
+    for verdict in payload["verdicts"]:
+        assert verdict.pop("passed") in (True, False)
+        ce = verdict.get("counterexample")
+        if ce is not None:
+            for key in ("lhs", "rhs", "difference"):
+                for x in ce[key]:
+                    dual = isinstance(x, dict) and sorted(x) == ["a", "b"]
+                    assert isinstance(x, str) or dual and all(isinstance(v, str) for v in x.values())
+                    seen.add("counterexample")
+    for x in scalars(payload):
+        assert type(x) is int, (type(x), x)
+
+
+def conjugate(alg, op, phi, phi_inv):
+    """(alg, op) moved to the basis given by the columns of phi."""
+    moved = algebra_from_bracket_function(
+        alg.arity, alg.dim,
+        lambda tup: phi_inv.apply(alg.bracket([phi.apply(u) for u in alg.units(tup)])))
+    return moved, phi_inv @ op @ phi
+
+
+def unimodular(d):
+    """A dense integer change of basis with an integer inverse: L.U, both
+    unitriangular with +-1 off the diagonal."""
+    lower = Matrix([[1 if i == j else sign(i + j) if i > j else 0 for j in range(d)] for i in range(d)])
+    upper = Matrix([[1 if i == j else sign(i) if j > i else 0 for j in range(d)] for i in range(d)])
+    phi = lower @ upper
+    return phi, phi.inverse()
+
+
+def bench_like_pairs(lie3, family1, family2):
+    """Algebras with Reynolds operators as the benchmark draws them: A_4
+    with an ad-series operator and 2.Id, lie3 with its two families, and
+    conjugates of them by a unimodular change of basis."""
+    a4 = simple_n_lie(3)
+    r4 = derivation_to_reynolds(a4, ad(a4, wedge_single((1, 2), 4)))
+    pairs = [(lie3, family1), (lie3, family2), (a4, r4), (a4, Matrix.identity(4).scale(2))]
+    phi, phi_inv = unimodular(3)
+    pairs.append(conjugate(lie3, family1, phi, phi_inv))
+    phi, phi_inv = unimodular(4)
+    pairs.append(conjugate(*pairs[2], phi, phi_inv))
+    return pairs
+
+
+def test_cli_reports_and_library_objects_hold_no_float(docs, tmp_path, lie3, family1, family2, trunc_xy):
+    seen = set()
+    pairs = bench_like_pairs(lie3, family1, family2)
+    paths = dict(docs)
+
+    def write(name, doc):
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(emit_document(doc))
+        return paths[name]
+
+    # every CLI fixture document, through every command that reads it
+    argvs = [
+        ["check", "filippov", "--algebra", docs["g.json"]],
+        ["check", "reynolds", "--algebra", docs["g.json"], "--operator", docs["r1.json"]],
+        ["check", "reynolds", "--algebra", docs["g.json"], "--operator", docs["ident3.json"]],
+        ["check", "derivation", "--algebra", docs["g.json"], "--operator", docs["ident3.json"]],
+        ["check", "nijenhuis", "--algebra", docs["g.json"], "--operator", docs["r1.json"]],
+        ["check", "lift", "--algebra", docs["g.json"], "--operator", docs["r1.json"],
+         "--functional", docs["f.json"]],
+        ["construct", "gf", "--algebra", docs["g.json"], "--functional", docs["f.json"]],
+        ["construct", "corollary", "--algebra", docs["g.json"], "--operator", docs["r1.json"],
+         "--functional", docs["f.json"]],
+        ["construct", "induced", "--algebra", docs["g.json"], "--operator", docs["r1.json"]],
+        ["construct", "semidirect", "--algebra", docs["g.json"]],
+        ["construct", "deformed", "--algebra", docs["g.json"], "--operator", docs["ident3.json"]],
+        ["cohomology", "--algebra", docs["ab33.json"], "--reynolds", docs["zero3.json"], "--max-degree", "1"],
+        ["cohomology", "--algebra", docs["g.json"], "--reynolds", docs["r1.json"]],
+        ["deform", "--algebra", docs["g.json"], "--reynolds", docs["r1.json"],
+         "--direction", docs["zero3.json"]],
+        ["operator", "to-derivation", "--algebra", docs["g.json"], "--operator", docs["r1.json"]],
+        ["check", "filippov", "--algebra", docs["bad.json"]],
+    ]
+    # the determinant constructions on a truncated polynomial algebra
+    write("trunc.json", algebra_document(trunc_xy))
+    for name, degrees in (("dx", [0, 1, 0, 1]), ("dy", [0, 0, 1, 1]), ("dxy", [0, 1, 1, 2])):
+        write(f"{name}.json", operator_document(euler_derivation(4, degrees)))
+    write("f1.json", functional_document(LinearFunctional([1, 0, 0, 0])))
+    det3 = ["construct", "det3", "--algebra", paths["trunc.json"]]
+    argvs += [
+        det3 + ["--variant", "fd", "--operator", paths["dx.json"], "--functional", paths["f1.json"]],
+        det3 + ["--variant", "dd", "--operator", paths["dx.json"], "--operator", paths["dy.json"]],
+        det3 + ["--variant", "ddd"] + [a for n in ("dx", "dy", "dxy")
+                                       for a in ("--operator", paths[f"{n}.json"])],
+        ["check", "assoc-reynolds", "--algebra", paths["trunc.json"], "--operator", paths["dx.json"]],
+    ]
+    # the benchmark-like set, with passing and failing verdicts
+    for k, (alg, op) in enumerate(pairs):
+        d, n = alg.dim, alg.arity
+        g = write(f"alg{k}.json", algebra_document(alg))
+        r = write(f"op{k}.json", operator_document(op))
+        half = write(f"half{k}.json", operator_document(op.scale(Fraction(1, 2))))
+        tup = increasing_tuples(d, n - 1)[0]
+        s = write(f"dir{k}.json", operator_document(delta_r_operator(alg, op, wedge_single(tup, d))))
+        doubled = {key: m.scale(2) for key, m in adjoint_representation(alg).tables.items()}
+        rho = write(f"rep{k}.json", representation_document(RepresentationTable(n, d, d, doubled)))
+        for c in ("1", "-1/2"):
+            witness = write(f"x{k}{c[0]}.json", {"kind": "wedge_element", "dim": d, "arity": n,
+                                                  "terms": [{"on": list(tup), "coeff": c}]})
+            argvs.append(["deform", "--algebra", g, "--reynolds", r, "--direction", s, "--witness", witness])
+        argvs += [
+            ["check", "reynolds", "--algebra", g, "--operator", r],
+            ["check", "reynolds", "--algebra", g, "--operator", half],
+            ["check", "representation", "--algebra", g, "--representation", rho],
+            ["construct", "induced", "--algebra", g, "--operator", r],
+            ["construct", "ns-from-reynolds", "--algebra", g, "--operator", r],
+            ["construct", "ns-from-nijenhuis", "--algebra", g, "--operator", half],
+            ["cohomology", "--algebra", g, "--reynolds", r, "--max-degree", "1"],
+            ["deform", "--algebra", g, "--reynolds", r, "--direction", s],
+            ["deform", "--algebra", g, "--reynolds", r, "--direction", half],
+            ["operator", "to-derivation", "--algebra", g, "--operator", r],
+        ]
+    codes = set()
+    for argv in argvs:
+        report, code = run_command(argv + ["--json"])
+        codes.add(code)
+        assert_exact(report, seen)
+        assert_exact_report(report, seen)
+    assert codes == {0, 1, 2}
+
+    # the library objects behind those commands
+    for alg, op in pairs:
+        d, n = alg.dim, alg.arity
+        tup = increasing_tuples(d, n - 1)[-1]
+        direction = delta_r_operator(alg, op, wedge_single(tup, d))
+        dual_op = op + direction.scale(EPS)
+        ns = ns_from_reynolds(alg, op)
+        complex_ = ReynoldsComplex(alg, op)
+        cochain = Cochain(n, d, d, 1, [c % 3 - 1 for c in range(d * d)])
+        objects = [
+            op.solve([1] * d), op.nullspace_basis(), op.det(), dual_op, dual_op @ dual_op,
+            induced_bracket(alg, op), ns, subadjacent(ns), check_ns(ns),
+            complex_.induced, complex_.rho, complex_.delta_matrix(), complex_.differential_matrix(1),
+            complex_.dimensions(1), coboundary(complex_.induced, complex_.rho, cochain),
+            check_reynolds(alg, dual_op), check_reynolds(alg, op.scale(Fraction(1, 2))),
+            is_infinitesimal_deformation(alg, op, direction), is_trivial_deformation(alg, op, direction),
+            is_trivial_deformation(alg, op, Matrix.zero(d)),
+            check_equivalence_witness(alg, op, direction, Matrix.zero(d), {tup: Fraction(1, 2)}),
+            semidirect_product(alg, adjoint_representation(alg)), check_filippov(alg),
+            check_representation(alg, RepresentationTable(n, d, d, {
+                key: m.scale(Fraction(-1, 3)) for key, m in adjoint_representation(alg).tables.items()})),
+            deformed_algebra(alg, Matrix.identity(d).scale(3)),
+            ns_from_nijenhuis(alg, Matrix.identity(d).scale(Fraction(1, 2))),
+            parse_document(emit_document(ns_document(ns))),
+        ]
+        if op.det():
+            objects += [op.inverse(), reynolds_to_derivation(alg, op)]
+        assert_exact(objects, seen)
+    assert_exact(extend_by_functional(lie3, LinearFunctional([1, 0, 1])), seen)
+    assert {int, Fraction, "counterexample"} <= seen
