@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails
-mathematically, 2 on usage or input errors.
+mathematically, 2 on usage or input errors, 3 when a bug trap trips (two
+independent routes disagree, ``InternalConsistencyError``).
 """
 
 from __future__ import annotations
@@ -268,8 +269,9 @@ def run_command(argv):
             _run_deform(args, report)
         elif args.command == "operator":
             _run_operator(args, report)
-    except InternalConsistencyError:
-        raise
+    except InternalConsistencyError as exc:
+        report.notes.append(f"internal error: {exc}")
+        return report, 3
     except NLieError as exc:
         report.notes.append(f"error: {exc}")
         return report, 2

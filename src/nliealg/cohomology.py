@@ -138,7 +138,8 @@ def coboundary(algebra, rho, cochain):
     # block-level values, formed once per call
     units = [unit_vector(d, j) for j in range(d)]
     singles = {blk: wedge_single(blk, d) for blk in cochain.wedge}
-    moved = {blk: [ad(algebra, x).apply(u) for u in units] for blk, x in singles.items()}
+    adjoints = {blk: ad(algebra, x) for blk, x in singles.items()}
+    moved = {blk: [adj.apply(u) for u in units] for blk, adj in adjoints.items()}
     acts = {blk: rho.matrix_for_wedge(x) for blk, x in singles.items()}
     actions, mats = {}, {}
     out = []

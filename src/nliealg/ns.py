@@ -8,9 +8,13 @@ for structures passing the axioms it satisfies the Filippov identity
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .algebra import (
     NAryAlgebra,
     RepresentationTable,
+    _action,
     algebra_from_bracket_function,
     check_filippov,
     check_representation,
@@ -21,12 +25,12 @@ from .algebra import (
     unit_supports,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError
-from .linalg import Matrix, vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
+from .linalg import Matrix, combine, vec_add, vec_is_zero, vec_scale
 from .nijenhuis import check_nijenhuis, deformed_bracket_ladder
-from .reynolds import check_reynolds
+from .reynolds import basis_images, check_reynolds
 from .rings import rational, sign
 from .verdict import fail, ok
-from .wedge import check_indices, increasing_tuples
+from .wedge import canonicalize_wedge, check_indices, increasing_tuples
 
 
 class NSAlgebra:
@@ -68,12 +72,6 @@ class NSAlgebra:
             raise InputError(f"expected {self.arity} arguments, got {len(args)}")
         return expand(self._terms, args, self.dim, self.arity - 1)
 
-    def curly_supports(self, supports):
-        """``curly`` of arguments given by their supports."""
-        if len(supports) != self.arity:
-            raise InputError(f"expected {self.arity} arguments, got {len(supports)}")
-        return expand_supports(self._terms, supports, self.dim, self.arity - 1)
-
     def curly_matrix(self, prefix):
         """The operator x -> {e_prefix, x}."""
         return Matrix(zip(*(self.curly_on_basis(prefix, j) for j in range(1, self.dim + 1))))
@@ -108,11 +106,23 @@ def _angle_algebra(ns):
 
 
 def check_ns(ns):
-    """All three compatibility axioms on basis tuples.
+    """All three compatibility axioms on basis tuples, as identities
+    between tabulated operators in integer arithmetic.
 
-    Each basis curly value, angle value and square value is computed once;
-    the loops compare the same vectors, in the same order, as the plain
-    expansion of each axiom.
+    For each increasing (n-1)-tuple I the columns C_I e_j = {e_I, e_j},
+    S_I e_j = [e_I, e_j] and A_I e_j = <e_I, e_j> are tabulated once, with
+    the square and angle values on n-tuples, all multiplied by D, the lcm
+    of the denominators of the curly and square tables, so each is an
+    ``int``.  The axioms are homogeneous of degree 2 in (curly, square) and
+    the angle bracket is linear in them, so each scaled identity is D^2
+    times the original: the verdict is the same, and a reported lhs/rhs is
+    the scaled one divided by D^2.  Axiom 1 is the d x d matrix identity
+    C_x C_y - C_y C_x = C_{x o y} (o the fundamental action of the angle
+    bracket), axioms 2 and 3 are vector identities per tuple pair; each is
+    one ``combine`` of the difference of its sides.  Tuple pairs go in the
+    plain expansion's order, and a failing pair forms its sides apart
+    (column by column for axiom 1), so the counterexample is the plain
+    expansion's.
     """
     return _check_ns(ns, _angle_algebra(ns))
 
@@ -122,59 +132,104 @@ def _check_ns(ns, angle):
     n, d = ns.arity, ns.dim
     xs_range = increasing_tuples(d, n - 1)
     ys_range = increasing_tuples(d, n)
-    basis = range(1, d + 1)
-    curly, square = ns.curly_supports, ns.square.bracket_supports
-    # arguments go in as supports: basis vectors as one-term supports, and
-    # each tabulated value scanned once
-    curly_x = {(xs, j): support(ns.curly_on_basis(xs, j)) for xs in xs_range for j in basis}
-    angle_x = {xs: [support(angle.bracket_on_basis(xs + (y,))) for y in basis] for xs in xs_range}
-    # axiom 1: iterated curly brackets
+    curly = {prefix + (j,): vec for (prefix, j), vec in ns.curly_table.items()}
+    scale, (curly, square, angles) = _integer_scale([curly, ns.square.brackets, angle.brackets])
+    d2 = scale * scale
+    # supports of the columns of C_I, S_I and A_I, of F_I: v -> {v, e_I[:-1], e_I[-1]}
+    # (axiom 2), and of the square and angle values on n-tuples
+    c_cols, s_cols, a_cols, f_cols, a_dense = {}, {}, {}, {}, {}
     for xs in xs_range:
-        x_units = unit_supports(xs)
+        c_cols[xs] = [support(curly.get(xs + (j,), ())) for j in range(1, d + 1)]
+        s_cols[xs] = [support(_lookup(square, xs + (j,), (), d)) for j in range(1, d + 1)]
+        a_dense[xs] = [_lookup(angles, xs + (j,), (), d) for j in range(1, d + 1)]
+        a_cols[xs] = [support(vec) for vec in a_dense[xs]]
+        f_cols[xs] = [support(_lookup(curly, (k,) + xs[:-1], xs[-1:], d)) for k in range(1, d + 1)]
+    square_y = {ys: support(square.get(ys, ())) for ys in ys_range}
+    angle_y = {ys: support(angles.get(ys, ())) for ys in ys_range}
+    # axiom 1: C_x C_y = C_y C_x + sum_K w_K C_K with w = x o y.  Entry (i, j)
+    # of a d x d matrix sits at j*d + i.  C_x C_y is the sum over the entries
+    # c = (C_y)_kj of c times column k of C_x moved to column j.
+    flat = {xs: [(j * d + i, c) for j, col in enumerate(c_cols[xs]) for i, c in col] for xs in xs_range}
+    shifted = {xs: [[(j * d + i, c) for i, c in col] for j in range(d) for col in c_cols[xs]] for xs in xs_range}
+    entries = {xs: [(c, j * d + k) for j, col in enumerate(c_cols[xs]) for k, c in col] for xs in xs_range}
+
+    def product(x, y):
+        return [c for c, _ in entries[y]], [shifted[x][at] for _, at in entries[y]]
+
+    def angle_col(xk, y):
+        return a_dense[xk][y - 1]
+
+    for xs in xs_range:
         for ys in xs_range:
-            y_units = unit_supports(ys)
-            moved = [angle_x[xs][y - 1] for y in ys]
-            for yn in basis:
-                last = unit_supports((yn,))[0]
-                lhs = curly(x_units + [curly_x[ys, yn]])
-                rhs = curly(y_units + [curly_x[xs, yn]])
-                for j in range(n - 1):
-                    mixed = list(y_units)
-                    mixed[j] = moved[j]
-                    rhs = vec_add(rhs, curly(mixed + [last]))
-                if lhs != rhs:
-                    return fail("ns-axiom-1", {"x": xs, "y": ys, "last": yn}, lhs, rhs)
-    # axiom 2: angle bracket in the first curly slot
-    angle_y = {ys: support(angle.bracket_on_basis(ys)) for ys in ys_range}
-    first = {(y, xs): support(ns.curly_on_basis((y,) + xs[:-1], xs[-1])) for y in basis for xs in xs_range}
+            action = _action({xs: 1}, {ys: 1}, angle_col, d)
+            lhs = product(xs, ys)
+            coeffs, rows = product(ys, xs)
+            rhs = coeffs + list(action.values()), rows + [flat[key] for key in action]
+            if not _holds(lhs, rhs, d * d):
+                lhs, rhs = _unscaled(lhs, d * d, d2), _unscaled(rhs, d * d, d2)
+                j = next(j for j in range(d) if lhs[j * d:(j + 1) * d] != rhs[j * d:(j + 1) * d])
+                where = {"x": xs, "y": ys, "last": j + 1}
+                return fail("ns-axiom-1", where, lhs[j * d:(j + 1) * d], rhs[j * d:(j + 1) * d])
+    # (y with y_j removed, (-1)^{n-1-j}, 0-based y_j) for each slot j of an n-tuple
+    hats = {ys: [(ys[:j] + ys[j + 1:], sign(n - 1 - j), ys[j] - 1) for j in range(n)] for ys in ys_range}
+    # axiom 2: F_x <y> = sum_j (-1)^{n-1-j} C_{y^j} F_x e_{y_j}
     for ys in ys_range:
-        y_units = unit_supports(ys)
         for xs in xs_range:
-            x_units = unit_supports(xs)
-            lhs = curly([angle_y[ys]] + x_units)
-            rhs = vec_zero(d)
-            for j in range(n):
-                rest = y_units[:j] + y_units[j + 1:]
-                rhs = vec_add(rhs, vec_scale(sign(n - 1 - j), curly(rest + [first[ys[j], xs]])))
-            if lhs != rhs:
-                return fail("ns-axiom-2", {"x": xs, "y": ys}, lhs, rhs)
-    # axiom 3: square bracket against the angle bracket
-    square_y = {ys: support(ns.square.bracket_on_basis(ys)) for ys in ys_range}
-    square_x = {xs: [support(ns.square.bracket_on_basis(xs + (y,))) for y in basis] for xs in xs_range}
+            f = f_cols[xs]
+            lhs = [a for _, a in angle_y[ys]], [f[k] for k, _ in angle_y[ys]]
+            rhs = (
+                [s * g for _, s, y in hats[ys] for _, g in f[y]],
+                [c_cols[rest][m] for rest, _, y in hats[ys] for m, _ in f[y]],
+            )
+            if not _holds(lhs, rhs, d):
+                return fail("ns-axiom-2", {"x": xs, "y": ys}, _unscaled(lhs, d, d2), _unscaled(rhs, d, d2))
+    # axiom 3: S_x <y> = -C_x [y] + sum_j (-1)^{n-1-j} (S_{y^j} A_x e_{y_j} + C_{y^j} S_x e_{y_j})
     for xs in xs_range:
-        x_units = unit_supports(xs)
         for ys in ys_range:
-            y_units = unit_supports(ys)
-            lhs = square(x_units + [angle_y[ys]])
-            rhs = vec_sub(vec_zero(d), curly(x_units + [square_y[ys]]))
-            for j in range(n):
-                rest = y_units[:j] + y_units[j + 1:]
-                flip = sign(n - 1 - j)
-                rhs = vec_add(rhs, vec_scale(flip, square(rest + [angle_x[xs][ys[j] - 1]])))
-                rhs = vec_add(rhs, vec_scale(flip, curly(rest + [square_x[xs][ys[j] - 1]])))
-            if lhs != rhs:
-                return fail("ns-axiom-3", {"x": xs, "y": ys}, lhs, rhs)
+            lhs = [a for _, a in angle_y[ys]], [s_cols[xs][k] for k, _ in angle_y[ys]]
+            rhs = (
+                [-b for _, b in square_y[ys]]
+                + [s * a for _, s, y in hats[ys] for _, a in a_cols[xs][y]]
+                + [s * b for _, s, y in hats[ys] for _, b in s_cols[xs][y]],
+                [c_cols[xs][k] for k, _ in square_y[ys]]
+                + [s_cols[rest][m] for rest, _, y in hats[ys] for m, _ in a_cols[xs][y]]
+                + [c_cols[rest][m] for rest, _, y in hats[ys] for m, _ in s_cols[xs][y]],
+            )
+            if not _holds(lhs, rhs, d):
+                return fail("ns-axiom-3", {"x": xs, "y": ys}, _unscaled(lhs, d, d2), _unscaled(rhs, d, d2))
     return ok("ns-axioms")
+
+
+def _integer_scale(tables):
+    """(D, scaled): D is the lcm of the denominators of every entry of the
+    {key: vector} ``tables``, and ``scaled`` holds each table with its
+    vectors multiplied by D, as ``int`` entries."""
+    scale = lcm(1, *(x.denominator for table in tables for vec in table.values() for x in vec))
+    return scale, [
+        {key: [x.numerator * (scale // x.denominator) for x in vec] for key, vec in table.items()}
+        for table in tables
+    ]
+
+
+def _lookup(table, head, tail, d):
+    """table[sorted(head) + tail] times the sign of sorting ``head``; zero
+    when ``head`` repeats an index or the value is absent."""
+    canon = canonicalize_wedge(head, d)
+    vec = None if canon is None else table.get(canon[0] + tail)
+    if vec is None:
+        return [0] * d
+    return vec if canon[1] > 0 else [-c for c in vec]
+
+
+def _holds(lhs, rhs, width):
+    """Whether two sums of (coefficients, supports) terms agree: one
+    ``combine`` of their difference."""
+    return not any(combine(lhs[0] + [-c for c in rhs[0]], lhs[1] + rhs[1], width))
+
+
+def _unscaled(terms, width, d2):
+    """A sum of (coefficients, supports) terms, divided by ``d2``."""
+    return [rational(Fraction(x, d2)) for x in combine(*terms, width)]
 
 
 def subadjacent(ns):
@@ -208,26 +263,10 @@ def ns_from_reynolds(algebra, op):
     pre = check_reynolds(algebra, op)
     if not pre:
         raise PreconditionError("operator is not a Reynolds operator", pre.counterexample)
-    n, d = algebra.arity, algebra.dim
-    curly = {}
-    for prefix in increasing_tuples(d, n - 1):
-        r_units = [op.apply(u) for u in algebra.units(prefix)]
-        for j in range(1, d + 1):
-            vec = algebra.bracket(r_units + algebra.units((j,)))
-            if not vec_is_zero(vec):
-                curly[(prefix, j)] = vec
-    square = {}
-    for tup in increasing_tuples(d, n):
-        vec = algebra.bracket([op.apply(u) for u in algebra.units(tup)])
-        if not vec_is_zero(vec):
-            square[tup] = [-v for v in vec]
-    ns = NSAlgebra(n, d, curly, square, basis_names=algebra.basis_names)
-    verdict = check_ns(ns)
-    if not verdict:
-        raise InternalConsistencyError(
-            f"construction from a verified operator fails the axioms: {verdict.counterexample}"
-        )
-    return ns
+    units, images = basis_images(algebra, op)
+    tuples = increasing_tuples(algebra.dim, algebra.arity)
+    square = {tup: algebra.bracket([images[i - 1] for i in tup]) for tup in tuples}
+    return _ns_from_operator(algebra, units, images, square)
 
 
 def ns_from_nijenhuis(algebra, op):
@@ -235,21 +274,23 @@ def ns_from_nijenhuis(algebra, op):
     pre = check_nijenhuis(algebra, op)
     if not pre:
         raise PreconditionError("operator is not a Nijenhuis operator", pre.counterexample)
+    lower = deformed_bracket_ladder(algebra, op).level(algebra.arity - 2)
+    units, images = basis_images(algebra, op)
+    tuples = increasing_tuples(algebra.dim, algebra.arity)
+    square = {tup: op.apply(lower.bracket_on_basis(tup)) for tup in tuples}
+    return _ns_from_operator(algebra, units, images, square)
+
+
+def _ns_from_operator(algebra, units, images, square):
+    """{x_1..x_n} = [Tx_1,...,Tx_{n-1},x_n] from the images T e_j, with
+    minus ``square`` as the square bracket, re-checked against the axioms."""
     n, d = algebra.arity, algebra.dim
-    ladder = deformed_bracket_ladder(algebra, op)
-    lower = ladder.level(n - 2)
     curly = {}
     for prefix in increasing_tuples(d, n - 1):
-        n_units = [op.apply(u) for u in algebra.units(prefix)]
+        t_units = [images[i - 1] for i in prefix]
         for j in range(1, d + 1):
-            vec = algebra.bracket(n_units + algebra.units((j,)))
-            if not vec_is_zero(vec):
-                curly[(prefix, j)] = vec
-    square = {}
-    for tup in increasing_tuples(d, n):
-        vec = op.apply(lower.bracket_on_basis(tup))
-        if not vec_is_zero(vec):
-            square[tup] = [-v for v in vec]
+            curly[(prefix, j)] = algebra.bracket(t_units + [units[j - 1]])
+    square = {tup: [-v for v in vec] for tup, vec in square.items()}
     ns = NSAlgebra(n, d, curly, square, basis_names=algebra.basis_names)
     verdict = check_ns(ns)
     if not verdict:

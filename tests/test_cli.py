@@ -153,3 +153,28 @@ def test_parser_is_built_once_and_reused(tmp_path, trunc_xy, capsys):
         first.append(call(argv))
     assert shared == first
     assert [code for code, _, _ in first] == [0, 0, 2, 0]
+
+
+def test_tripped_bug_trap_exits_3_with_its_message(docs, monkeypatch, capsys):
+    """A construction whose own re-check fails is an internal error (exit 3),
+    reported in the notes, not a traceback with a mathematical FAIL's exit 1."""
+    from nliealg import ns
+    from nliealg.verdict import fail
+
+    def broken(structure):
+        return fail("ns-axiom-1", {"x": (1,), "y": (2,), "last": 3}, [1, 0, 0], [0, 0, 0])
+
+    monkeypatch.setattr(ns, "check_ns", broken)
+    argv = ["construct", "ns-from-reynolds", "--algebra", docs["g.json"], "--operator", docs["r1.json"]]
+    report, code = run_command(argv)
+    assert code == 3
+    assert report.verdicts == [] and report.artifacts == []
+    assert len(report.notes) == 1
+    assert report.notes[0].startswith("internal error: construction from a verified operator fails the axioms")
+    assert "'last': 3" in report.notes[0]
+    assert cli.main(argv + ["--json"]) == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out)["notes"] == report.notes and out.err == ""
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == report.notes[0] + "\n" and out.err == ""

@@ -178,6 +178,14 @@ def unimodular(d):
     return phi, phi.inverse()
 
 
+def off_by_half(ns):
+    """``ns`` with its first curly entry moved by 1/2: a failing structure
+    with a Fraction entry."""
+    curly = {key: list(vec) for key, vec in ns.curly_table.items()}
+    curly.setdefault((tuple(range(1, ns.arity)), 1), [0] * ns.dim)[0] += Fraction(1, 2)
+    return NSAlgebra(ns.arity, ns.dim, curly, ns.square.brackets)
+
+
 def bench_like_pairs(lie3, family1, family2):
     """Algebras with Reynolds operators as the benchmark draws them: A_4
     with an ad-series operator and 2.Id, lie3 with its two families, and
@@ -247,6 +255,8 @@ def test_cli_reports_and_library_objects_hold_no_float(docs, tmp_path, lie3, fam
         s = write(f"dir{k}.json", operator_document(delta_r_operator(alg, op, wedge_single(tup, d))))
         doubled = {key: m.scale(2) for key, m in adjoint_representation(alg).tables.items()}
         rho = write(f"rep{k}.json", representation_document(RepresentationTable(n, d, d, doubled)))
+        # a failing check ns reports its scaled integer sides divided back by D^2
+        bad_ns = write(f"ns{k}.json", ns_document(off_by_half(ns_from_reynolds(alg, op))))
         for c in ("1", "-1/2"):
             witness = write(f"x{k}{c[0]}.json", {"kind": "wedge_element", "dim": d, "arity": n,
                                                   "terms": [{"on": list(tup), "coeff": c}]})
@@ -255,6 +265,7 @@ def test_cli_reports_and_library_objects_hold_no_float(docs, tmp_path, lie3, fam
             ["check", "reynolds", "--algebra", g, "--operator", r],
             ["check", "reynolds", "--algebra", g, "--operator", half],
             ["check", "representation", "--algebra", g, "--representation", rho],
+            ["check", "ns", "--algebra", bad_ns],
             ["construct", "induced", "--algebra", g, "--operator", r],
             ["construct", "ns-from-reynolds", "--algebra", g, "--operator", r],
             ["construct", "ns-from-nijenhuis", "--algebra", g, "--operator", half],
@@ -282,7 +293,7 @@ def test_cli_reports_and_library_objects_hold_no_float(docs, tmp_path, lie3, fam
         cochain = Cochain(n, d, d, 1, [c % 3 - 1 for c in range(d * d)])
         objects = [
             op.solve([1] * d), op.nullspace_basis(), op.det(), dual_op, dual_op @ dual_op,
-            induced_bracket(alg, op), ns, subadjacent(ns), check_ns(ns),
+            induced_bracket(alg, op), ns, subadjacent(ns), check_ns(ns), check_ns(off_by_half(ns)),
             complex_.induced, complex_.rho, complex_.delta_matrix(), complex_.differential_matrix(1),
             complex_.dimensions(1), coboundary(complex_.induced, complex_.rho, cochain),
             check_reynolds(alg, dual_op), check_reynolds(alg, op.scale(Fraction(1, 2))),

@@ -1,25 +1,27 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
-from nliealg.algebra import check_filippov
+from nliealg.algebra import ad, check_filippov, wedge_single
 from nliealg.errors import InputError, PreconditionError
 from nliealg.linalg import Matrix
 from nliealg.nijenhuis import deformed_algebra
 from nliealg.ns import (
     NSAlgebra,
+    _integer_scale,
     angle_on_basis,
     check_ns,
     ns_from_nijenhuis,
     ns_from_reynolds,
     subadjacent,
 )
-from nliealg.reynolds import induced_bracket
+from nliealg.reynolds import derivation_to_reynolds, induced_bracket
 from nliealg.wedge import increasing_tuples
 
-from conftest import naive_check_ns, naive_expansion, rand_fraction, sparse_args, stored_curly
+from conftest import naive_check_ns, naive_expansion, rand_fraction, simple_n_lie, sparse_args, stored_curly
 
 
 def test_zero_curly_reduces_to_filippov(lie3, three_lie4):
@@ -64,9 +66,7 @@ def test_curly_matches_naive_expansion(dual, lie3, family1, three_lie4):
             assert ns.curly_on_basis(picks[:-1], picks[-1]) == stored(picks)
         for _ in range(8):
             args = sparse_args(rng, ns.arity, ns.dim, dual)
-            expected = naive_expansion(stored, args, ns.dim)
-            assert ns.curly(args) == expected
-            assert ns.curly_supports([[(i, c) for i, c in enumerate(v) if c] for v in args]) == expected
+            assert ns.curly(args) == naive_expansion(stored, args, ns.dim)
 
 
 def test_curly_rejects_out_of_range_indices():
@@ -143,8 +143,9 @@ def test_random_curly_perturbation_usually_fails(three_lie4, rng):
     assert failures >= 8
 
 
-def _perturbed(ns, rng):
-    """``ns`` with one random entry of its curly or square table moved by +-1."""
+def _perturbed(ns, rng, steps=(-1, 1)):
+    """``ns`` with one random entry of its curly or square table moved by
+    one of ``steps``."""
     curly = {key: list(vec) for key, vec in ns.curly_table.items()}
     square = {key: list(vec) for key, vec in ns.square.brackets.items()}
     n, d = ns.arity, ns.dim
@@ -155,7 +156,7 @@ def _perturbed(ns, rng):
         table = square
         key = rng.choice(increasing_tuples(d, n))
     vec = table.setdefault(key, [Fraction(0)] * d)
-    vec[rng.randrange(d)] += rng.choice((-1, 1))
+    vec[rng.randrange(d)] += rng.choice(steps)
     return NSAlgebra(n, d, curly, square)
 
 
@@ -167,7 +168,6 @@ def _omega_curly(omega):
 
 
 def test_check_ns_matches_naive_oracle(lie3, family1, family2, three_lie4):
-    from nliealg.reynolds import derivation_to_reynolds
     rng = random.Random(41)
     deriv = Matrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
     induced = [
@@ -196,6 +196,55 @@ def test_check_ns_matches_naive_oracle(lie3, family1, family2, three_lie4):
         assert result == naive_check_ns(ns)
         names.append(result.check_name)
     assert {"ns-axioms", "ns-axiom-1", "ns-axiom-2", "ns-axiom-3"} <= set(names)
+    # failing structures with Fraction entries: the integer check scales by
+    # D > 1 and divides its report by D^2, so the counterexamples carry real
+    # denominators; every field of the result must match the oracle
+    steps = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3))
+    fractional = []
+    for n in (2, 3, 4):
+        ns = _ad_series_ns(n)
+        fractional += [_perturbed(ns, rng, steps) for _ in range(4)]
+        # with the curly bracket dropped, only the Jacobi identity of the square bracket is left (axiom 3)
+        fractional.append(NSAlgebra(n, ns.dim, {}, ns.square.brackets))
+    # axiom 2 is axiom 1 again at arity 2, and perturbed ad-series structures fail axiom 1 first
+    fractional += [_omega_curly({key: rng.choice(steps) for key in pairs}) for _ in range(3)]
+    failures = set()
+    for ns in fractional:
+        result = check_ns(ns)
+        assert result == naive_check_ns(ns)
+        assert not result and _denominator(ns) > 1
+        failures.add((ns.arity, result.check_name, result.counterexample["where"].get("last", 0) > 1))
+        reported = result.counterexample["lhs"] + result.counterexample["rhs"]
+        assert any(x.denominator > 1 for x in reported)
+    assert {n for n, _, _ in failures} == {2, 3, 4}
+    assert {name for _, name, _ in failures} == {"ns-axiom-1", "ns-axiom-2", "ns-axiom-3"}
+    # an axiom-1 failure in a column other than the first
+    assert any(name == "ns-axiom-1" and later for _, name, later in failures)
+
+
+def _ad_series_ns(n):
+    """The NS structure of the simple n-Lie algebra A_{n+1} from the Reynolds
+    operator (ad(e_2 ^ ... ^ e_n) + Id/(n-1))^-1, whose entries are Fractions."""
+    alg = simple_n_lie(n)
+    deriv = ad(alg, wedge_single(tuple(range(2, n + 1)), alg.dim))
+    return ns_from_reynolds(alg, derivation_to_reynolds(alg, deriv))
+
+
+def _denominator(ns):
+    """The lcm of the denominators of the curly and square tables."""
+    tables = (ns.curly_table, ns.square.brackets)
+    return lcm(*(Fraction(x).denominator for table in tables for vec in table.values() for x in vec))
+
+
+def test_integer_scale_clears_every_denominator():
+    tables = [{(1, 2): [Fraction(1, 2), 0, Fraction(-2, 3)]}, {(3,): [5, Fraction(1, 4), 0]}, {}]
+    scale, scaled = _integer_scale(tables)
+    assert scale == 12
+    assert scaled == [{(1, 2): [6, 0, -8]}, {(3,): [60, 3, 0]}, {}]
+    assert all(type(x) is int for table in scaled for vec in table.values() for x in vec)
+    # integral tables are left as they are, with D = 1
+    assert _integer_scale([{(1,): [2, -3]}]) == (1, [{(1,): [2, -3]}])
+    assert _integer_scale([]) == (1, [])
 
 
 def test_subadjacent_tabulates_the_angle_bracket_once(lie3, family1, monkeypatch):
