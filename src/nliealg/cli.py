@@ -210,16 +210,16 @@ def _run_deform(args, report):
     report.add(cocycle)
     if not cocycle:
         return
+    # the direction has just passed the cocycle test, and the zero
+    # direction is a cocycle of every Reynolds operator
     if args.witness:
         witness = _load(args.witness, "wedge_element")
-        # the direction has just passed the cocycle test, and the zero
-        # direction is a cocycle of every Reynolds operator
         verdict = deformation._witness_verdict(
             algebra, op, direction, Matrix.zero(algebra.dim), witness
         )
         report.add(verdict)
         return
-    result = deformation.is_trivial_deformation(algebra, op, direction)
+    result = deformation._triviality(algebra, op, direction)
     passed = result.status == "trivial"
     report.add(CheckResult("deformation-trivial", passed))
     report.notes.append(f"status: {result.status}")

@@ -5,23 +5,32 @@ size n-1 plus one plain vector slot, with values in the module V.  They
 are stored as flat coefficient tuples in lexicographic basis order
 (I_1, ..., I_{m-1}, j, v).  Degree 0 of the Reynolds complex is
 Lambda^{n-1}(g) itself.
+
+``ReynoldsComplex.dimensions`` runs in ``int``: for D != 0, (D [.]_R, D rho_R)
+is again an n-Lie algebra with a representation (each identity involved is
+homogeneous of degree 2 in the two), whose coboundary is D d_m.  With D the
+lcm of their denominators, every d_m is assembled, cross-checked, multiplied
+and ranked on integers.  The public matrices, ``induced`` and ``rho`` stay exact.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from .algebra import (
+    NAryAlgebra,
     RepresentationTable,
     ad,
     fundamental_action,
     support,
+    unit_supports,
     wedge_single,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError
-from .linalg import Matrix, SparseMatrix, unit_vector, vec_add, vec_scale, vec_zero
-from .reynolds import check_reynolds, tabulate_induced_bracket
-from .rings import QQ_ONE, QQ_ZERO, sign
+from .linalg import Matrix, SparseMatrix, integer_scale, unit_vector, vec_add, vec_scale, vec_sub, vec_zero
+from .reynolds import basis_images, check_reynolds, induced_bracket
+from .rings import QQ_ONE, QQ_ZERO, rational, sign
 from .verdict import fail, ok
 from .wedge import WedgeBasis
 
@@ -193,24 +202,23 @@ def reynolds_representation(algebra, op):
 
 
 def tabulate_reynolds_representation(algebra, op):
-    """rho_R of an operator the caller has already verified."""
+    """rho_R of an operator the caller has already verified, from the basis
+    images' supports with R applied once per column: rho_R(e_I) e_j =
+    [Re_I, e_j] + R([Re_I, e_j] - sum_i [Re_I with e_{I_i} in slot i, e_j])."""
     n, d = algebra.arity, algebra.dim
+    images = [support(v) for v in basis_images(algebra, op)[1]]
     tables = {}
     for tup in WedgeBasis(d, n - 1):
-        units = algebra.units(tup)
-        r_units = [op.apply(u) for u in units]
+        top = [images[i - 1] for i in tup]
+        mixed = [top[:i] + unit_supports(tup[i:i + 1]) + top[i + 1:] for i in range(n - 1)]
         cols = []
-        for j in range(1, d + 1):
-            x = vec_zero(d)
-            x[j - 1] = QQ_ONE
-            val = algebra.bracket(r_units + [x])
-            val = vec_add(val, op.apply(val))
-            for i in range(n - 1):
-                args = list(r_units)
-                args[i] = units[i]
-                val = [a - b for a, b in zip(val, op.apply(algebra.bracket(args + [x])))]
-            cols.append(val)
-        mat = Matrix([[cols[j][i] for j in range(d)] for i in range(d)])
+        for last in unit_supports(range(1, d + 1)):
+            val = algebra.bracket_supports(top + [last])
+            rest = val
+            for args in mixed:
+                rest = vec_sub(rest, algebra.bracket_supports(args + [last]))
+            cols.append(vec_add(val, op.apply(rest)))
+        mat = Matrix(zip(*cols))
         if not mat.is_zero():
             tables[tup] = mat
     return RepresentationTable(n, d, d, tables)
@@ -222,23 +230,24 @@ def delta_r_operator(algebra, op, x_wedge):
     return op @ adx - adx @ op - op @ adx @ op
 
 
-def delta_r_cochain(algebra, op, x_wedge):
-    return Cochain.from_operator(algebra.arity, delta_r_operator(algebra, op, x_wedge))
-
-
 class ReynoldsComplex:
     """The cochain complex of a verified Reynolds operator, with coefficients
     in the algebra itself: delta_R at level 0, d_R above."""
 
     def __init__(self, algebra, op):
-        pre = check_reynolds(algebra, op)
-        if not pre:
-            raise PreconditionError("operator is not a Reynolds operator", pre.counterexample)
+        op._require_rational("the Reynolds complex")
         self.base = algebra
         self.op = op
-        self.induced = tabulate_induced_bracket(algebra, op)
+        self.induced = induced_bracket(algebra, op)
         self.rho = tabulate_reynolds_representation(algebra, op)
         self.wedge = WedgeBasis(algebra.dim, algebra.arity - 1)
+        n, d = algebra.arity, algebra.dim
+        flat = {key: [c for row in mat.entries for c in row] for key, mat in self.rho.tables.items()}
+        self._scale, (brackets, flat) = integer_scale([self.induced.brackets, flat])
+        self._pair = (self.induced, self.rho) if self._scale == 1 else (
+            NAryAlgebra(n, d, brackets),
+            RepresentationTable(n, d, d, {key: [v[i:i + d] for i in range(0, d * d, d)] for key, v in flat.items()}),
+        )
 
     def cochain_dim(self, m):
         d = self.base.dim
@@ -252,33 +261,51 @@ class ReynoldsComplex:
 
     def delta_matrix(self):
         """Sparse matrix of delta_R: C^0 -> C^1 in the flattened bases."""
-        d = self.base.dim
-        rows = [{} for _ in range(d * d)]
-        for c, tup in enumerate(self.wedge):
-            for r, a in enumerate(delta_r_cochain(self.base, self.op, wedge_single(tup, d)).data):
-                rows[r][c] = a
-        return SparseMatrix(d * d, len(self.wedge), rows)
+        return self.differential_matrix(0)
 
     def differential_matrix(self, m, size_guard=DEFAULT_SIZE_GUARD):
-        """Sparse matrix of the level-m differential (m >= 0)."""
+        """Sparse matrix of the level-m differential (m >= 0), exact: the
+        integer matrix of ``dimensions`` divided by its scale."""
+        scale, mat = self._integer_differential(m, size_guard)
+        rows = [{j: rational(Fraction(x, scale)) for j, x in row.items()} for row in mat.row_maps]
+        return SparseMatrix(mat.rows, mat.cols, rows)
+
+    def _integer_differential(self, m, size_guard):
+        """(D, D d_m): an integer D > 0 and a matrix of ints."""
         if m == 0:
-            return self.delta_matrix()
+            return self._delta()
         src = self.cochain_dim(m)
         dst = self.cochain_dim(m + 1)
         if src * dst > size_guard:
             raise SizeGuardError(
                 f"differential at degree {m} needs a {dst}x{src} matrix, over the guard {size_guard}"
             )
-        return self._assemble(m)
+        return self._scale, self._assemble(m)
+
+    def _delta(self):
+        """(D, D delta_R), one D for the whole matrix (a scale per row would
+        break d_1 d_0 = 0), from delta_R(X) e_j = R([X,e_j] - [X,Re_j]) - [X,Re_j]."""
+        alg, d = self.base, self.base.dim
+        images = [support(v) for v in basis_images(alg, self.op)[1]]
+        cols = {}
+        for c, tup in enumerate(self.wedge):
+            cols[c] = []
+            for j, image in enumerate(images):
+                moved = alg.bracket_supports(unit_supports(tup) + [image])
+                rest = vec_sub(alg.bracket_on_basis(tup + (j + 1,)), moved)
+                cols[c] += vec_sub(self.op.apply(rest), moved)
+        scale, (cols,) = integer_scale([cols])
+        rows = [{c: col[r] for c, col in cols.items()} for r in range(d * d)]
+        return scale, SparseMatrix(d * d, len(cols), rows)
 
     def _assemble(self, m):
-        """d_R: C^m -> C^{m+1} (m >= 1) in one walk over the output basis.
+        """D d_m: C^m -> C^{m+1} (m >= 1) from the integer pair, in one walk over the output basis.
 
         Each term of the formula in ``coboundary``, evaluated at output
         (X_1, ..., X_m, e_j), reads the input cochain at a few basis slots;
         every such read becomes one (row, column, coefficient) entry.
         """
-        alg, rho = self.induced, self.rho
+        alg, rho = self._pair
         n, d = alg.arity, alg.dim
         tuples = self.wedge.tuples
         b = len(tuples)
@@ -331,12 +358,12 @@ class ReynoldsComplex:
     def dimensions(self, m_max, size_guard=DEFAULT_SIZE_GUARD):
         """[(m, dim Z^m, dim B^m, dim H^m)] for m = 0..m_max.
 
-        H^0 = ker(delta_R).  Each assembled d_m (m >= 1) is checked against
-        ``coboundary`` on one dense cochain, and d_m d_{m-1} = 0 is asserted.
+        H^0 = ker(delta_R).  Runs on the integer D d_m: each (m >= 1) is checked
+        against ``coboundary`` on one dense cochain, and d_m d_{m-1} = 0 is asserted.
         """
         if m_max < 0:
             raise InputError("m_max must be >= 0")
-        mats = [self.differential_matrix(m, size_guard) for m in range(m_max + 1)]
+        mats = [self._integer_differential(m, size_guard)[1] for m in range(m_max + 1)]
         out = []
         prev_rank = 0
         for m, dm in enumerate(mats):
@@ -354,10 +381,10 @@ class ReynoldsComplex:
         return out
 
     def _cross_check(self, m, dm):
-        """The assembled d_m against ``coboundary`` on one dense cochain."""
+        """The assembled D d_m against ``coboundary`` on the integer pair."""
         n, d = self.base.arity, self.base.dim
         f = Cochain(n, d, d, m, [1 + c % 7 for c in range(dm.cols)])
-        if dm.apply(f.data) != list(self.d_r(f).data):
+        if dm.apply(f.data) != list(coboundary(*self._pair, f).data):
             raise InternalConsistencyError(
                 f"assembled differential at degree {m} disagrees with the coboundary formula"
             )

@@ -22,7 +22,7 @@ from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .reynolds import check_reynolds, induced_bracket
 from .rings import rational, sign
-from .verdict import fail, ok
+from .verdict import fail, jsonable, ok
 from .wedge import increasing_tuples
 
 
@@ -122,7 +122,7 @@ def reynolds_lift_criterion(algebra, op, functional):
     lifted = check_reynolds(extend_by_functional(algebra, functional), op)
     if not lifted:
         raise InternalConsistencyError(
-            f"criterion holds but the lifted check fails: {lifted.counterexample}"
+            f"criterion holds but the lifted check fails: {jsonable(lifted.counterexample)}"
         )
     return ok("lift-criterion")
 

@@ -117,15 +117,16 @@ class TrivialityResult:
 
 
 def is_trivial_deformation(algebra, op, direction):
-    """Solve direction = delta_R(X) and verify the induced pair.
-
-    The pair is checked without re-running the cocycle test: the
-    direction has just passed it, and the zero direction is a cocycle of
-    every Reynolds operator.
-    """
+    """Solve direction = delta_R(X) and verify the induced pair."""
     res = is_infinitesimal_deformation(algebra, op, direction)
     if not res:
         raise PreconditionError("direction is not a cocycle", res.counterexample)
+    return _triviality(algebra, op, direction)
+
+
+def _triviality(algebra, op, direction):
+    """``is_trivial_deformation`` for a direction already verified as a
+    cocycle of a verified Reynolds operator (as the zero direction is)."""
     d = algebra.dim
     basis = increasing_tuples(d, algebra.arity - 1)
     cols = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import ALTERNATING, SYMMETRIC, NAryAlgebra, RepresentationTable
 from .constructions import LinearFunctional
@@ -19,6 +18,7 @@ from .errors import InputError
 from .linalg import Matrix
 from .ns import NSAlgebra
 from .rings import format_rational, parse_rational, rational
+from .verdict import jsonable
 
 KINDS = (
     "n_lie_algebra",
@@ -292,18 +292,6 @@ def emit_document(doc):
 # -- reports -------------------------------------------------------------
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if hasattr(value, "a") and hasattr(value, "b"):
-        return {"a": format_rational(value.a), "b": format_rational(value.b)}
-    return value
-
-
 @dataclass
 class Report:
     """Outcome of one CLI invocation: the command echo, check verdicts in
@@ -328,7 +316,7 @@ class Report:
                     "check": v.check_name,
                     "passed": v.passed,
                     **(
-                        {"counterexample": _jsonable(v.counterexample)}
+                        {"counterexample": jsonable(v.counterexample)}
                         if v.counterexample is not None
                         else {}
                     ),
@@ -347,7 +335,7 @@ class Report:
             if v.passed:
                 lines.append(f"PASS {v.check_name}")
             else:
-                lines.append(f"FAIL {v.check_name}: {_jsonable(v.counterexample)}")
+                lines.append(f"FAIL {v.check_name}: {jsonable(v.counterexample)}")
         for note in self.notes:
             lines.append(note)
         for art in self.artifacts:

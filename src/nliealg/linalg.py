@@ -309,6 +309,17 @@ def combine(coeffs, sparse_rows, width):
     return acc
 
 
+def integer_scale(tables):
+    """(D, scaled): D is the lcm of the denominators of every entry of the
+    {key: vector} ``tables``, and ``scaled`` holds each table with its
+    vectors multiplied by D, as ``int`` entries."""
+    scale = lcm(1, *(x.denominator for table in tables for vec in table.values() for x in vec))
+    return scale, [
+        {key: [x.numerator * (scale // x.denominator) for x in vec] for key, vec in table.items()}
+        for table in tables
+    ]
+
+
 def vec_add(u, v):
     return [plus(a, b) for a, b in zip(u, v)]
 

@@ -9,7 +9,6 @@ for structures passing the axioms it satisfies the Filippov identity
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .algebra import (
     NAryAlgebra,
@@ -25,11 +24,11 @@ from .algebra import (
     unit_supports,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError
-from .linalg import Matrix, combine, vec_add, vec_is_zero, vec_scale
+from .linalg import Matrix, combine, integer_scale, vec_add, vec_is_zero, vec_scale
 from .nijenhuis import check_nijenhuis, deformed_bracket_ladder
-from .reynolds import basis_images, check_reynolds
+from .reynolds import basis_images, verified_values
 from .rings import rational, sign
-from .verdict import fail, ok
+from .verdict import fail, jsonable, ok
 from .wedge import canonicalize_wedge, check_indices, increasing_tuples
 
 
@@ -133,7 +132,7 @@ def _check_ns(ns, angle):
     xs_range = increasing_tuples(d, n - 1)
     ys_range = increasing_tuples(d, n)
     curly = {prefix + (j,): vec for (prefix, j), vec in ns.curly_table.items()}
-    scale, (curly, square, angles) = _integer_scale([curly, ns.square.brackets, angle.brackets])
+    scale, (curly, square, angles) = integer_scale([curly, ns.square.brackets, angle.brackets])
     d2 = scale * scale
     # supports of the columns of C_I, S_I and A_I, of F_I: v -> {v, e_I[:-1], e_I[-1]}
     # (axiom 2), and of the square and angle values on n-tuples
@@ -200,17 +199,6 @@ def _check_ns(ns, angle):
     return ok("ns-axioms")
 
 
-def _integer_scale(tables):
-    """(D, scaled): D is the lcm of the denominators of every entry of the
-    {key: vector} ``tables``, and ``scaled`` holds each table with its
-    vectors multiplied by D, as ``int`` entries."""
-    scale = lcm(1, *(x.denominator for table in tables for vec in table.values() for x in vec))
-    return scale, [
-        {key: [x.numerator * (scale // x.denominator) for x in vec] for key, vec in table.items()}
-        for table in tables
-    ]
-
-
 def _lookup(table, head, tail, d):
     """table[sorted(head) + tail] times the sign of sorting ``head``; zero
     when ``head`` repeats an index or the value is absent."""
@@ -242,7 +230,7 @@ def subadjacent(ns):
     fil = check_filippov(algebra)
     if not fil:
         raise InternalConsistencyError(
-            f"axioms passed but the angle bracket is not Filippov: {fil.counterexample}"
+            f"axioms passed but the angle bracket is not Filippov: {jsonable(fil.counterexample)}"
         )
     tables = {}
     for tup in increasing_tuples(d, n - 1):
@@ -253,20 +241,15 @@ def subadjacent(ns):
     rep_check = check_representation(algebra, rep)
     if not rep_check:
         raise InternalConsistencyError(
-            f"axioms passed but the curly action is not a representation: {rep_check.counterexample}"
+            f"axioms passed but the curly action is not a representation: {jsonable(rep_check.counterexample)}"
         )
     return algebra, rep
 
 
 def ns_from_reynolds(algebra, op):
     """{x_1..x_n} = [Rx_1,...,Rx_{n-1},x_n]; square = -[Rx_1,...,Rx_n]."""
-    pre = check_reynolds(algebra, op)
-    if not pre:
-        raise PreconditionError("operator is not a Reynolds operator", pre.counterexample)
-    units, images = basis_images(algebra, op)
-    tuples = increasing_tuples(algebra.dim, algebra.arity)
-    square = {tup: algebra.bracket([images[i - 1] for i in tup]) for tup in tuples}
-    return _ns_from_operator(algebra, units, images, square)
+    square = {tup: lhs for tup, (lhs, _) in verified_values(algebra, op).items()}
+    return _ns_from_operator(algebra, *basis_images(algebra, op), square)
 
 
 def ns_from_nijenhuis(algebra, op):
@@ -295,6 +278,6 @@ def _ns_from_operator(algebra, units, images, square):
     verdict = check_ns(ns)
     if not verdict:
         raise InternalConsistencyError(
-            f"construction from a verified operator fails the axioms: {verdict.counterexample}"
+            f"construction from a verified operator fails the axioms: {jsonable(verdict.counterexample)}"
         )
     return ns

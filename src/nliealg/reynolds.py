@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import NAryAlgebra, algebra_from_bracket_function, is_derivation
+from .algebra import NAryAlgebra, is_derivation
 from .errors import InputError, NotInvertibleError, PreconditionError
 from .linalg import Matrix, vec_add, vec_zero
 from .rings import sign
@@ -43,39 +43,43 @@ def basis_images(algebra, op):
     return units, [op.apply(u) for u in units]
 
 
-def check_reynolds(algebra, op):
-    """Verify the Reynolds identity on all increasing basis n-tuples."""
+def reynolds_values(algebra, op):
+    """(verdict, values) from one walk over the increasing basis n-tuples:
+    ``values`` maps each tuple that holds to ([Rx_1,...,Rx_n], [x_1,...,x_n]_R),
+    the left-hand side and the induced value (R of it is the right-hand
+    side); the walk stops at the first failing tuple."""
     if op.rows != algebra.dim or op.cols != algebra.dim:
         raise InputError("operator dimension mismatch")
     units, images = basis_images(algebra, op)
+    values = {}
     for tup in increasing_tuples(algebra.dim, algebra.arity):
         r_units = [images[i - 1] for i in tup]
         lhs = algebra.bracket(r_units)
-        rhs = op.apply(induced_value(algebra, [units[i - 1] for i in tup], r_units, lhs))
+        value = induced_value(algebra, [units[i - 1] for i in tup], r_units, lhs)
+        rhs = op.apply(value)
         if lhs != rhs:
-            return fail("reynolds", {"tuple": tup}, lhs, rhs)
-    return ok("reynolds")
+            return fail("reynolds", {"tuple": tup}, lhs, rhs), values
+        values[tup] = lhs, value
+    return ok("reynolds"), values
+
+
+def check_reynolds(algebra, op):
+    """Verify the Reynolds identity on all increasing basis n-tuples."""
+    return reynolds_values(algebra, op)[0]
+
+
+def verified_values(algebra, op):
+    """``reynolds_values`` of a Reynolds operator, else PreconditionError."""
+    verdict, values = reynolds_values(algebra, op)
+    if not verdict:
+        raise PreconditionError("operator is not a Reynolds operator", verdict.counterexample)
+    return values
 
 
 def induced_bracket(algebra, op):
     """The bracket [x_1,...,x_n]_R making R a homomorphism onto the original."""
-    pre = check_reynolds(algebra, op)
-    if not pre:
-        raise PreconditionError("operator is not a Reynolds operator", pre.counterexample)
-    return tabulate_induced_bracket(algebra, op)
-
-
-def tabulate_induced_bracket(algebra, op):
-    """The induced bracket of an operator the caller has already verified."""
-    units, images = basis_images(algebra, op)
-
-    def value(tup):
-        r_units = [images[i - 1] for i in tup]
-        return induced_value(algebra, [units[i - 1] for i in tup], r_units, algebra.bracket(r_units))
-
-    return algebra_from_bracket_function(
-        algebra.arity, algebra.dim, value, basis_names=algebra.basis_names
-    )
+    brackets = {tup: value for tup, (_, value) in verified_values(algebra, op).items()}
+    return NAryAlgebra(algebra.arity, algebra.dim, brackets, basis_names=algebra.basis_names)
 
 
 def check_hom_pair(algebra, r_from, r_to, phi, psi):

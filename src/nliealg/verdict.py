@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .rings import format_rational
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -36,3 +38,16 @@ def _reported(vec):
     """A compared vector with its integral entries as ``Fraction``, so a
     report writes every scalar as a string, like the other rationals."""
     return [Fraction(x) if type(x) is int else x for x in vec]
+
+
+def jsonable(value):
+    """A report value with its exact scalars written as reports write them."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if hasattr(value, "a") and hasattr(value, "b"):
+        return {"a": format_rational(value.a), "b": format_rational(value.b)}
+    return value

@@ -25,7 +25,7 @@ def pytest_terminal_summary(terminalreporter):
         status = "PASS" if _criterion_results[number] else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {number}: {status}")
 
-from nliealg.algebra import ALTERNATING, NAryAlgebra, ad, fundamental_action, wedge_single
+from nliealg.algebra import ALTERNATING, NAryAlgebra, RepresentationTable, ad, fundamental_action, wedge_single
 from nliealg.cohomology import Cochain, delta_r_operator
 from nliealg.constructions import LinearFunctional, comm_assoc_algebra
 from nliealg.documents import (
@@ -401,6 +401,45 @@ def naive_coboundary(algebra, rho, cochain):
                 vec = vec_add(vec, vec_scale(Fraction((-1) ** (n + m - i + 1)), term))
             out.extend(vec)
     return Cochain(n, d, dv, m + 1, out)
+
+
+def naive_reynolds_representation(algebra, op):
+    """rho_R with R applied n times per column to brackets of dense
+    vectors; the reference for ``cohomology.tabulate_reynolds_representation``."""
+    n, d = algebra.arity, algebra.dim
+    tables = {}
+    for tup in increasing_tuples(d, n - 1):
+        units = algebra.units(tup)
+        r_units = [op.apply(u) for u in units]
+        cols = []
+        for j in range(1, d + 1):
+            x = vec_zero(d)
+            x[j - 1] = Fraction(1)
+            val = algebra.bracket(r_units + [x])
+            val = vec_add(val, op.apply(val))
+            for i in range(n - 1):
+                args = list(r_units)
+                args[i] = units[i]
+                val = [a - b for a, b in zip(val, op.apply(algebra.bracket(args + [x])))]
+            cols.append(val)
+        mat = Matrix([[cols[j][i] for j in range(d)] for i in range(d)])
+        if not mat.is_zero():
+            tables[tup] = mat
+    return RepresentationTable(n, d, d, tables)
+
+
+def naive_delta_r_cochain(algebra, op, x_wedge):
+    """delta_R(X) as a degree-1 cochain, through the dense operator."""
+    return Cochain.from_operator(algebra.arity, delta_r_operator(algebra, op, x_wedge))
+
+
+def naive_delta_matrix(algebra, op):
+    """delta_R: C^0 -> C^1 column by column from ``naive_delta_r_cochain``;
+    the reference for ``ReynoldsComplex.delta_matrix``."""
+    d = algebra.dim
+    cols = [naive_delta_r_cochain(algebra, op, wedge_single(tup, d)).data
+            for tup in increasing_tuples(d, algebra.arity - 1)]
+    return Matrix([list(row) for row in zip(*cols)])
 
 
 def naive_t_linear_check(algebra, op, direction):

@@ -172,6 +172,8 @@ def test_tripped_bug_trap_exits_3_with_its_message(docs, monkeypatch, capsys):
     assert len(report.notes) == 1
     assert report.notes[0].startswith("internal error: construction from a verified operator fails the axioms")
     assert "'last': 3" in report.notes[0]
+    # scalars read as the report writes them, not as Python reprs
+    assert "'lhs': ['1', '0', '0']" in report.notes[0] and "Fraction" not in report.notes[0]
     assert cli.main(argv + ["--json"]) == 3
     out = capsys.readouterr()
     assert json.loads(out.out)["notes"] == report.notes and out.err == ""

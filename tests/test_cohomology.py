@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from nliealg.algebra import (
     NAryAlgebra,
@@ -9,9 +11,12 @@ from nliealg.algebra import (
     ad,
     adjoint_representation,
     algebra_from_bracket_function,
+    check_filippov,
+    check_representation,
     wedge_single,
 )
 from nliealg.cohomology import (
+    DEFAULT_SIZE_GUARD,
     Cochain,
     ReynoldsComplex,
     check_complex,
@@ -19,13 +24,20 @@ from nliealg.cohomology import (
     delta_r_operator,
     reynolds_representation,
 )
-from nliealg.errors import InternalConsistencyError, PreconditionError, SizeGuardError
+from nliealg.errors import InternalConsistencyError, PreconditionError, SizeGuardError, UnsupportedRingError
 from nliealg.linalg import Matrix, SparseMatrix, unit_vector
 from nliealg.reynolds import derivation_to_reynolds, induced_bracket
-from nliealg.rings import Dual
+from nliealg.rings import EPS, Dual
 from nliealg.wedge import WedgeBasis
 
-from conftest import naive_coboundary, rand_fraction, rand_matrix, simple_n_lie
+from conftest import (
+    naive_coboundary,
+    naive_delta_matrix,
+    naive_reynolds_representation,
+    rand_fraction,
+    rand_matrix,
+    simple_n_lie,
+)
 
 
 def rand_cochain(rng, arity, dim, module_dim, degree, span=2):
@@ -159,7 +171,11 @@ def conjugate(alg, op, rng):
     while True:
         phi = Matrix([[rng.randint(-2, 2) for _ in range(alg.dim)] for _ in range(alg.dim)])
         if phi.det():
-            break
+            return conjugate_by(alg, op, phi)
+
+
+def conjugate_by(alg, op, phi):
+    """(phi.g, phi R phi^-1) for an invertible phi."""
     inv = phi.inverse()
     moved = algebra_from_bracket_function(
         alg.arity, alg.dim,
@@ -241,3 +257,87 @@ def test_coboundary_matches_naive_oracle(lie3, family1, family2, sl2_like, three
                     f = Cochain(f.arity, f.dim, f.module_dim, m,
                                 [Dual(a, rng.randint(-1, 1)) if rng.random() < 0.3 else a for a in f.data])
                 assert coboundary(alg, rho, f) == naive_coboundary(alg, rho, f), (alg.dim, m, dual)
+
+
+# -- rho_R, delta_R and the integer pair ------------------------------------
+
+
+def _tabulation_cases():
+    """Every oracle case, and seeded dense conjugates of three of them."""
+    cases = {name: case[:2] for name, case in ORACLE_CASES.items()}
+    for name in ("lie3/family2", "a4/ad12", "sl2_like/zero"):
+        for s in (7, 8):
+            cases[f"{name}/conjugate{s}"] = conjugate(*ORACLE_CASES[name][:2], random.Random(s))
+    return cases
+
+
+TABULATION_CASES = _tabulation_cases()
+
+
+@pytest.mark.parametrize("case", sorted(TABULATION_CASES))
+def test_rho_and_delta_equal_naive_oracles(case):
+    alg, op = TABULATION_CASES[case]
+    cx = ReynoldsComplex(alg, op)
+    assert cx.rho.tables == naive_reynolds_representation(alg, op).tables
+    assert Matrix(cx.delta_matrix().entries) == naive_delta_matrix(alg, op)
+
+
+def test_integer_pair_is_d_times_the_exact_pair():
+    """(D [.]_R, D rho_R) in int, an n-Lie algebra with a representation,
+    and every integer matrix ``dimensions`` ranks is a multiple of the
+    exact one; the exact tables are reused as they are when D = 1."""
+    scales = {}
+    for name, (alg, op) in TABULATION_CASES.items():
+        cx = ReynoldsComplex(alg, op)
+        scale, (induced, rho) = cx._scale, cx._pair
+        scales[name] = scale
+        assert induced.brackets == {key: [scale * x for x in vec] for key, vec in cx.induced.brackets.items()}
+        assert rho.tables == {key: mat.scale(scale) for key, mat in cx.rho.tables.items()}
+        values = [x for vec in induced.brackets.values() for x in vec]
+        values += [x for mat in rho.tables.values() for row in mat.entries for x in row]
+        assert all(type(x) is int for x in values)
+        assert check_filippov(induced) and check_representation(induced, rho)
+        if scale == 1:
+            assert induced is cx.induced and rho is cx.rho
+        top = ORACLE_CASES[name][2] if name in ORACLE_CASES else 1
+        for m in range(top + 1):
+            d_scale, mat = cx._integer_differential(m, DEFAULT_SIZE_GUARD)
+            assert m == 0 or d_scale == scale
+            assert all(type(x) is int for row in mat.row_maps for x in row.values())
+            assert Matrix(mat.entries) == Matrix(cx.differential_matrix(m).entries).scale(d_scale)
+    assert scales["a4/ad12"] > 1 and scales["lie3/family1/conjugate"] > 1 and scales["lie3/family1"] == 1
+
+
+@st.composite
+def unimodular(draw, d):
+    """phi = L.U with L, U unitriangular and entries in {-1, 0, 1}: an
+    integer change of basis with an integer inverse."""
+    entry = st.integers(-1, 1)
+    lower = Matrix([[1 if i == j else draw(entry) if i > j else 0 for j in range(d)] for i in range(d)])
+    upper = Matrix([[1 if i == j else draw(entry) if j > i else 0 for j in range(d)] for i in range(d)])
+    return lower @ upper
+
+
+DIMENSION_CASES = ("lie3/family1", "lie3/family2", "sl2_like/zero", "a4/ad12")
+
+
+@seed(20261018)
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data(), name=st.sampled_from(DIMENSION_CASES))
+def test_dimensions_are_invariant_under_a_unimodular_change_of_basis(data, name):
+    alg, op, _ = ORACLE_CASES[name]
+    top = 1 if alg.arity > 2 else 2
+    phi = data.draw(unimodular(alg.dim))
+    moved = ReynoldsComplex(*conjugate_by(alg, op, phi))
+    assert moved.dimensions(top) == ReynoldsComplex(alg, op).dimensions(top)
+
+
+def test_dual_number_operator_is_rejected_before_tabulation(lie3, family1, monkeypatch):
+    def untouched(*_):
+        raise AssertionError("tabulated a dual-number operator")
+
+    monkeypatch.setattr("nliealg.cohomology.induced_bracket", untouched)
+    monkeypatch.setattr("nliealg.cohomology.tabulate_reynolds_representation", untouched)
+    for direction in (Matrix.identity(3), family1):
+        with pytest.raises(UnsupportedRingError):
+            ReynoldsComplex(lie3, family1 + direction.scale(EPS))

@@ -135,9 +135,9 @@ def test_is_trivial_deformation_matches_naive_oracle(lie3, family1, family2, rng
     assert {"trivial", "nontrivial", "non-cocycle"} <= set(statuses)
 
 
-def test_trivial_deform_job_runs_the_cocycle_check_twice(lie3, family1, tmp_path, monkeypatch):
-    """One CLI triviality job: the CLI's cocycle check and the one inside
-    is_trivial_deformation; the witness pair is not re-checked as cocycles."""
+def test_trivial_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path, monkeypatch):
+    """One CLI triviality job: only the CLI's own cocycle check runs; the
+    triviality decision and its witness pair do not re-check the direction."""
     calls = Counter()
 
     def counted(name, fn):
@@ -158,7 +158,7 @@ def test_trivial_deform_job_runs_the_cocycle_check_twice(lie3, family1, tmp_path
                                 "--direction", str(paths["s"]), "--json"])
     assert code == 0
     assert "status: trivial" in report.notes
-    assert calls == {"is_infinitesimal_deformation": 2, "check_reynolds": 4, "_t_linear_check": 2}
+    assert calls == {"is_infinitesimal_deformation": 1, "check_reynolds": 2, "_t_linear_check": 1}
 
 
 def test_witness_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path, monkeypatch):

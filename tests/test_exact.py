@@ -200,10 +200,20 @@ def bench_like_pairs(lie3, family1, family2):
     return pairs
 
 
-def test_cli_reports_and_library_objects_hold_no_float(docs, tmp_path, lie3, family1, family2, trunc_xy):
+def test_cli_reports_and_library_objects_hold_no_float(docs, tmp_path, lie3, family1, family2, trunc_xy,
+                                                       monkeypatch):
     seen = set()
     pairs = bench_like_pairs(lie3, family1, family2)
     paths = dict(docs)
+    # every (D, D d_m) that ``dimensions`` builds, from the CLI and the library
+    built = []
+    integer_differential = ReynoldsComplex._integer_differential
+
+    def recorded(self, m, size_guard):
+        built.append(integer_differential(self, m, size_guard))
+        return built[-1]
+
+    monkeypatch.setattr(ReynoldsComplex, "_integer_differential", recorded)
 
     def write(name, doc):
         paths[name] = str(tmp_path / name)
@@ -295,7 +305,7 @@ def test_cli_reports_and_library_objects_hold_no_float(docs, tmp_path, lie3, fam
             op.solve([1] * d), op.nullspace_basis(), op.det(), dual_op, dual_op @ dual_op,
             induced_bracket(alg, op), ns, subadjacent(ns), check_ns(ns), check_ns(off_by_half(ns)),
             complex_.induced, complex_.rho, complex_.delta_matrix(), complex_.differential_matrix(1),
-            complex_.dimensions(1), coboundary(complex_.induced, complex_.rho, cochain),
+            complex_.dimensions(1), coboundary(complex_.induced, complex_.rho, cochain), complex_._pair,
             check_reynolds(alg, dual_op), check_reynolds(alg, op.scale(Fraction(1, 2))),
             is_infinitesimal_deformation(alg, op, direction), is_trivial_deformation(alg, op, direction),
             is_trivial_deformation(alg, op, Matrix.zero(d)),
@@ -310,5 +320,9 @@ def test_cli_reports_and_library_objects_hold_no_float(docs, tmp_path, lie3, fam
         if op.det():
             objects += [op.inverse(), reynolds_to_derivation(alg, op)]
         assert_exact(objects, seen)
+        # the integer pair holds ints only, whatever its scale
+        assert {type(x) for x in scalars(complex_._pair)} == {int}
+    assert len(built) > 3 * len(pairs) and {type(x) for x in scalars(built)} == {int}
+    assert any(scale > 1 for scale, _ in built)
     assert_exact(extend_by_functional(lie3, LinearFunctional([1, 0, 1])), seen)
     assert {int, Fraction, "counterexample"} <= seen

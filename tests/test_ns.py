@@ -7,11 +7,10 @@ import pytest
 
 from nliealg.algebra import ad, check_filippov, wedge_single
 from nliealg.errors import InputError, PreconditionError
-from nliealg.linalg import Matrix
+from nliealg.linalg import Matrix, integer_scale
 from nliealg.nijenhuis import deformed_algebra
 from nliealg.ns import (
     NSAlgebra,
-    _integer_scale,
     angle_on_basis,
     check_ns,
     ns_from_nijenhuis,
@@ -238,13 +237,13 @@ def _denominator(ns):
 
 def test_integer_scale_clears_every_denominator():
     tables = [{(1, 2): [Fraction(1, 2), 0, Fraction(-2, 3)]}, {(3,): [5, Fraction(1, 4), 0]}, {}]
-    scale, scaled = _integer_scale(tables)
+    scale, scaled = integer_scale(tables)
     assert scale == 12
     assert scaled == [{(1, 2): [6, 0, -8]}, {(3,): [60, 3, 0]}, {}]
     assert all(type(x) is int for table in scaled for vec in table.values() for x in vec)
     # integral tables are left as they are, with D = 1
-    assert _integer_scale([{(1,): [2, -3]}]) == (1, [{(1,): [2, -3]}])
-    assert _integer_scale([]) == (1, [])
+    assert integer_scale([{(1,): [2, -3]}]) == (1, [{(1,): [2, -3]}])
+    assert integer_scale([]) == (1, [])
 
 
 def test_subadjacent_tabulates_the_angle_bracket_once(lie3, family1, monkeypatch):

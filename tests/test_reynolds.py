@@ -15,7 +15,7 @@ from nliealg.reynolds import (
     induced_value,
     reynolds_from_nilpotent_derivation,
     reynolds_to_derivation,
-    tabulate_induced_bracket,
+    reynolds_values,
 )
 from nliealg.rings import EPS, Dual
 from nliealg.wedge import increasing_tuples
@@ -157,13 +157,28 @@ def test_check_reynolds_matches_naive_oracle(lie3, family1, family2, three_lie4,
 
 
 def test_induced_value_matches_naive_induced_value(lie3, family1, family2, three_lie4, abelian33):
-    for alg, op in _reynolds_cases(lie3, family1, family2, three_lie4, abelian33):
+    """``induced_value`` on every tuple, and the one Reynolds walk: its
+    values up to the first failing tuple, all of them on a pass, and the
+    induced bracket tabulated from them."""
+    walked = []
+    # the last operator fails at its second tuple
+    cases = _reynolds_cases(lie3, family1, family2, three_lie4, abelian33)
+    for alg, op in cases + [(lie3, Matrix([[-1, 0, 0], [-1, 0, 1], [0, 0, 0]]))]:
+        verdict, values = reynolds_values(alg, op)
         rational = not any(isinstance(a, Dual) for row in op.entries for a in row)
-        table = tabulate_induced_bracket(alg, op) if rational else None
-        for tup in increasing_tuples(alg.dim, alg.arity):
+        table = induced_bracket(alg, op) if verdict and rational else None
+        tuples = increasing_tuples(alg.dim, alg.arity)
+        stop = len(tuples) if verdict else tuples.index(verdict.counterexample["where"]["tuple"])
+        assert list(values) == tuples[:stop]
+        walked.append((verdict.passed, stop))
+        for tup in tuples:
             units = alg.units(tup)
             r_units = [op.apply(u) for u in units]
             expected = naive_induced_value(alg, op, tup)
             assert induced_value(alg, units, r_units, alg.bracket(r_units)) == expected
+            if tup in values:
+                assert values[tup] == (alg.bracket(r_units), expected)
             if table is not None:
                 assert table.bracket_on_basis(tup) == expected
+    # passing walks, and a failing one that stopped past its first tuple
+    assert any(passed for passed, _ in walked) and any(not passed and stop for passed, stop in walked)
