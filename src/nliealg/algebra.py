@@ -12,10 +12,10 @@ from __future__ import annotations
 from functools import reduce
 from itertools import product
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .linalg import Matrix, combine, unit_vector, vec_add, vec_is_zero, vec_scale, vec_zero
 from .rings import QQ_ONE, QQ_ZERO, rational, sign
-from .verdict import CheckResult, fail, ok
+from .verdict import CheckResult, fail, ok, require
 from .wedge import canonicalize_wedge, check_indices, increasing_tuples
 
 ALTERNATING = "alternating"
@@ -302,7 +302,7 @@ def ad(algebra, wedge_elem):
         for key, coeff in sorted(wedge_elem.items()):
             col = vec_add(col, vec_scale(coeff, algebra.bracket_on_basis(tuple(key) + (j,))))
         cols.append(col)
-    return Matrix([[cols[j][i] for j in range(d)] for i in range(d)])
+    return Matrix.from_columns(cols)
 
 
 def fundamental_action(algebra, x_wedge, y_wedge):
@@ -395,9 +395,7 @@ def adjoint_representation(algebra):
 
 def semidirect_product(algebra, rho):
     """Semidirect n-Lie structure on g + V for a verified representation."""
-    rep_check = check_representation(algebra, rho)
-    if not rep_check:
-        raise PreconditionError("representation check failed", rep_check.counterexample)
+    require(check_representation(algebra, rho), "representation check failed")
     n, d, dv = algebra.arity, algebra.dim, rho.module_dim
     total = d + dv
     brackets = {}

@@ -31,7 +31,7 @@ from .errors import InputError, InternalConsistencyError, PreconditionError, Siz
 from .linalg import Matrix, SparseMatrix, integer_scale, unit_vector, vec_add, vec_scale, vec_sub, vec_zero
 from .reynolds import basis_images, check_reynolds, induced_bracket
 from .rings import QQ_ONE, QQ_ZERO, rational, sign
-from .verdict import fail, ok
+from .verdict import require
 from .wedge import WedgeBasis
 
 DEFAULT_SIZE_GUARD = 2_000_000
@@ -195,9 +195,7 @@ def coboundary(algebra, rho, cochain):
 
 def reynolds_representation(algebra, op):
     """The action rho_R making (g; rho_R) a representation of (g, [.]_R)."""
-    pre = check_reynolds(algebra, op)
-    if not pre:
-        raise PreconditionError("operator is not a Reynolds operator", pre.counterexample)
+    require(check_reynolds(algebra, op), "operator is not a Reynolds operator")
     return tabulate_reynolds_representation(algebra, op)
 
 
@@ -218,7 +216,7 @@ def tabulate_reynolds_representation(algebra, op):
             for args in mixed:
                 rest = vec_sub(rest, algebra.bracket_supports(args + [last]))
             cols.append(vec_add(val, op.apply(rest)))
-        mat = Matrix(zip(*cols))
+        mat = Matrix.from_columns(cols)
         if not mat.is_zero():
             tables[tup] = mat
     return RepresentationTable(n, d, d, tables)
@@ -273,7 +271,7 @@ class ReynoldsComplex:
     def _integer_differential(self, m, size_guard):
         """(D, D d_m): an integer D > 0 and a matrix of ints."""
         if m == 0:
-            return self._delta()
+            return integer_delta(self.base, self.op)
         src = self.cochain_dim(m)
         dst = self.cochain_dim(m + 1)
         if src * dst > size_guard:
@@ -281,22 +279,6 @@ class ReynoldsComplex:
                 f"differential at degree {m} needs a {dst}x{src} matrix, over the guard {size_guard}"
             )
         return self._scale, self._assemble(m)
-
-    def _delta(self):
-        """(D, D delta_R), one D for the whole matrix (a scale per row would
-        break d_1 d_0 = 0), from delta_R(X) e_j = R([X,e_j] - [X,Re_j]) - [X,Re_j]."""
-        alg, d = self.base, self.base.dim
-        images = [support(v) for v in basis_images(alg, self.op)[1]]
-        cols = {}
-        for c, tup in enumerate(self.wedge):
-            cols[c] = []
-            for j, image in enumerate(images):
-                moved = alg.bracket_supports(unit_supports(tup) + [image])
-                rest = vec_sub(alg.bracket_on_basis(tup + (j + 1,)), moved)
-                cols[c] += vec_sub(self.op.apply(rest), moved)
-        scale, (cols,) = integer_scale([cols])
-        rows = [{c: col[r] for c, col in cols.items()} for r in range(d * d)]
-        return scale, SparseMatrix(d * d, len(cols), rows)
 
     def _assemble(self, m):
         """D d_m: C^m -> C^{m+1} (m >= 1) from the integer pair, in one walk over the output basis.
@@ -390,14 +372,25 @@ class ReynoldsComplex:
             )
 
 
+def integer_delta(algebra, op):
+    """(D, D delta_R): delta_R: C^0 -> C^1 in the flattened bases, one D for
+    the whole matrix (a scale per row would break d_1 d_0 = 0), from
+    delta_R(X) e_j = R([X,e_j] - [X,Re_j]) - [X,Re_j]."""
+    op._require_rational("delta_R")
+    d = algebra.dim
+    images = [support(v) for v in basis_images(algebra, op)[1]]
+    cols = {}
+    for c, tup in enumerate(WedgeBasis(d, algebra.arity - 1)):
+        cols[c] = []
+        for j, image in enumerate(images):
+            moved = algebra.bracket_supports(unit_supports(tup) + [image])
+            rest = vec_sub(algebra.bracket_on_basis(tup + (j + 1,)), moved)
+            cols[c] += vec_sub(op.apply(rest), moved)
+    scale, (cols,) = integer_scale([cols])
+    rows = [{c: col[r] for c, col in cols.items()} for r in range(d * d)]
+    return scale, SparseMatrix(d * d, len(cols), rows)
+
+
 def _matrix_terms(mat):
     return [(i, j, c) for i, row in enumerate(mat.entries) for j, c in enumerate(row) if c]
 
-
-def check_complex(algebra, rho, degree, sample_cochains):
-    """d(d f) == 0 for the supplied cochains; a development cross-check."""
-    for f in sample_cochains:
-        twice = coboundary(algebra, rho, coboundary(algebra, rho, f))
-        if not twice.is_zero():
-            return fail("complex-square-zero", {"degree": degree}, list(twice.data), [QQ_ZERO] * len(twice.data))
-    return ok("complex-square-zero")

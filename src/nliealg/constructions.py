@@ -22,7 +22,7 @@ from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .reynolds import check_reynolds, induced_bracket
 from .rings import rational, sign
-from .verdict import fail, jsonable, ok
+from .verdict import fail, jsonable, ok, require
 from .wedge import increasing_tuples
 
 
@@ -76,11 +76,7 @@ def extend_by_functional(algebra, functional):
     """{x_1,...,x_{n+1}} = sum_i (-1)^{i-1} f(x_i) [x_1,...,^x_i,...,x_{n+1}]."""
     if functional.dim != algebra.dim:
         raise InputError("functional dimension mismatch")
-    pre = functional.vanishes_on_brackets(algebra)
-    if not pre:
-        raise PreconditionError(
-            "functional does not vanish on brackets", pre.counterexample
-        )
+    require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
     n, d = algebra.arity, algebra.dim
 
     def value(tup):
@@ -99,14 +95,8 @@ def extend_by_functional(algebra, functional):
 def reynolds_lift_criterion(algebra, op, functional):
     """sum_i (-1)^{n+1-i} f(x_i) R[Rx_1,...,^Rx_i,...,Rx_{n+1}] = 0 on basis
     tuples; on PASS the operator is re-verified on the extended algebra."""
-    pre = check_reynolds(algebra, op)
-    if not pre:
-        raise PreconditionError("operator is not a Reynolds operator", pre.counterexample)
-    van = functional.vanishes_on_brackets(algebra)
-    if not van:
-        raise PreconditionError(
-            "functional does not vanish on brackets", van.counterexample
-        )
+    require(check_reynolds(algebra, op), "operator is not a Reynolds operator")
+    require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
     n, d = algebra.arity, algebra.dim
     for tup in increasing_tuples(d, n + 1):
         r_units = [op.apply(u) for u in algebra.units(tup)]
@@ -130,9 +120,7 @@ def reynolds_lift_criterion(algebra, op, functional):
 def corollary_bracket(algebra, op, functional):
     """The double-sum (n+1)-ary bracket of a lifted Reynolds operator;
     coincides with the induced bracket of the extended algebra."""
-    crit = reynolds_lift_criterion(algebra, op, functional)
-    if not crit:
-        raise PreconditionError("lift criterion fails", crit.counterexample)
+    require(reynolds_lift_criterion(algebra, op, functional), "lift criterion fails")
     n, d = algebra.arity, algebra.dim
 
     def value(tup):
@@ -175,9 +163,7 @@ def check_assoc_reynolds(algebra, op):
     """Rx.Ry = R(Rx.y + x.Ry - Rx.Ry) on all basis pairs."""
     if algebra.symmetry != SYMMETRIC:
         raise InputError("expected a commutative product")
-    assoc = check_associative(algebra)
-    if not assoc:
-        raise PreconditionError("product is not associative", assoc.counterexample)
+    require(check_associative(algebra), "product is not associative")
     d = algebra.dim
     for i in range(1, d + 1):
         for j in range(i, d + 1):
@@ -194,9 +180,7 @@ def check_assoc_reynolds(algebra, op):
 
 def lie_from_derivation(algebra, deriv):
     """[x,y]_D = D(x).y - D(y).x for a derivation of a commutative product."""
-    pre = is_derivation(algebra, deriv)
-    if not pre:
-        raise PreconditionError("operator is not a derivation", pre.counterexample)
+    require(is_derivation(algebra, deriv), "operator is not a derivation")
     d = algebra.dim
 
     def value(tup):
@@ -230,9 +214,7 @@ def _require_commuting(pairs):
 
 def three_lie_from_f_D(algebra, functional, deriv):
     """Determinant bracket with rows (f-values, D-images, elements)."""
-    pre = is_derivation(algebra, deriv)
-    if not pre:
-        raise PreconditionError("operator is not a derivation", pre.counterexample)
+    require(is_derivation(algebra, deriv), "operator is not a derivation")
     d = algebra.dim
     for i in range(1, d + 1):
         for j in range(1, d + 1):
@@ -264,9 +246,7 @@ def three_lie_from_f_D(algebra, functional, deriv):
 def three_lie_from_two_derivations(algebra, d1, d2):
     """Determinant bracket with rows (elements, D1-images, D2-images)."""
     for deriv in (d1, d2):
-        pre = is_derivation(algebra, deriv)
-        if not pre:
-            raise PreconditionError("operator is not a derivation", pre.counterexample)
+        require(is_derivation(algebra, deriv), "operator is not a derivation")
     _require_commuting([("D1, D2", d1, d2)])
 
     def value(tup):
@@ -282,9 +262,7 @@ def three_lie_from_two_derivations(algebra, d1, d2):
 def three_lie_from_three_derivations(algebra, d1, d2, d3):
     """Determinant bracket with rows the images under three derivations."""
     for deriv in (d1, d2, d3):
-        pre = is_derivation(algebra, deriv)
-        if not pre:
-            raise PreconditionError("operator is not a derivation", pre.counterexample)
+        require(is_derivation(algebra, deriv), "operator is not a derivation")
     _require_commuting(
         [("D1, D2", d1, d2), ("D1, D3", d1, d3), ("D2, D3", d2, d3)]
     )
@@ -332,9 +310,7 @@ def check_reynolds_on_det_3lie(algebra, op, variant, data):
     the criterion and the direct check disagree.
     variant 'dd': data = (D1, D2).  variant 'ddd': data = (D1, D2, D3).
     """
-    ar = check_assoc_reynolds(algebra, op)
-    if not ar:
-        raise PreconditionError("operator fails the binary Reynolds law", ar.counterexample)
+    require(check_assoc_reynolds(algebra, op), "operator fails the binary Reynolds law")
     if variant == "fd":
         functional, deriv = data
         _require_commuting([("R, D", op, deriv)])

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import ad
-from .cohomology import delta_r_operator
-from .errors import InternalConsistencyError, PreconditionError
+from .cohomology import Cochain, delta_r_operator, integer_delta
+from .errors import InternalConsistencyError
 from .linalg import Matrix, vec_add, vec_sub, vec_zero
 from .reynolds import basis_images, check_hom_pair, check_reynolds, induced_value
-from .rings import EPS, QQ_ONE
-from .verdict import fail, ok
+from .rings import EPS
+from .verdict import fail, ok, require
 from .wedge import increasing_tuples
 
 
@@ -62,9 +62,7 @@ def _t_linear_check(algebra, op, direction):
 
 def is_infinitesimal_deformation(algebra, op, direction):
     """Does R + tS stay Reynolds to first order?  Verified by two routes."""
-    pre = check_reynolds(algebra, op)
-    if not pre:
-        raise PreconditionError("base operator is not a Reynolds operator", pre.counterexample)
+    require(check_reynolds(algebra, op), "base operator is not a Reynolds operator")
     direct = _t_linear_check(algebra, op, direction)
     dual_op = op + direction.scale(EPS)
     dual = check_reynolds(algebra, dual_op)
@@ -80,9 +78,7 @@ def check_equivalence_witness(algebra, op, dir1, dir2, x_wedge):
     """Is (Id + t*ad_X, Id + t*ad_X - t*[X,R]) a homomorphism pair from
     R + t*dir1 to R + t*dir2 over the dual numbers?"""
     for s in (dir1, dir2):
-        res = is_infinitesimal_deformation(algebra, op, s)
-        if not res:
-            raise PreconditionError("direction is not a cocycle", res.counterexample)
+        require(is_infinitesimal_deformation(algebra, op, s), "direction is not a cocycle")
     return _witness_verdict(algebra, op, dir1, dir2, x_wedge)
 
 
@@ -118,28 +114,23 @@ class TrivialityResult:
 
 def is_trivial_deformation(algebra, op, direction):
     """Solve direction = delta_R(X) and verify the induced pair."""
-    res = is_infinitesimal_deformation(algebra, op, direction)
-    if not res:
-        raise PreconditionError("direction is not a cocycle", res.counterexample)
+    require(is_infinitesimal_deformation(algebra, op, direction), "direction is not a cocycle")
     return _triviality(algebra, op, direction)
 
 
 def _triviality(algebra, op, direction):
     """``is_trivial_deformation`` for a direction already verified as a
-    cocycle of a verified Reynolds operator (as the zero direction is)."""
-    d = algebra.dim
-    basis = increasing_tuples(d, algebra.arity - 1)
-    cols = []
-    for tup in basis:
-        delta = delta_r_operator(algebra, op, {tup: QQ_ONE})
-        cols.append([delta.entries[i][j] for i in range(d) for j in range(d)])
-    target = [direction.entries[i][j] for i in range(d) for j in range(d)]
-    system = Matrix([[cols[c][r] for c in range(len(basis))] for r in range(d * d)])
-    solution = system.solve(target)
+    cocycle of a verified Reynolds operator (as the zero direction is):
+    solves (D delta_R) X = D S on the sparse matrix of ``integer_delta``."""
+    scale, delta = integer_delta(algebra, op)
+    target = Cochain.from_operator(algebra.arity, direction).data
+    # every free unknown is 0, so the witness is unique even where ker delta_R != 0
+    solution = delta.solve([scale * x for x in target])
     if solution is None:
         return TrivialityResult("nontrivial")
+    basis = increasing_tuples(algebra.dim, algebra.arity - 1)
     witness = {tup: c for tup, c in zip(basis, solution) if c}
-    verdict = _witness_verdict(algebra, op, direction, Matrix.zero(d), witness)
+    verdict = _witness_verdict(algebra, op, direction, Matrix.zero(algebra.dim), witness)
     if verdict:
         return TrivialityResult("trivial", witness=witness)
     return TrivialityResult("unknown", witness=witness, detail=verdict)

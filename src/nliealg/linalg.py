@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals (and dual numbers).
 
 ``Matrix`` is dense, but its products, sums and scalings skip zero
-terms.  ``SparseMatrix`` keeps one {column: value} dict per row; rank and
-nullspace of either go through its fraction-free echelon form, whose
-pivoting arithmetic stays in Z.  Dual-number matrices support
-the ring operations (add/mul/apply) but are rejected by
-rank/nullspace/solve, which need a field.
+terms.  ``SparseMatrix`` keeps one {column: value} dict per row and has
+the one elimination kernel, a fraction-free echelon form in Z: ``rank``
+counts its rows; ``nullspace_basis``, ``solve`` and ``inverse`` read one
+quotient per entry off its back-substituted form, and the ``Matrix``
+methods delegate to them.  Dual-number matrices support the ring
+operations (add/mul/apply) but not elimination, which needs a field.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ class Matrix:
     @classmethod
     def identity(cls, n):
         return cls([[QQ_ONE if i == j else QQ_ZERO for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def from_columns(cls, cols):
+        """The matrix whose column j is cols[j]: entry [i][j] is the
+        e_i-coefficient of the image of e_j."""
+        return cls(zip(*cols))
 
     @classmethod
     def zero(cls, rows, cols=None):
@@ -88,14 +95,6 @@ class Matrix:
         terms = [(j, x) for j, x in enumerate(vec) if x]
         return [reduce(plus, (row[j] * x for j, x in terms if row[j]), QQ_ZERO) for row in self.entries]
 
-    def power(self, k):
-        if self.rows != self.cols:
-            raise InputError("power of non-square matrix")
-        out = Matrix.identity(self.rows)
-        for _ in range(k):
-            out = out @ self
-        return out
-
     def is_zero(self):
         return all(not a for row in self.entries for a in row)
 
@@ -109,100 +108,23 @@ class Matrix:
 
     # -- elimination -----------------------------------------------------
 
+    def _sparse(self, what):
+        self._require_rational(what)
+        return SparseMatrix.from_dense(self)
+
     def rank(self):
-        self._require_rational("rank")
-        return SparseMatrix.from_dense(self).rank()
+        return self._sparse("rank").rank()
 
     def nullspace_basis(self):
         """Exact basis of the right nullspace, one vector per free column."""
-        self._require_rational("nullspace")
-        pivots = SparseMatrix.from_dense(self).echelon()
-        basis = []
-        for fc in range(self.cols):
-            if fc in pivots:
-                continue
-            v = [QQ_ZERO] * self.cols
-            v[fc] = QQ_ONE
-            for pc in sorted(pivots, reverse=True):
-                row = pivots[pc]
-                s = sum((a * v[j] for j, a in row.items() if j != pc), QQ_ZERO)
-                v[pc] = rational(Fraction(-s) / row[pc])
-            basis.append(v)
-        return basis
+        return self._sparse("nullspace").nullspace_basis()
 
     def solve(self, b):
         """One exact solution of self @ x = b, or None when inconsistent."""
-        self._require_rational("solve")
-        if len(b) != self.rows:
-            raise InputError(f"rhs length {len(b)} != {self.rows} rows")
-        if any(isinstance(x, Dual) for x in b):
-            raise UnsupportedRingError("solve is only defined over the rationals")
-        m = [[Fraction(a) for a in row] + [Fraction(bv)] for row, bv in zip(self.entries, b)]
-        nr, nc = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            piv = next((i for i in range(r, nr) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = Fraction(1) / m[r][c]
-            m[r] = [a * inv for a in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * p for a, p in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        for i in range(r, nr):
-            if m[i][nc]:
-                return None
-        x = [QQ_ZERO] * nc
-        for row_idx, c in enumerate(pivots):
-            x[c] = rational(m[row_idx][nc])
-        return x
-
-    def det(self):
-        self._require_rational("determinant")
-        if self.rows != self.cols:
-            raise InputError("determinant of non-square matrix")
-        m = [[Fraction(a) for a in row] for row in self.entries]
-        n = self.rows
-        out = QQ_ONE
-        for c in range(n):
-            piv = next((i for i in range(c, n) if m[i][c]), None)
-            if piv is None:
-                return QQ_ZERO
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                out = -out
-            out *= m[c][c]
-            inv = Fraction(1) / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * p for a, p in zip(m[i], m[c])]
-        return rational(out)
+        return self._sparse("solve").solve(b)
 
     def inverse(self):
-        self._require_rational("inverse")
-        if self.rows != self.cols:
-            raise InputError("inverse of non-square matrix")
-        n = self.rows
-        m = [[Fraction(a) for a in row] + [QQ_ONE if i == j else QQ_ZERO for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for c in range(n):
-            piv = next((i for i in range(c, n) if m[i][c]), None)
-            if piv is None:
-                raise NotInvertibleError("matrix is singular")
-            m[c], m[piv] = m[piv], m[c]
-            inv = Fraction(1) / m[c][c]
-            m[c] = [a * inv for a in m[c]]
-            for i in range(n):
-                if i != c and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * p for a, p in zip(m[i], m[c])]
-        return Matrix([[rational(a) for a in row[n:]] for row in m])
+        return self._sparse("inverse").inverse()
 
 
 class SparseMatrix:
@@ -269,24 +191,70 @@ class SparseMatrix:
                 if piv is None:
                     pivots[lead] = row
                     break
-                g = gcd(piv[lead], row[lead])
-                a, b = piv[lead] // g, row[lead] // g
-                row = {j: a * x for j, x in row.items()}
-                for j, x in piv.items():
-                    y = row.get(j, 0) - b * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-                row = _primitive(row)
+                row = _eliminate(row, piv, lead)
+        return pivots
+
+    def reduced(self):
+        """``echelon``, then fraction-free back-substitution, right to left:
+        each pivot row ends up zero in every other pivot column."""
+        pivots = self.echelon()
+        for col in sorted(pivots, reverse=True):
+            for lead in pivots:
+                if lead != col and col in pivots[lead]:
+                    pivots[lead] = _eliminate(pivots[lead], pivots[col], col)
         return pivots
 
     def rank(self):
         return len(self.echelon())
 
+    def nullspace_basis(self):
+        """e_k - x for each free column k, where x solves self @ x = self @ e_k
+        and is 0 on every free unknown: 1 at k, 0 on the other free columns."""
+        solutions = self._solve_columns(self.row_maps, self.cols)
+        return [[QQ_ONE if i == k else -a for i, a in enumerate(x)] for k, x in enumerate(solutions) if not x[k]]
+
+    def solve(self, b):
+        """The solution of self @ x = b that is 0 on every free unknown, or None."""
+        if len(b) != self.rows:
+            raise InputError(f"rhs length {len(b)} != {self.rows} rows")
+        if any(isinstance(x, Dual) for x in b):
+            raise UnsupportedRingError("solve is only defined over the rationals")
+        solutions = self._solve_columns([{0: x} for x in b], 1)
+        return None if solutions is None else solutions[0]
+
+    def inverse(self):
+        """The inverse as a dense ``Matrix``."""
+        if self.rows != self.cols:
+            raise InputError("inverse of non-square matrix")
+        solutions = self._solve_columns([{i: 1} for i in range(self.rows)], self.rows)
+        if solutions is None:
+            raise NotInvertibleError("matrix is singular")
+        return Matrix.from_columns(solutions)
+
+    def _solve_columns(self, rhs, width):
+        """For each column c of the right-hand side ``rhs`` (``width``
+        columns, one {column: value} dict per row), the solution of
+        self @ x = c that is 0 on every free unknown; None when one of
+        them has none, that is when a pivot falls in the appended columns.
+        Each reduced pivot row gives x[pc] = row[n + k] / row[pc]."""
+        n = self.cols
+        augmented = [{**row, **{n + k: x for k, x in extra.items()}} for row, extra in zip(self.row_maps, rhs)]
+        pivots = SparseMatrix(self.rows, n + width, augmented).reduced()
+        if any(col >= n for col in pivots):
+            return None
+        solutions = [[QQ_ZERO] * n for _ in range(width)]
+        for pc, row in pivots.items():
+            for col, p in row.items():
+                if col >= n:
+                    solutions[col - n][pc] = rational(Fraction(p) / row[pc])
+        return solutions
+
 
 def _integer_row(row):
-    """A rational row dict scaled by the lcm of its denominators."""
+    """A rational row dict scaled by the lcm of its denominators; an
+    ``int`` row is returned as it is."""
+    if all(type(a) is int for a in row.values()):
+        return row
     scale = lcm(*(a.denominator for a in row.values()))
     return {j: a.numerator * (scale // a.denominator) for j, a in row.items()}
 
@@ -295,6 +263,21 @@ def _primitive(row):
     """An integer row dict divided by the gcd of its entries."""
     g = gcd(*row.values())
     return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _eliminate(row, piv, col):
+    """The primitive integer combination a*row - b*piv that is zero in
+    column ``col``, where both rows are nonzero in that column."""
+    g = gcd(piv[col], row[col])
+    a, b = piv[col] // g, row[col] // g
+    out = {j: a * x for j, x in row.items()}
+    for j, x in piv.items():
+        y = out.get(j, 0) - b * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+    return _primitive(out)
 
 
 def combine(coeffs, sparse_rows, width):

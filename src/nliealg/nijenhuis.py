@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import RepresentationTable, algebra_from_bracket_function
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .linalg import Matrix, vec_add, vec_sub, vec_zero
-from .verdict import fail, ok
+from .verdict import fail, ok, require
 from .wedge import increasing_tuples
 
 
@@ -69,24 +69,20 @@ def check_nijenhuis(algebra, op):
 
 def deformed_algebra(algebra, op):
     """The algebra carried by the top ladder level of a verified N."""
-    pre = check_nijenhuis(algebra, op)
-    if not pre:
-        raise PreconditionError("operator is not a Nijenhuis operator", pre.counterexample)
+    require(check_nijenhuis(algebra, op), "operator is not a Nijenhuis operator")
     return deformed_bracket_ladder(algebra, op).level(algebra.arity - 1)
 
 
 def nijenhuis_representation(algebra, op):
     """rho_N(x_1,...,x_{n-1})x = [Nx_1,...,Nx_{n-1},x]; represents the
     deformed algebra on the underlying space."""
-    pre = check_nijenhuis(algebra, op)
-    if not pre:
-        raise PreconditionError("operator is not a Nijenhuis operator", pre.counterexample)
+    require(check_nijenhuis(algebra, op), "operator is not a Nijenhuis operator")
     n, d = algebra.arity, algebra.dim
     tables = {}
     for tup in increasing_tuples(d, n - 1):
         n_units = [op.apply(u) for u in algebra.units(tup)]
         cols = [algebra.bracket(n_units + [u]) for u in algebra.units(range(1, d + 1))]
-        mat = Matrix([[cols[j][i] for j in range(d)] for i in range(d)])
+        mat = Matrix.from_columns(cols)
         if not mat.is_zero():
             tables[tup] = mat
     return RepresentationTable(n, d, d, tables)

@@ -23,12 +23,12 @@ from .algebra import (
     term_table,
     unit_supports,
 )
-from .errors import InputError, InternalConsistencyError, PreconditionError
+from .errors import InputError, InternalConsistencyError
 from .linalg import Matrix, combine, integer_scale, vec_add, vec_is_zero, vec_scale
 from .nijenhuis import check_nijenhuis, deformed_bracket_ladder
 from .reynolds import basis_images, verified_values
 from .rings import rational, sign
-from .verdict import fail, jsonable, ok
+from .verdict import fail, jsonable, ok, require
 from .wedge import canonicalize_wedge, check_indices, increasing_tuples
 
 
@@ -73,7 +73,7 @@ class NSAlgebra:
 
     def curly_matrix(self, prefix):
         """The operator x -> {e_prefix, x}."""
-        return Matrix(zip(*(self.curly_on_basis(prefix, j) for j in range(1, self.dim + 1))))
+        return Matrix.from_columns(self.curly_on_basis(prefix, j) for j in range(1, self.dim + 1))
 
     def units(self, indices):
         return self.square.units(indices)
@@ -223,9 +223,7 @@ def _unscaled(terms, width, d2):
 def subadjacent(ns):
     """The algebra carried by the angle bracket, with the curly action on it."""
     algebra = _angle_algebra(ns)
-    pre = _check_ns(ns, algebra)
-    if not pre:
-        raise PreconditionError("axioms fail", pre.counterexample)
+    require(_check_ns(ns, algebra), "axioms fail")
     n, d = ns.arity, ns.dim
     fil = check_filippov(algebra)
     if not fil:
@@ -254,9 +252,7 @@ def ns_from_reynolds(algebra, op):
 
 def ns_from_nijenhuis(algebra, op):
     """{x_1..x_n} = [Nx_1,...,Nx_{n-1},x_n]; square = -N(level n-2)."""
-    pre = check_nijenhuis(algebra, op)
-    if not pre:
-        raise PreconditionError("operator is not a Nijenhuis operator", pre.counterexample)
+    require(check_nijenhuis(algebra, op), "operator is not a Nijenhuis operator")
     lower = deformed_bracket_ladder(algebra, op).level(algebra.arity - 2)
     units, images = basis_images(algebra, op)
     tuples = increasing_tuples(algebra.dim, algebra.arity)

@@ -18,7 +18,7 @@ from .algebra import NAryAlgebra, is_derivation
 from .errors import InputError, NotInvertibleError, PreconditionError
 from .linalg import Matrix, vec_add, vec_zero
 from .rings import sign
-from .verdict import fail, ok
+from .verdict import fail, ok, require
 from .wedge import increasing_tuples
 
 
@@ -71,8 +71,7 @@ def check_reynolds(algebra, op):
 def verified_values(algebra, op):
     """``reynolds_values`` of a Reynolds operator, else PreconditionError."""
     verdict, values = reynolds_values(algebra, op)
-    if not verdict:
-        raise PreconditionError("operator is not a Reynolds operator", verdict.counterexample)
+    require(verdict, "operator is not a Reynolds operator")
     return values
 
 
@@ -103,9 +102,7 @@ def check_hom_pair(algebra, r_from, r_to, phi, psi):
 
 def reynolds_to_derivation(algebra, op):
     """R^{-1} - Id/(n-1) for an invertible Reynolds operator."""
-    pre = check_reynolds(algebra, op)
-    if not pre:
-        raise PreconditionError("operator is not a Reynolds operator", pre.counterexample)
+    require(check_reynolds(algebra, op), "operator is not a Reynolds operator")
     try:
         inv = op.inverse()
     except NotInvertibleError:
@@ -116,9 +113,7 @@ def reynolds_to_derivation(algebra, op):
 
 def derivation_to_reynolds(algebra, deriv):
     """(D + Id/(n-1))^{-1} for a derivation D, when invertible."""
-    pre = is_derivation(algebra, deriv)
-    if not pre:
-        raise PreconditionError("operator is not a derivation", pre.counterexample)
+    require(is_derivation(algebra, deriv), "operator is not a derivation")
     c = Fraction(1, algebra.arity - 1)
     p = deriv + Matrix.identity(algebra.dim).scale(c)
     try:
@@ -133,13 +128,8 @@ def reynolds_from_nilpotent_derivation(algebra, deriv):
     Equals derivation_to_reynolds(D) exactly; only the nilpotent case is
     supported, where the series terminates.
     """
-    pre = is_derivation(algebra, deriv)
-    if not pre:
-        raise PreconditionError("operator is not a derivation", pre.counterexample)
-    d = algebra.dim
-    if not deriv.power(d).is_zero():
-        raise PreconditionError("derivation is not nilpotent; the series does not terminate")
-    n = algebra.arity
+    require(is_derivation(algebra, deriv), "operator is not a derivation")
+    d, n = algebra.dim, algebra.arity
     acc = Matrix.zero(d)
     term = Matrix.identity(d)
     for m in range(d):
@@ -147,5 +137,5 @@ def reynolds_from_nilpotent_derivation(algebra, deriv):
         acc = acc + term.scale(coeff)
         term = term @ deriv
         if term.is_zero():
-            break
-    return acc
+            return acc
+    raise PreconditionError("derivation is not nilpotent; the series does not terminate")

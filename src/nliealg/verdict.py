@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import PreconditionError
 from .rings import format_rational
 
 
@@ -32,6 +33,13 @@ def fail(name, where, lhs, rhs):
     lhs, rhs = _reported(lhs), _reported(rhs)
     diff = [a - b for a, b in zip(lhs, rhs)]
     return CheckResult(name, False, {"where": where, "lhs": lhs, "rhs": rhs, "difference": diff})
+
+
+def require(verdict, message):
+    """Raise ``PreconditionError`` with ``message`` and the counterexample
+    unless ``verdict`` passed."""
+    if not verdict:
+        raise PreconditionError(message, verdict.counterexample)
 
 
 def _reported(vec):

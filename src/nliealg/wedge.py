@@ -52,11 +52,3 @@ class WedgeBasis:
 
     def __iter__(self):
         return iter(self.tuples)
-
-    def position(self, indices):
-        """(position, sign) of an arbitrary repeat-free tuple, or None."""
-        canon = canonicalize_wedge(indices, self.dim)
-        if canon is None:
-            return None
-        t, sign = canon
-        return self.index[t], sign

@@ -26,7 +26,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"ACCEPTANCE {number}: {status}")
 
 from nliealg.algebra import ALTERNATING, NAryAlgebra, RepresentationTable, ad, fundamental_action, wedge_single
-from nliealg.cohomology import Cochain, delta_r_operator
+from nliealg.cohomology import Cochain, coboundary, delta_r_operator
 from nliealg.constructions import LinearFunctional, comm_assoc_algebra
 from nliealg.documents import (
     Report,
@@ -36,10 +36,10 @@ from nliealg.documents import (
     operator_document,
 )
 from nliealg.deformation import TrivialityResult, check_equivalence_witness, is_infinitesimal_deformation
-from nliealg.errors import InputError, PreconditionError
+from nliealg.errors import InputError, NotInvertibleError, PreconditionError, UnsupportedRingError
 from nliealg.linalg import Matrix, vec_add, vec_scale, vec_sub, vec_zero
 from nliealg.ns import angle_bracket, angle_on_basis
-from nliealg.rings import Dual
+from nliealg.rings import QQ_ONE, QQ_ZERO, Dual, rational
 from nliealg.verdict import fail, ok
 from nliealg.wedge import increasing_tuples
 
@@ -478,6 +478,72 @@ def naive_t_linear_check(algebra, op, direction):
     return ok("deformation-cocycle")
 
 
+def check_complex(algebra, rho, degree, sample_cochains):
+    """d(d f) == 0 for the supplied cochains."""
+    for f in sample_cochains:
+        twice = coboundary(algebra, rho, coboundary(algebra, rho, f))
+        if not twice.is_zero():
+            return fail("complex-square-zero", {"degree": degree}, list(twice.data), [QQ_ZERO] * len(twice.data))
+    return ok("complex-square-zero")
+
+
+def naive_solve(self, b):
+    """The former ``Matrix.solve`` body, dense Fraction Gauss-Jordan; the
+    reference for the elimination kernel behind ``Matrix.solve``."""
+    self._require_rational("solve")
+    if len(b) != self.rows:
+        raise InputError(f"rhs length {len(b)} != {self.rows} rows")
+    if any(isinstance(x, Dual) for x in b):
+        raise UnsupportedRingError("solve is only defined over the rationals")
+    m = [[Fraction(a) for a in row] + [Fraction(bv)] for row, bv in zip(self.entries, b)]
+    nr, nc = self.rows, self.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [a * inv for a in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * p for a, p in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, nr):
+        if m[i][nc]:
+            return None
+    x = [QQ_ZERO] * nc
+    for row_idx, c in enumerate(pivots):
+        x[c] = rational(m[row_idx][nc])
+    return x
+
+
+def naive_inverse(self):
+    """The former ``Matrix.inverse`` body, dense Fraction Gauss-Jordan; the
+    reference for the elimination kernel behind ``Matrix.inverse``."""
+    self._require_rational("inverse")
+    if self.rows != self.cols:
+        raise InputError("inverse of non-square matrix")
+    n = self.rows
+    m = [[Fraction(a) for a in row] + [QQ_ONE if i == j else QQ_ZERO for j in range(n)]
+         for i, row in enumerate(self.entries)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            raise NotInvertibleError("matrix is singular")
+        m[c], m[piv] = m[piv], m[c]
+        inv = Fraction(1) / m[c][c]
+        m[c] = [a * inv for a in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * p for a, p in zip(m[i], m[c])]
+    return Matrix([[rational(a) for a in row[n:]] for row in m])
+
+
 def naive_is_trivial_deformation(algebra, op, direction):
     """Triviality with the cocycle test re-run on both directions of the
     witness pair; the reference for ``deformation.is_trivial_deformation``."""
@@ -492,7 +558,7 @@ def naive_is_trivial_deformation(algebra, op, direction):
         cols.append([delta.entries[i][j] for i in range(d) for j in range(d)])
     target = [direction.entries[i][j] for i in range(d) for j in range(d)]
     system = Matrix([[cols[c][r] for c in range(len(basis))] for r in range(d * d)])
-    solution = system.solve(target)
+    solution = naive_solve(system, target)
     if solution is None:
         return TrivialityResult("nontrivial")
     witness = {tup: c for tup, c in zip(basis, solution) if c}

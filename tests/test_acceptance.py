@@ -21,7 +21,6 @@ from nliealg.cli import run_command
 from nliealg.cohomology import (
     Cochain,
     ReynoldsComplex,
-    check_complex,
 )
 from nliealg.constructions import (
     LinearFunctional,
@@ -56,6 +55,7 @@ from nliealg.reynolds import (
 from nliealg.wedge import WedgeBasis, increasing_tuples
 
 from conftest import (
+    check_complex,
     lie3_nilpotent_derivation,
     naive_delta_r_cochain,
     rand_fraction,

@@ -84,6 +84,13 @@ def test_operator_to_derivation_singular_exit_2(docs):
     assert any(n.startswith("error:") for n in report.notes)
 
 
+def test_operator_series_of_a_non_nilpotent_derivation_exit_2(docs):
+    report, code = run_command([
+        "operator", "series", "--algebra", docs["ab33.json"], "--operator", docs["ident3.json"]])
+    assert code == 2
+    assert report.notes == ["error: derivation is not nilpotent; the series does not terminate"]
+
+
 def test_missing_file_exit_2(docs):
     report, code = run_command(["check", "filippov", "--algebra", "/no/such/file.json"])
     assert code == 2

@@ -14,7 +14,7 @@ from nliealg.deformation import (
     is_infinitesimal_deformation,
     is_trivial_deformation,
 )
-from nliealg.errors import PreconditionError
+from nliealg.errors import PreconditionError, UnsupportedRingError
 from nliealg.linalg import Matrix
 from nliealg.reynolds import check_reynolds, derivation_to_reynolds
 from nliealg.rings import EPS
@@ -133,6 +133,14 @@ def test_is_trivial_deformation_matches_naive_oracle(lie3, family1, family2, rng
             assert is_trivial_deformation(lie3, op, direction) == expected
             statuses.append(expected.status)
     assert {"trivial", "nontrivial", "non-cocycle"} <= set(statuses)
+
+
+def test_dual_base_operator_is_rejected_before_the_solve(lie3, family1):
+    """R + eps*delta_R(e_1) is Reynolds over the dual numbers, and the zero
+    direction is its cocycle; deciding triviality needs a field."""
+    dual_op = family1 + delta_r_operator(lie3, family1, wedge_single((1,), 3)).scale(EPS)
+    with pytest.raises(UnsupportedRingError):
+        is_trivial_deformation(lie3, dual_op, Matrix.zero(3))
 
 
 def test_trivial_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path, monkeypatch):

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from nliealg.errors import InputError, NotInvertibleError, UnsupportedRingError
-from nliealg.linalg import Matrix, SparseMatrix, unit_vector, vec_is_zero
+from nliealg.errors import InputError, NLieError, NotInvertibleError, UnsupportedRingError
+from nliealg.linalg import Matrix, SparseMatrix, _integer_row, unit_vector, vec_is_zero
 from nliealg.rings import Dual, EPS
 
-from conftest import rand_matrix, rand_vector
+from conftest import naive_inverse, naive_solve, rand_matrix, rand_vector
 
 
 def naive_rank(matrix):
@@ -73,28 +73,12 @@ def test_solve_detects_inconsistency():
     assert mat.solve([Fraction(1), Fraction(2)]) is None
 
 
-def test_det_against_cofactor_expansion():
-    def cofactor_det(m):
-        if m.rows == 1:
-            return m.entries[0][0]
-        total = Fraction(0)
-        for j in range(m.cols):
-            minor = Matrix([row[:j] + row[j + 1:] for row in m.entries[1:]])
-            total += Fraction((-1) ** j) * m.entries[0][j] * cofactor_det(minor)
-        return total
-
-    rng = random.Random(14)
-    for _ in range(25):
-        mat = rand_matrix(rng, rng.randint(1, 4))
-        assert mat.det() == cofactor_det(mat)
-
-
 def test_inverse_round_trip_and_singular_error():
     rng = random.Random(15)
     found = 0
     while found < 10:
         mat = rand_matrix(rng, 3)
-        if mat.det():
+        if mat.rank() == 3:
             assert mat @ mat.inverse() == Matrix.identity(3)
             found += 1
     with pytest.raises(NotInvertibleError):
@@ -103,7 +87,7 @@ def test_inverse_round_trip_and_singular_error():
 
 def test_dual_entries_are_rejected_for_elimination():
     mat = Matrix([[Dual(1, 1), Fraction(0)], [Fraction(0), Fraction(1)]])
-    for op in (mat.rank, mat.nullspace_basis, mat.det, mat.inverse):
+    for op in (mat.rank, mat.nullspace_basis, mat.inverse):
         with pytest.raises(UnsupportedRingError):
             op()
     with pytest.raises(UnsupportedRingError):
@@ -187,6 +171,92 @@ def test_nullspace_basis_is_reduced_and_exact():
         basis = mat.nullspace_basis()
         assert basis == expect
         assert all(type(a) in (int, Fraction) for v in basis for a in v)
+
+
+def typed(vectors):
+    return [[(type(a), a) for a in v] for v in vectors]
+
+
+def outcome(fn, *args):
+    """What a call returns, with the type of every scalar, or the error it raises."""
+    try:
+        out = fn(*args)
+    except NLieError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, Matrix):
+        return typed(out.entries)
+    return out if out is None else typed([out])[0]
+
+
+def naive_nullspace(mat):
+    """e_k - x for each column k that does not raise the rank of the columns
+    before it, where x is the oracle's solution of mat @ x = mat @ e_k."""
+    basis = []
+    for k in range(mat.cols):
+        before, upto = (naive_rank(Matrix([row[:j] for row in mat.entries])) for j in (k, k + 1))
+        if before == upto:
+            x = naive_solve(mat, [row[k] for row in mat.entries])
+            basis.append([1 if i == k else -a for i, a in enumerate(x)])
+    return basis
+
+
+def test_solve_inverse_and_nullspace_match_the_gauss_jordan_oracles():
+    """Rectangular, rank-deficient, zero rows and columns, 1 x n, n x 1,
+    Fraction entries; consistent, inconsistent and zero right-hand sides;
+    singular and invertible squares; and every error path."""
+    rng = random.Random(25)
+    seen = set()
+    for rows, cols in SHAPES + [(2, 2), (3, 3), (4, 4), (5, 5)]:
+        for _ in range(30):
+            mat = sparse_random(rng, rows, cols)
+            x = [a if rng.random() < 0.6 else Fraction(0) for a in rand_vector(rng, cols)]
+            for b in (mat.apply(x), [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rows)],
+                      [rng.randint(-2, 2) for _ in range(rows)], [0] * rows):
+                got = outcome(mat.solve, b)
+                assert got == outcome(naive_solve, mat, b), (mat, b)
+                seen.add("inconsistent" if got is None else "solved")
+            assert typed(mat.nullspace_basis()) == typed(naive_nullspace(mat)), mat
+            got = outcome(mat.inverse)
+            assert got == outcome(naive_inverse, mat), mat
+            seen.add(got[0] if isinstance(got[0], type) else "inverted")
+    assert seen == {"solved", "inconsistent", "inverted", NotInvertibleError, InputError}
+    dual = Matrix([[Dual(1, 1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    plain = Matrix([[1, 2], [3, 4]])
+    for mat, b in ((dual, [1, 1]), (plain, [1, Dual(0, 1)]), (plain, [1]), (plain, [1, 2, 3])):
+        assert outcome(mat.solve, b) == outcome(naive_solve, mat, b)
+        assert outcome(mat.solve, b)[0] in (UnsupportedRingError, InputError)
+    assert outcome(dual.inverse) == outcome(naive_inverse, dual)
+    assert outcome(dual.inverse)[0] is UnsupportedRingError
+
+
+def test_reduced_pivot_rows_are_zero_in_the_other_pivot_columns():
+    rng = random.Random(26)
+    for rows, cols in SHAPES:
+        for _ in range(25):
+            sparse = SparseMatrix.from_dense(sparse_random(rng, rows, cols))
+            echelon, reduced = sparse.echelon(), sparse.reduced()
+            assert reduced.keys() == echelon.keys()
+            for pc, row in reduced.items():
+                assert min(row) == pc and all(type(a) is int for a in row.values())
+                assert not any(other in row for other in reduced if other != pc)
+            stacked = SparseMatrix(len(echelon) + len(reduced), cols, list(echelon.values()) + list(reduced.values()))
+            assert stacked.rank() == len(echelon)
+
+
+def test_integer_row_returns_an_int_row_as_it_is():
+    row = {0: 3, 2: -4}
+    assert _integer_row(row) is row
+    assert _integer_row({0: Fraction(1, 2), 1: Fraction(2, 3), 3: 1}) == {0: 3, 1: 4, 3: 6}
+    assert _integer_row({1: Fraction(4)}) == {1: 4}
+
+
+def test_from_columns_matches_apply_on_unit_vectors():
+    rng = random.Random(27)
+    for rows, cols in SHAPES:
+        columns = [rand_vector(rng, rows) for _ in range(cols)]
+        mat = Matrix.from_columns(columns)
+        assert (mat.rows, mat.cols) == (rows, cols)
+        assert [mat.apply(unit_vector(cols, j)) for j in range(cols)] == columns
 
 
 # -- textbook dense kernels: the oracle for the zero-skipping ones -----------

@@ -105,6 +105,14 @@ def test_series_rejects_non_nilpotent(abelian33):
         reynolds_from_nilpotent_derivation(abelian33, diag)
 
 
+def test_series_of_a_non_nilpotent_derivation_is_a_precondition_error(lie3):
+    """ad(e_1) is a derivation with e_2 -> e_2, so no power of it vanishes."""
+    deriv = ad(lie3, wedge_single((1,), 3))
+    assert is_derivation(lie3, deriv)
+    with pytest.raises(PreconditionError, match="^derivation is not nilpotent; the series does not terminate$"):
+        reynolds_from_nilpotent_derivation(lie3, deriv)
+
+
 def test_singular_reynolds_has_no_derivation(lie3, family1):
     with pytest.raises(NotInvertibleError):
         reynolds_to_derivation(lie3, family1)

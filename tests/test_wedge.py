@@ -34,5 +34,3 @@ def test_increasing_tuples_lexicographic():
 def test_wedge_basis_positions():
     basis = WedgeBasis(4, 2)
     assert len(basis) == 6
-    assert basis.position((3, 1)) == (basis.index[(1, 3)], -1)
-    assert basis.position((2, 2)) is None
