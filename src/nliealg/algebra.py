@@ -15,7 +15,7 @@ from itertools import product
 from .errors import InputError
 from .linalg import Matrix, combine, unit_vector, vec_add, vec_is_zero, vec_scale, vec_zero
 from .rings import QQ_ONE, QQ_ZERO, rational, sign
-from .verdict import CheckResult, fail, ok, require
+from .verdict import fail, ok, require
 from .wedge import canonicalize_wedge, check_indices, increasing_tuples
 
 ALTERNATING = "alternating"
@@ -190,7 +190,10 @@ class RepresentationTable:
                 clean[key] = mat
         self.tables = clean
         # the support of each stored matrix, flattened row-major
-        self._terms = {key: support([c for row in mat.entries for c in row]) for key, mat in clean.items()}
+        self._terms = {
+            key: [(i * module_dim + j, c) for i, row in enumerate(mat.row_maps) for j, c in row.items()]
+            for key, mat in clean.items()
+        }
 
     def matrix_for_tuple(self, indices):
         """Matrix of rho(e_{i1}, ..., e_{i_{n-1}}), any index order."""
@@ -385,11 +388,7 @@ def check_representation(algebra, rho):
 def adjoint_representation(algebra):
     """rho(X) = ad_X on the algebra itself."""
     d, n = algebra.dim, algebra.arity
-    tables = {}
-    for tup in increasing_tuples(d, n - 1):
-        mat = ad(algebra, wedge_single(tup, d))
-        if not mat.is_zero():
-            tables[tup] = mat
+    tables = {tup: ad(algebra, wedge_single(tup, d)) for tup in increasing_tuples(d, n - 1)}
     return RepresentationTable(n, d, d, tables)
 
 
@@ -421,9 +420,5 @@ def semidirect_product(algebra, rho):
 
 def algebra_from_bracket_function(arity, dim, func, basis_names=None):
     """Tabulate an alternating n-ary map given on increasing basis tuples."""
-    brackets = {}
-    for tup in increasing_tuples(dim, arity):
-        vec = func(tup)
-        if not vec_is_zero(vec):
-            brackets[tup] = vec
+    brackets = {tup: func(tup) for tup in increasing_tuples(dim, arity)}
     return NAryAlgebra(arity, dim, brackets, basis_names=basis_names)

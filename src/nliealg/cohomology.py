@@ -28,8 +28,8 @@ from .algebra import (
     wedge_single,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError
-from .linalg import Matrix, SparseMatrix, integer_scale, unit_vector, vec_add, vec_scale, vec_sub, vec_zero
-from .reynolds import basis_images, check_reynolds, induced_bracket
+from .linalg import Matrix, integer_scale, unit_vector, vec_add, vec_scale, vec_sub, vec_zero
+from .reynolds import basis_images, check_reynolds, induced_bracket, induced_value
 from .rings import QQ_ONE, QQ_ZERO, rational, sign
 from .verdict import require
 from .wedge import WedgeBasis
@@ -62,11 +62,8 @@ class Cochain:
     @classmethod
     def from_operator(cls, arity, op):
         """A linear operator g -> V as a degree-1 cochain."""
-        data = []
-        for j in range(op.cols):
-            for v in range(op.rows):
-                data.append(op.entries[v][j])
-        return cls(arity, op.cols, op.rows, 1, data)
+        rows = op.entries
+        return cls(arity, op.cols, op.rows, 1, [rows[v][j] for j in range(op.cols) for v in range(op.rows)])
 
     def to_operator(self):
         if self.degree != 1:
@@ -201,24 +198,18 @@ def reynolds_representation(algebra, op):
 
 def tabulate_reynolds_representation(algebra, op):
     """rho_R of an operator the caller has already verified, from the basis
-    images' supports with R applied once per column: rho_R(e_I) e_j =
-    [Re_I, e_j] + R([Re_I, e_j] - sum_i [Re_I with e_{I_i} in slot i, e_j])."""
+    images' supports with R applied once per column:
+    rho_R(e_I) e_j = [Re_I, e_j] - R(induced_value(e_I; e_j))."""
     n, d = algebra.arity, algebra.dim
     images = [support(v) for v in basis_images(algebra, op)[1]]
     tables = {}
     for tup in WedgeBasis(d, n - 1):
-        top = [images[i - 1] for i in tup]
-        mixed = [top[:i] + unit_supports(tup[i:i + 1]) + top[i + 1:] for i in range(n - 1)]
+        units, top = unit_supports(tup), [images[i - 1] for i in tup]
         cols = []
         for last in unit_supports(range(1, d + 1)):
-            val = algebra.bracket_supports(top + [last])
-            rest = val
-            for args in mixed:
-                rest = vec_sub(rest, algebra.bracket_supports(args + [last]))
-            cols.append(vec_add(val, op.apply(rest)))
-        mat = Matrix.from_columns(cols)
-        if not mat.is_zero():
-            tables[tup] = mat
+            val, rest = induced_value(algebra, units, top, [last])
+            cols.append(vec_sub(val, op.apply(rest)))
+        tables[tup] = Matrix.from_columns(cols)
     return RepresentationTable(n, d, d, tables)
 
 
@@ -266,7 +257,7 @@ class ReynoldsComplex:
         integer matrix of ``dimensions`` divided by its scale."""
         scale, mat = self._integer_differential(m, size_guard)
         rows = [{j: rational(Fraction(x, scale)) for j, x in row.items()} for row in mat.row_maps]
-        return SparseMatrix(mat.rows, mat.cols, rows)
+        return Matrix.sparse(mat.rows, mat.cols, rows)
 
     def _integer_differential(self, m, size_guard):
         """(D, D d_m): an integer D > 0 and a matrix of ints."""
@@ -335,7 +326,7 @@ class ReynoldsComplex:
                 for k, vo, vi, c in last[blocks[m - 1]][j]:
                     add(vo, column(blocks[:m - 1], k) + vi, c)
                 rows.extend(out)
-        return SparseMatrix(len(rows), self.cochain_dim(m), rows)
+        return Matrix.sparse(len(rows), self.cochain_dim(m), rows)
 
     def dimensions(self, m_max, size_guard=DEFAULT_SIZE_GUARD):
         """[(m, dim Z^m, dim B^m, dim H^m)] for m = 0..m_max.
@@ -388,9 +379,9 @@ def integer_delta(algebra, op):
             cols[c] += vec_sub(op.apply(rest), moved)
     scale, (cols,) = integer_scale([cols])
     rows = [{c: col[r] for c, col in cols.items()} for r in range(d * d)]
-    return scale, SparseMatrix(d * d, len(cols), rows)
+    return scale, Matrix.sparse(d * d, len(cols), rows)
 
 
 def _matrix_terms(mat):
-    return [(i, j, c) for i, row in enumerate(mat.entries) for j, c in enumerate(row) if c]
+    return [(i, j, c) for i, row in enumerate(mat.row_maps) for j, c in row.items()]
 

@@ -9,18 +9,17 @@ from derivations.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .algebra import (
     SYMMETRIC,
     NAryAlgebra,
     algebra_from_bracket_function,
-    check_filippov,
     is_derivation,
+    support,
+    unit_supports,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
-from .reynolds import check_reynolds, induced_bracket
+from .reynolds import basis_images, check_reynolds, induced_value, reynolds_values
 from .rings import rational, sign
 from .verdict import fail, jsonable, ok, require
 from .wedge import increasing_tuples
@@ -74,9 +73,15 @@ def check_associative(algebra):
 
 def extend_by_functional(algebra, functional):
     """{x_1,...,x_{n+1}} = sum_i (-1)^{i-1} f(x_i) [x_1,...,^x_i,...,x_{n+1}]."""
+    extension = _extension(algebra, functional)
+    require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
+    return extension
+
+
+def _extension(algebra, functional):
+    """``extend_by_functional`` without the vanishing check."""
     if functional.dim != algebra.dim:
         raise InputError("functional dimension mismatch")
-    require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
     n, d = algebra.arity, algebra.dim
 
     def value(tup):
@@ -95,6 +100,13 @@ def extend_by_functional(algebra, functional):
 def reynolds_lift_criterion(algebra, op, functional):
     """sum_i (-1)^{n+1-i} f(x_i) R[Rx_1,...,^Rx_i,...,Rx_{n+1}] = 0 on basis
     tuples; on PASS the operator is re-verified on the extended algebra."""
+    return _lift(algebra, op, functional)[0]
+
+
+def _lift(algebra, op, functional):
+    """(verdict, values) of the lift criterion.  On PASS ``values`` is the
+    operator's Reynolds walk on the extended algebra, as ``reynolds_values``
+    gives it; a failing walk there is a bug.  On FAIL it is None."""
     require(check_reynolds(algebra, op), "operator is not a Reynolds operator")
     require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
     n, d = algebra.arity, algebra.dim
@@ -108,51 +120,38 @@ def reynolds_lift_criterion(algebra, op, functional):
             rest = r_units[:i] + r_units[i + 1:]
             acc = vec_add(acc, vec_scale(sign(n - i) * c, op.apply(algebra.bracket(rest))))
         if not vec_is_zero(acc):
-            return fail("lift-criterion", {"tuple": tup}, acc, vec_zero(d))
-    lifted = check_reynolds(extend_by_functional(algebra, functional), op)
+            return fail("lift-criterion", {"tuple": tup}, acc, vec_zero(d)), None
+    lifted, values = reynolds_values(_extension(algebra, functional), op)
     if not lifted:
         raise InternalConsistencyError(
             f"criterion holds but the lifted check fails: {jsonable(lifted.counterexample)}"
         )
-    return ok("lift-criterion")
+    return ok("lift-criterion"), values
 
 
 def corollary_bracket(algebra, op, functional):
-    """The double-sum (n+1)-ary bracket of a lifted Reynolds operator;
-    coincides with the induced bracket of the extended algebra."""
-    require(reynolds_lift_criterion(algebra, op, functional), "lift criterion fails")
+    """The (n+1)-ary bracket of a lifted Reynolds operator,
+    sum_j (-1)^j (f(Rx_j) [..^x_j..]_R + f(x_j) [..^Rx_j..]) with [.]_R the
+    induced bracket of the n-Lie algebra; coincides with the induced
+    bracket of the extended algebra."""
+    verdict, values = _lift(algebra, op, functional)
+    require(verdict, "lift criterion fails")
     n, d = algebra.arity, algebra.dim
+    _, images = basis_images(algebra, op)
+    f_images = [functional(v) for v in images]
+    images = [support(v) for v in images]
 
     def value(tup):
-        units = algebra.units(tup)
-        r_units = [op.apply(u) for u in units]
-        f_r = [functional(r) for r in r_units]
-        f_x = [functional(u) for u in units]
+        units, r_units = unit_supports(tup), [images[i - 1] for i in tup]
         acc = vec_zero(d)
-        # one argument kept plain (slot i), functional slot j removed
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if j == i:
-                    continue
-                args = []
-                for k in range(n + 1):
-                    if k == j:
-                        continue
-                    args.append(units[i] if k == i else r_units[k])
-                acc = vec_add(acc, vec_scale(sign(j) * f_r[j], algebra.bracket(args)))
-        for i in range(n + 1):
-            rest = [r_units[k] for k in range(n + 1) if k != i]
-            acc = vec_add(acc, vec_scale(sign(i) * f_x[i], algebra.bracket(rest)))
         for j in range(n + 1):
-            rest = [r_units[k] for k in range(n + 1) if k != j]
-            acc = vec_sub(acc, vec_scale(sign(j) * f_r[j], algebra.bracket(rest)))
+            top, induced = induced_value(algebra, units[:j] + units[j + 1:], r_units[:j] + r_units[j + 1:])
+            acc = vec_add(acc, vec_scale(sign(j) * f_images[tup[j] - 1], induced))
+            acc = vec_add(acc, vec_scale(sign(j) * functional.coefficients[tup[j] - 1], top))
         return acc
 
-    result = algebra_from_bracket_function(
-        n + 1, d, value, basis_names=algebra.basis_names
-    )
-    reference = induced_bracket(extend_by_functional(algebra, functional), op)
-    if result != reference:
+    result = algebra_from_bracket_function(n + 1, d, value, basis_names=algebra.basis_names)
+    if result != NAryAlgebra(n + 1, d, {tup: induced for tup, (_, induced) in values.items()}):
         raise InternalConsistencyError(
             "double-sum bracket disagrees with the induced bracket of the extension"
         )
@@ -164,17 +163,12 @@ def check_assoc_reynolds(algebra, op):
     if algebra.symmetry != SYMMETRIC:
         raise InputError("expected a commutative product")
     require(check_associative(algebra), "product is not associative")
-    d = algebra.dim
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            x, y = algebra.units((i, j))
-            rx, ry = op.apply(x), op.apply(y)
-            lhs = algebra.bracket([rx, ry])
-            inner = vec_add(algebra.bracket([rx, y]), algebra.bracket([x, ry]))
-            inner = vec_sub(inner, lhs)
-            rhs = op.apply(inner)
-            if lhs != rhs:
-                return fail("assoc-reynolds", {"pair": (i, j)}, lhs, rhs)
+    images = [support(v) for v in basis_images(algebra, op)[1]]
+    for pair in algebra.basis_tuples():
+        lhs, value = induced_value(algebra, unit_supports(pair), [images[i - 1] for i in pair])
+        rhs = op.apply(value)
+        if lhs != rhs:
+            return fail("assoc-reynolds", {"pair": pair}, lhs, rhs)
     return ok("assoc-reynolds")
 
 
@@ -228,19 +222,24 @@ def three_lie_from_f_D(algebra, functional, deriv):
 
     def value(tup):
         units = algebra.units(tup)
-        d_units = [deriv.apply(u) for u in units]
-        f_vals = [functional(u) for u in units]
-        acc = vec_zero(d)
-        for i in range(3):
-            a, b = [k for k in range(3) if k != i]
-            minor = vec_sub(
-                algebra.bracket([d_units[a], units[b]]),
-                algebra.bracket([d_units[b], units[a]]),
-            )
-            acc = vec_add(acc, vec_scale(sign(i) * f_vals[i], minor))
-        return acc
+        return _fd_sum(algebra, [functional(u) for u in units], [deriv.apply(u) for u in units], units)
 
     return algebra_from_bracket_function(3, d, value, basis_names=algebra.basis_names)
+
+
+def _fd_sum(algebra, f_vals, d_units, units):
+    """sum_i (-1)^i f_i ([Dy_a, y_b] - [Dy_b, y_a]) over the three slots i,
+    with a < b the other two: the determinant with rows (f-values,
+    D-images, elements)."""
+    acc = vec_zero(algebra.dim)
+    for i in range(3):
+        a, b = [k for k in range(3) if k != i]
+        minor = vec_sub(
+            algebra.bracket([d_units[a], units[b]]),
+            algebra.bracket([d_units[b], units[a]]),
+        )
+        acc = vec_add(acc, vec_scale(sign(i) * f_vals[i], minor))
+    return acc
 
 
 def three_lie_from_two_derivations(algebra, d1, d2):
@@ -319,16 +318,7 @@ def check_reynolds_on_det_3lie(algebra, op, variant, data):
         for tup in increasing_tuples(d, 3):
             units = algebra.units(tup)
             r_units = [op.apply(u) for u in units]
-            dr_units = [deriv.apply(r) for r in r_units]
-            f_vals = [functional(u) for u in units]
-            acc = vec_zero(d)
-            for i in range(3):
-                a, b = [k for k in range(3) if k != i]
-                minor = vec_sub(
-                    algebra.bracket([dr_units[a], r_units[b]]),
-                    algebra.bracket([dr_units[b], r_units[a]]),
-                )
-                acc = vec_add(acc, vec_scale(sign(i) * f_vals[i], minor))
+            acc = _fd_sum(algebra, [functional(u) for u in units], [deriv.apply(r) for r in r_units], r_units)
             if not vec_is_zero(acc):
                 return fail("det3-criterion", {"tuple": tup}, acc, vec_zero(d))
         return check_reynolds(three, op)

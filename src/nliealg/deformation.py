@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import ad
+from .algebra import ad, support, unit_supports
 from .cohomology import Cochain, delta_r_operator, integer_delta
 from .errors import InternalConsistencyError
 from .linalg import Matrix, vec_add, vec_sub, vec_zero
@@ -31,6 +31,7 @@ def _t_linear_check(algebra, op, direction):
     """
     n, d = algebra.arity, algebra.dim
     units, r_images = basis_images(algebra, op)
+    r_supports = [support(v) for v in r_images]
     s_images = [direction.apply(u) for u in units]
     for tup in increasing_tuples(d, n):
         xs = [units[i - 1] for i in tup]
@@ -44,7 +45,7 @@ def _t_linear_check(algebra, op, direction):
         lhs = vec_zero(d)
         for v in moved:
             lhs = vec_add(lhs, v)
-        rhs = direction.apply(induced_value(algebra, xs, r_units, algebra.bracket(r_units)))
+        rhs = direction.apply(induced_value(algebra, unit_supports(tup), [r_supports[i - 1] for i in tup])[1])
         for v in moved:
             rhs = vec_sub(rhs, op.apply(v))
         for i in range(n):

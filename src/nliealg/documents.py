@@ -71,11 +71,16 @@ def _as_dims(doc, pointer=""):
     return dim
 
 
-def _parse_algebra(doc):
-    dim = _as_dims(doc)
+def _as_arity(doc):
     arity = doc.get("arity", 2)
     if not isinstance(arity, int) or isinstance(arity, bool) or arity < 2:
         raise _err("/arity", "arity must be an integer >= 2")
+    return arity
+
+
+def _parse_algebra(doc):
+    dim = _as_dims(doc)
+    arity = _as_arity(doc)
     symmetry = doc.get("symmetry", ALTERNATING)
     if symmetry not in (ALTERNATING, SYMMETRIC):
         raise _err("/symmetry", f"unknown symmetry {symmetry!r}")
@@ -115,9 +120,7 @@ def _parse_functional(doc):
 
 def _parse_ns(doc):
     dim = _as_dims(doc)
-    arity = doc.get("arity", 2)
-    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 2:
-        raise _err("/arity", "arity must be an integer >= 2")
+    arity = _as_arity(doc)
     curly = {}
     for i, entry in enumerate(doc.get("curly", [])):
         pointer = f"/curly/{i}"
@@ -143,9 +146,7 @@ def _parse_ns(doc):
 
 
 def _parse_representation(doc):
-    arity = doc.get("arity", 2)
-    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 2:
-        raise _err("/arity", "arity must be an integer >= 2")
+    arity = _as_arity(doc)
     algebra_dim = doc.get("algebra_dim")
     module_dim = doc.get("module_dim")
     for label, v in (("algebra_dim", algebra_dim), ("module_dim", module_dim)):
@@ -169,9 +170,7 @@ def _parse_representation(doc):
 
 def _parse_wedge(doc):
     dim = _as_dims(doc)
-    arity = doc.get("arity", 2)
-    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 2:
-        raise _err("/arity", "arity must be an integer >= 2")
+    arity = _as_arity(doc)
     terms = {}
     for i, entry in enumerate(doc.get("terms", [])):
         pointer = f"/terms/{i}"

@@ -1,28 +1,37 @@
 """Exact linear algebra over the rationals (and dual numbers).
 
-``Matrix`` is dense, but its products, sums and scalings skip zero
-terms.  ``SparseMatrix`` keeps one {column: value} dict per row and has
-the one elimination kernel, a fraction-free echelon form in Z: ``rank``
-counts its rows; ``nullspace_basis``, ``solve`` and ``inverse`` read one
-quotient per entry off its back-substituted form, and the ``Matrix``
-methods delegate to them.  Dual-number matrices support the ring
-operations (add/mul/apply) but not elimination, which needs a field.
+``Matrix`` is the one matrix type: immutable, stored as one
+{column: value} dict per row with no zero entries, so products, sums,
+scalings and ``apply`` only touch stored entries.  It also holds the one
+elimination kernel, a fraction-free echelon form in Z: ``rank`` counts
+its rows; ``nullspace_basis``, ``solve`` and ``inverse`` read one
+quotient per entry off its back-substituted form.  Dual-number matrices
+support the ring operations (add/mul/apply) but not elimination, which
+needs a field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import InputError, NotInvertibleError, UnsupportedRingError
-from .rings import Dual, QQ_ZERO, QQ_ONE, plus, rational
+from .rings import Dual, QQ_ZERO, QQ_ONE, minus, plus, rational
 
 
 class Matrix:
-    """Immutable row-major matrix of exact scalars."""
+    """Immutable exact matrix stored as one {column: value} dict per row.
 
-    __slots__ = ("rows", "cols", "entries")
+    Zero entries are never stored.  The dense constructor and the ring
+    operations keep each row's columns in increasing order, the order in
+    which ``apply`` and products accumulate, so the ring of every entry
+    is that of the plain dense loops.  ``entries`` is a read-only dense
+    view, built on each access, so no dense copy outlives its reader.
+    """
+
+    __slots__ = ("rows", "cols", "row_maps")
 
     def __init__(self, entries):
         entries = [tuple(row) for row in entries]
@@ -31,16 +40,27 @@ class Matrix:
         cols = len(entries[0])
         if any(len(row) != cols for row in entries):
             raise InputError("ragged matrix rows")
-        object.__setattr__(self, "rows", len(entries))
+        self._set(len(entries), cols, [dict(compress(enumerate(row), row)) for row in entries])
+
+    def _set(self, rows, cols, row_maps):
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "row_maps", tuple(row_maps))
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def sparse(cls, rows, cols, row_maps):
+        """The rows x cols matrix whose row i holds the nonzero entries of
+        the {column: value} dict ``row_maps[i]``."""
+        if len(row_maps) != rows:
+            raise InputError(f"{len(row_maps)} row dicts for {rows} rows")
+        return _matrix(rows, cols, [{j: a for j, a in row.items() if a} for row in row_maps])
+
+    @classmethod
     def identity(cls, n):
-        return cls([[QQ_ONE if i == j else QQ_ZERO for j in range(n)] for i in range(n)])
+        return _matrix(n, n, [{i: QQ_ONE} for i in range(n)])
 
     @classmethod
     def from_columns(cls, cols):
@@ -50,17 +70,20 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return cls([[QQ_ZERO] * cols for _ in range(rows)])
+        return _matrix(rows, rows if cols is None else cols, [{} for _ in range(rows)])
+
+    @property
+    def entries(self):
+        return tuple(tuple(row.get(j, QQ_ZERO) for j in range(self.cols)) for row in self.row_maps)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self.row_maps[i].get(j, QQ_ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.row_maps == other.row_maps
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
@@ -69,107 +92,71 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.entries]!r})"
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        return Matrix([vec_add(ra, rb) for ra, rb in zip(self.entries, other.entries)])
+        return self._merge(other, plus)
 
     def __sub__(self, other):
+        return self._merge(other, minus)
+
+    def _merge(self, other, op):
+        """op(a, b) entry by entry, over the columns either row stores."""
         self._check_same_shape(other)
-        return Matrix([vec_sub(ra, rb) for ra, rb in zip(self.entries, other.entries)])
+        out = []
+        for ra, rb in zip(self.row_maps, other.row_maps):
+            row = {}
+            for j in sorted(ra.keys() | rb.keys()):
+                x = op(ra.get(j, QQ_ZERO), rb.get(j, QQ_ZERO))
+                if x:
+                    row[j] = x
+            out.append(row)
+        return _matrix(self.rows, self.cols, out)
 
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.entries])
+        return _matrix(self.rows, self.cols, [{j: -a for j, a in row.items()} for row in self.row_maps])
 
     def scale(self, c):
-        return Matrix([vec_scale(c, row) for row in self.entries])
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        if c == 1:
+            return self
+        return _matrix(self.rows, self.cols,
+                       [{j: x for j, a in row.items() if (x := c * a)} for row in self.row_maps])
 
     def __matmul__(self, other):
+        """The product, each entry summed over k in increasing order; a
+        factor that is the integer 1 is skipped."""
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
-        return Matrix([combine(row, right, other.cols) for row in self.entries])
+        right = other.row_maps
+        out = []
+        for row in self.row_maps:
+            acc = {}
+            for k, a in row.items():
+                one = type(a) is int and a == 1
+                for j, b in right[k].items():
+                    x = b if one else a * b
+                    y = acc.get(j)
+                    acc[j] = x if not y else y if not x else y + x  # plus(y, x), inline
+            out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+        return _matrix(self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix-vector product; entry [i][j] is the e_i-coefficient of the image of e_j."""
         if len(vec) != self.cols:
             raise InputError(f"vector length {len(vec)} != {self.cols}")
-        terms = [(j, x) for j, x in enumerate(vec) if x]
-        return [reduce(plus, (row[j] * x for j, x in terms if row[j]), QQ_ZERO) for row in self.entries]
+        return [reduce(plus, (a * vec[j] for j, a in row.items() if vec[j]), QQ_ZERO) for row in self.row_maps]
 
     def is_zero(self):
-        return all(not a for row in self.entries for a in row)
+        return not any(self.row_maps)
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch")
 
     def _require_rational(self, what):
-        if any(isinstance(a, Dual) for row in self.entries for a in row):
+        if any(isinstance(a, Dual) for row in self.row_maps for a in row.values()):
             raise UnsupportedRingError(f"{what} is only defined over the rationals, not dual numbers")
 
     # -- elimination -----------------------------------------------------
-
-    def _sparse(self, what):
-        self._require_rational(what)
-        return SparseMatrix.from_dense(self)
-
-    def rank(self):
-        return self._sparse("rank").rank()
-
-    def nullspace_basis(self):
-        """Exact basis of the right nullspace, one vector per free column."""
-        return self._sparse("nullspace").nullspace_basis()
-
-    def solve(self, b):
-        """One exact solution of self @ x = b, or None when inconsistent."""
-        return self._sparse("solve").solve(b)
-
-    def inverse(self):
-        return self._sparse("inverse").inverse()
-
-
-class SparseMatrix:
-    """Exact rational matrix stored as one {column: value} dict per row.
-
-    Zero entries are never stored.  ``entries`` is a read-only dense view,
-    built on each access, so no dense copy outlives its reader.
-    """
-
-    __slots__ = ("rows", "cols", "row_maps")
-
-    def __init__(self, rows, cols, row_maps):
-        if len(row_maps) != rows:
-            raise InputError(f"{len(row_maps)} row dicts for {rows} rows")
-        self.rows = rows
-        self.cols = cols
-        self.row_maps = [{j: a for j, a in row.items() if a} for row in row_maps]
-
-    @classmethod
-    def from_dense(cls, mat):
-        return cls(mat.rows, mat.cols, [dict(enumerate(row)) for row in mat.entries])
-
-    @property
-    def entries(self):
-        return tuple(tuple(row.get(j, QQ_ZERO) for j in range(self.cols)) for row in self.row_maps)
-
-    def apply(self, vec):
-        if len(vec) != self.cols:
-            raise InputError(f"vector length {len(vec)} != {self.cols}")
-        return [sum((a * vec[j] for j, a in row.items()), QQ_ZERO) for row in self.row_maps]
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for row in self.row_maps:
-            acc = {}
-            for k, a in row.items():
-                for j, b in other.row_maps[k].items():
-                    acc[j] = acc.get(j, QQ_ZERO) + a * b
-            out.append(acc)
-        return SparseMatrix(self.rows, other.cols, out)
-
-    def is_zero(self):
-        return not any(self.row_maps)
 
     def echelon(self):
         """An echelon basis of the row space, as {leading column: integer row}.
@@ -205,16 +192,21 @@ class SparseMatrix:
         return pivots
 
     def rank(self):
+        self._require_rational("rank")
         return len(self.echelon())
 
     def nullspace_basis(self):
-        """e_k - x for each free column k, where x solves self @ x = self @ e_k
-        and is 0 on every free unknown: 1 at k, 0 on the other free columns."""
+        """Exact basis of the right nullspace: e_k - x for each free column
+        k, where x solves self @ x = self @ e_k and is 0 on every free
+        unknown: 1 at k, 0 on the other free columns."""
+        self._require_rational("nullspace")
         solutions = self._solve_columns(self.row_maps, self.cols)
         return [[QQ_ONE if i == k else -a for i, a in enumerate(x)] for k, x in enumerate(solutions) if not x[k]]
 
     def solve(self, b):
-        """The solution of self @ x = b that is 0 on every free unknown, or None."""
+        """The solution of self @ x = b that is 0 on every free unknown, or
+        None when there is none."""
+        self._require_rational("solve")
         if len(b) != self.rows:
             raise InputError(f"rhs length {len(b)} != {self.rows} rows")
         if any(isinstance(x, Dual) for x in b):
@@ -223,7 +215,7 @@ class SparseMatrix:
         return None if solutions is None else solutions[0]
 
     def inverse(self):
-        """The inverse as a dense ``Matrix``."""
+        self._require_rational("inverse")
         if self.rows != self.cols:
             raise InputError("inverse of non-square matrix")
         solutions = self._solve_columns([{i: 1} for i in range(self.rows)], self.rows)
@@ -239,7 +231,7 @@ class SparseMatrix:
         Each reduced pivot row gives x[pc] = row[n + k] / row[pc]."""
         n = self.cols
         augmented = [{**row, **{n + k: x for k, x in extra.items()}} for row, extra in zip(self.row_maps, rhs)]
-        pivots = SparseMatrix(self.rows, n + width, augmented).reduced()
+        pivots = Matrix.sparse(self.rows, n + width, augmented).reduced()
         if any(col >= n for col in pivots):
             return None
         solutions = [[QQ_ZERO] * n for _ in range(width)]
@@ -248,6 +240,13 @@ class SparseMatrix:
                 if col >= n:
                     solutions[col - n][pc] = rational(Fraction(p) / row[pc])
         return solutions
+
+
+def _matrix(rows, cols, row_maps):
+    """A ``Matrix`` from row dicts that hold no zero entry."""
+    mat = object.__new__(Matrix)
+    mat._set(rows, cols, row_maps)
+    return mat
 
 
 def _integer_row(row):

@@ -82,7 +82,5 @@ def nijenhuis_representation(algebra, op):
     for tup in increasing_tuples(d, n - 1):
         n_units = [op.apply(u) for u in algebra.units(tup)]
         cols = [algebra.bracket(n_units + [u]) for u in algebra.units(range(1, d + 1))]
-        mat = Matrix.from_columns(cols)
-        if not mat.is_zero():
-            tables[tup] = mat
+        tables[tup] = Matrix.from_columns(cols)
     return RepresentationTable(n, d, d, tables)

@@ -230,12 +230,7 @@ def subadjacent(ns):
         raise InternalConsistencyError(
             f"axioms passed but the angle bracket is not Filippov: {jsonable(fil.counterexample)}"
         )
-    tables = {}
-    for tup in increasing_tuples(d, n - 1):
-        mat = ns.curly_matrix(tup)
-        if not mat.is_zero():
-            tables[tup] = mat
-    rep = RepresentationTable(n, d, d, tables)
+    rep = RepresentationTable(n, d, d, {tup: ns.curly_matrix(tup) for tup in increasing_tuples(d, n - 1)})
     rep_check = check_representation(algebra, rep)
     if not rep_check:
         raise InternalConsistencyError(

@@ -14,27 +14,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import NAryAlgebra, is_derivation
+from .algebra import NAryAlgebra, is_derivation, support, unit_supports
 from .errors import InputError, NotInvertibleError, PreconditionError
-from .linalg import Matrix, vec_add, vec_zero
+from .linalg import Matrix, vec_add, vec_sub, vec_zero
 from .rings import sign
 from .verdict import fail, ok, require
 from .wedge import increasing_tuples
 
 
-def induced_value(algebra, units, r_units, r_bracket):
-    """[x_1,...,x_n]_R = sum_i [Rx_1,...,x_i,...,Rx_n] - [Rx_1,...,Rx_n]
-    from the basis vectors x_i, their images Rx_i and [Rx_1,...,Rx_n].
+def induced_value(algebra, units, images, tail=()):
+    """([Rx_1,...,Rx_k, t], sum_i [Rx_1,...,x_i,...,Rx_k, t] - [Rx_1,...,Rx_k, t]),
+    with every argument given by its support: ``units`` those of x_1..x_k,
+    ``images`` those of Rx_1..Rx_k, and ``tail`` those of the fixed
+    trailing arguments t, k + len(tail) = n.
 
-    R of it is the right-hand side of the Reynolds identity: the hatted
+    With no tail the second value is the induced bracket [x_1,...,x_n]_R,
+    and R of it is the right-hand side of the Reynolds identity: the hatted
     form, with x_i moved back into slot i, absorbs the (-1)^{n-i} sign.
+    With the tail x and X = x_1 ^ ... ^ x_{n-1} it gives the representation
+    of the Reynolds complex: rho_R(X)x = [RX, x] - R(induced_value(X; x)).
     """
+    tail = list(tail)
+    top = algebra.bracket_supports(images + tail)
     acc = vec_zero(algebra.dim)
-    for i in range(algebra.arity):
-        args = list(r_units)
-        args[i] = units[i]
-        acc = vec_add(acc, algebra.bracket(args))
-    return [a - b for a, b in zip(acc, r_bracket)]
+    for i, unit in enumerate(units):
+        acc = vec_add(acc, algebra.bracket_supports(images[:i] + [unit] + images[i + 1:] + tail))
+    return top, vec_sub(acc, top)
 
 
 def basis_images(algebra, op):
@@ -50,12 +55,10 @@ def reynolds_values(algebra, op):
     side); the walk stops at the first failing tuple."""
     if op.rows != algebra.dim or op.cols != algebra.dim:
         raise InputError("operator dimension mismatch")
-    units, images = basis_images(algebra, op)
+    images = [support(v) for v in basis_images(algebra, op)[1]]
     values = {}
     for tup in increasing_tuples(algebra.dim, algebra.arity):
-        r_units = [images[i - 1] for i in tup]
-        lhs = algebra.bracket(r_units)
-        value = induced_value(algebra, [units[i - 1] for i in tup], r_units, lhs)
+        lhs, value = induced_value(algebra, unit_supports(tup), [images[i - 1] for i in tup])
         rhs = op.apply(value)
         if lhs != rhs:
             return fail("reynolds", {"tuple": tup}, lhs, rhs), values

@@ -113,6 +113,15 @@ def plus(a, b):
     return a + b
 
 
+def minus(a, b):
+    """a - b, or a itself when b is zero, or -b when a is zero."""
+    if not b:
+        return a
+    if not a:
+        return -b
+    return a - b
+
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 

@@ -25,9 +25,24 @@ def pytest_terminal_summary(terminalreporter):
         status = "PASS" if _criterion_results[number] else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {number}: {status}")
 
-from nliealg.algebra import ALTERNATING, NAryAlgebra, RepresentationTable, ad, fundamental_action, wedge_single
+from nliealg.algebra import (
+    ALTERNATING,
+    SYMMETRIC,
+    NAryAlgebra,
+    RepresentationTable,
+    ad,
+    algebra_from_bracket_function,
+    fundamental_action,
+    wedge_single,
+)
 from nliealg.cohomology import Cochain, coboundary, delta_r_operator
-from nliealg.constructions import LinearFunctional, comm_assoc_algebra
+from nliealg.constructions import (
+    LinearFunctional,
+    check_associative,
+    comm_assoc_algebra,
+    extend_by_functional,
+    reynolds_lift_criterion,
+)
 from nliealg.documents import (
     Report,
     algebra_document,
@@ -36,11 +51,18 @@ from nliealg.documents import (
     operator_document,
 )
 from nliealg.deformation import TrivialityResult, check_equivalence_witness, is_infinitesimal_deformation
-from nliealg.errors import InputError, NotInvertibleError, PreconditionError, UnsupportedRingError
+from nliealg.errors import (
+    InputError,
+    InternalConsistencyError,
+    NotInvertibleError,
+    PreconditionError,
+    UnsupportedRingError,
+)
 from nliealg.linalg import Matrix, vec_add, vec_scale, vec_sub, vec_zero
 from nliealg.ns import angle_bracket, angle_on_basis
-from nliealg.rings import QQ_ONE, QQ_ZERO, Dual, rational
-from nliealg.verdict import fail, ok
+from nliealg.reynolds import induced_bracket
+from nliealg.rings import QQ_ONE, QQ_ZERO, Dual, rational, sign
+from nliealg.verdict import fail, ok, require
 from nliealg.wedge import increasing_tuples
 
 
@@ -338,6 +360,67 @@ def naive_check_reynolds(algebra, op):
         if lhs != rhs:
             return fail("reynolds", {"tuple": tup}, lhs, rhs)
     return ok("reynolds")
+
+
+def naive_corollary_bracket(algebra, op, functional):
+    """The former ``constructions.corollary_bracket`` body: the double sum
+    written out bracket by bracket on dense vectors, checked against the
+    induced bracket of a freshly built extension."""
+    require(reynolds_lift_criterion(algebra, op, functional), "lift criterion fails")
+    n, d = algebra.arity, algebra.dim
+
+    def value(tup):
+        units = algebra.units(tup)
+        r_units = [op.apply(u) for u in units]
+        f_r = [functional(r) for r in r_units]
+        f_x = [functional(u) for u in units]
+        acc = vec_zero(d)
+        # one argument kept plain (slot i), functional slot j removed
+        for i in range(n + 1):
+            for j in range(n + 1):
+                if j == i:
+                    continue
+                args = []
+                for k in range(n + 1):
+                    if k == j:
+                        continue
+                    args.append(units[i] if k == i else r_units[k])
+                acc = vec_add(acc, vec_scale(sign(j) * f_r[j], algebra.bracket(args)))
+        for i in range(n + 1):
+            rest = [r_units[k] for k in range(n + 1) if k != i]
+            acc = vec_add(acc, vec_scale(sign(i) * f_x[i], algebra.bracket(rest)))
+        for j in range(n + 1):
+            rest = [r_units[k] for k in range(n + 1) if k != j]
+            acc = vec_sub(acc, vec_scale(sign(j) * f_r[j], algebra.bracket(rest)))
+        return acc
+
+    result = algebra_from_bracket_function(n + 1, d, value, basis_names=algebra.basis_names)
+    reference = induced_bracket(extend_by_functional(algebra, functional), op)
+    if result != reference:
+        raise InternalConsistencyError(
+            "double-sum bracket disagrees with the induced bracket of the extension"
+        )
+    return result
+
+
+def naive_check_assoc_reynolds(algebra, op):
+    """The former ``constructions.check_assoc_reynolds`` body, on dense
+    vectors: Rx.Ry = R(Rx.y + x.Ry - Rx.Ry) on all basis pairs."""
+    if algebra.symmetry != SYMMETRIC:
+        raise InputError("expected a commutative product")
+    require(check_associative(algebra), "product is not associative")
+    d = algebra.dim
+    for i in range(1, d + 1):
+        for j in range(i, d + 1):
+            x, y = algebra.units((i, j))
+            rx, ry = op.apply(x), op.apply(y)
+            lhs = algebra.bracket([rx, ry])
+            inner = vec_add(algebra.bracket([rx, y]), algebra.bracket([x, ry]))
+            inner = vec_sub(inner, lhs)
+            rhs = op.apply(inner)
+            if lhs != rhs:
+                return fail("assoc-reynolds", {"pair": (i, j)}, lhs, rhs)
+    return ok("assoc-reynolds")
 
 
 def naive_matrix_for_wedge(rho, wedge_elem):

@@ -24,7 +24,7 @@ from nliealg.cohomology import (
     reynolds_representation,
 )
 from nliealg.errors import InternalConsistencyError, PreconditionError, SizeGuardError, UnsupportedRingError
-from nliealg.linalg import Matrix, SparseMatrix, unit_vector
+from nliealg.linalg import Matrix, unit_vector
 from nliealg.reynolds import derivation_to_reynolds, induced_bracket
 from nliealg.rings import EPS, Dual
 from nliealg.wedge import WedgeBasis
@@ -209,7 +209,7 @@ def test_assembled_differential_equals_coboundary_columns(case):
     cx = ReynoldsComplex(alg, op)
     for m in range(1, top + 1):
         sparse = cx.differential_matrix(m)
-        assert isinstance(sparse, SparseMatrix)
+        assert isinstance(sparse, Matrix)
         assert Matrix(sparse.entries) == dense_differential(cx, m), (case, m)
 
 

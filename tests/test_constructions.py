@@ -1,8 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from nliealg.algebra import check_filippov, is_derivation
+from nliealg import constructions, reynolds
+from nliealg.algebra import NAryAlgebra, check_filippov, is_derivation
+from nliealg.cli import run_command
 from nliealg.constructions import (
     LinearFunctional,
     check_assoc_reynolds,
@@ -17,11 +20,18 @@ from nliealg.constructions import (
     three_lie_from_three_derivations,
     three_lie_from_two_derivations,
 )
-from nliealg.errors import PreconditionError
+from nliealg.documents import algebra_document, emit_document, functional_document, operator_document
+from nliealg.errors import InputError, NLieError, PreconditionError
 from nliealg.linalg import Matrix, unit_vector
-from nliealg.reynolds import check_reynolds, induced_bracket
+from nliealg.reynolds import check_reynolds, derivation_to_reynolds, induced_bracket
 
-from conftest import rand_vector, trunc_xyz
+from conftest import (
+    naive_check_assoc_reynolds,
+    naive_corollary_bracket,
+    rand_vector,
+    report_bytes,
+    trunc_xyz,
+)
 
 
 def diag(*vals):
@@ -200,3 +210,92 @@ def test_series_operator_fails_commuting_precondition(trunc_xy):
     op = Matrix.identity(4) - d0_op()
     with pytest.raises(PreconditionError):
         check_reynolds_on_det_3lie(trunc_xy, op, "dd", (d1_op(), d2_op()))
+
+
+def outcome(fn, *args):
+    """The document bytes of a construction or the report bytes of a
+    check, or the error raised, with its message."""
+    try:
+        out = fn(*args)
+    except NLieError as exc:
+        return type(exc), str(exc)
+    return emit_document(algebra_document(out)) if isinstance(out, NAryAlgebra) else report_bytes(out)
+
+
+def lie3_reynolds_operators(lie3, rng):
+    """(D + Id)^-1 for seeded derivations De1 = b e2 + c e3, De2 = a e2,
+    De3 = e e3 of [e1,e2] = e2, and the zero operator."""
+    ops = [Matrix.zero(3)]
+    while len(ops) < 7:
+        a, b, c, e = (rng.randint(-2, 2) for _ in range(4))
+        if -1 not in (a, e):
+            ops.append(derivation_to_reynolds(lie3, Matrix([[0, 0, 0], [b, a, 0], [c, 0, e]])))
+    return ops
+
+
+def test_corollary_bracket_matches_naive_oracle(lie3, family1, family2, rng):
+    """The same bytes, or the same error, as the written-out double sum: on
+    lifts that hold, lifts whose criterion fails, a functional that does
+    not vanish on brackets and an operator that is not Reynolds."""
+    ops = [family1, family2] + lie3_reynolds_operators(lie3, rng) + [Matrix.identity(3).scale(2)]
+    functionals = [LinearFunctional([1, 0, 1]), LinearFunctional([0, 1, 0])]
+    functionals += [LinearFunctional([rng.randint(-2, 2), 0, Fraction(rng.randint(-2, 2), rng.randint(1, 2))])
+                    for _ in range(4)]
+    seen = Counter()
+    for op in ops:
+        for functional in functionals:
+            got = outcome(corollary_bracket, lie3, op, functional)
+            assert got == outcome(naive_corollary_bracket, lie3, op, functional), (op, functional.coefficients)
+            seen["built" if isinstance(got, str) else got[1]] += 1
+    assert set(seen) == {"built", "lift criterion fails", "functional does not vanish on brackets",
+                         "operator is not a Reynolds operator"}
+
+
+def test_check_assoc_reynolds_matches_naive_oracle(lie3, trunc_xy, trunc_x3, rng):
+    cases = [(trunc_xy, Matrix.identity(4) - d0_op()), (trunc_xy, Matrix.zero(4)),
+             (trunc_xy, Matrix.identity(4).scale(2)), (lie3, Matrix.zero(3))]
+    for alg in (trunc_xy, trunc_x3, trunc_xyz()):
+        cases += [(alg, Matrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(alg.dim)]
+                                for _ in range(alg.dim)])) for _ in range(4)]
+    seen = []
+    for alg, op in cases:
+        got = outcome(check_assoc_reynolds, alg, op)
+        assert got == outcome(naive_check_assoc_reynolds, alg, op)
+        seen.append(got[0] if isinstance(got, tuple) else '"passed": true' in got)
+    assert seen[:4] == [True, True, False, InputError] and set(seen) == {True, False, InputError}
+
+
+def test_corollary_job_builds_and_walks_the_extension_once(lie3, family1, trace_functional, tmp_path,
+                                                          monkeypatch):
+    """One CLI corollary job: the lift criterion, its re-check on the
+    extension and the cross-check of the double sum share one extension,
+    one vanishing check and one Reynolds walk on the extension."""
+    calls = Counter()
+    extension, vanishes, walk = (constructions._extension, LinearFunctional.vanishes_on_brackets,
+                                 reynolds.reynolds_values)
+
+    def counted_extension(*args):
+        calls["extension"] += 1
+        return extension(*args)
+
+    def counted_vanishes(*args):
+        calls["vanishes"] += 1
+        return vanishes(*args)
+
+    def counted_walk(algebra, op):
+        calls[f"walk, arity {algebra.arity}"] += 1
+        return walk(algebra, op)
+
+    monkeypatch.setattr(constructions, "_extension", counted_extension)
+    monkeypatch.setattr(LinearFunctional, "vanishes_on_brackets", counted_vanishes)
+    monkeypatch.setattr(reynolds, "reynolds_values", counted_walk)
+    monkeypatch.setattr(constructions, "reynolds_values", counted_walk)
+    paths = {}
+    for name, doc in (("g", algebra_document(lie3)), ("r", operator_document(family1)),
+                      ("f", functional_document(trace_functional))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(emit_document(doc))
+    report, code = run_command(["construct", "corollary", "--algebra", str(paths["g"]), "--operator",
+                                str(paths["r"]), "--functional", str(paths["f"]), "--json"])
+    assert code == 0 and report.artifacts[0]["arity"] == 3
+    assert calls == {"extension": 1, "vanishes": 1, "walk, arity 2": 1, "walk, arity 3": 1}

@@ -43,7 +43,7 @@ from nliealg.documents import (
     parse_document,
     representation_document,
 )
-from nliealg.linalg import Matrix, SparseMatrix
+from nliealg.linalg import Matrix
 from nliealg.nijenhuis import deformed_algebra
 from nliealg.ns import NSAlgebra, check_ns, ns_from_nijenhuis, ns_from_reynolds, subadjacent
 from nliealg.reynolds import (
@@ -99,14 +99,27 @@ def test_no_power_has_base_minus_one():
     assert bad == []
 
 
+def test_every_imported_name_is_read():
+    """No module but ``__init__`` imports a name it never reads."""
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [(path.name, name) for name in names if name not in read]
+    assert unused == []
+
+
 # -- the walker ----------------------------------------------------------------
 
 
 def scalars(obj):
     """Every scalar reachable from a result, report or library object."""
     if isinstance(obj, Matrix):
-        yield from scalars(obj.entries)
-    elif isinstance(obj, SparseMatrix):
         yield from scalars(obj.row_maps)
     elif isinstance(obj, NAryAlgebra):
         yield from scalars(obj.brackets)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nliealg.errors import InputError, NLieError, NotInvertibleError, UnsupportedRingError
-from nliealg.linalg import Matrix, SparseMatrix, _integer_row, unit_vector, vec_is_zero
+from nliealg.linalg import Matrix, _integer_row, unit_vector, vec_is_zero
 from nliealg.rings import Dual, EPS
 
 from conftest import naive_inverse, naive_solve, rand_matrix, rand_vector
@@ -122,12 +122,17 @@ def sparse_random(rng, rows, cols):
 SHAPES = [(1, 1), (1, 6), (6, 1), (3, 7), (7, 3), (6, 6), (9, 5)]
 
 
+def via_sparse(mat):
+    """``mat`` rebuilt by ``Matrix.sparse`` from one dict per dense row, zeros included."""
+    return Matrix.sparse(mat.rows, mat.cols, [dict(enumerate(row)) for row in mat.entries])
+
+
 def test_sparse_rank_matches_naive_gauss():
     rng = random.Random(21)
     for rows, cols in SHAPES:
         for _ in range(25):
             mat = sparse_random(rng, rows, cols)
-            assert SparseMatrix.from_dense(mat).rank() == naive_rank(mat), mat
+            assert via_sparse(mat).rank() == naive_rank(mat), mat
             assert mat.rank() == naive_rank(mat)
     assert Matrix.zero(3, 4).rank() == 0
     assert Matrix([[0, 0], [0, 5]]).rank() == 1
@@ -137,7 +142,7 @@ def test_sparse_dense_view_round_trips():
     rng = random.Random(22)
     for rows, cols in SHAPES:
         mat = sparse_random(rng, rows, cols)
-        sparse = SparseMatrix.from_dense(mat)
+        sparse = via_sparse(mat)
         assert (sparse.rows, sparse.cols) == (mat.rows, mat.cols)
         assert Matrix(sparse.entries) == mat
         assert all(a for row in sparse.row_maps for a in row.values())
@@ -149,13 +154,13 @@ def test_sparse_product_and_is_zero_match_dense():
         for _ in range(10):
             a = sparse_random(rng, rows, inner)
             b = sparse_random(rng, inner, rng.randint(1, 6))
-            product = SparseMatrix.from_dense(a) @ SparseMatrix.from_dense(b)
+            product = via_sparse(a) @ via_sparse(b)
             assert Matrix(product.entries) == a @ b
             assert product.is_zero() == (a @ b).is_zero()
             vec = rand_vector(rng, inner)
-            assert SparseMatrix.from_dense(a).apply(vec) == a.apply(vec)
-    left = SparseMatrix.from_dense(Matrix([[1, 1]]))
-    right = SparseMatrix.from_dense(Matrix([[2], [-2]]))
+            assert via_sparse(a).apply(vec) == a.apply(vec)
+    left = via_sparse(Matrix([[1, 1]]))
+    right = via_sparse(Matrix([[2], [-2]]))
     assert (left @ right).is_zero()
     with pytest.raises(InputError):
         right @ right
@@ -233,13 +238,13 @@ def test_reduced_pivot_rows_are_zero_in_the_other_pivot_columns():
     rng = random.Random(26)
     for rows, cols in SHAPES:
         for _ in range(25):
-            sparse = SparseMatrix.from_dense(sparse_random(rng, rows, cols))
+            sparse = via_sparse(sparse_random(rng, rows, cols))
             echelon, reduced = sparse.echelon(), sparse.reduced()
             assert reduced.keys() == echelon.keys()
             for pc, row in reduced.items():
                 assert min(row) == pc and all(type(a) is int for a in row.values())
                 assert not any(other in row for other in reduced if other != pc)
-            stacked = SparseMatrix(len(echelon) + len(reduced), cols, list(echelon.values()) + list(reduced.values()))
+            stacked = Matrix.sparse(len(echelon) + len(reduced), cols, list(echelon.values()) + list(reduced.values()))
             assert stacked.rank() == len(echelon)
 
 
