@@ -20,7 +20,7 @@ from .algebra import (
     semidirect_product,
 )
 from .cohomology import DEFAULT_SIZE_GUARD, ReynoldsComplex
-from .errors import InternalConsistencyError, NLieError
+from .errors import InputError, InternalConsistencyError, NLieError
 from .linalg import Matrix
 from .verdict import CheckResult, ok
 
@@ -88,7 +88,15 @@ def _build_parser():
 
 
 def _load(path, expect):
-    return documents.parse_document(path, expect=expect)
+    """The document in the file at ``path``, read as UTF-8 (JSON's encoding)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+    return documents.parse_document(text, expect=expect)
 
 
 def _one_operator(args):

@@ -19,7 +19,7 @@ from .algebra import (
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
-from .reynolds import basis_images, check_reynolds, induced_value, reynolds_values
+from .reynolds import basis_images, check_reynolds, induced_value, reynolds_values, verified_values
 from .rings import rational, sign
 from .verdict import fail, jsonable, ok, require
 from .wedge import increasing_tuples
@@ -104,48 +104,48 @@ def reynolds_lift_criterion(algebra, op, functional):
 
 
 def _lift(algebra, op, functional):
-    """(verdict, values) of the lift criterion.  On PASS ``values`` is the
-    operator's Reynolds walk on the extended algebra, as ``reynolds_values``
-    gives it; a failing walk there is a bug.  On FAIL it is None."""
-    require(check_reynolds(algebra, op), "operator is not a Reynolds operator")
+    """(verdict, values, base) of the lift criterion.  ``base`` is the
+    operator's Reynolds walk on the n-Lie algebra, as ``verified_values``
+    gives it, and the criterion reads each [Rx_1,...,^Rx_i,...,Rx_{n+1}]
+    off it.  On PASS ``values`` is the walk on the extended algebra, as
+    ``reynolds_values`` gives it; a failing walk there is a bug.  On FAIL
+    it is None."""
+    base = verified_values(algebra, op)
     require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
     n, d = algebra.arity, algebra.dim
     for tup in increasing_tuples(d, n + 1):
-        r_units = [op.apply(u) for u in algebra.units(tup)]
         acc = vec_zero(d)
         for i in range(n + 1):
             c = functional.coefficients[tup[i] - 1]
             if not c:
                 continue
-            rest = r_units[:i] + r_units[i + 1:]
-            acc = vec_add(acc, vec_scale(sign(n - i) * c, op.apply(algebra.bracket(rest))))
+            top = base[tup[:i] + tup[i + 1:]][0]
+            acc = vec_add(acc, vec_scale(sign(n - i) * c, op.apply(top)))
         if not vec_is_zero(acc):
-            return fail("lift-criterion", {"tuple": tup}, acc, vec_zero(d)), None
+            return fail("lift-criterion", {"tuple": tup}, acc, vec_zero(d)), None, base
     lifted, values = reynolds_values(_extension(algebra, functional), op)
     if not lifted:
         raise InternalConsistencyError(
             f"criterion holds but the lifted check fails: {jsonable(lifted.counterexample)}"
         )
-    return ok("lift-criterion"), values
+    return ok("lift-criterion"), values, base
 
 
 def corollary_bracket(algebra, op, functional):
     """The (n+1)-ary bracket of a lifted Reynolds operator,
     sum_j (-1)^j (f(Rx_j) [..^x_j..]_R + f(x_j) [..^Rx_j..]) with [.]_R the
-    induced bracket of the n-Lie algebra; coincides with the induced
-    bracket of the extended algebra."""
-    verdict, values = _lift(algebra, op, functional)
+    induced bracket of the n-Lie algebra, both read off the operator's
+    Reynolds walk; coincides with the induced bracket of the extended
+    algebra."""
+    verdict, values, base = _lift(algebra, op, functional)
     require(verdict, "lift criterion fails")
     n, d = algebra.arity, algebra.dim
-    _, images = basis_images(algebra, op)
-    f_images = [functional(v) for v in images]
-    images = [support(v) for v in images]
+    f_images = [functional(v) for v in basis_images(algebra, op)[1]]
 
     def value(tup):
-        units, r_units = unit_supports(tup), [images[i - 1] for i in tup]
         acc = vec_zero(d)
         for j in range(n + 1):
-            top, induced = induced_value(algebra, units[:j] + units[j + 1:], r_units[:j] + r_units[j + 1:])
+            top, induced = base[tup[:j] + tup[j + 1:]]
             acc = vec_add(acc, vec_scale(sign(j) * f_images[tup[j] - 1], induced))
             acc = vec_add(acc, vec_scale(sign(j) * functional.coefficients[tup[j] - 1], top))
         return acc

@@ -9,7 +9,6 @@ bytes.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from .algebra import ALTERNATING, SYMMETRIC, NAryAlgebra, RepresentationTable
@@ -19,15 +18,6 @@ from .linalg import Matrix
 from .ns import NSAlgebra
 from .rings import format_rational, parse_rational, rational
 from .verdict import jsonable
-
-KINDS = (
-    "n_lie_algebra",
-    "linear_operator",
-    "functional",
-    "ns_algebra",
-    "representation",
-    "wedge_element",
-)
 
 
 def _err(pointer, message):
@@ -193,14 +183,11 @@ _PARSERS = {
 }
 
 
-def parse_document(source, expect=None):
-    """Parse a JSON document given as text or as a path to a file."""
-    text = source
-    if isinstance(source, str) and not source.lstrip().startswith("{"):
-        if not os.path.exists(source):
-            raise InputError(f"no such file: {source}")
-        with open(source) as fh:
-            text = fh.read()
+KINDS = tuple(_PARSERS)
+
+
+def parse_document(text, expect=None):
+    """Parse a JSON document given as text."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

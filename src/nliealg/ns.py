@@ -1,9 +1,12 @@
 """Two-bracket structures: a curly bracket skew in its first n-1 slots,
 a fully alternating square bracket, and the three compatibility axioms.
 
-The angle bracket combines the two into a single alternating n-bracket;
-for structures passing the axioms it satisfies the Filippov identity
-(the sub-adjacent algebra), and the curly bracket acts on it.
+The angle bracket combines the two into a single alternating n-bracket,
+read off the stored tables; for structures passing the axioms it
+satisfies the Filippov identity (the sub-adjacent algebra), and the
+curly bracket acts on it.  The structures induced by a verified Reynolds
+or Nijenhuis operator are read off the walk that verified it, and
+re-checked against the axioms.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .algebra import (
     unit_supports,
 )
 from .errors import InputError, InternalConsistencyError
-from .linalg import Matrix, combine, integer_scale, vec_add, vec_is_zero, vec_scale
-from .nijenhuis import check_nijenhuis, deformed_bracket_ladder
+from .linalg import Matrix, combine, integer_scale, vec_add, vec_is_zero, vec_scale, vec_zero
+from .nijenhuis import verified_ladder
 from .reynolds import basis_images, verified_values
 from .rings import rational, sign
 from .verdict import fail, jsonable, ok, require
@@ -79,29 +82,25 @@ class NSAlgebra:
         return self.square.units(indices)
 
 
-def angle_bracket(ns, args):
-    """sum_i (-1)^{n-i} {y_1,...,^y_i,...,y_n, y_i} + [y_1,...,y_n]."""
-    n = ns.arity
-    out = ns.square.bracket(args)
-    for i in range(n):
-        rest = args[:i] + args[i + 1:]
-        out = vec_add(out, vec_scale(sign(n - 1 - i), ns.curly(rest + [args[i]])))
-    return out
-
-
-def angle_on_basis(ns, tup):
-    return angle_bracket(ns, ns.units(tup))
-
-
 def _angle_algebra(ns):
-    """The angle bracket tabulated on increasing n-tuples.
-
-    The angle bracket is alternating by construction, whether or not the
-    axioms hold, so this table equals ``angle_bracket`` on every input.
+    """The angle bracket <y_1,...,y_n> = [y_1,...,y_n] +
+    sum_i (-1)^{n-1-i} {y_1,...,^y_i,...,y_n, y_i}, tabulated on increasing
+    n-tuples.  Every hatted prefix of an increasing tuple is increasing, so
+    each term is one lookup in the stored square and curly tables.  The
+    angle bracket is alternating by construction, whether or not the
+    axioms hold, so the table determines it on every input.
     """
-    return algebra_from_bracket_function(
-        ns.arity, ns.dim, lambda tup: angle_on_basis(ns, tup), basis_names=ns.basis_names
-    )
+    n, zero = ns.arity, vec_zero(ns.dim)
+
+    def value(ys):
+        out = ns.square.brackets.get(ys, zero)
+        for i in range(n):
+            vec = ns.curly_table.get((ys[:i] + ys[i + 1:], ys[i]))
+            if vec is not None:
+                out = vec_add(out, vec_scale(sign(n - 1 - i), vec))
+        return out
+
+    return algebra_from_bracket_function(n, ns.dim, value, basis_names=ns.basis_names)
 
 
 def check_ns(ns):
@@ -247,12 +246,10 @@ def ns_from_reynolds(algebra, op):
 
 def ns_from_nijenhuis(algebra, op):
     """{x_1..x_n} = [Nx_1,...,Nx_{n-1},x_n]; square = -N(level n-2)."""
-    require(check_nijenhuis(algebra, op), "operator is not a Nijenhuis operator")
-    lower = deformed_bracket_ladder(algebra, op).level(algebra.arity - 2)
-    units, images = basis_images(algebra, op)
+    lower = verified_ladder(algebra, op).level(algebra.arity - 2)
     tuples = increasing_tuples(algebra.dim, algebra.arity)
     square = {tup: op.apply(lower.bracket_on_basis(tup)) for tup in tuples}
-    return _ns_from_operator(algebra, units, images, square)
+    return _ns_from_operator(algebra, *basis_images(algebra, op), square)
 
 
 def _ns_from_operator(algebra, units, images, square):

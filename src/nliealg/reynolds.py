@@ -87,13 +87,13 @@ def induced_bracket(algebra, op):
 def check_hom_pair(algebra, r_from, r_to, phi, psi):
     """(phi, psi) is a homomorphism of Reynolds operators: phi is an algebra
     homomorphism and phi . r_from = r_to . psi."""
-    square = phi @ r_from - r_to @ psi
-    if not square.is_zero():
+    left, right = phi @ r_from, r_to @ psi
+    if left != right:
         return fail(
             "hom-square",
             {"identity": "phi.R = R'.psi"},
-            [a for row in (phi @ r_from).entries for a in row],
-            [a for row in (r_to @ psi).entries for a in row],
+            [a for row in left.entries for a in row],
+            [a for row in right.entries for a in row],
         )
     for tup in algebra.basis_tuples():
         lhs = phi.apply(algebra.bracket_on_basis(tup))

@@ -141,15 +141,5 @@ def parse_rational(text):
         raise InputError(f"zero denominator in {text!r}") from exc
 
 
-def parse_scalar(obj):
-    """Parse a serialized scalar: "p/q" string or {"a": .., "b": ..} dual."""
-    if isinstance(obj, dict):
-        extra = set(obj) - {"a", "b"}
-        if extra:
-            raise InputError(f"unexpected dual-number keys {sorted(extra)}")
-        return Dual(parse_rational(obj.get("a", "0")), parse_rational(obj.get("b", "0")))
-    return parse_rational(obj)
-
-
 def format_rational(x) -> str:
     return str(rational(x))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .rings import format_rational
+from .rings import Dual, format_rational
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,16 @@ def _reported(vec):
 
 
 def jsonable(value):
-    """A report value with its exact scalars written as reports write them."""
+    """A report value with its exact scalars written as reports write them:
+    a rational as "p/q", a dual number a + b*eps as {"a": .., "b": ..},
+    or as its rational part a when b = 0, so each scalar has one spelling."""
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if hasattr(value, "a") and hasattr(value, "b"):
-        return {"a": format_rational(value.a), "b": format_rational(value.b)}
+    if isinstance(value, Dual):
+        a = format_rational(value.a)
+        return {"a": a, "b": format_rational(value.b)} if value.b else a
     return value

@@ -94,6 +94,16 @@ def test_operator_series_of_a_non_nilpotent_derivation_exit_2(docs):
 def test_missing_file_exit_2(docs):
     report, code = run_command(["check", "filippov", "--algebra", "/no/such/file.json"])
     assert code == 2
+    assert report.notes == ["error: no such file: /no/such/file.json"]
+
+
+def test_unreadable_path_exit_2(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for path in (tmp_path, binary):
+        report, code = run_command(["check", "filippov", "--algebra", str(path)])
+        assert code == 2
+        assert report.notes[0].startswith(f"error: cannot read {path}: ")
 
 
 def test_invalid_document_exit_2(docs):

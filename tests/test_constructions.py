@@ -28,6 +28,7 @@ from nliealg.reynolds import check_reynolds, derivation_to_reynolds, induced_bra
 from conftest import (
     naive_check_assoc_reynolds,
     naive_corollary_bracket,
+    naive_lift_criterion,
     rand_vector,
     report_bytes,
     trunc_xyz,
@@ -251,6 +252,33 @@ def test_corollary_bracket_matches_naive_oracle(lie3, family1, family2, rng):
                          "operator is not a Reynolds operator"}
 
 
+def test_lift_criterion_matches_naive_oracle(lie3, three_lie4, family1, family2, rng):
+    """The same report bytes, or the same error, as the criterion written
+    out on dense vectors, with [Rx_1,...,^Rx_i,...,Rx_{n+1}] read off the
+    operator's Reynolds walk: on lifts that hold, lifts whose criterion
+    fails, functionals that do not vanish on brackets and operators that
+    are not Reynolds."""
+    deriv = Matrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+    cases = []
+    lie3_ops = [family1, family2] + lie3_reynolds_operators(lie3, rng) + [Matrix.identity(3).scale(2)]
+    lie3_functionals = [LinearFunctional([1, 0, 1]), LinearFunctional([0, 1, 0])]
+    lie3_functionals += [LinearFunctional([rng.randint(-2, 2), 0, Fraction(rng.randint(-2, 2), rng.randint(1, 2))])
+                         for _ in range(3)]
+    cases += [(lie3, op, f) for op in lie3_ops for f in lie3_functionals]
+    ops = [Matrix.zero(4), Matrix.identity(4).scale(2), derivation_to_reynolds(three_lie4, deriv),
+           Matrix([[rng.randint(-1, 1) for _ in range(4)] for _ in range(4)])]
+    functionals = [LinearFunctional([1, 0, 0, 0]), LinearFunctional([0, 1, 1, 0]), LinearFunctional([0, 0, 0, 1])]
+    functionals += [LinearFunctional([rng.randint(-2, 2) for _ in range(3)] + [0]) for _ in range(2)]
+    cases += [(three_lie4, op, f) for op in ops for f in functionals]
+    seen = Counter()
+    for alg, op, functional in cases:
+        got = outcome(reynolds_lift_criterion, alg, op, functional)
+        assert got == outcome(naive_lift_criterion, alg, op, functional), (op, functional.coefficients)
+        seen[got[1] if isinstance(got, tuple) else '"passed": true' in got] += 1
+    assert set(seen) == {True, False, "functional does not vanish on brackets",
+                         "operator is not a Reynolds operator"}
+
+
 def test_check_assoc_reynolds_matches_naive_oracle(lie3, trunc_xy, trunc_x3, rng):
     cases = [(trunc_xy, Matrix.identity(4) - d0_op()), (trunc_xy, Matrix.zero(4)),
              (trunc_xy, Matrix.identity(4).scale(2)), (lie3, Matrix.zero(3))]
@@ -269,10 +297,12 @@ def test_corollary_job_builds_and_walks_the_extension_once(lie3, family1, trace_
                                                           monkeypatch):
     """One CLI corollary job: the lift criterion, its re-check on the
     extension and the cross-check of the double sum share one extension,
-    one vanishing check and one Reynolds walk on the extension."""
+    one vanishing check, one Reynolds walk on the algebra and one on the
+    extension."""
     calls = Counter()
     extension, vanishes, walk = (constructions._extension, LinearFunctional.vanishes_on_brackets,
                                  reynolds.reynolds_values)
+    induced_value, bracket = reynolds.induced_value, NAryAlgebra.bracket
 
     def counted_extension(*args):
         calls["extension"] += 1
@@ -286,6 +316,17 @@ def test_corollary_job_builds_and_walks_the_extension_once(lie3, family1, trace_
         calls[f"walk, arity {algebra.arity}"] += 1
         return walk(algebra, op)
 
+    def counted_induced_value(*args):
+        calls["induced_value"] += 1
+        return induced_value(*args)
+
+    def counted_bracket(*args):
+        calls["bracket"] += 1
+        return bracket(*args)
+
+    monkeypatch.setattr(reynolds, "induced_value", counted_induced_value)
+    monkeypatch.setattr(constructions, "induced_value", counted_induced_value)
+    monkeypatch.setattr(NAryAlgebra, "bracket", counted_bracket)
     monkeypatch.setattr(constructions, "_extension", counted_extension)
     monkeypatch.setattr(LinearFunctional, "vanishes_on_brackets", counted_vanishes)
     monkeypatch.setattr(reynolds, "reynolds_values", counted_walk)
@@ -298,4 +339,6 @@ def test_corollary_job_builds_and_walks_the_extension_once(lie3, family1, trace_
     report, code = run_command(["construct", "corollary", "--algebra", str(paths["g"]), "--operator",
                                 str(paths["r"]), "--functional", str(paths["f"]), "--json"])
     assert code == 0 and report.artifacts[0]["arity"] == 3
-    assert calls == {"extension": 1, "vanishes": 1, "walk, arity 2": 1, "walk, arity 3": 1}
+    # the criterion and the double sum read the walk of arity 2: no induced
+    # value or bracket is formed again (3 + 1 induced values, one per tuple)
+    assert calls == {"extension": 1, "vanishes": 1, "walk, arity 2": 1, "walk, arity 3": 1, "induced_value": 4}

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from nliealg.deformation import (
 from nliealg.errors import PreconditionError, UnsupportedRingError
 from nliealg.linalg import Matrix
 from nliealg.reynolds import check_reynolds, derivation_to_reynolds
-from nliealg.rings import EPS
+from nliealg.rings import EPS, Dual
+from nliealg.verdict import jsonable
 
 from conftest import (
     naive_is_trivial_deformation,
@@ -191,16 +193,46 @@ def test_witness_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path,
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(emit_document(doc))
+    matmul = Matrix.__matmul__
+
+    def counted_matmul(a, b):
+        calls["matmul"] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
     outcomes = []
-    for witness, code in (("x1", 0), ("x2", 1)):
+    for witness, code, products in (("x1", 0, 7), ("x2", 1, 3)):
         calls.clear()
         report, got = run_command(["deform", "--algebra", str(paths["g"]), "--reynolds", str(paths["r"]),
                                    "--direction", str(paths["s"]), "--witness", str(paths[witness]), "--json"])
         assert got == code
-        assert calls == {"is_infinitesimal_deformation": 1, "check_reynolds": 2, "_t_linear_check": 1}
+        # [X, R] and each side of phi.R = R'.psi formed once; a passing pair
+        # also builds delta_R(X) for the consistency check
+        assert calls == {"is_infinitesimal_deformation": 1, "check_reynolds": 2, "_t_linear_check": 1,
+                         "matmul": products}
         outcomes.append([(v.check_name, v.passed) for v in report.verdicts])
     assert outcomes == [[("deformation-cocycle", True), ("hom-pair", True)],
                         [("deformation-cocycle", True), ("hom-square", False)]]
+    # the failing witness: each scalar of the square's sides is spelled one way
+    square = json.loads(report.to_json())["verdicts"][1]["counterexample"]
+    dual = {"a": "1", "b": "-1"}
+    assert square["lhs"] == ["1", "0", "1", dual, "0", dual, "0", "0", "1"]
+    assert square["rhs"] == ["1", "0", "1", "1", "0", "1", "0", "0", "1"]
+    assert all(isinstance(x, str) or x["b"] != "0" for x in square["difference"])
+
+
+def test_report_spells_a_dual_without_eps_part_as_a_rational(lie3, family2):
+    """A dual number whose eps-part is 0 is written as its rational part:
+    on the failing witness X = 2 e1 of the coboundary of e1 under family2,
+    phi.R holds Dual(-1, 0) and R'.psi holds Dual(1, 0)."""
+    assert jsonable([Dual(1, 0), Dual(0, 0), Dual(Fraction(-2, 3)), Dual(1, -1)]) == [
+        "1", "0", "-2/3", {"a": "1", "b": "-1"}]
+    direction = delta_r_operator(lie3, family2, wedge_single((1,), 3))
+    verdict = deformation._witness_verdict(lie3, family2, direction, Matrix.zero(3), {(1,): 2})
+    square = json.loads(report_bytes(verdict))["verdicts"][0]["counterexample"]
+    assert square["lhs"][3:5] == ["-1", {"a": "1", "b": "1"}]
+    assert square["rhs"][1] == square["rhs"][4] == "1"
+    assert square["difference"][1] == "0"
 
 
 def test_t_linear_check_matches_naive_oracle(lie3, family1, family2, rng):

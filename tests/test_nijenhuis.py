@@ -4,7 +4,9 @@ from math import comb
 
 import pytest
 
+from nliealg import nijenhuis
 from nliealg.algebra import check_filippov, check_representation
+from nliealg.cli import run_command
 from nliealg.errors import PreconditionError
 from nliealg.linalg import Matrix, vec_add, vec_zero
 from nliealg.nijenhuis import (
@@ -15,7 +17,13 @@ from nliealg.nijenhuis import (
 )
 from nliealg.wedge import increasing_tuples
 
-from conftest import rand_matrix
+from conftest import (
+    naive_check_nijenhuis,
+    naive_deformed_bracket_ladder,
+    rand_matrix,
+    report_bytes,
+    simple_n_lie,
+)
 
 
 def ladder_level_oracle(algebra, op, j, tup):
@@ -97,3 +105,49 @@ def test_projection_nijenhuis_on_lie3(lie3):
     assert check_nijenhuis(lie3, op)
     deformed = deformed_algebra(lie3, op)
     assert check_filippov(deformed)
+
+
+def test_nijenhuis_walk_matches_naive_oracles(lie3, three_lie4, rng):
+    """One walk gives the former check's report bytes and the former
+    level-by-level ladder, on passing and failing operators, and a failing
+    operator is refused with the former counterexample."""
+    cases = [(lie3, Matrix([[0, 0, 0], [0, 1, 0], [0, 0, 0]]))]
+    # operators that first fail on the tuples (2, 3) and (1, 2, 4)
+    cases += [(lie3, Matrix([[-1, -1, 1], [0, 0, 0], [0, 0, 0]])),
+              (three_lie4, Matrix([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0]]))]
+    for alg in (lie3, three_lie4, simple_n_lie(3), simple_n_lie(4)):
+        cases += [(alg, Matrix.identity(alg.dim).scale(lam)) for lam in (0, 1, Fraction(-1, 2), 3)]
+        cases += [(alg, rand_matrix(rng, alg.dim, span=1)) for _ in range(3)]
+    passed, first_failing = set(), set()
+    for alg, op in cases:
+        verdict, expected = check_nijenhuis(alg, op), naive_check_nijenhuis(alg, op)
+        assert report_bytes(verdict) == report_bytes(expected)
+        assert deformed_bracket_ladder(alg, op).levels == naive_deformed_bracket_ladder(alg, op).levels
+        passed.add(bool(verdict))
+        if verdict:
+            assert deformed_algebra(alg, op) == naive_deformed_bracket_ladder(alg, op).level(alg.arity - 1)
+            continue
+        with pytest.raises(PreconditionError, match="not a Nijenhuis operator") as exc:
+            deformed_algebra(alg, op)
+        assert exc.value.counterexample == expected.counterexample
+        # the walk goes on past a failing tuple; the report names the first one
+        first_failing.add(expected.counterexample["where"]["tuple"] == tuple(range(1, alg.arity + 1)))
+    assert passed == first_failing == {True, False}
+
+
+@pytest.mark.parametrize("what", ["deformed", "ns-from-nijenhuis"])
+def test_construct_job_walks_the_operator_once(what, docs, monkeypatch):
+    """A construction from a Nijenhuis operator reads its ladder off the
+    walk that verified the operator."""
+    calls = []
+    walk = nijenhuis.nijenhuis_values
+
+    def counted(algebra, op):
+        calls.append(algebra.arity)
+        return walk(algebra, op)
+
+    monkeypatch.setattr(nijenhuis, "nijenhuis_values", counted)
+    report, code = run_command(["construct", what, "--algebra", docs["g.json"],
+                                "--operator", docs["ident3.json"], "--json"])
+    assert code == 0 and len(report.artifacts) == 1
+    assert calls == [2]

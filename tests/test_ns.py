@@ -1,17 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
 import pytest
 
+from nliealg import ns as ns_module
 from nliealg.algebra import ad, check_filippov, wedge_single
 from nliealg.errors import InputError, PreconditionError
 from nliealg.linalg import Matrix, integer_scale
 from nliealg.nijenhuis import deformed_algebra
 from nliealg.ns import (
     NSAlgebra,
-    angle_on_basis,
     check_ns,
     ns_from_nijenhuis,
     ns_from_reynolds,
@@ -20,7 +21,16 @@ from nliealg.ns import (
 from nliealg.reynolds import derivation_to_reynolds, induced_bracket
 from nliealg.wedge import increasing_tuples
 
-from conftest import naive_check_ns, naive_expansion, rand_fraction, simple_n_lie, sparse_args, stored_curly
+from conftest import (
+    naive_angle_bracket,
+    naive_angle_on_basis,
+    naive_check_ns,
+    naive_expansion,
+    rand_fraction,
+    simple_n_lie,
+    sparse_args,
+    stored_curly,
+)
 
 
 def test_zero_curly_reduces_to_filippov(lie3, three_lie4):
@@ -122,9 +132,9 @@ def test_ns_from_non_reynolds_is_rejected(lie3):
 
 def test_angle_bracket_is_alternating(lie3, family1):
     ns = ns_from_reynolds(lie3, family1)
-    v12 = angle_on_basis(ns, (1, 2))
+    v12 = naive_angle_on_basis(ns, (1, 2))
     v21 = ns.curly([ns.units((1,))[0], ns.units((2,))[0]])  # smoke: curly itself
-    assert angle_on_basis(ns, (2, 1)) == [-a for a in v12]
+    assert naive_angle_on_basis(ns, (2, 1)) == [-a for a in v12]
 
 
 def test_random_curly_perturbation_usually_fails(three_lie4, rng):
@@ -262,3 +272,46 @@ def test_subadjacent_tabulates_the_angle_bracket_once(lie3, family1, monkeypatch
     assert len(tabulated) == 1
     assert algebra == induced_bracket(lie3, family1)
     assert all(rep.matrix_for_tuple(t) == ns.curly_matrix(t) for t in increasing_tuples(3, 1))
+
+
+def test_angle_algebra_matches_dense_oracle(lie3, family1, family2, three_lie4):
+    """The angle bracket read off the stored tables equals the dense
+    expansion on every ordered basis tuple and on non-basis arguments, for
+    structures that pass the axioms and structures that fail them."""
+    rng = random.Random(43)
+    induced = [
+        ns_from_reynolds(lie3, family1),
+        ns_from_reynolds(lie3, family2),
+        ns_from_nijenhuis(three_lie4, Matrix.identity(4).scale(Fraction(1, 2))),
+        _ad_series_ns(3),
+        _ad_series_ns(4),
+    ]
+    structures = induced + [_perturbed(ns, rng, (Fraction(1, 2), -1)) for ns in induced for _ in range(2)]
+    structures += [_omega_curly({key: rng.randint(-1, 1) for key in increasing_tuples(4, 2)}) for _ in range(2)]
+    for _ in range(2):
+        curly = {(prefix, j): [rand_fraction(rng, 1) for _ in range(4)]
+                 for prefix in increasing_tuples(4, 2) for j in range(1, 5)}
+        structures.append(NSAlgebra(3, 4, curly, three_lie4.brackets))
+    verdicts = set()
+    for ns in structures:
+        angle = ns_module._angle_algebra(ns)
+        for picks in product(range(1, ns.dim + 1), repeat=ns.arity):
+            assert angle.bracket_on_basis(picks) == naive_angle_on_basis(ns, picks)
+        for dual in (False, True):
+            args = sparse_args(rng, ns.arity, ns.dim, dual)
+            assert angle.bracket(args) == naive_angle_bracket(ns, args)
+        verdicts.add(bool(check_ns(ns)))
+    assert verdicts == {True, False}
+
+
+def test_angle_algebra_expands_no_curly_bracket(lie3, family1, monkeypatch):
+    ns = ns_from_reynolds(lie3, family1)
+    calls = Counter()
+    for name in ("curly", "curly_on_basis"):
+        def counted(self, *args, name=name, fn=getattr(NSAlgebra, name)):
+            calls[name] += 1
+            return fn(self, *args)
+        monkeypatch.setattr(NSAlgebra, name, counted)
+    angle = ns_module._angle_algebra(ns)
+    assert not calls
+    assert angle == induced_bracket(lie3, family1)

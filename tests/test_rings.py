@@ -6,7 +6,7 @@ from nliealg.algebra import NAryAlgebra
 from nliealg.constructions import LinearFunctional
 from nliealg.errors import InputError
 from nliealg.ns import NSAlgebra
-from nliealg.rings import Dual, EPS, format_rational, parse_rational, parse_scalar, rational, sign
+from nliealg.rings import Dual, EPS, format_rational, parse_rational, rational, sign
 
 
 def test_eps_squares_to_zero():
@@ -51,11 +51,6 @@ def test_parse_rational():
 def test_format_round_trip():
     for q in (Fraction(3, 4), Fraction(-2), Fraction(0), Fraction(7, 3)):
         assert parse_rational(format_rational(q)) == q
-
-
-def test_parse_scalar_dual():
-    s = parse_scalar({"a": "1/2", "b": "-3"})
-    assert s == Dual(Fraction(1, 2), -3)
 
 
 def test_rational_keeps_integral_scalars_as_int():
