@@ -21,14 +21,14 @@ from itertools import product
 from .algebra import (
     NAryAlgebra,
     RepresentationTable,
+    _action,
     ad,
     fundamental_action,
     support,
     unit_supports,
-    wedge_single,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError
-from .linalg import Matrix, integer_scale, unit_vector, vec_add, vec_scale, vec_sub, vec_zero
+from .linalg import Matrix, integer_scale, vec_add, vec_scale, vec_sub, vec_zero
 from .reynolds import basis_images, check_reynolds, induced_bracket, induced_value
 from .rings import QQ_ONE, QQ_ZERO, rational, sign
 from .verdict import require
@@ -133,61 +133,57 @@ class Cochain:
 
 
 def coboundary(algebra, rho, cochain):
-    """The n-Lie coboundary of a degree-m cochain (m >= 1)."""
+    """The n-Lie coboundary of a degree-m cochain (m >= 1): each term reads
+    ``Cochain.value_on_basis`` at wedge basis blocks (X_a o X_b expanded over
+    its terms) into the output in place, and the block-level values are formed
+    here, so this route shares no table or index arithmetic with ``_assemble``.
+    """
     n, d = algebra.arity, algebra.dim
     if cochain.arity != n or cochain.dim != d:
         raise InputError("cochain/algebra mismatch")
     if rho.arity != n or rho.algebra_dim != d or rho.module_dim != cochain.module_dim:
         raise InputError("representation/cochain mismatch")
-    m = cochain.degree
-    dv = cochain.module_dim
-    # block-level values, formed once per call
-    units = [unit_vector(d, j) for j in range(d)]
-    singles = {blk: wedge_single(blk, d) for blk in cochain.wedge}
-    adjoints = {blk: ad(algebra, x) for blk, x in singles.items()}
-    moved = {blk: [adj.apply(u) for u in units] for blk, adj in adjoints.items()}
-    acts = {blk: rho.matrix_for_wedge(x) for blk, x in singles.items()}
-    actions, mats = {}, {}
-    out = []
+    m, dv, value = cochain.degree, cochain.module_dim, cochain.value_on_basis
+    # per block X: [X, e_j] by its nonzero (k, c), rho(X) by its nonzero (row, column, entry)
+    moved = {x: [support(algebra.bracket_on_basis(x + (j,))) for j in range(1, d + 1)] for x in cochain.wedge}
+    acts = {x: _matrix_terms(rho.matrix_for_wedge({x: 1})) for x in cochain.wedge}
+    scalar = [(v, v, QQ_ONE) for v in range(dv)]
+    actions, mats, out = {}, {}, []
     for blocks in product(cochain.wedge.tuples, repeat=m):
-        block_dicts = [singles[blk] for blk in blocks]
+        drop = [blocks[:a] + blocks[a + 1:] for a in range(m)]
         for j in range(1, d + 1):
-            vec = vec_zero(dv)
-            unit_j = units[j - 1]
+            vec = [QQ_ZERO] * dv
             # pair terms: X_a o X_b replaces X_b, X_a removed
-            for a in range(1, m + 1):
-                for b in range(a + 1, m + 1):
-                    pair = blocks[a - 1], blocks[b - 1]
+            for a in range(m):
+                for b in range(a + 1, m):
+                    pair = x, y = blocks[a], blocks[b]
                     if pair not in actions:
-                        actions[pair] = fundamental_action(algebra, *(singles[blk] for blk in pair))
-                    args = [
-                        (actions[pair] if idx == b else block_dicts[idx - 1])
-                        for idx in range(1, m + 1)
-                        if idx != a
-                    ]
-                    term = cochain.evaluate(args, unit_j)
-                    vec = vec_add(vec, vec_scale(sign(a), term))
+                        actions[pair] = fundamental_action(algebra, {x: 1}, {y: 1}).items()
+                    for z, c in actions[pair]:
+                        _accumulate(vec, sign(a + 1) * c, scalar, value(drop[a][:b - 1] + (z,) + drop[a][b:], j))
             # bracket into the plain slot
-            for a in range(1, m + 1):
-                args = [block_dicts[idx - 1] for idx in range(1, m + 1) if idx != a]
-                term = cochain.evaluate(args, moved[blocks[a - 1]][j - 1])
-                vec = vec_add(vec, vec_scale(sign(a), term))
+            for a in range(m):
+                for k, c in moved[blocks[a]][j - 1]:
+                    _accumulate(vec, sign(a + 1) * c, scalar, value(drop[a], k + 1))
             # representation acting on the value
-            for a in range(1, m + 1):
-                args = [block_dicts[idx - 1] for idx in range(1, m + 1) if idx != a]
-                term = acts[blocks[a - 1]].apply(cochain.evaluate(args, unit_j))
-                vec = vec_add(vec, vec_scale(sign(a + 1), term))
+            for a in range(m):
+                _accumulate(vec, sign(a), acts[blocks[a]], value(drop[a], j))
             # last-block terms
             last = blocks[m - 1]
-            head = block_dicts[:m - 1]
             for i in range(1, n):
                 key = last[:i - 1] + last[i:] + (j,)
                 if key not in mats:
-                    mats[key] = rho.matrix_for_tuple(key)
-                term = mats[key].apply(cochain.evaluate(head, units[last[i - 1] - 1]))
-                vec = vec_add(vec, vec_scale(sign(n + m - i + 1), term))
+                    mats[key] = _matrix_terms(rho.matrix_for_tuple(key))
+                _accumulate(vec, sign(n + m - i + 1), mats[key], value(blocks[:m - 1], last[i - 1]))
             out.extend(vec)
     return Cochain(n, d, dv, m + 1, out)
+
+
+def _accumulate(vec, c, terms, val):
+    """vec += c * (M val) in place, for M given by its nonzero (row, column, entry) terms."""
+    for v, k, w in terms:
+        if val[k]:
+            vec[v] += c * w * val[k]
 
 
 def reynolds_representation(algebra, op):
@@ -261,14 +257,13 @@ class ReynoldsComplex:
 
     def _integer_differential(self, m, size_guard):
         """(D, D d_m): an integer D > 0 and a matrix of ints."""
-        if m == 0:
-            return integer_delta(self.base, self.op)
-        src = self.cochain_dim(m)
-        dst = self.cochain_dim(m + 1)
+        src, dst = self.cochain_dim(m), self.cochain_dim(m + 1)
         if src * dst > size_guard:
             raise SizeGuardError(
                 f"differential at degree {m} needs a {dst}x{src} matrix, over the guard {size_guard}"
             )
+        if m == 0:
+            return integer_delta(self.base, self.op)
         return self._scale, self._assemble(m)
 
     def _assemble(self, m):
@@ -282,11 +277,12 @@ class ReynoldsComplex:
         n, d = alg.arity, alg.dim
         tuples = self.wedge.tuples
         b = len(tuples)
-        singles = [wedge_single(t, d) for t in tuples]
-        # X_x o X_y, [X_x, e_j] and rho_R(X_x) as (index, coefficient) lists
-        action = [[[(self.wedge.index[key], c) for key, c in fundamental_action(alg, x, y).items()]
-                   for y in singles] for x in singles]
-        moved = [[support(alg.bracket_on_basis(t + (j,))) for j in range(1, d + 1)] for t in tuples]
+        # [X_x, e_j], X_x o X_y read off them (pair terms start at m = 2), rho_R(X_x) as term lists
+        brackets = [[alg.bracket_on_basis(t + (j,)) for j in range(1, d + 1)] for t in tuples]
+        moved = [[support(vec) for vec in row] for row in brackets]
+        action = m >= 2 and [
+            [[(self.wedge.index[key], c) for key, c in _action({s: 1}, {t: 1}, lambda _, k: row[k - 1], d).items()]
+             for t in tuples] for s, row in zip(tuples, brackets)]
         acts = [_matrix_terms(rho.matrix_for_tuple(t)) for t in tuples]
         # last-block terms: rho(X_m minus its i-th index, e_j) on the value at e_{X_m[i]}
         last = [[[(t[i - 1] - 1, vo, vi, sign(n + m - i + 1) * c)
@@ -354,13 +350,17 @@ class ReynoldsComplex:
         return out
 
     def _cross_check(self, m, dm):
-        """The assembled D d_m against ``coboundary`` on the integer pair."""
+        """D d_m against ``coboundary`` on the integer pair and one dense
+        cochain; a mismatch names its first output slot (blocks, e_j, v)."""
         n, d = self.base.arity, self.base.dim
         f = Cochain(n, d, d, m, [1 + c % 7 for c in range(dm.cols)])
-        if dm.apply(f.data) != list(coboundary(*self._pair, f).data):
-            raise InternalConsistencyError(
-                f"assembled differential at degree {m} disagrees with the coboundary formula"
-            )
+        slots = product(product(self.wedge.tuples, repeat=m), range(1, d + 1), range(1, d + 1))
+        for (blocks, j, v), got, want in zip(slots, dm.apply(f.data), coboundary(*self._pair, f).data, strict=True):
+            if got != want:
+                raise InternalConsistencyError(
+                    f"assembled differential at degree {m} disagrees with the coboundary formula at blocks "
+                    f"{blocks}, e_{j}, coordinate {v}: assembled {got}, formula {want} "
+                    f"(both scaled by D = {self._scale})")
 
 
 def integer_delta(algebra, op):

@@ -6,7 +6,6 @@ false as stated are carried by strict-xfail companions below the main
 criterion tests, so a silent fix would surface as a test failure.
 """
 
-import random
 from fractions import Fraction
 
 import pytest

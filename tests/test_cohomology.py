@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from nliealg import cohomology as cohomology_module
 from nliealg.algebra import (
     NAryAlgebra,
     RepresentationTable,
@@ -124,6 +125,12 @@ def test_size_guard_triggers(lie3, family1):
         cx.differential_matrix(2, size_guard=10)
     with pytest.raises(SizeGuardError):
         cx.dimensions(2, size_guard=10)
+    # delta_R is 9x3: the guard bounds it like every other differential
+    with pytest.raises(SizeGuardError, match="degree 0 needs a 9x3 matrix, over the guard 26"):
+        cx.dimensions(0, size_guard=26)
+    with pytest.raises(SizeGuardError, match="degree 0"):
+        cx.differential_matrix(0, size_guard=1)
+    assert cx.dimensions(0, size_guard=27) == [(0, 2, 0, 2)]
 
 
 def test_complex_requires_reynolds(lie3):
@@ -220,43 +227,87 @@ def test_conjugate_fixture_is_a_dense_change_of_basis():
 
 
 def test_corrupted_entry_trips_the_cross_check(lie3, family1, monkeypatch):
+    """The note names the degree, the output slot (blocks, e_j, coordinate v)
+    of the corrupted row and both values; the test cochain is nonzero in
+    every slot, so that row is the first output that differs."""
     assemble = ReynoldsComplex._assemble
+    corrupted = []
 
-    def corrupted(self, m):
+    def corrupt(self, m):
         mat = assemble(self, m)
-        row = next(r for r in mat.row_maps if r)
+        r, row = next((r, row) for r, row in enumerate(mat.row_maps) if row)
         col = next(iter(row))
         row[col] += 1
+        corrupted.append((r, col))
         return mat
 
-    monkeypatch.setattr(ReynoldsComplex, "_assemble", corrupted)
-    with pytest.raises(InternalConsistencyError):
+    monkeypatch.setattr(ReynoldsComplex, "_assemble", corrupt)
+    with pytest.raises(InternalConsistencyError) as caught:
         ReynoldsComplex(lie3, family1).dimensions(2)
+    # degree 1 is checked first; lie3 has Lambda^1 blocks (1,), (2,), (3,),
+    # and its C^2 slot (x, j, v) is the row index r in base 3
+    r, col = corrupted[0]
+    x, j, v = r // 9, r // 3 % 3, r % 3
+    note = str(caught.value)
+    assert "differential at degree 1 disagrees" in note
+    assert f"at blocks (({x + 1},),), e_{j + 1}, coordinate {v + 1}: assembled " in note
+    assembled, formula = note.split(": assembled ")[1].split(" (")[0].split(", formula ")
+    # the corrupted entry adds the test cochain's value 1 + col % 7 to the output
+    assert int(assembled) - int(formula) == 1 + col % 7
 
 
 def test_coboundary_matches_naive_oracle(lie3, family1, family2, sl2_like, three_lie4):
-    """Whole cochains equal the parent formula's, at degrees 1 and 2, on
-    representations, non-representations and dual-number cochains."""
+    """Whole cochains equal the parent formula's, at degrees 1 to 3, on
+    representations, non-representations, exact and integer pairs with a
+    scale D != 1, a dense change of basis and dual-number cochains."""
     rng = random.Random(89)
     pairs = []
-    for op in (family1, family2):
+    for op, degrees in ((family1, (1, 2, 3)), (family2, (1, 2))):
         cx = ReynoldsComplex(lie3, op)
-        pairs.append((cx.induced, cx.rho, 2))
-    pairs.append((sl2_like, adjoint_representation(sl2_like), 2))
-    pairs.append((three_lie4, adjoint_representation(three_lie4), 1))
+        pairs.append((cx.induced, cx.rho, degrees))
+    pairs.append((sl2_like, adjoint_representation(sl2_like), (1, 2)))
+    pairs.append((three_lie4, adjoint_representation(three_lie4), (1,)))
     a4 = simple_n_lie(3)
     cx = ReynoldsComplex(a4, derivation_to_reynolds(a4, ad(a4, wedge_single((1, 2), 4))))
-    pairs.append((cx.induced, cx.rho, 1))
+    assert cx._scale != 1
+    pairs += [(cx.induced, cx.rho, (1, 2)), (*cx._pair, (1,))]
+    cx = ReynoldsComplex(*ORACLE_CASES["lie3/family1/conjugate"][:2])
+    assert cx._scale != 1
+    pairs.append((cx.induced, cx.rho, (1, 2)))
     pairs.append((lie3, RepresentationTable(2, 3, 2, {
-        (1,): [[1, 2], [0, -1]], (3,): [[0, 1], [Fraction(1, 2), 0]]}), 2))
-    for alg, rho, top in pairs:
-        for m in range(1, top + 1):
+        (1,): [[1, 2], [0, -1]], (3,): [[0, 1], [Fraction(1, 2), 0]]}), (1, 2)))
+    for alg, rho, degrees in pairs:
+        for m in degrees:
             for dual in (False, True):
                 f = rand_cochain(rng, alg.arity, alg.dim, rho.module_dim, m)
                 if dual:
                     f = Cochain(f.arity, f.dim, f.module_dim, m,
                                 [Dual(a, rng.randint(-1, 1)) if rng.random() < 0.3 else a for a in f.data])
                 assert coboundary(alg, rho, f) == naive_coboundary(alg, rho, f), (alg.dim, m, dual)
+
+
+def test_assemble_forms_pair_actions_only_from_degree_2(lie3, family1, monkeypatch):
+    """Degree 1 has no pair terms, so ``_assemble(1)`` forms no X_x o X_y;
+    degree 2 forms each of the b x b once, from its tabulated brackets."""
+    cx = ReynoldsComplex(lie3, family1)
+    counts = {"actions": 0, "brackets": 0}
+    action, bracket_on_basis = cohomology_module._action, NAryAlgebra.bracket_on_basis
+
+    def counted_action(*args):
+        counts["actions"] += 1
+        return action(*args)
+
+    def counted_bracket(self, indices):
+        counts["brackets"] += 1
+        return bracket_on_basis(self, indices)
+
+    monkeypatch.setattr(cohomology_module, "_action", counted_action)
+    monkeypatch.setattr(cohomology_module, "fundamental_action", None)
+    monkeypatch.setattr(NAryAlgebra, "bracket_on_basis", counted_bracket)
+    cx._assemble(1)
+    assert counts == {"actions": 0, "brackets": 3 * 3}
+    cx._assemble(2)
+    assert counts == {"actions": 3 * 3, "brackets": 2 * 3 * 3}
 
 
 # -- rho_R, delta_R and the integer pair ------------------------------------

@@ -22,7 +22,7 @@ from nliealg.constructions import (
 )
 from nliealg.documents import algebra_document, emit_document, functional_document, operator_document
 from nliealg.errors import InputError, NLieError, PreconditionError
-from nliealg.linalg import Matrix, unit_vector
+from nliealg.linalg import Matrix
 from nliealg.reynolds import check_reynolds, derivation_to_reynolds, induced_bracket
 
 from conftest import (

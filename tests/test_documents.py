@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from nliealg.constructions import LinearFunctional
 from nliealg.documents import (
     algebra_document,
     emit_document,

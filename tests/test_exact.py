@@ -59,6 +59,7 @@ from nliealg.wedge import increasing_tuples
 from conftest import euler_derivation, simple_n_lie
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "nliealg").glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _nodes():
@@ -100,9 +101,11 @@ def test_no_power_has_base_minus_one():
 
 
 def test_every_imported_name_is_read():
-    """No module but ``__init__`` imports a name it never reads."""
+    """No module of ``src/`` but ``__init__``, and no test module, imports a
+    name it never reads."""
     unused = []
-    for path in SOURCES:
+    assert len(TESTS) > 10
+    for path in SOURCES + TESTS:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
@@ -110,7 +113,7 @@ def test_every_imported_name_is_read():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
                 names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
-                unused += [(path.name, name) for name in names if name not in read]
+                unused += [(path.parent.name, path.name, name) for name in names if name not in read]
     assert unused == []
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nliealg.algebra import NAryAlgebra, ad, check_filippov, is_derivation, support, wedge_single
+from nliealg.algebra import ad, check_filippov, is_derivation, support, wedge_single
 from nliealg.cohomology import delta_r_operator
 from nliealg.errors import NotInvertibleError, PreconditionError
 from nliealg.linalg import Matrix
