@@ -9,11 +9,12 @@ vectors go through ``expand`` (shared with the curly bracket of
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 
 from .errors import InputError
-from .linalg import Matrix, combine, unit_vector, vec_add, vec_is_zero, vec_scale, vec_zero
+from .linalg import Matrix, combine, integer_scale, unit_vector, vec_add, vec_is_zero, vec_scale, vec_zero
 from .rings import QQ_ONE, QQ_ZERO, rational, sign
 from .verdict import fail, ok, require
 from .wedge import canonicalize_wedge, check_indices, increasing_tuples
@@ -220,16 +221,8 @@ class RepresentationTable:
         flat = combine(coeffs, terms, dv * dv)
         return Matrix([flat[i * dv:(i + 1) * dv] for i in range(dv)])
 
-    def matrix_for_mixed(self, prefix, vec):
-        """rho(e_{prefix}, v) with the last slot an arbitrary vector."""
-        return self.matrix_for_wedge({tuple(prefix) + (j + 1,): c for j, c in enumerate(vec) if c})
-
 
 # -- wedge-coefficient elements of Lambda^{n-1}(g) ----------------------
-
-
-def wedge_zero():
-    return {}
 
 
 def wedge_single(indices, dim):
@@ -255,45 +248,175 @@ def wedge_add_term(acc, indices, coeff, dim):
 
 
 # -- checkers ------------------------------------------------------------
+#
+# Each check is an identity of degree 2 between operators tabulated once
+# and scaled to ``int`` by D, the lcm of all denominators, checked per tuple
+# as one ``combine``; only a failing tuple forms its sides and divides them
+# by D^2.  Tuples go in the plain expansion's order, as do counterexamples.
 
 
 def check_filippov(algebra):
-    """Verify the n-ary Jacobi (Filippov) identity on all basis tuples."""
+    """The n-ary Jacobi (Filippov) identity on all basis tuples: ad_xs is a
+    derivation for each increasing (n-1)-tuple xs, one run of the Leibniz
+    kernel each (ad_xs = 0 passes trivially)."""
     if algebra.symmetry != ALTERNATING:
         raise InputError("Filippov check applies to alternating brackets")
-    n, d = algebra.arity, algebra.dim
-    ys_range = increasing_tuples(d, n)
-    # arguments go in as supports: basis brackets are scanned once each
-    inner = {ys: support(algebra.bracket_on_basis(ys)) for ys in ys_range}
-    for xs in increasing_tuples(d, n - 1):
-        x_units = unit_supports(xs)
-        moved = [support(algebra.bracket_on_basis(xs + (y,))) for y in range(1, d + 1)]
-        for ys in ys_range:
-            lhs = algebra.bracket_supports(x_units + [inner[ys]])
-            rhs = vec_zero(d)
-            for i in range(n):
-                args = unit_supports(ys)
-                args[i] = moved[ys[i] - 1]
-                rhs = vec_add(rhs, algebra.bracket_supports(args))
-            if lhs != rhs:
-                return fail("filippov", {"x": xs, "y": ys}, lhs, rhs)
+    d = algebra.dim
+    scale, values, ad_cols = _integer_brackets(algebra)
+    hats = hatted(algebra.basis_tuples(), True)
+    for xs, cols in ad_cols.items():
+        failure = any(cols) and _leibniz_failure(hats, values, ad_cols, cols, d)
+        if failure:
+            ys, lhs, rhs = failure
+            return fail("filippov", {"x": xs, "y": ys}, _unscaled(lhs, d, scale), _unscaled(rhs, d, scale))
     return ok("filippov")
 
 
 def is_derivation(algebra, op):
-    """Leibniz rule for a linear operator over the stored bracket."""
-    if op.rows != algebra.dim or op.cols != algebra.dim:
+    """The Leibniz rule for a rational operator over the stored bracket,
+    alternating or symmetric: one run of the Leibniz kernel."""
+    d = algebra.dim
+    if op.rows != d or op.cols != d:
         raise InputError("operator dimension mismatch")
-    for tup in algebra.basis_tuples():
-        lhs = op.apply(algebra.bracket_on_basis(tup))
-        rhs = vec_zero(algebra.dim)
-        for i in range(algebra.arity):
-            args = algebra.units(tup)
-            args[i] = op.apply(args[i])
-            rhs = vec_add(rhs, algebra.bracket(args))
-        if lhs != rhs:
-            return fail("derivation", {"tuple": tup}, lhs, rhs)
+    op._require_rational("derivation check")
+    scale, values, ad_cols, cols = _integer_brackets(algebra, dict(enumerate(zip(*op.entries))))
+    hats = hatted(algebra.basis_tuples(), algebra.symmetry == ALTERNATING)
+    failure = _leibniz_failure(hats, values, ad_cols, cols, d)
+    if failure:
+        ys, lhs, rhs = failure
+        return fail("derivation", {"tuple": ys}, _unscaled(lhs, d, scale), _unscaled(rhs, d, scale))
     return ok("derivation")
+
+
+def check_representation(algebra, rho):
+    """Both compatibility identities of a rational representation of an
+    n-Lie algebra: rho_x rho_y - rho_y rho_x = rho(x o y), the commutator
+    kernel, and rho(x, [ys]) = sum_i (-1)^{n-1-i} rho(ys^i) rho(x, y_i),
+    one ``combine`` per (x, ys) of products read off ``tabulated_products``."""
+    n, d, dv = algebra.arity, algebra.dim, rho.module_dim
+    if algebra.symmetry != ALTERNATING:
+        raise InputError("representation check applies to alternating brackets")
+    if rho.arity != n or rho.algebra_dim != d:
+        raise InputError("representation/algebra dimension mismatch")
+    for mat in rho.tables.values():
+        mat._require_rational("representation check")
+    columns = {(xs, j): col for xs, mat in rho.tables.items() for j, col in enumerate(zip(*mat.entries))}
+    scale, values, ad_cols, columns = _integer_brackets(algebra, columns)
+    width = dv * dv
+    flat, product = tabulated_products({xs: [columns.get((xs, j), []) for j in range(dv)] for xs in ad_cols}, dv)
+    mixed = extensions(d, n - 2)
+    failure = _commutator_failure(ad_cols, mixed, flat, product, width)
+    if failure:
+        xs, ys, xy, yx, action = failure
+        lhs = _unscaled((xy[0] + [-c for c in yx[0]], xy[1] + yx[1]), width, scale)
+        return fail("representation-commutator", {"x": xs, "y": ys}, lhs, _unscaled(action, width, scale))
+    hats = hatted(increasing_tuples(d, n), True)
+    for prefix, ext in mixed.items():
+        # rho(prefix, e_k) is flip * rho_key for ext[k] = (key, flip), zero for None
+        for ys, hat in hats.items():
+            lhs = _terms((e[1] * b, flat[e[0]]) for k, b in values.get(ys, ()) if (e := ext[k]))
+            rhs = _terms((s * e[1] * c, row) for r, s, y in hat if (e := ext[y]) for c, row in zip(*product(r, e[0])))
+            if not _holds(lhs, rhs, width):
+                lhs, rhs = _unscaled(lhs, width, scale), _unscaled(rhs, width, scale)
+                return fail("representation-bracket", {"x": prefix, "y": ys}, lhs, rhs)
+    return ok("representation")
+
+
+def _integer_brackets(algebra, *tables):
+    """(D^2, values, ad_cols, *tables): the brackets and {key: vector}
+    ``tables`` as ``int`` supports, and the columns of each ad_xs."""
+    scale, scaled = integer_scale([algebra.brackets, *tables])
+    values, *tables = [{key: support(vec) for key, vec in table.items()} for table in scaled]
+    tuples = increasing_tuples(algebra.dim, algebra.arity - 1)
+    return (scale * scale, values, ad_columns(values, tuples, algebra.dim, algebra.symmetry == ALTERNATING), *tables)
+
+
+def ad_columns(values, tuples, d, alternating=True):
+    """{xs: supports of the columns e_j -> [e_xs, e_j]} for the xs of
+    ``tuples``, from the supports ``values`` of the brackets on canonical
+    tuples: each is placed once per slot, with the sign of moving that slot
+    last when ``alternating``."""
+    cols = {xs: [[] for _ in range(d)] for xs in tuples}
+    for ys, value in values.items():
+        for i in range(len(ys)):
+            negate = alternating and (len(ys) - 1 - i) % 2
+            cols[ys[:i] + ys[i + 1:]][ys[i] - 1] = [(k, -c) for k, c in value] if negate else value
+    return cols
+
+
+def hatted(tuples, alternating):
+    """{ys: [(ys without slot i, s_i, ys[i] - 1)]}, s_i = (-1)^{n-1-i} if ``alternating``."""
+    return {
+        ys: [(ys[:i] + ys[i + 1:], sign(len(ys) - 1 - i) if alternating else 1, ys[i] - 1) for i in range(len(ys))]
+        for ys in tuples
+    }
+
+
+def extensions(d, k):
+    """{rest: [canonicalize_wedge(rest + (j,)) for j = 1..d]} over increasing k-tuples."""
+    return {rest: [canonicalize_wedge(rest + (j,), d) for j in range(1, d + 1)] for rest in increasing_tuples(d, k)}
+
+
+def _leibniz_failure(hats, values, ad_cols, cols, d):
+    """The Leibniz kernel: the first ys of ``hats`` where D[e_ys] differs
+    from sum_i [.., D e_{y_i}, ..] = sum_i s_i [e_{ys^i}, D e_{y_i}], as
+    (ys, lhs, rhs), each side a sum of (coefficients, supports) terms, or
+    None.  ``cols`` holds the supports of the columns of D."""
+    for ys, hat in hats.items():
+        value = values.get(ys, ())
+        lhs = [b for _, b in value], [cols[k] for k, _ in value]
+        rhs = [s * c for _, s, y in hat for _, c in cols[y]], [ad_cols[r][m] for r, _, y in hat for m, _ in cols[y]]
+        if not _holds(lhs, rhs, d):
+            return ys, lhs, rhs
+    return None
+
+
+def tabulated_products(cols, width):
+    """(flat, product) for the operators of ``cols``, given by the supports
+    of their columns: ``flat[x]`` is the support of x with entry (i, j) at
+    i*width + j, and ``product(x, y)`` is x y as a sum of (coefficients,
+    supports) terms, one per entry c = y_kj: c times column k of x, moved
+    to column j."""
+    flat = {x: [(i * width + j, c) for j, col in enumerate(cs) for i, c in col] for x, cs in cols.items()}
+    shifted = {x: [[(i * width + j, c) for i, c in col] for j in range(width) for col in cs] for x, cs in cols.items()}
+    entries = {x: [(c, j * width + k) for j, col in enumerate(cs) for k, c in col] for x, cs in cols.items()}
+
+    def product(x, y):
+        return [c for c, _ in entries[y]], [shifted[x][at] for _, at in entries[y]]
+
+    return flat, product
+
+
+def _commutator_failure(ad_cols, mixed, flat, product, width):
+    """The commutator kernel: the first pair (x, y) of (n-1)-tuples where
+    rho_x rho_y != rho_y rho_x + rho(x o y), as (x, y, rho_x rho_y,
+    rho_y rho_x, rho(x o y)), each a sum of terms, or None.  Slot i of
+    x o y = sum_i y_1 ^ .. [e_x, e_{y_i}] .. ^ y_{n-1} holding e_m is
+    s_i y^i ^ e_m, read off ``mixed`` (``extensions``)."""
+    hats = hatted(list(ad_cols), True)
+    for xs, cols in ad_cols.items():
+        for ys, hat in hats.items():
+            action = _terms((s * e[1] * b, flat[e[0]]) for r, s, y in hat for m, b in cols[y] if (e := mixed[r][m]))
+            xy, yx = product(xs, ys), product(ys, xs)
+            if not _holds(xy, (yx[0] + action[0], yx[1] + action[1]), width):
+                return xs, ys, xy, yx, action
+    return None
+
+
+def _terms(pairs):
+    """(coefficients, supports) of a sum given as (coefficient, support) pairs."""
+    return tuple(map(list, zip(*pairs))) or ([], [])
+
+
+def _holds(lhs, rhs, width):
+    """Whether two sums of (coefficients, supports) terms agree: one
+    ``combine`` of their difference."""
+    return not any(combine(lhs[0] + [-c for c in rhs[0]], lhs[1] + rhs[1], width))
+
+
+def _unscaled(terms, width, d2):
+    """A sum of (coefficients, supports) terms, divided by ``d2``."""
+    return [rational(Fraction(x, d2)) for x in combine(*terms, width)]
 
 
 def ad(algebra, wedge_elem):
@@ -315,7 +438,7 @@ def fundamental_action(algebra, x_wedge, y_wedge):
 
 def _action(x_wedge, y_wedge, moved, d):
     """``fundamental_action`` with each [e_xk, e_y] read from ``moved(xk, y)``."""
-    out = wedge_zero()
+    out = {}
     for xk, xc in sorted(x_wedge.items()):
         for yk, yc in sorted(y_wedge.items()):
             coeff = xc * yc
@@ -325,64 +448,6 @@ def _action(x_wedge, y_wedge, moved, d):
                         new = yk[:i] + (j + 1,) + yk[i + 1:]
                         wedge_add_term(out, new, coeff * mc, d)
     return out
-
-
-def check_representation(algebra, rho):
-    """Both compatibility identities of an n-Lie representation.
-
-    Each basis matrix, basis bracket and product of two basis matrices is
-    formed once; the loops compare the same matrices, in the same order,
-    as the plain expansion of each identity.
-    """
-    n, d = algebra.arity, algebra.dim
-    if rho.arity != n or rho.algebra_dim != d:
-        raise InputError("representation/algebra dimension mismatch")
-    tuples = increasing_tuples(d, n - 1)
-    mats = {xs: rho.matrix_for_tuple(xs) for xs in tuples}
-    # [e_xs, e_y] for the fundamental actions and the basis brackets below
-    brackets_with = {xs: [algebra.bracket_on_basis(xs + (y,)) for y in range(1, d + 1)] for xs in tuples}
-    products = {}
-
-    def moved(xs, y):
-        return brackets_with[xs][y - 1]
-
-    def product(a, b):
-        if (a, b) not in products:
-            products[a, b] = mats[a] @ mats[b]
-        return products[a, b]
-
-    for xs in tuples:
-        for ys in tuples:
-            lhs = product(xs, ys) - product(ys, xs)
-            action = _action(wedge_single(xs, d), wedge_single(ys, d), moved, d)
-            rhs = rho.matrix_for_wedge(action)
-            if lhs != rhs:
-                return fail(
-                    "representation-commutator",
-                    {"x": xs, "y": ys},
-                    [a for row in lhs.entries for a in row],
-                    [a for row in rhs.entries for a in row],
-                )
-    brackets = {ys: moved(ys[:-1], ys[-1]) for ys in increasing_tuples(d, n)}
-    for prefix in increasing_tuples(d, n - 2):
-        for ys, bracket in brackets.items():
-            lhs = rho.matrix_for_mixed(prefix, bracket)
-            rhs = Matrix.zero(rho.module_dim)
-            for i in range(n):
-                canon = canonicalize_wedge(prefix + (ys[i],), d)
-                if canon is None:
-                    continue
-                key, flip = canon
-                term = product(ys[:i] + ys[i + 1:], key)
-                rhs = rhs + term.scale(flip * sign(n - 1 - i))
-            if lhs != rhs:
-                return fail(
-                    "representation-bracket",
-                    {"x": prefix, "y": ys},
-                    [a for row in lhs.entries for a in row],
-                    [a for row in rhs.entries for a in row],
-                )
-    return ok("representation")
 
 
 def adjoint_representation(algebra):

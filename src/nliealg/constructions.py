@@ -21,7 +21,7 @@ from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .reynolds import basis_images, check_reynolds, induced_value, reynolds_values, verified_values
 from .rings import rational, sign
-from .verdict import fail, jsonable, ok, require
+from .verdict import fail, jsonable, ok, require, spelled
 from .wedge import increasing_tuples
 
 
@@ -151,10 +151,13 @@ def corollary_bracket(algebra, op, functional):
         return acc
 
     result = algebra_from_bracket_function(n + 1, d, value, basis_names=algebra.basis_names)
-    if result != NAryAlgebra(n + 1, d, {tup: induced for tup, (_, induced) in values.items()}):
-        raise InternalConsistencyError(
-            "double-sum bracket disagrees with the induced bracket of the extension"
-        )
+    for tup, (_, induced) in values.items():
+        double = result.brackets.get(tup, vec_zero(d))
+        if double != induced:
+            raise InternalConsistencyError(
+                f"double-sum bracket disagrees with the induced bracket of the extension at tuple {tup}: "
+                f"double sum {spelled(double)}, induced {spelled(induced)}"
+            )
     return result
 
 

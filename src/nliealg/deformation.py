@@ -17,7 +17,7 @@ from .errors import InternalConsistencyError
 from .linalg import Matrix, vec_add, vec_sub, vec_zero
 from .reynolds import basis_images, check_hom_pair, check_reynolds, induced_value
 from .rings import EPS
-from .verdict import fail, ok, require
+from .verdict import fail, ok, require, spelled
 from .wedge import increasing_tuples
 
 
@@ -69,10 +69,15 @@ def is_infinitesimal_deformation(algebra, op, direction):
     dual = check_reynolds(algebra, dual_op)
     if bool(direct) != bool(dual):
         raise InternalConsistencyError(
-            "t-linear check and dual-number check disagree: "
-            f"direct={bool(direct)}, dual={bool(dual)}"
+            f"t-linear check and dual-number check disagree on the direction {spelled(direction.entries)}: "
+            f"t-linear {_outcome(direct)}, dual-number {_outcome(dual)}"
         )
     return direct
+
+
+def _outcome(verdict):
+    """A verdict for a note: PASS, or FAIL and its tuple."""
+    return "PASS" if verdict else f"FAIL at tuple {verdict.counterexample['where']['tuple']}"
 
 
 def check_equivalence_witness(algebra, op, dir1, dir2, x_wedge):
@@ -95,9 +100,13 @@ def _witness_verdict(algebra, op, dir1, dir2, x_wedge):
     r2t = op + dir2.scale(EPS)
     verdict = check_hom_pair(algebra, r1t, r2t, phi, psi)
     if verdict:
-        if dir1 - dir2 != delta_r_operator(algebra, op, x_wedge):
+        diff, delta = dir1 - dir2, delta_r_operator(algebra, op, x_wedge)
+        if diff != delta:
+            i, j = next((i, j) for i in range(d) for j in range(d) if diff[i, j] != delta[i, j])
             raise InternalConsistencyError(
-                "homomorphism pair verified but dir1 - dir2 is not the coboundary of X"
+                f"homomorphism pair verified for X = {spelled(x_wedge)} but dir1 - dir2 is not the coboundary "
+                f"of X: entry ({i + 1}, {j + 1}) of dir1 - dir2 is {spelled(diff[i, j])}, "
+                f"of delta_R(X) {spelled(delta[i, j])}"
             )
     return verdict
 

@@ -287,7 +287,8 @@ def combine(coeffs, sparse_rows, width):
         if a:
             one = type(a) is int and a == 1
             for j, b in terms:
-                acc[j] = plus(acc[j], b if one else a * b)
+                x, y = b if one else a * b, acc[j]
+                acc[j] = x if not y else y if not x else y + x  # plus(y, x), inline
     return acc
 
 

@@ -11,23 +11,27 @@ re-checked against the axioms.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (
     NAryAlgebra,
     RepresentationTable,
-    _action,
+    _commutator_failure,
+    _holds,
+    _unscaled,
+    ad_columns,
     algebra_from_bracket_function,
     check_filippov,
     check_representation,
     expand,
     expand_supports,
+    extensions,
+    hatted,
     support,
+    tabulated_products,
     term_table,
     unit_supports,
 )
 from .errors import InputError, InternalConsistencyError
-from .linalg import Matrix, combine, integer_scale, vec_add, vec_is_zero, vec_scale, vec_zero
+from .linalg import Matrix, integer_scale, vec_add, vec_is_zero, vec_scale, vec_zero
 from .nijenhuis import verified_ladder
 from .reynolds import basis_images, verified_values
 from .rings import rational, sign
@@ -104,23 +108,16 @@ def _angle_algebra(ns):
 
 
 def check_ns(ns):
-    """All three compatibility axioms on basis tuples, as identities
-    between tabulated operators in integer arithmetic.
+    """All three compatibility axioms on basis tuples, as identities between
+    tabulated integer operators, like the checkers of ``algebra``.
 
-    For each increasing (n-1)-tuple I the columns C_I e_j = {e_I, e_j},
-    S_I e_j = [e_I, e_j] and A_I e_j = <e_I, e_j> are tabulated once, with
-    the square and angle values on n-tuples, all multiplied by D, the lcm
-    of the denominators of the curly and square tables, so each is an
-    ``int``.  The axioms are homogeneous of degree 2 in (curly, square) and
-    the angle bracket is linear in them, so each scaled identity is D^2
-    times the original: the verdict is the same, and a reported lhs/rhs is
-    the scaled one divided by D^2.  Axiom 1 is the d x d matrix identity
-    C_x C_y - C_y C_x = C_{x o y} (o the fundamental action of the angle
-    bracket), axioms 2 and 3 are vector identities per tuple pair; each is
-    one ``combine`` of the difference of its sides.  Tuple pairs go in the
-    plain expansion's order, and a failing pair forms its sides apart
-    (column by column for axiom 1), so the counterexample is the plain
-    expansion's.
+    For each increasing (n-1)-tuple I, C_I e_j = {e_I, e_j}, S_I e_j =
+    [e_I, e_j] and A_I e_j = <e_I, e_j>, scaled by D, the lcm of the
+    denominators of the curly and square tables; the axioms are homogeneous
+    of degree 2 in (curly, square), and the angle bracket is linear in them.
+    Axiom 1, C_x C_y - C_y C_x = C_{x o y} (o the fundamental action of the
+    angle bracket), is the commutator kernel, reported by its first failing
+    column; axioms 2 and 3 are vector identities per tuple pair.
     """
     return _check_ns(ns, _angle_algebra(ns))
 
@@ -133,43 +130,22 @@ def _check_ns(ns, angle):
     curly = {prefix + (j,): vec for (prefix, j), vec in ns.curly_table.items()}
     scale, (curly, square, angles) = integer_scale([curly, ns.square.brackets, angle.brackets])
     d2 = scale * scale
-    # supports of the columns of C_I, S_I and A_I, of F_I: v -> {v, e_I[:-1], e_I[-1]}
-    # (axiom 2), and of the square and angle values on n-tuples
-    c_cols, s_cols, a_cols, f_cols, a_dense = {}, {}, {}, {}, {}
-    for xs in xs_range:
-        c_cols[xs] = [support(curly.get(xs + (j,), ())) for j in range(1, d + 1)]
-        s_cols[xs] = [support(_lookup(square, xs + (j,), (), d)) for j in range(1, d + 1)]
-        a_dense[xs] = [_lookup(angles, xs + (j,), (), d) for j in range(1, d + 1)]
-        a_cols[xs] = [support(vec) for vec in a_dense[xs]]
-        f_cols[xs] = [support(_lookup(curly, (k,) + xs[:-1], xs[-1:], d)) for k in range(1, d + 1)]
+    # supports of the square and angle values on n-tuples, and of the columns
+    # of C_I, S_I and A_I, and of F_I: v -> {v, e_I[:-1], e_I[-1]} (axiom 2)
     square_y = {ys: support(square.get(ys, ())) for ys in ys_range}
     angle_y = {ys: support(angles.get(ys, ())) for ys in ys_range}
-    # axiom 1: C_x C_y = C_y C_x + sum_K w_K C_K with w = x o y.  Entry (i, j)
-    # of a d x d matrix sits at j*d + i.  C_x C_y is the sum over the entries
-    # c = (C_y)_kj of c times column k of C_x moved to column j.
-    flat = {xs: [(j * d + i, c) for j, col in enumerate(c_cols[xs]) for i, c in col] for xs in xs_range}
-    shifted = {xs: [[(j * d + i, c) for i, c in col] for j in range(d) for col in c_cols[xs]] for xs in xs_range}
-    entries = {xs: [(c, j * d + k) for j, col in enumerate(c_cols[xs]) for k, c in col] for xs in xs_range}
-
-    def product(x, y):
-        return [c for c, _ in entries[y]], [shifted[x][at] for _, at in entries[y]]
-
-    def angle_col(xk, y):
-        return a_dense[xk][y - 1]
-
-    for xs in xs_range:
-        for ys in xs_range:
-            action = _action({xs: 1}, {ys: 1}, angle_col, d)
-            lhs = product(xs, ys)
-            coeffs, rows = product(ys, xs)
-            rhs = coeffs + list(action.values()), rows + [flat[key] for key in action]
-            if not _holds(lhs, rhs, d * d):
-                lhs, rhs = _unscaled(lhs, d * d, d2), _unscaled(rhs, d * d, d2)
-                j = next(j for j in range(d) if lhs[j * d:(j + 1) * d] != rhs[j * d:(j + 1) * d])
-                where = {"x": xs, "y": ys, "last": j + 1}
-                return fail("ns-axiom-1", where, lhs[j * d:(j + 1) * d], rhs[j * d:(j + 1) * d])
-    # (y with y_j removed, (-1)^{n-1-j}, 0-based y_j) for each slot j of an n-tuple
-    hats = {ys: [(ys[:j] + ys[j + 1:], sign(n - 1 - j), ys[j] - 1) for j in range(n)] for ys in ys_range}
+    c_cols = {xs: [support(curly.get(xs + (j,), ())) for j in range(1, d + 1)] for xs in xs_range}
+    s_cols, a_cols = ad_columns(square_y, xs_range, d), ad_columns(angle_y, xs_range, d)
+    f_cols = {xs: [support(_lookup(curly, (k,) + xs[:-1], xs[-1:], d)) for k in range(1, d + 1)] for xs in xs_range}
+    # axiom 1: C_x C_y = C_y C_x + C_{x o y}, the commutator kernel
+    flat, product = tabulated_products(c_cols, d)
+    failure = _commutator_failure(a_cols, extensions(d, n - 2), flat, product, d * d)
+    if failure:
+        xs, ys, lhs, yx, action = failure
+        lhs, rhs = _unscaled(lhs, d * d, d2), _unscaled((yx[0] + action[0], yx[1] + action[1]), d * d, d2)
+        j = next(j for j in range(d) if lhs[j::d] != rhs[j::d])
+        return fail("ns-axiom-1", {"x": xs, "y": ys, "last": j + 1}, lhs[j::d], rhs[j::d])
+    hats = hatted(ys_range, True)
     # axiom 2: F_x <y> = sum_j (-1)^{n-1-j} C_{y^j} F_x e_{y_j}
     for ys in ys_range:
         for xs in xs_range:
@@ -206,17 +182,6 @@ def _lookup(table, head, tail, d):
     if vec is None:
         return [0] * d
     return vec if canon[1] > 0 else [-c for c in vec]
-
-
-def _holds(lhs, rhs, width):
-    """Whether two sums of (coefficients, supports) terms agree: one
-    ``combine`` of their difference."""
-    return not any(combine(lhs[0] + [-c for c in rhs[0]], lhs[1] + rhs[1], width))
-
-
-def _unscaled(terms, width, d2):
-    """A sum of (coefficients, supports) terms, divided by ``d2``."""
-    return [rational(Fraction(x, d2)) for x in combine(*terms, width)]
 
 
 def subadjacent(ns):

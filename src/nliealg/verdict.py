@@ -62,3 +62,13 @@ def jsonable(value):
         a = format_rational(value.a)
         return {"a": a, "b": format_rational(value.b)} if value.b else a
     return value
+
+
+def spelled(value):
+    """A value for a note: vectors and matrices in brackets, a {key: scalar}
+    dict in braces, each scalar spelled as ``jsonable`` spells it."""
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(spelled(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {spelled(v)}" for k, v in value.items()) + "}"
+    return str(jsonable(value))

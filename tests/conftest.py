@@ -292,6 +292,8 @@ def naive_check_representation(algebra, rho):
     matrix product formed where it is used; the reference for
     ``algebra.check_representation``."""
     n, d = algebra.arity, algebra.dim
+    if algebra.symmetry != ALTERNATING:
+        raise InputError("representation check applies to alternating brackets")
     if rho.arity != n or rho.algebra_dim != d:
         raise InputError("representation/algebra dimension mismatch")
     for xs in increasing_tuples(d, n - 1):
@@ -310,7 +312,8 @@ def naive_check_representation(algebra, rho):
                 )
     for prefix in increasing_tuples(d, n - 2):
         for ys in increasing_tuples(d, n):
-            lhs = rho.matrix_for_mixed(prefix, algebra.bracket_on_basis(ys))
+            bracket = algebra.bracket_on_basis(ys)
+            lhs = naive_matrix_for_wedge(rho, {prefix + (j + 1,): c for j, c in enumerate(bracket) if c})
             rhs = Matrix.zero(rho.module_dim)
             for i in range(n):
                 rest = ys[:i] + ys[i + 1:]
@@ -346,6 +349,23 @@ def naive_check_filippov(algebra):
             if lhs != rhs:
                 return fail("filippov", {"x": xs, "y": ys}, lhs, rhs)
     return ok("filippov")
+
+
+def naive_is_derivation(algebra, op):
+    """The Leibniz rule on all basis tuples, every bracket expanded on dense
+    vectors; the reference for ``algebra.is_derivation``."""
+    if op.rows != algebra.dim or op.cols != algebra.dim:
+        raise InputError("operator dimension mismatch")
+    for tup in algebra.basis_tuples():
+        lhs = op.apply(algebra.bracket_on_basis(tup))
+        rhs = vec_zero(algebra.dim)
+        for i in range(algebra.arity):
+            args = algebra.units(tup)
+            args[i] = op.apply(args[i])
+            rhs = vec_add(rhs, algebra.bracket(args))
+        if lhs != rhs:
+            return fail("derivation", {"tuple": tup}, lhs, rhs)
+    return ok("derivation")
 
 
 def naive_induced_value(algebra, op, tup):

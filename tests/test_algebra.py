@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
+from nliealg import algebra as algebra_module
 from nliealg.algebra import (
     NAryAlgebra,
     RepresentationTable,
@@ -18,7 +19,7 @@ from nliealg.algebra import (
     unit_supports,
     wedge_single,
 )
-from nliealg.errors import InputError, PreconditionError
+from nliealg.errors import InputError, PreconditionError, UnsupportedRingError
 from nliealg.linalg import Matrix, unit_vector, vec_zero
 from nliealg.rings import Dual
 from nliealg.wedge import increasing_tuples
@@ -28,6 +29,7 @@ from conftest import (
     naive_check_filippov,
     naive_check_representation,
     naive_expansion,
+    naive_is_derivation,
     naive_matrix_for_wedge,
     rand_fraction,
     rand_vector,
@@ -187,12 +189,12 @@ def test_representation_table_validation():
         RepresentationTable(3, 3, 3, {(2, 1): Matrix.identity(3)})
 
 
-def _perturbed(rho, rng):
-    """``rho`` with one random entry of one basis matrix moved by +-1."""
+def _perturbed(rho, rng, step=1):
+    """``rho`` with one random entry of one basis matrix moved by +-step."""
     tables = {key: [list(row) for row in mat.entries] for key, mat in rho.tables.items()}
     key = rng.choice(increasing_tuples(rho.algebra_dim, rho.arity - 1))
     mat = tables.setdefault(key, [[Fraction(0)] * rho.module_dim for _ in range(rho.module_dim)])
-    mat[rng.randrange(rho.module_dim)][rng.randrange(rho.module_dim)] += rng.choice((-1, 1))
+    mat[rng.randrange(rho.module_dim)][rng.randrange(rho.module_dim)] += rng.choice((-1, 1)) * step
     return RepresentationTable(rho.arity, rho.algebra_dim, rho.module_dim, tables)
 
 
@@ -220,38 +222,127 @@ def test_check_representation_matches_naive_oracle(lie3, sl2_like, three_lie4):
     pairs = increasing_tuples(4, 2)
     for m in (1, 1, 2, 2, 2):
         cases.append(_scalar_action([{key: rng.randint(-1, 1) for key in pairs} for _ in range(m)]))
-    names = []
-    for alg, rho in cases:
+    # fractional entries (scale > 1), modules of another dimension than the
+    # algebra, and failures past the first tuple pair
+    third = _scaled_algebra(three_lie4, Fraction(2, 3))
+    lie3_third = _scaled_algebra(lie3, Fraction(1, 3))
+    fractional = [
+        (third, adjoint_representation(third)),
+        (third, RepresentationTable(3, 4, 4, {
+            key: mat.scale(Fraction(1, 2)) for key, mat in adjoint_representation(third).tables.items()
+        })),
+        (lie3, RepresentationTable(2, 3, 1, {(1,): [[Fraction(3, 2)]]})),
+        (lie3, RepresentationTable(2, 3, 1, {(1,): [[Fraction(3, 2)]], (2,): [[Fraction(1, 2)]]})),
+        (lie3, _lie3_module(1)),
+        (lie3_third, _lie3_module(Fraction(1, 3))),
+        (lie3, _lie3_module(Fraction(1, 3))),
+    ]
+    fractional += [(alg, _perturbed(rho, rng, Fraction(1, 2))) for alg, rho in fractional[:1] + fractional[4:6]
+                   for _ in range(3)]
+    fractional += [_scalar_action([{key: Fraction(rng.randint(-2, 2), 3) for key in pairs} for _ in range(m)])
+                   for m in (1, 3)]
+    names, late = [], []
+    for alg, rho in cases + fractional:
         result = check_representation(alg, rho)
-        assert result == naive_check_representation(alg, rho)
+        expected = naive_check_representation(alg, rho)
+        assert result == expected
+        assert report_bytes(result) == report_bytes(expected)
         names.append(result.check_name)
+        if not result:
+            where = result.counterexample["where"]
+            late.append((where["x"], where["y"]) != (increasing_tuples(alg.dim, len(where["x"]))[0],
+                                                     increasing_tuples(alg.dim, len(where["y"]))[0]))
     assert {"representation", "representation-commutator", "representation-bracket"} <= set(names)
+    assert any(late)
+    assert {rho.module_dim for _, rho in fractional} >= {1, 2, 4}
+
+
+def _lie3_module(c):
+    """lie3 ([e1, e2] = e2) on a plane: e1 -> diag(3/2, 1/2), e2 -> c E_12,
+    e3 -> 0.  The commutator of the first two is the second, so this is a
+    representation of lie3 for every c, and of no other multiple of it."""
+    return RepresentationTable(2, 3, 2, {
+        (1,): [[Fraction(3, 2), 0], [0, Fraction(1, 2)]],
+        (2,): [[0, c], [0, 0]],
+    })
+
+
+def _scaled_algebra(alg, c):
+    """``alg`` with every structure constant times c: the Filippov identity
+    and associativity are homogeneous, so they still hold, and the
+    derivations are those of ``alg``."""
+    brackets = {key: [c * x for x in vec] for key, vec in alg.brackets.items()}
+    return NAryAlgebra(alg.arity, alg.dim, brackets, symmetry=alg.symmetry)
+
+
+def test_checkers_form_no_matrix_product_and_expand_no_bracket(three_lie4, trunc_xy, monkeypatch):
+    """``check_representation`` reads its products off tabulated integer
+    operators: no ``Matrix.__matmul__`` and no ``matrix_for_wedge`` call.
+    ``check_filippov`` and ``is_derivation`` read the stored bracket table:
+    no bracket expansion.  Passing and failing verdicts alike."""
+    a6 = simple_n_lie(5)
+    doubled = RepresentationTable(5, 6, 6, {
+        key: mat.scale(2) for key, mat in adjoint_representation(a6).tables.items()
+    })
+    cases = [
+        (check_representation, (a6, adjoint_representation(a6)), True),
+        (check_representation, (a6, doubled), False),
+        (check_representation, _scalar_action([{(1, 2): 1, (3, 4): 1}]), False),
+        (check_filippov, (a6,), True),
+        (check_filippov, (NAryAlgebra(2, 3, {(1, 2): [0, 0, 1], (1, 3): [-2, 0, 0], (2, 3): [0, 2, 1]}),), False),
+        (is_derivation, (trunc_xy, Matrix([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])), True),
+        (is_derivation, (three_lie4, Matrix.identity(4)), False),
+    ]
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Matrix, "__matmul__")
+    count(RepresentationTable, "matrix_for_wedge")
+    for name in ("bracket", "bracket_supports", "bracket_on_basis"):
+        count(NAryAlgebra, name)
+    for check, args, passed in cases:
+        assert check(*args).passed is passed
+    assert calls == Counter()
 
 
 def test_check_representation_forms_each_basis_bracket_once(monkeypatch):
-    """On the adjoint of A_6: one bracket per (xs, y), shared by the
-    fundamental actions and the bracket identity, none of them twice."""
+    """On the adjoint of A_6: the basis brackets are scaled off the stored
+    table in one tabulation, shared by the fundamental actions and the
+    bracket identity, and none is expanded through ``bracket_on_basis``."""
     a6 = simple_n_lie(5)
     rho = adjoint_representation(a6)
     calls = Counter()
-    original = NAryAlgebra.bracket_on_basis
+    original, scale = NAryAlgebra.bracket_on_basis, algebra_module.integer_scale
 
     def counted(self, indices):
         calls[tuple(indices)] += 1
         return original(self, indices)
 
+    def counted_scale(tables):
+        calls["tabulations"] += 1
+        return scale(tables)
+
     monkeypatch.setattr(NAryAlgebra, "bracket_on_basis", counted)
+    monkeypatch.setattr(algebra_module, "integer_scale", counted_scale)
     assert check_representation(a6, rho)
-    assert sum(calls.values()) == len(increasing_tuples(6, 4)) * 6
-    assert set(calls.values()) == {1}
+    assert calls == Counter({"tabulations": 1})
 
 
-def _perturbed_algebra(alg, rng):
-    """``alg`` with one random entry of one stored bracket moved by +-1."""
+def _perturbed_algebra(alg, rng, step=1, key=None):
+    """``alg`` with one random entry of one stored bracket (at ``key``, else
+    a random tuple) moved by +-step."""
     brackets = {key: list(vec) for key, vec in alg.brackets.items()}
-    key = rng.choice(increasing_tuples(alg.dim, alg.arity))
+    key = key or rng.choice(increasing_tuples(alg.dim, alg.arity))
     vec = brackets.setdefault(key, [Fraction(0)] * alg.dim)
-    vec[rng.randrange(alg.dim)] += rng.choice((-1, 1))
+    vec[rng.randrange(alg.dim)] += rng.choice((-1, 1)) * step
     return NAryAlgebra(alg.arity, alg.dim, brackets)
 
 
@@ -259,14 +350,73 @@ def test_check_filippov_matches_naive_oracle(lie3, sl2_like, three_lie4, abelian
     rng = random.Random(61)
     algebras = [lie3, sl2_like, three_lie4, abelian33] + [simple_n_lie(n) for n in (2, 3, 4)]
     cases = algebras + [_perturbed_algebra(alg, rng) for alg in algebras for _ in range(3)]
-    verdicts = []
+    # fractional constants (scale > 1), and perturbations of the last tuple,
+    # which fail past the first tuple pair
+    scaled = [_scaled_algebra(alg, Fraction(2, 3)) for alg in algebras]
+    cases += scaled + [_perturbed_algebra(alg, rng, Fraction(1, 2)) for alg in scaled for _ in range(2)]
+    cases += [_perturbed_algebra(alg, rng, Fraction(1, 3), increasing_tuples(alg.dim, alg.arity)[-1])
+              for alg in algebras + scaled]
+    verdicts, late = [], []
     for alg in cases:
         result = check_filippov(alg)
         expected = naive_check_filippov(alg)
         assert result == expected
         assert report_bytes(result) == report_bytes(expected)
         verdicts.append(result.passed)
+        if not result:
+            where = result.counterexample["where"]
+            late.append(where["y"] != increasing_tuples(alg.dim, alg.arity)[0])
     assert True in verdicts and False in verdicts
+    assert any(late)
+
+
+def _euler(degrees):
+    """The diagonal derivation e_i -> degrees[i] e_i."""
+    return Matrix([[x if i == j else 0 for j in range(len(degrees))] for i, x in enumerate(degrees)])
+
+
+def test_is_derivation_matches_naive_oracle(lie3, three_lie4, trunc_xy):
+    """Passing and failing operators with fractional entries (scale > 1), on
+    alternating and symmetric brackets, integral and fractional."""
+    rng = random.Random(89)
+    xyz = trunc_xyz()
+    algebras = [lie3, three_lie4, simple_n_lie(3), simple_n_lie(4), trunc_xy, xyz]
+    # per algebra, a few derivations: inner ones for the n-Lie algebras,
+    # Euler derivations (degree in x, in y) for the truncated polynomials
+    euler = {
+        4: [_euler([0, 1, 0, 1]), _euler([0, 0, 1, 1])],
+        8: [_euler([0, 1, 0, 0, 1, 1, 0, 1]), _euler([0, 0, 1, 0, 1, 0, 1, 1])],
+    }
+    cases = []
+    for alg in algebras + [_scaled_algebra(alg, Fraction(3, 2)) for alg in algebras]:
+        d = alg.dim
+        if alg.symmetry == "symmetric":
+            derivs = euler[d]
+        else:
+            derivs = [ad(alg, wedge_single(xs, d)) for xs in increasing_tuples(d, alg.arity - 1)[-2:]]
+        if alg.dim == 3:
+            derivs.append(lie3_nilpotent_derivation(rng))
+        combo = derivs[0].scale(Fraction(1, 3)) + derivs[-1].scale(Fraction(-5, 2))
+        cases += [(alg, combo), (alg, derivs[0].scale(Fraction(2, 7)))]
+        for _ in range(3):
+            entries = [list(row) for row in combo.entries]
+            entries[rng.randrange(d)][rng.randrange(d)] += Fraction(rng.choice((-1, 1)), 2)
+            cases.append((alg, Matrix(entries)))
+        # a late failure: only the last basis vector moves
+        entries = [list(row) for row in combo.entries]
+        entries[0][d - 1] += Fraction(1, 3)
+        cases.append((alg, Matrix(entries)))
+    verdicts, late = [], []
+    for alg, op in cases:
+        result = is_derivation(alg, op)
+        expected = naive_is_derivation(alg, op)
+        assert result == expected
+        assert report_bytes(result) == report_bytes(expected)
+        verdicts.append(result.passed)
+        if not result:
+            late.append(result.counterexample["where"]["tuple"] != alg.basis_tuples()[0])
+    assert True in verdicts and False in verdicts
+    assert any(late) and not all(late)
 
 
 def _random_wedge(rng, dim, k, dual):
@@ -294,8 +444,8 @@ def test_matrix_for_wedge_matches_naive_oracle(dual, sl2_like, three_lie4):
             assert rho.matrix_for_wedge(wedge) == naive_matrix_for_wedge(rho, wedge)
         prefix = increasing_tuples(rho.algebra_dim, rho.arity - 2)[0]
         vec = sparse_args(rng, 1, rho.algebra_dim, dual)[0]
-        expected = naive_matrix_for_wedge(rho, {prefix + (j + 1,): c for j, c in enumerate(vec) if c})
-        assert rho.matrix_for_mixed(prefix, vec) == expected
+        mixed = {prefix + (j + 1,): c for j, c in enumerate(vec) if c}
+        assert rho.matrix_for_wedge(mixed) == naive_matrix_for_wedge(rho, mixed)
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["fraction", "dual"])
@@ -322,3 +472,22 @@ def test_products_skip_only_an_integer_one(lie3):
     assert out == [0, 1, 0] and isinstance(out[1], Dual)
     out = lie3.bracket([[1, 0, 0], [0, Fraction(1, 2), 0]])
     assert out == [0, Fraction(1, 2), 0] and [type(x) for x in out] == [int, Fraction, int]
+
+
+def test_representation_check_rejects_a_symmetric_product(trunc_xy):
+    """A commutative associative product has no representation identities
+    of this kind: both checkers and the semidirect product refuse it."""
+    rho = adjoint_representation(trunc_xy)
+    for check in (check_representation, naive_check_representation, semidirect_product):
+        with pytest.raises(InputError, match="representation check applies to alternating brackets"):
+            check(trunc_xy, rho)
+
+
+def test_integer_checkers_reject_dual_numbers(lie3):
+    """The Leibniz and commutator kernels take rationals only; a dual-number
+    operator or representation matrix is refused before any tabulation."""
+    with pytest.raises(UnsupportedRingError):
+        is_derivation(lie3, Matrix([[0, 0, 0], [Dual(0, 1), 0, 0], [0, 0, 0]]))
+    rho = RepresentationTable(2, 3, 1, {(1,): [[Dual(1, 1)]]})
+    with pytest.raises(UnsupportedRingError):
+        check_representation(lie3, rho)

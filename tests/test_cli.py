@@ -1,11 +1,13 @@
 import json
 
 from nliealg import cli
+from nliealg.algebra import adjoint_representation
 from nliealg.cli import run_command
 from nliealg.documents import (
     algebra_document,
     emit_document,
     operator_document,
+    representation_document,
 )
 from nliealg.linalg import Matrix
 
@@ -197,3 +199,19 @@ def test_tripped_bug_trap_exits_3_with_its_message(docs, monkeypatch, capsys):
     assert cli.main(argv) == 3
     out = capsys.readouterr()
     assert out.out == report.notes[0] + "\n" and out.err == ""
+
+
+def test_representation_of_a_symmetric_product_exit_2(tmp_path, trunc_xy):
+    """``check representation`` and ``construct semidirect`` refuse a
+    commutative associative product as an input error, not a FAIL."""
+    alg, rep = tmp_path / "alg.json", tmp_path / "rep.json"
+    alg.write_text(emit_document(algebra_document(trunc_xy)))
+    rep.write_text(emit_document(representation_document(adjoint_representation(trunc_xy))))
+    for argv in (
+        ["check", "representation", "--algebra", str(alg), "--representation", str(rep)],
+        ["construct", "semidirect", "--algebra", str(alg)],
+        ["construct", "semidirect", "--algebra", str(alg), "--representation", str(rep)],
+    ):
+        report, code = run_command(argv)
+        assert code == 2
+        assert report.notes == ["error: representation check applies to alternating brackets"]

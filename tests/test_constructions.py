@@ -21,9 +21,10 @@ from nliealg.constructions import (
     three_lie_from_two_derivations,
 )
 from nliealg.documents import algebra_document, emit_document, functional_document, operator_document
-from nliealg.errors import InputError, NLieError, PreconditionError
+from nliealg.errors import InputError, InternalConsistencyError, NLieError, PreconditionError
 from nliealg.linalg import Matrix
 from nliealg.reynolds import check_reynolds, derivation_to_reynolds, induced_bracket
+from nliealg.verdict import spelled
 
 from conftest import (
     naive_check_assoc_reynolds,
@@ -342,3 +343,28 @@ def test_corollary_job_builds_and_walks_the_extension_once(lie3, family1, trace_
     # the criterion and the double sum read the walk of arity 2: no induced
     # value or bracket is formed again (3 + 1 induced values, one per tuple)
     assert calls == {"extension": 1, "vanishes": 1, "walk, arity 2": 1, "walk, arity 3": 1, "induced_value": 4}
+
+
+def test_corrupted_extension_walk_trips_the_corollary_check(lie3, family1, trace_functional, monkeypatch):
+    """The note names the first tuple where the double sum and the induced
+    bracket of the extension differ, and both vectors."""
+    walk = constructions.reynolds_values
+    corrupted = []
+
+    def corrupt(algebra, op):
+        verdict, values = walk(algebra, op)
+        tup = list(values)[-1]
+        top, induced = values[tup]
+        values[tup] = top, [induced[0] + Fraction(1, 2)] + induced[1:]
+        corrupted.append((tup, induced, values[tup][1]))
+        return verdict, values
+
+    monkeypatch.setattr(constructions, "reynolds_values", corrupt)
+    with pytest.raises(InternalConsistencyError) as caught:
+        corollary_bracket(lie3, family1, trace_functional)
+    (tup, good, bad), = corrupted
+    assert str(caught.value) == (
+        f"double-sum bracket disagrees with the induced bracket of the extension at tuple {tup}: "
+        f"double sum {spelled(good)}, induced {spelled(bad)}"
+    )
+    assert "/2" in spelled(bad) and "Fraction" not in str(caught.value)

@@ -15,11 +15,11 @@ from nliealg.deformation import (
     is_infinitesimal_deformation,
     is_trivial_deformation,
 )
-from nliealg.errors import PreconditionError, UnsupportedRingError
+from nliealg.errors import InternalConsistencyError, PreconditionError, UnsupportedRingError
 from nliealg.linalg import Matrix
 from nliealg.reynolds import check_reynolds, derivation_to_reynolds
 from nliealg.rings import EPS, Dual
-from nliealg.verdict import jsonable
+from nliealg.verdict import jsonable, ok, spelled
 
 from conftest import (
     naive_is_trivial_deformation,
@@ -249,3 +249,41 @@ def test_t_linear_check_matches_naive_oracle(lie3, family1, family2, rng):
             assert report_bytes(result) == report_bytes(expected)
             verdicts.append(result.passed)
     assert True in verdicts and False in verdicts
+
+
+def test_disagreeing_cocycle_routes_trip_with_both_verdicts(lie3, family1, monkeypatch):
+    """A t-linear route that passes everything disagrees with the dual-number
+    route on a non-cocycle: the note names the direction, each route's
+    verdict and the failing route's tuple."""
+    direction = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, Fraction(1, 2)]])
+    failing = check_reynolds(lie3, family1 + direction.scale(EPS))
+    assert not failing
+    monkeypatch.setattr(deformation, "_t_linear_check", lambda *args: ok("deformation-cocycle"))
+    with pytest.raises(InternalConsistencyError) as caught:
+        is_infinitesimal_deformation(lie3, family1, direction)
+    assert str(caught.value) == (
+        "t-linear check and dual-number check disagree on the direction [[1, 0, 0], [0, 0, 0], [0, 0, 1/2]]: "
+        f"t-linear PASS, dual-number FAIL at tuple {failing.counterexample['where']['tuple']}"
+    )
+
+
+def test_corrupted_coboundary_trips_the_witness_check(lie3, family1, monkeypatch):
+    """The note names X and the first entry where dir1 - dir2 and delta_R(X)
+    differ, with both values."""
+    x_wedge = {(2,): Fraction(1, 3)}
+    dir1 = delta_r_operator(lie3, family1, x_wedge)
+    zero = Matrix.zero(3)
+    assert check_equivalence_witness(lie3, family1, dir1, zero, x_wedge)
+
+    def corrupt(algebra, op, wedge):
+        entries = [list(row) for row in delta_r_operator(algebra, op, wedge).entries]
+        entries[1][2] += 1
+        return Matrix(entries)
+
+    monkeypatch.setattr(deformation, "delta_r_operator", corrupt)
+    with pytest.raises(InternalConsistencyError) as caught:
+        check_equivalence_witness(lie3, family1, dir1, zero, x_wedge)
+    assert str(caught.value) == (
+        "homomorphism pair verified for X = {(2,): 1/3} but dir1 - dir2 is not the coboundary of X: "
+        f"entry (2, 3) of dir1 - dir2 is {spelled(dir1[1, 2])}, of delta_R(X) {spelled(dir1[1, 2] + 1)}"
+    )
