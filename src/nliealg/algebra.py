@@ -81,6 +81,11 @@ class NAryAlgebra:
     def is_abelian(self):
         return not self.brackets
 
+    def require_alternating(self, what):
+        """InputError unless the bracket is alternating: ``what`` is defined on n-Lie algebras only."""
+        if self.symmetry != ALTERNATING:
+            raise InputError(f"{what} applies to alternating brackets")
+
     def basis_tuples(self):
         """Canonical tuples sufficient to quantify a multilinear identity."""
         if self.symmetry == ALTERNATING:
@@ -190,11 +195,6 @@ class RepresentationTable:
             if not mat.is_zero():
                 clean[key] = mat
         self.tables = clean
-        # the support of each stored matrix, flattened row-major
-        self._terms = {
-            key: [(i * module_dim + j, c) for i, row in enumerate(mat.row_maps) for j, c in row.items()]
-            for key, mat in clean.items()
-        }
 
     def matrix_for_tuple(self, indices):
         """Matrix of rho(e_{i1}, ..., e_{i_{n-1}}), any index order."""
@@ -206,20 +206,6 @@ class RepresentationTable:
         if mat is None:
             return Matrix.zero(self.module_dim)
         return mat if flip > 0 else -mat
-
-    def matrix_for_wedge(self, wedge_elem):
-        """Linear extension to a Lambda^{n-1} coefficient dict, accumulated
-        over the nonzero entries of the basis matrices it touches."""
-        dv = self.module_dim
-        coeffs, terms = [], []
-        for key, coeff in sorted(wedge_elem.items()):
-            canon = canonicalize_wedge(key, self.algebra_dim)
-            if canon is None or canon[0] not in self._terms:
-                continue
-            coeffs.append(coeff if canon[1] > 0 else -coeff)
-            terms.append(self._terms[canon[0]])
-        flat = combine(coeffs, terms, dv * dv)
-        return Matrix([flat[i * dv:(i + 1) * dv] for i in range(dv)])
 
 
 # -- wedge-coefficient elements of Lambda^{n-1}(g) ----------------------
@@ -259,8 +245,7 @@ def check_filippov(algebra):
     """The n-ary Jacobi (Filippov) identity on all basis tuples: ad_xs is a
     derivation for each increasing (n-1)-tuple xs, one run of the Leibniz
     kernel each (ad_xs = 0 passes trivially)."""
-    if algebra.symmetry != ALTERNATING:
-        raise InputError("Filippov check applies to alternating brackets")
+    algebra.require_alternating("Filippov check")
     d = algebra.dim
     scale, values, ad_cols = _integer_brackets(algebra)
     hats = hatted(algebra.basis_tuples(), True)
@@ -293,9 +278,8 @@ def check_representation(algebra, rho):
     n-Lie algebra: rho_x rho_y - rho_y rho_x = rho(x o y), the commutator
     kernel, and rho(x, [ys]) = sum_i (-1)^{n-1-i} rho(ys^i) rho(x, y_i),
     one ``combine`` per (x, ys) of products read off ``tabulated_products``."""
+    algebra.require_alternating("representation check")
     n, d, dv = algebra.arity, algebra.dim, rho.module_dim
-    if algebra.symmetry != ALTERNATING:
-        raise InputError("representation check applies to alternating brackets")
     if rho.arity != n or rho.algebra_dim != d:
         raise InputError("representation/algebra dimension mismatch")
     for mat in rho.tables.values():

@@ -166,20 +166,10 @@ def _run_construct(args, report):
         report.artifacts.append(documents.algebra_document(result))
     elif what == "det3":
         variant = _required(args.variant, "--variant")
-        ops = [_load(p, "linear_operator") for p in args.operator]
+        data = [_load(p, "linear_operator") for p in args.operator]
         if variant == "fd":
-            functional = _load(_required(args.functional, "--functional"), "functional")
-            if len(ops) != 1:
-                raise NLieError("variant fd takes exactly one --operator (the derivation)")
-            result = constructions.three_lie_from_f_D(algebra, functional, ops[0])
-        elif variant == "dd":
-            if len(ops) != 2:
-                raise NLieError("variant dd takes two --operator documents")
-            result = constructions.three_lie_from_two_derivations(algebra, *ops)
-        else:
-            if len(ops) != 3:
-                raise NLieError("variant ddd takes three --operator documents")
-            result = constructions.three_lie_from_three_derivations(algebra, *ops)
+            data.insert(0, _load(_required(args.functional, "--functional"), "functional"))
+        result = constructions.three_lie_algebra(algebra, variant, data)
         report.artifacts.append(documents.algebra_document(result))
     elif what == "semidirect":
         if args.representation:
@@ -232,17 +222,7 @@ def _run_deform(args, report):
     report.add(CheckResult("deformation-trivial", passed))
     report.notes.append(f"status: {result.status}")
     if result.witness is not None and passed:
-        report.artifacts.append(
-            {
-                "kind": "wedge_element",
-                "dim": algebra.dim,
-                "arity": algebra.arity,
-                "terms": [
-                    {"on": list(k), "coeff": str(v)}
-                    for k, v in sorted(result.witness.items())
-                ],
-            }
-        )
+        report.artifacts.append(documents.wedge_document(algebra.arity, algebra.dim, result.witness))
 
 
 def _run_operator(args, report):

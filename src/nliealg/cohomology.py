@@ -146,7 +146,7 @@ def coboundary(algebra, rho, cochain):
     m, dv, value = cochain.degree, cochain.module_dim, cochain.value_on_basis
     # per block X: [X, e_j] by its nonzero (k, c), rho(X) by its nonzero (row, column, entry)
     moved = {x: [support(algebra.bracket_on_basis(x + (j,))) for j in range(1, d + 1)] for x in cochain.wedge}
-    acts = {x: _matrix_terms(rho.matrix_for_wedge({x: 1})) for x in cochain.wedge}
+    acts = {x: _matrix_terms(rho.matrix_for_tuple(x)) for x in cochain.wedge}
     scalar = [(v, v, QQ_ONE) for v in range(dv)]
     actions, mats, out = {}, {}, []
     for blocks in product(cochain.wedge.tuples, repeat=m):
@@ -211,6 +211,7 @@ def tabulate_reynolds_representation(algebra, op):
 
 def delta_r_operator(algebra, op, x_wedge):
     """delta_R(X) x = R[X,x] - [X,Rx] - R[X,Rx] as a linear operator."""
+    algebra.require_alternating("delta_R")
     adx = ad(algebra, x_wedge)
     return op @ adx - adx @ op - op @ adx @ op
 
@@ -220,6 +221,7 @@ class ReynoldsComplex:
     in the algebra itself: delta_R at level 0, d_R above."""
 
     def __init__(self, algebra, op):
+        algebra.require_alternating("the Reynolds complex")
         op._require_rational("the Reynolds complex")
         self.base = algebra
         self.op = op
@@ -367,6 +369,7 @@ def integer_delta(algebra, op):
     """(D, D delta_R): delta_R: C^0 -> C^1 in the flattened bases, one D for
     the whole matrix (a scale per row would break d_1 d_0 = 0), from
     delta_R(X) e_j = R([X,e_j] - [X,Re_j]) - [X,Re_j]."""
+    algebra.require_alternating("delta_R")
     op._require_rational("delta_R")
     d = algebra.dim
     images = [support(v) for v in basis_images(algebra, op)[1]]

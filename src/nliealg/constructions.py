@@ -9,17 +9,12 @@ from derivations.
 
 from __future__ import annotations
 
-from .algebra import (
-    SYMMETRIC,
-    NAryAlgebra,
-    algebra_from_bracket_function,
-    is_derivation,
-    support,
-    unit_supports,
-)
+from itertools import combinations
+
+from .algebra import SYMMETRIC, NAryAlgebra, algebra_from_bracket_function, is_derivation
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
-from .reynolds import basis_images, check_reynolds, induced_value, reynolds_values, verified_values
+from .reynolds import basis_images, check_reynolds, reynolds_values, verified_values
 from .rings import rational, sign
 from .verdict import fail, jsonable, ok, require, spelled
 from .wedge import increasing_tuples
@@ -73,6 +68,7 @@ def check_associative(algebra):
 
 def extend_by_functional(algebra, functional):
     """{x_1,...,x_{n+1}} = sum_i (-1)^{i-1} f(x_i) [x_1,...,^x_i,...,x_{n+1}]."""
+    algebra.require_alternating("the functional extension")
     extension = _extension(algebra, functional)
     require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
     return extension
@@ -110,6 +106,7 @@ def _lift(algebra, op, functional):
     off it.  On PASS ``values`` is the walk on the extended algebra, as
     ``reynolds_values`` gives it; a failing walk there is a bug.  On FAIL
     it is None."""
+    algebra.require_alternating("the functional extension")
     base = verified_values(algebra, op)
     require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
     n, d = algebra.arity, algebra.dim
@@ -162,17 +159,16 @@ def corollary_bracket(algebra, op, functional):
 
 
 def check_assoc_reynolds(algebra, op):
-    """Rx.Ry = R(Rx.y + x.Ry - Rx.Ry) on all basis pairs."""
+    """Rx.Ry = R(Rx.y + x.Ry - Rx.Ry) on all basis pairs of an associative
+    commutative product: its Reynolds identity, walked by ``check_reynolds``."""
     if algebra.symmetry != SYMMETRIC:
         raise InputError("expected a commutative product")
     require(check_associative(algebra), "product is not associative")
-    images = [support(v) for v in basis_images(algebra, op)[1]]
-    for pair in algebra.basis_tuples():
-        lhs, value = induced_value(algebra, unit_supports(pair), [images[i - 1] for i in pair])
-        rhs = op.apply(value)
-        if lhs != rhs:
-            return fail("assoc-reynolds", {"pair": pair}, lhs, rhs)
-    return ok("assoc-reynolds")
+    verdict = check_reynolds(algebra, op)
+    if verdict:
+        return ok("assoc-reynolds")
+    found = verdict.counterexample
+    return fail("assoc-reynolds", {"pair": found["where"]["tuple"]}, found["lhs"], found["rhs"])
 
 
 def lie_from_derivation(algebra, deriv):
@@ -247,36 +243,43 @@ def _fd_sum(algebra, f_vals, d_units, units):
 
 def three_lie_from_two_derivations(algebra, d1, d2):
     """Determinant bracket with rows (elements, D1-images, D2-images)."""
-    for deriv in (d1, d2):
-        require(is_derivation(algebra, deriv), "operator is not a derivation")
-    _require_commuting([("D1, D2", d1, d2)])
-
-    def value(tup):
-        units = algebra.units(tup)
-        rows = [units, [d1.apply(u) for u in units], [d2.apply(u) for u in units]]
-        return _det_of_rows(algebra, rows)
-
-    return algebra_from_bracket_function(
-        3, algebra.dim, value, basis_names=algebra.basis_names
-    )
+    return _three_lie_from_derivations(algebra, (d1, d2))
 
 
 def three_lie_from_three_derivations(algebra, d1, d2, d3):
     """Determinant bracket with rows the images under three derivations."""
-    for deriv in (d1, d2, d3):
+    return _three_lie_from_derivations(algebra, (d1, d2, d3))
+
+
+def _three_lie_from_derivations(algebra, derivs):
+    """Determinant bracket with rows the images under two or three pairwise
+    commuting derivations D1, D2(, D3), after a row of the elements when
+    there are two."""
+    for deriv in derivs:
         require(is_derivation(algebra, deriv), "operator is not a derivation")
-    _require_commuting(
-        [("D1, D2", d1, d2), ("D1, D3", d1, d3), ("D2, D3", d2, d3)]
-    )
+    _require_commuting([(f"D{i}, D{j}", a, b) for (i, a), (j, b) in combinations(enumerate(derivs, 1), 2)])
 
     def value(tup):
         units = algebra.units(tup)
-        rows = [[d.apply(u) for u in units] for d in (d1, d2, d3)]
-        return _det_of_rows(algebra, rows)
+        rows = [[deriv.apply(u) for u in units] for deriv in derivs]
+        return _det_of_rows(algebra, [units] * (3 - len(derivs)) + rows)
 
-    return algebra_from_bracket_function(
-        3, algebra.dim, value, basis_names=algebra.basis_names
-    )
+    return algebra_from_bracket_function(3, algebra.dim, value, basis_names=algebra.basis_names)
+
+
+def three_lie_algebra(algebra, variant, data):
+    """The determinant 3-Lie algebra of ``variant`` on ``data``, one entry
+    per letter: 'fd' takes (functional, D), 'dd' (D1, D2), 'ddd' (D1, D2, D3)."""
+    if variant not in ("fd", "dd", "ddd"):
+        raise InputError(f"unknown variant {variant!r}")
+    if len(data) != len(variant):
+        wanted = "a functional and one derivation" if variant == "fd" else f"{len(variant)} derivations"
+        raise InputError(f"variant {variant} takes {wanted}")
+    if variant == "fd":
+        return three_lie_from_f_D(algebra, *data)
+    if variant == "dd":
+        return three_lie_from_two_derivations(algebra, *data)
+    return three_lie_from_three_derivations(algebra, *data)
 
 
 def det_triple_identity(algebra, op, cols, correction=2):
@@ -313,10 +316,12 @@ def check_reynolds_on_det_3lie(algebra, op, variant, data):
     variant 'dd': data = (D1, D2).  variant 'ddd': data = (D1, D2, D3).
     """
     require(check_assoc_reynolds(algebra, op), "operator fails the binary Reynolds law")
-    if variant == "fd":
+    fd = variant == "fd"
+    names = ["D"] if fd else ["D1", "D2", "D3"]
+    _require_commuting([(f"R, {name}", op, deriv) for name, deriv in zip(names, data[1:] if fd else data)])
+    three = three_lie_algebra(algebra, variant, data)
+    if fd:
         functional, deriv = data
-        _require_commuting([("R, D", op, deriv)])
-        three = three_lie_from_f_D(algebra, functional, deriv)
         d = algebra.dim
         for tup in increasing_tuples(d, 3):
             units = algebra.units(tup)
@@ -324,15 +329,4 @@ def check_reynolds_on_det_3lie(algebra, op, variant, data):
             acc = _fd_sum(algebra, [functional(u) for u in units], [deriv.apply(r) for r in r_units], r_units)
             if not vec_is_zero(acc):
                 return fail("det3-criterion", {"tuple": tup}, acc, vec_zero(d))
-        return check_reynolds(three, op)
-    if variant == "dd":
-        d1, d2 = data
-        _require_commuting([("R, D1", op, d1), ("R, D2", op, d2)])
-        return check_reynolds(three_lie_from_two_derivations(algebra, d1, d2), op)
-    if variant == "ddd":
-        d1, d2, d3 = data
-        _require_commuting(
-            [("R, D1", op, d1), ("R, D2", op, d2), ("R, D3", op, d3)]
-        )
-        return check_reynolds(three_lie_from_three_derivations(algebra, d1, d2, d3), op)
-    raise InputError(f"unknown variant {variant!r}")
+    return check_reynolds(three, op)

@@ -22,7 +22,7 @@ from .wedge import increasing_tuples
 
 
 def _t_linear_check(algebra, op, direction):
-    """The explicit first-order condition on all increasing basis tuples:
+    """The explicit first-order condition on all canonical basis tuples:
 
     sum_i [..S x_i..] = S [x_1..x_n]_R - sum_i R [..S x_i..]
                         + sum_{i != j} R [..x_i..S x_j..]
@@ -33,7 +33,7 @@ def _t_linear_check(algebra, op, direction):
     units, r_images = basis_images(algebra, op)
     r_supports = [support(v) for v in r_images]
     s_images = [direction.apply(u) for u in units]
-    for tup in increasing_tuples(d, n):
+    for tup in algebra.basis_tuples():
         xs = [units[i - 1] for i in tup]
         r_units = [r_images[i - 1] for i in tup]
         s_units = [s_images[i - 1] for i in tup]
@@ -91,6 +91,7 @@ def check_equivalence_witness(algebra, op, dir1, dir2, x_wedge):
 def _witness_verdict(algebra, op, dir1, dir2, x_wedge):
     """``check_equivalence_witness`` for directions already verified as
     cocycles of a verified Reynolds operator."""
+    algebra.require_alternating("the equivalence witness")
     d = algebra.dim
     adx = ad(algebra, x_wedge)
     ident = Matrix.identity(d)

@@ -43,133 +43,115 @@ def _as_vector(value, dim, pointer):
     return [_as_rational(v, f"{pointer}/{i}") for i, v in enumerate(value)]
 
 
+def _as_matrix(value, dim, pointer):
+    if not isinstance(value, list) or len(value) != dim:
+        raise _err(pointer, f"expected {dim} rows")
+    return Matrix([_as_vector(row, dim, f"{pointer}/{i}") for i, row in enumerate(value)])
+
+
+def _as_int(value, pointer, what, low, high=None):
+    """``value`` if it is an integer in low..high (or >= low when ``high`` is None)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low or (high is not None and value > high):
+        raise _err(pointer, f"{what} must be an integer " + (f">= {low}" if high is None else f"in {low}..{high}"))
+    return value
+
+
+def _int_field(doc, key, low, default=None):
+    return _as_int(doc.get(key, default), f"/{key}", key, low)
+
+
 def _as_index_tuple(value, length, dim, pointer, strict=True):
+    """Basis indices in 1..dim, strictly increasing, or non-decreasing unless ``strict``."""
     if not isinstance(value, list) or len(value) != length:
         raise _err(pointer, f"expected a list of {length} basis indices")
     for i, v in enumerate(value):
-        if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= dim:
-            raise _err(f"{pointer}/{i}", f"basis index must be an integer in 1..{dim}")
-    if strict and any(a >= b for a, b in zip(value, value[1:])):
-        raise _err(pointer, "indices must be strictly increasing")
+        _as_int(v, f"{pointer}/{i}", "basis index", 1, dim)
+    if any(a > b or (strict and a == b) for a, b in zip(value, value[1:])):
+        raise _err(pointer, f"indices must be {'strictly increasing' if strict else 'non-decreasing'}")
     return tuple(value)
 
 
-def _as_dims(doc, pointer=""):
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise _err(f"{pointer}/dim", "dim must be a positive integer")
-    return dim
-
-
-def _as_arity(doc):
-    arity = doc.get("arity", 2)
-    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 2:
-        raise _err("/arity", "arity must be an integer >= 2")
-    return arity
-
-
-def _parse_algebra(doc):
-    dim = _as_dims(doc)
-    arity = _as_arity(doc)
-    symmetry = doc.get("symmetry", ALTERNATING)
-    if symmetry not in (ALTERNATING, SYMMETRIC):
-        raise _err("/symmetry", f"unknown symmetry {symmetry!r}")
+def _as_basis(doc, dim):
     names = doc.get("basis")
     if names is not None:
         if not isinstance(names, list) or len(names) != dim or not all(isinstance(s, str) for s in names):
             raise _err("/basis", f"basis must be a list of {dim} names")
-    brackets = {}
-    for i, entry in enumerate(doc.get("brackets", [])):
-        pointer = f"/brackets/{i}"
+    return names
+
+
+def _table(doc, name, fields, read, merge=None):
+    """{key: value} of the entries of the list ``doc[name]``, objects with
+    ``fields``, each read by ``read(entry, pointer)`` into (key, value).  A
+    repeated key is an error, unless ``merge`` combines the two values."""
+    entries = doc.get(name, [])
+    if not isinstance(entries, list):
+        raise _err(f"/{name}", f"expected a list of objects with {fields}")
+    table = {}
+    for i, entry in enumerate(entries):
+        pointer = f"/{name}/{i}"
         if not isinstance(entry, dict):
-            raise _err(pointer, "expected an object with 'on' and 'value'")
-        on = _as_index_tuple(
-            entry.get("on"), arity, dim, f"{pointer}/on", strict=(symmetry == ALTERNATING)
-        )
-        if symmetry == SYMMETRIC and any(a > b for a, b in zip(on, on[1:])):
-            raise _err(f"{pointer}/on", "indices must be non-decreasing")
-        if on in brackets:
-            raise _err(f"{pointer}/on", f"duplicate tuple {list(on)}")
-        brackets[on] = _as_vector(entry.get("value"), dim, f"{pointer}/value")
+            raise _err(pointer, f"expected an object with {fields}")
+        key, value = read(entry, pointer)
+        if key in table and merge is None:
+            raise _err(pointer, f"duplicate entry {key}")
+        table[key] = merge(table[key], value) if key in table else value
+    return table
+
+
+def _parse_algebra(doc):
+    dim = _int_field(doc, "dim", 1)
+    arity = _int_field(doc, "arity", 2, default=2)
+    symmetry = doc.get("symmetry", ALTERNATING)
+    if symmetry not in (ALTERNATING, SYMMETRIC):
+        raise _err("/symmetry", f"unknown symmetry {symmetry!r}")
+    names, strict = _as_basis(doc, dim), symmetry == ALTERNATING
+    brackets = _table(doc, "brackets", "'on' and 'value'", lambda entry, at: (
+        _as_index_tuple(entry.get("on"), arity, dim, f"{at}/on", strict),
+        _as_vector(entry.get("value"), dim, f"{at}/value")))
     return NAryAlgebra(arity, dim, brackets, basis_names=names, symmetry=symmetry)
 
 
 def _parse_operator(doc):
-    dim = _as_dims(doc)
-    rows = doc.get("matrix")
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise _err("/matrix", f"expected {dim} rows")
-    entries = [_as_vector(row, dim, f"/matrix/{i}") for i, row in enumerate(rows)]
-    return Matrix(entries)
+    dim = _int_field(doc, "dim", 1)
+    return _as_matrix(doc.get("matrix"), dim, "/matrix")
 
 
 def _parse_functional(doc):
-    dim = _as_dims(doc)
+    dim = _int_field(doc, "dim", 1)
     return LinearFunctional(_as_vector(doc.get("coefficients"), dim, "/coefficients"))
 
 
 def _parse_ns(doc):
-    dim = _as_dims(doc)
-    arity = _as_arity(doc)
-    curly = {}
-    for i, entry in enumerate(doc.get("curly", [])):
-        pointer = f"/curly/{i}"
-        if not isinstance(entry, dict):
-            raise _err(pointer, "expected an object with 'wedge', 'last' and 'value'")
-        wedge = _as_index_tuple(entry.get("wedge"), arity - 1, dim, f"{pointer}/wedge")
-        last = entry.get("last")
-        if not isinstance(last, int) or isinstance(last, bool) or not 1 <= last <= dim:
-            raise _err(f"{pointer}/last", f"last index must be an integer in 1..{dim}")
-        if (wedge, last) in curly:
-            raise _err(pointer, f"duplicate curly entry {list(wedge)}, {last}")
-        curly[(wedge, last)] = _as_vector(entry.get("value"), dim, f"{pointer}/value")
-    square = {}
-    for i, entry in enumerate(doc.get("square", [])):
-        pointer = f"/square/{i}"
-        if not isinstance(entry, dict):
-            raise _err(pointer, "expected an object with 'on' and 'value'")
-        on = _as_index_tuple(entry.get("on"), arity, dim, f"{pointer}/on")
-        if on in square:
-            raise _err(f"{pointer}/on", f"duplicate tuple {list(on)}")
-        square[on] = _as_vector(entry.get("value"), dim, f"{pointer}/value")
-    return NSAlgebra(arity, dim, curly, square, basis_names=doc.get("basis"))
+    dim = _int_field(doc, "dim", 1)
+    arity = _int_field(doc, "arity", 2, default=2)
+    names = _as_basis(doc, dim)
+    curly = _table(doc, "curly", "'wedge', 'last' and 'value'", lambda entry, at: (
+        (_as_index_tuple(entry.get("wedge"), arity - 1, dim, f"{at}/wedge"),
+         _as_int(entry.get("last"), f"{at}/last", "last index", 1, dim)),
+        _as_vector(entry.get("value"), dim, f"{at}/value")))
+    square = _table(doc, "square", "'on' and 'value'", lambda entry, at: (
+        _as_index_tuple(entry.get("on"), arity, dim, f"{at}/on"),
+        _as_vector(entry.get("value"), dim, f"{at}/value")))
+    return NSAlgebra(arity, dim, curly, square, basis_names=names)
 
 
 def _parse_representation(doc):
-    arity = _as_arity(doc)
-    algebra_dim = doc.get("algebra_dim")
-    module_dim = doc.get("module_dim")
-    for label, v in (("algebra_dim", algebra_dim), ("module_dim", module_dim)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise _err(f"/{label}", f"{label} must be a positive integer")
-    tables = {}
-    for i, entry in enumerate(doc.get("tables", [])):
-        pointer = f"/tables/{i}"
-        if not isinstance(entry, dict):
-            raise _err(pointer, "expected an object with 'on' and 'matrix'")
-        on = _as_index_tuple(entry.get("on"), arity - 1, algebra_dim, f"{pointer}/on")
-        rows = entry.get("matrix")
-        if not isinstance(rows, list) or len(rows) != module_dim:
-            raise _err(f"{pointer}/matrix", f"expected {module_dim} rows")
-        mat = Matrix(
-            [_as_vector(row, module_dim, f"{pointer}/matrix/{r}") for r, row in enumerate(rows)]
-        )
-        tables[on] = mat
+    arity = _int_field(doc, "arity", 2, default=2)
+    algebra_dim = _int_field(doc, "algebra_dim", 1)
+    module_dim = _int_field(doc, "module_dim", 1)
+    tables = _table(doc, "tables", "'on' and 'matrix'", lambda entry, at: (
+        _as_index_tuple(entry.get("on"), arity - 1, algebra_dim, f"{at}/on"),
+        _as_matrix(entry.get("matrix"), module_dim, f"{at}/matrix")))
     return RepresentationTable(arity, algebra_dim, module_dim, tables)
 
 
 def _parse_wedge(doc):
-    dim = _as_dims(doc)
-    arity = _as_arity(doc)
-    terms = {}
-    for i, entry in enumerate(doc.get("terms", [])):
-        pointer = f"/terms/{i}"
-        if not isinstance(entry, dict):
-            raise _err(pointer, "expected an object with 'on' and 'coeff'")
-        on = _as_index_tuple(entry.get("on"), arity - 1, dim, f"{pointer}/on")
-        coeff = _as_rational(entry.get("coeff"), f"{pointer}/coeff")
-        if coeff:
-            terms[on] = terms.get(on, 0) + coeff
+    """A wedge element; repeated terms add up, and zero coefficients drop."""
+    dim = _int_field(doc, "dim", 1)
+    arity = _int_field(doc, "arity", 2, default=2)
+    terms = _table(doc, "terms", "'on' and 'coeff'", lambda entry, at: (
+        _as_index_tuple(entry.get("on"), arity - 1, dim, f"{at}/on"),
+        _as_rational(entry.get("coeff"), f"{at}/coeff")), merge=lambda a, b: a + b)
     return {k: v for k, v in terms.items() if v}
 
 
@@ -254,6 +236,16 @@ def ns_document(ns):
             {"on": list(key), "value": _vec_doc(vec)}
             for key, vec in sorted(ns.square.brackets.items())
         ],
+    }
+
+
+def wedge_document(arity, dim, terms):
+    """A wedge element of Lambda^{arity-1}, given as {increasing tuple: coefficient}."""
+    return {
+        "kind": "wedge_element",
+        "dim": dim,
+        "arity": arity,
+        "terms": [{"on": list(key), "coeff": format_rational(c)} for key, c in sorted(terms.items())],
     }
 
 

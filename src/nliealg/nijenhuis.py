@@ -3,9 +3,9 @@
 Level j of the ladder applies N to every j-subset of the arguments and
 subtracts N of the previous level; level 0 is the original bracket, so
 that level n-2 is meaningful even when n = 2.  One walk over the
-increasing basis n-tuples gives every level and the verdict of the
-Nijenhuis identity [Nx_1,...,Nx_n] = N(level n-1); whatever is built
-from a verified operator reads that walk.
+canonical basis n-tuples (``NAryAlgebra.basis_tuples``) gives every level
+and the verdict of the Nijenhuis identity [Nx_1,...,Nx_n] = N(level n-1);
+whatever is built from a verified operator reads that walk.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .wedge import increasing_tuples
 
 @dataclass(frozen=True)
 class DeformedBracketLadder:
-    """Brackets level 0 .. n-1, each stored as an n-ary alternating table."""
+    """Brackets level 0 .. n-1, each stored with the symmetry of level 0."""
 
     levels: tuple
 
@@ -34,7 +34,7 @@ class DeformedBracketLadder:
 
 
 def nijenhuis_values(algebra, op):
-    """(verdict, ladder) from one walk over the increasing basis n-tuples.
+    """(verdict, ladder) from one walk over the canonical basis n-tuples.
 
     Per tuple, the bracket with N on the slots of S is formed once for each
     subset S: level j is the sum over |S| = j minus N(level j-1), and the
@@ -48,7 +48,7 @@ def nijenhuis_values(algebra, op):
     images = [support(v) for v in basis_images(algebra, op)[1]]
     tables = [{} for _ in range(n)]
     verdict = ok("nijenhuis")
-    for tup in increasing_tuples(d, n):
+    for tup in algebra.basis_tuples():
         units, n_units = unit_supports(tup), [images[i - 1] for i in tup]
         level = algebra.bracket_supports(units)
         for j in range(1, n + 1):
@@ -61,7 +61,7 @@ def nijenhuis_values(algebra, op):
                 level = tables[j][tup] = vec_sub(acc, below)
             elif verdict and acc != below:
                 verdict = fail("nijenhuis", {"tuple": tup}, acc, below)
-    levels = [algebra] + [NAryAlgebra(n, d, table, basis_names=algebra.basis_names) for table in tables[1:]]
+    levels = [algebra] + [NAryAlgebra(n, d, table, algebra.basis_names, algebra.symmetry) for table in tables[1:]]
     return verdict, DeformedBracketLadder(tuple(levels))
 
 

@@ -220,6 +220,7 @@ def ns_from_nijenhuis(algebra, op):
 def _ns_from_operator(algebra, units, images, square):
     """{x_1..x_n} = [Tx_1,...,Tx_{n-1},x_n] from the images T e_j, with
     minus ``square`` as the square bracket, re-checked against the axioms."""
+    algebra.require_alternating("the NS construction")
     n, d = algebra.arity, algebra.dim
     curly = {}
     for prefix in increasing_tuples(d, n - 1):

@@ -1,6 +1,7 @@
 """Reynolds operators on n-Lie algebras.
 
-The defining identity, verified on increasing basis tuples:
+The defining identity, verified on the canonical basis tuples of the
+bracket (``NAryAlgebra.basis_tuples``), so on a commutative product too:
 
     [Rx_1,...,Rx_n] = sum_i (-1)^{n-i} R[Rx_1,...,^Rx_i,...,Rx_n, x_i]
                       - R[Rx_1,...,Rx_n]
@@ -19,7 +20,6 @@ from .errors import InputError, NotInvertibleError, PreconditionError
 from .linalg import Matrix, vec_add, vec_sub, vec_zero
 from .rings import sign
 from .verdict import fail, ok, require
-from .wedge import increasing_tuples
 
 
 def induced_value(algebra, units, images, tail=()):
@@ -49,7 +49,7 @@ def basis_images(algebra, op):
 
 
 def reynolds_values(algebra, op):
-    """(verdict, values) from one walk over the increasing basis n-tuples:
+    """(verdict, values) from one walk over the canonical basis n-tuples:
     ``values`` maps each tuple that holds to ([Rx_1,...,Rx_n], [x_1,...,x_n]_R),
     the left-hand side and the induced value (R of it is the right-hand
     side); the walk stops at the first failing tuple."""
@@ -57,7 +57,7 @@ def reynolds_values(algebra, op):
         raise InputError("operator dimension mismatch")
     images = [support(v) for v in basis_images(algebra, op)[1]]
     values = {}
-    for tup in increasing_tuples(algebra.dim, algebra.arity):
+    for tup in algebra.basis_tuples():
         lhs, value = induced_value(algebra, unit_supports(tup), [images[i - 1] for i in tup])
         rhs = op.apply(value)
         if lhs != rhs:
@@ -67,7 +67,7 @@ def reynolds_values(algebra, op):
 
 
 def check_reynolds(algebra, op):
-    """Verify the Reynolds identity on all increasing basis n-tuples."""
+    """Verify the Reynolds identity on all canonical basis n-tuples."""
     return reynolds_values(algebra, op)[0]
 
 
@@ -79,9 +79,11 @@ def verified_values(algebra, op):
 
 
 def induced_bracket(algebra, op):
-    """The bracket [x_1,...,x_n]_R making R a homomorphism onto the original."""
+    """The bracket [x_1,...,x_n]_R making R a homomorphism onto the original,
+    with the original's symmetry."""
     brackets = {tup: value for tup, (_, value) in verified_values(algebra, op).items()}
-    return NAryAlgebra(algebra.arity, algebra.dim, brackets, basis_names=algebra.basis_names)
+    return NAryAlgebra(algebra.arity, algebra.dim, brackets, basis_names=algebra.basis_names,
+                       symmetry=algebra.symmetry)
 
 
 def check_hom_pair(algebra, r_from, r_to, phi, psi):

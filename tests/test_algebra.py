@@ -30,8 +30,6 @@ from conftest import (
     naive_check_representation,
     naive_expansion,
     naive_is_derivation,
-    naive_matrix_for_wedge,
-    rand_fraction,
     rand_vector,
     report_bytes,
     simple_n_lie,
@@ -277,7 +275,7 @@ def _scaled_algebra(alg, c):
 
 def test_checkers_form_no_matrix_product_and_expand_no_bracket(three_lie4, trunc_xy, monkeypatch):
     """``check_representation`` reads its products off tabulated integer
-    operators: no ``Matrix.__matmul__`` and no ``matrix_for_wedge`` call.
+    operators: no ``Matrix.__matmul__`` call.
     ``check_filippov`` and ``is_derivation`` read the stored bracket table:
     no bracket expansion.  Passing and failing verdicts alike."""
     a6 = simple_n_lie(5)
@@ -305,7 +303,6 @@ def test_checkers_form_no_matrix_product_and_expand_no_bracket(three_lie4, trunc
         monkeypatch.setattr(owner, name, counted)
 
     count(Matrix, "__matmul__")
-    count(RepresentationTable, "matrix_for_wedge")
     for name in ("bracket", "bracket_supports", "bracket_on_basis"):
         count(NAryAlgebra, name)
     for check, args, passed in cases:
@@ -417,35 +414,6 @@ def test_is_derivation_matches_naive_oracle(lie3, three_lie4, trunc_xy):
             late.append(result.counterexample["where"]["tuple"] != alg.basis_tuples()[0])
     assert True in verdicts and False in verdicts
     assert any(late) and not all(late)
-
-
-def _random_wedge(rng, dim, k, dual):
-    """A seeded wedge element with some unsorted, repeated and colliding
-    keys; with ``dual``, some coefficients are dual numbers."""
-    out = {}
-    for _ in range(rng.randint(0, 5)):
-        key = tuple(rng.randint(1, dim) for _ in range(k))
-        c = rand_fraction(rng)
-        out[key] = Dual(c, rng.randint(-2, 2)) if dual and rng.random() < 0.5 else c
-    return out
-
-
-@pytest.mark.parametrize("dual", [False, True], ids=["fraction", "dual"])
-def test_matrix_for_wedge_matches_naive_oracle(dual, sl2_like, three_lie4):
-    rng = random.Random(67)
-    reps = [adjoint_representation(alg) for alg in (sl2_like, three_lie4, simple_n_lie(3))]
-    reps.append(_perturbed(reps[1], rng))
-    reps.append(RepresentationTable(3, 4, 2, {
-        (1, 2): [[1, 0], [0, Dual(0, 1)]], (2, 4): [[Dual(2, -1), 3], [0, 0]],
-    }))
-    for rho in reps:
-        for _ in range(12):
-            wedge = _random_wedge(rng, rho.algebra_dim, rho.arity - 1, dual)
-            assert rho.matrix_for_wedge(wedge) == naive_matrix_for_wedge(rho, wedge)
-        prefix = increasing_tuples(rho.algebra_dim, rho.arity - 2)[0]
-        vec = sparse_args(rng, 1, rho.algebra_dim, dual)[0]
-        mixed = {prefix + (j + 1,): c for j, c in enumerate(vec) if c}
-        assert rho.matrix_for_wedge(mixed) == naive_matrix_for_wedge(rho, mixed)
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["fraction", "dual"])

@@ -16,6 +16,7 @@ from nliealg.constructions import (
     extend_by_functional,
     lie_from_derivation,
     reynolds_lift_criterion,
+    three_lie_algebra,
     three_lie_from_f_D,
     three_lie_from_three_derivations,
     three_lie_from_two_derivations,
@@ -27,6 +28,7 @@ from nliealg.reynolds import check_reynolds, derivation_to_reynolds, induced_bra
 from nliealg.verdict import spelled
 
 from conftest import (
+    euler_derivation,
     naive_check_assoc_reynolds,
     naive_corollary_bracket,
     naive_lift_criterion,
@@ -294,6 +296,41 @@ def test_check_assoc_reynolds_matches_naive_oracle(lie3, trunc_xy, trunc_x3, rng
     assert seen[:4] == [True, True, False, InputError] and set(seen) == {True, False, InputError}
 
 
+def test_det3_variants_dispatch_in_one_place(trunc_xy):
+    """``three_lie_algebra`` builds each variant as its own constructor does,
+    and refuses an unknown variant or a wrong number of entries."""
+    f, d1, d2 = LinearFunctional([1, 0, 0, 0]), d1_op(), d2_op()
+    for variant, data, build in (("fd", (f, d1), three_lie_from_f_D), ("dd", (d1, d2), three_lie_from_two_derivations),
+                                 ("ddd", (d1, d2, d1 + d2), three_lie_from_three_derivations)):
+        assert three_lie_algebra(trunc_xy, variant, data) == build(trunc_xy, *data)
+        with pytest.raises(InputError, match=f"variant {variant} takes"):
+            three_lie_algebra(trunc_xy, variant, data[:-1])
+    with pytest.raises(InputError, match="unknown variant 'df'"):
+        three_lie_algebra(trunc_xy, "df", (f, d1))
+
+
+def test_check_reynolds_matches_naive_assoc_oracle(trunc_xy, trunc_x3, rng):
+    """The shared Reynolds walk on a commutative product against the former
+    pair loop of ``check_assoc_reynolds``: same verdict, same first pair,
+    same sides; passing operators from derivations, failing ones seeded."""
+    cases = []
+    for alg, degrees in ((trunc_xy, [0, 1, 0, 1]), (trunc_xy, [0, 1, 1, 2]), (trunc_x3, [0, 1, 2])):
+        deriv = euler_derivation(alg.dim, degrees).scale(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+        cases += [(alg, derivation_to_reynolds(alg, deriv)), (alg, Matrix.identity(alg.dim))]
+        cases += [(alg, Matrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(alg.dim)]
+                                for _ in range(alg.dim)])) for _ in range(6)]
+    verdicts = []
+    for alg, op in cases:
+        got, want = check_reynolds(alg, op), naive_check_assoc_reynolds(alg, op)
+        assert got.passed is want.passed
+        if not got:
+            assert got.counterexample["where"]["tuple"] == want.counterexample["where"]["pair"]
+            assert {k: v for k, v in got.counterexample.items() if k != "where"} == {
+                k: v for k, v in want.counterexample.items() if k != "where"}
+        verdicts.append(got.passed)
+    assert True in verdicts and False in verdicts
+
+
 def test_corollary_job_builds_and_walks_the_extension_once(lie3, family1, trace_functional, tmp_path,
                                                           monkeypatch):
     """One CLI corollary job: the lift criterion, its re-check on the
@@ -326,7 +363,6 @@ def test_corollary_job_builds_and_walks_the_extension_once(lie3, family1, trace_
         return bracket(*args)
 
     monkeypatch.setattr(reynolds, "induced_value", counted_induced_value)
-    monkeypatch.setattr(constructions, "induced_value", counted_induced_value)
     monkeypatch.setattr(NAryAlgebra, "bracket", counted_bracket)
     monkeypatch.setattr(constructions, "_extension", counted_extension)
     monkeypatch.setattr(LinearFunctional, "vanishes_on_brackets", counted_vanishes)

@@ -11,6 +11,7 @@ from nliealg.documents import (
     operator_document,
     parse_document,
     representation_document,
+    wedge_document,
 )
 from nliealg.errors import InputError
 from nliealg.linalg import Matrix
@@ -94,12 +95,22 @@ def test_missing_file_and_malformed_json(tmp_path):
 
 
 def test_duplicate_bracket_tuple_rejected():
+    """In every table but the terms of a wedge element, which add up
+    (``test_wedge_element_merges_terms``), a repeated key is an error."""
     doc = {"kind": "n_lie_algebra", "dim": 2, "arity": 2, "brackets": [
         {"on": [1, 2], "value": ["1", "0"]},
         {"on": [1, 2], "value": ["0", "1"]},
     ]}
-    with pytest.raises(InputError, match="duplicate"):
-        parse_document(json.dumps(doc))
+    duplicated = [
+        doc,
+        {"kind": "representation", "algebra_dim": 2, "module_dim": 1,
+         "tables": [{"on": [1], "matrix": [["1"]]}, {"on": [1], "matrix": [["2"]]}]},
+        {"kind": "ns_algebra", "dim": 2, "curly": [{"wedge": [1], "last": 2, "value": ["1", "0"]}] * 2},
+        {"kind": "ns_algebra", "dim": 2, "square": [{"on": [1, 2], "value": ["1", "0"]}] * 2},
+    ]
+    for doc in duplicated:
+        with pytest.raises(InputError, match="duplicate"):
+            parse_document(json.dumps(doc))
 
 
 def test_wedge_element_merges_terms():
@@ -109,3 +120,49 @@ def test_wedge_element_merges_terms():
         {"on": [1, 3], "coeff": "0"},
     ]}
     assert parse_document(json.dumps(doc)) == {(1, 2): Fraction(1)}
+
+
+def test_wedge_element_round_trip():
+    terms = {(1, 2): Fraction(1, 2), (2, 3): -3}
+    text = emit_document(wedge_document(3, 3, terms))
+    assert parse_document(text, expect="wedge_element") == terms
+    assert json.loads(text)["terms"] == [{"on": [1, 2], "coeff": "1/2"}, {"on": [2, 3], "coeff": "-3"}]
+
+
+def test_every_table_must_be_a_list_of_objects():
+    """Each table of each kind: not a list, or an entry that is not an
+    object, is an input error at its pointer."""
+    kinds = {
+        "n_lie_algebra": ({"dim": 2}, ["brackets"]),
+        "ns_algebra": ({"dim": 2}, ["curly", "square"]),
+        "representation": ({"algebra_dim": 2, "module_dim": 1}, ["tables"]),
+        "wedge_element": ({"dim": 2}, ["terms"]),
+    }
+    for kind, (base, tables) in kinds.items():
+        for table in tables:
+            for bad, pointer in ((5, f"/{table}"), ({"on": [1, 2]}, f"/{table}"), ([7], f"/{table}/0")):
+                doc = {"kind": kind, **base, table: bad}
+                with pytest.raises(InputError, match=f"at {pointer}\\)"):
+                    parse_document(json.dumps(doc))
+
+
+def test_ns_basis_is_validated_like_an_algebras():
+    for basis in (7, "xy", ["x"], ["x", 2]):
+        for kind in ("n_lie_algebra", "ns_algebra"):
+            with pytest.raises(InputError, match="/basis"):
+                parse_document(json.dumps({"kind": kind, "dim": 2, "basis": basis}))
+    ns = parse_document(json.dumps({"kind": "ns_algebra", "dim": 2, "basis": ["x", "y"]}))
+    assert ns.basis_names == ["x", "y"]
+
+
+def test_bounded_integers():
+    for doc, pointer in (
+        ({"kind": "functional", "dim": 0, "coefficients": []}, "/dim"),
+        ({"kind": "n_lie_algebra", "dim": 2, "arity": True}, "/arity"),
+        ({"kind": "representation", "algebra_dim": 2, "module_dim": "1"}, "/module_dim"),
+        ({"kind": "ns_algebra", "dim": 2, "curly": [{"wedge": [1], "last": 3, "value": ["1", "0"]}]},
+         "/curly/0/last"),
+        ({"kind": "n_lie_algebra", "dim": 2, "brackets": [{"on": [0, 2], "value": ["1", "0"]}]}, "/brackets/0/on/0"),
+    ):
+        with pytest.raises(InputError, match=f"must be an integer .*at {pointer}\\)"):
+            parse_document(json.dumps(doc))
