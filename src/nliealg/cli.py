@@ -10,81 +10,39 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
+from importlib import import_module
 
-from . import constructions, deformation, documents, nijenhuis, ns, reynolds
-from .algebra import (
-    adjoint_representation,
-    check_filippov,
-    check_representation,
-    is_derivation,
-    semidirect_product,
-)
+from . import constructions, deformation, documents, ns
+from .algebra import adjoint_representation, semidirect_product
 from .cohomology import DEFAULT_SIZE_GUARD, ReynoldsComplex
 from .errors import InputError, InternalConsistencyError, NLieError
 from .linalg import Matrix
 from .verdict import CheckResult, ok
 
-
-@cache
-def _build_parser():
-    """The argument parser, built on first use and shared by later calls."""
-    parser = argparse.ArgumentParser(
-        prog="nlie",
-        description="Exact checks and constructions for n-Lie algebras with "
-        "Reynolds and Nijenhuis operators.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="verify an identity", parents=[shared])
-    check.add_argument(
-        "what",
-        choices=[
-            "filippov", "derivation", "representation", "reynolds",
-            "nijenhuis", "ns", "assoc-reynolds", "lift",
-        ],
-    )
-    check.add_argument("--algebra", required=True)
-    check.add_argument("--operator")
-    check.add_argument("--functional")
-    check.add_argument("--representation")
-
-    construct = sub.add_parser("construct", help="build a derived structure", parents=[shared])
-    construct.add_argument(
-        "what",
-        choices=[
-            "induced", "gf", "corollary", "ns-from-reynolds",
-            "ns-from-nijenhuis", "deformed", "det3", "semidirect",
-        ],
-    )
-    construct.add_argument("--algebra", required=True)
-    construct.add_argument("--operator", action="append", default=[])
-    construct.add_argument("--functional")
-    construct.add_argument("--representation")
-    construct.add_argument("--variant", choices=["fd", "dd", "ddd"])
-
-    coh = sub.add_parser(
-        "cohomology", help="complex dimensions for a Reynolds operator", parents=[shared]
-    )
-    coh.add_argument("--algebra", required=True)
-    coh.add_argument("--reynolds", required=True)
-    coh.add_argument("--max-degree", type=int, default=1)
-    coh.add_argument("--size-guard", type=int, default=DEFAULT_SIZE_GUARD)
-
-    deform = sub.add_parser("deform", help="first-order deformation checks", parents=[shared])
-    deform.add_argument("--algebra", required=True)
-    deform.add_argument("--reynolds", required=True)
-    deform.add_argument("--direction", required=True)
-    deform.add_argument("--witness")
-
-    op = sub.add_parser("operator", help="operator conversions", parents=[shared])
-    op.add_argument("what", choices=["from-derivation", "series", "to-derivation"])
-    op.add_argument("--algebra", required=True)
-    op.add_argument("--operator", required=True)
-
-    return parser
+HELP = {
+    "check": "verify an identity",
+    "construct": "build a derived structure",
+    "cohomology": "complex dimensions for a Reynolds operator",
+    "deform": "first-order deformation checks",
+    "operator": "operator conversions",
+}
+# the document each flag names, by default
+FLAG_KINDS = {
+    "--algebra": "n_lie_algebra",
+    "--operator": "linear_operator",
+    "--functional": "functional",
+    "--representation": "representation",
+    "--reynolds": "linear_operator",
+    "--direction": "linear_operator",
+    "--witness": "wedge_element",
+}
+# the flags that are not documents, and --algebra, which every command takes
+OPTIONS = {
+    "--algebra": {"action": "append", "required": True},
+    "--variant": {"choices": ["fd", "dd", "ddd"], "required": True},
+    "--max-degree": {"type": int, "default": 1},
+    "--size-guard": {"type": int, "default": DEFAULT_SIZE_GUARD},
+}
 
 
 def _load(path, expect):
@@ -99,90 +57,42 @@ def _load(path, expect):
     return documents.parse_document(text, expect=expect)
 
 
-def _one_operator(args):
-    ops = args.operator
-    if len(ops) != 1:
-        raise NLieError("exactly one --operator document is required")
-    return _load(ops[0], "linear_operator")
+def _documents(args, flags, kinds=FLAG_KINDS):
+    """The documents the ``flags`` name, in order.  A flag listed k times must
+    be given exactly k times: a repeated flag is refused, never overwritten."""
+    paths = {}
+    for flag in flags:
+        given, want = getattr(args, flag[2:]) or [], flags.count(flag)
+        if len(given) != want:
+            wanted = f"one {flag} document is" if want == 1 else f"{want} {flag} documents are"
+            raise InputError(f"exactly {wanted} required")
+        paths.setdefault(flag, iter(given))
+    return [_load(next(paths[flag]), kinds[flag]) for flag in flags]
 
 
-def _run_check(args, report):
-    if args.what == "ns":
-        structure = _load(args.algebra, "ns_algebra")
-        report.add(ns.check_ns(structure))
-        return
-    algebra = _load(args.algebra, "n_lie_algebra")
-    if args.what == "filippov":
-        report.add(check_filippov(algebra))
-    elif args.what == "derivation":
-        op = _load(_required(args.operator, "--operator"), "linear_operator")
-        report.add(is_derivation(algebra, op))
-    elif args.what == "representation":
-        rep = _load(_required(args.representation, "--representation"), "representation")
-        report.add(check_representation(algebra, rep))
-    elif args.what == "reynolds":
-        op = _load(_required(args.operator, "--operator"), "linear_operator")
-        report.add(reynolds.check_reynolds(algebra, op))
-    elif args.what == "nijenhuis":
-        op = _load(_required(args.operator, "--operator"), "linear_operator")
-        report.add(nijenhuis.check_nijenhuis(algebra, op))
-    elif args.what == "assoc-reynolds":
-        op = _load(_required(args.operator, "--operator"), "linear_operator")
-        report.add(constructions.check_assoc_reynolds(algebra, op))
-    elif args.what == "lift":
-        op = _load(_required(args.operator, "--operator"), "linear_operator")
-        functional = _load(_required(args.functional, "--functional"), "functional")
-        report.add(constructions.reynolds_lift_criterion(algebra, op, functional))
+def _check_ns(args, report):
+    """Its --algebra is an NS-n-Lie algebra."""
+    (structure,) = _documents(args, ("--algebra",), {"--algebra": "ns_algebra"})
+    report.add(ns.check_ns(structure))
 
 
-def _required(value, flag):
-    if value is None:
-        raise NLieError(f"{flag} is required for this command")
-    return value
+def _construct_det3(args, report):
+    """One document per letter of --variant: f a functional, d a derivation."""
+    letters = {"f": "--functional", "d": "--operator"}
+    algebra, *data = _documents(args, ("--algebra",) + tuple(letters[c] for c in args.variant))
+    result = constructions.three_lie_algebra(algebra, args.variant, data)
+    report.artifacts.append(documents.algebra_document(result))
 
 
-def _run_construct(args, report):
-    algebra = _load(args.algebra, "n_lie_algebra")
-    what = args.what
-    if what == "induced":
-        result = reynolds.induced_bracket(algebra, _one_operator(args))
-        report.artifacts.append(documents.algebra_document(result))
-    elif what == "gf":
-        functional = _load(_required(args.functional, "--functional"), "functional")
-        result = constructions.extend_by_functional(algebra, functional)
-        report.artifacts.append(documents.algebra_document(result))
-    elif what == "corollary":
-        functional = _load(_required(args.functional, "--functional"), "functional")
-        result = constructions.corollary_bracket(algebra, _one_operator(args), functional)
-        report.artifacts.append(documents.algebra_document(result))
-    elif what == "ns-from-reynolds":
-        result = ns.ns_from_reynolds(algebra, _one_operator(args))
-        report.artifacts.append(documents.ns_document(result))
-    elif what == "ns-from-nijenhuis":
-        result = ns.ns_from_nijenhuis(algebra, _one_operator(args))
-        report.artifacts.append(documents.ns_document(result))
-    elif what == "deformed":
-        result = nijenhuis.deformed_algebra(algebra, _one_operator(args))
-        report.artifacts.append(documents.algebra_document(result))
-    elif what == "det3":
-        variant = _required(args.variant, "--variant")
-        data = [_load(p, "linear_operator") for p in args.operator]
-        if variant == "fd":
-            data.insert(0, _load(_required(args.functional, "--functional"), "functional"))
-        result = constructions.three_lie_algebra(algebra, variant, data)
-        report.artifacts.append(documents.algebra_document(result))
-    elif what == "semidirect":
-        if args.representation:
-            rep = _load(args.representation, "representation")
-        else:
-            rep = adjoint_representation(algebra)
-        result = semidirect_product(algebra, rep)
-        report.artifacts.append(documents.algebra_document(result))
+def _construct_semidirect(args, report):
+    """On --representation if it is given, else on the adjoint representation."""
+    algebra, *rep = _documents(args, ("--algebra",) + ("--representation",) * bool(args.representation))
+    result = semidirect_product(algebra, rep[0] if rep else adjoint_representation(algebra))
+    report.artifacts.append(documents.algebra_document(result))
 
 
 def _run_cohomology(args, report):
-    algebra = _load(args.algebra, "n_lie_algebra")
-    op = _load(args.reynolds, "linear_operator")
+    algebra, op = _documents(args, ("--algebra", "--reynolds"))
     complex_ = ReynoldsComplex(algebra, op)
     dims = complex_.dimensions(args.max_degree, size_guard=args.size_guard)
     report.add(ok("reynolds-complex"))
@@ -201,9 +111,7 @@ def _run_cohomology(args, report):
 
 
 def _run_deform(args, report):
-    algebra = _load(args.algebra, "n_lie_algebra")
-    op = _load(args.reynolds, "linear_operator")
-    direction = _load(args.direction, "linear_operator")
+    algebra, op, direction = _documents(args, ("--algebra", "--reynolds", "--direction"))
     cocycle = deformation.is_infinitesimal_deformation(algebra, op, direction)
     report.add(cocycle)
     if not cocycle:
@@ -211,7 +119,7 @@ def _run_deform(args, report):
     # the direction has just passed the cocycle test, and the zero
     # direction is a cocycle of every Reynolds operator
     if args.witness:
-        witness = _load(args.witness, "wedge_element")
+        (witness,) = _documents(args, ("--witness",))
         verdict = deformation._witness_verdict(
             algebra, op, direction, Matrix.zero(algebra.dim), witness
         )
@@ -225,17 +133,77 @@ def _run_deform(args, report):
         report.artifacts.append(documents.wedge_document(algebra.arity, algebra.dim, result.witness))
 
 
-def _run_operator(args, report):
-    algebra = _load(args.algebra, "n_lie_algebra")
-    op = _load(args.operator, "linear_operator")
-    if args.what == "from-derivation":
-        result = reynolds.derivation_to_reynolds(algebra, op)
-    elif args.what == "series":
-        result = reynolds.reynolds_from_nilpotent_derivation(algebra, op)
-    else:
-        result = reynolds.reynolds_to_derivation(algebra, op)
-    report.add(ok(f"operator-{args.what}"))
-    report.artifacts.append(documents.operator_document(result))
+# (command, what) -> (function, the flags it reads after --algebra, how its
+# result is reported).  A library function, named "module.attribute" and looked
+# up at each call, takes the documents of --algebra and the flags in order; its
+# result is a verdict (None) or is emitted as the named document, after a PASS
+# verdict for an operator conversion.  A runner of this module reads its own
+# documents and fills the report.  The parser is built from this table.
+COMMANDS = {
+    ("check", "filippov"): ("algebra.check_filippov", (), None),
+    ("check", "derivation"): ("algebra.is_derivation", ("--operator",), None),
+    ("check", "representation"): ("algebra.check_representation", ("--representation",), None),
+    ("check", "reynolds"): ("reynolds.check_reynolds", ("--operator",), None),
+    ("check", "nijenhuis"): ("nijenhuis.check_nijenhuis", ("--operator",), None),
+    ("check", "ns"): (_check_ns, (), None),
+    ("check", "assoc-reynolds"): ("constructions.check_assoc_reynolds", ("--operator",), None),
+    ("check", "lift"): ("constructions.reynolds_lift_criterion", ("--operator", "--functional"), None),
+    ("construct", "induced"): ("reynolds.induced_bracket", ("--operator",), "algebra_document"),
+    ("construct", "gf"): ("constructions.extend_by_functional", ("--functional",), "algebra_document"),
+    ("construct", "corollary"): (
+        "constructions.corollary_bracket", ("--operator", "--functional"), "algebra_document"),
+    ("construct", "ns-from-reynolds"): ("ns.ns_from_reynolds", ("--operator",), "ns_document"),
+    ("construct", "ns-from-nijenhuis"): ("ns.ns_from_nijenhuis", ("--operator",), "ns_document"),
+    ("construct", "deformed"): ("nijenhuis.deformed_algebra", ("--operator",), "algebra_document"),
+    ("construct", "det3"): (_construct_det3, ("--variant", "--functional", "--operator"), None),
+    ("construct", "semidirect"): (_construct_semidirect, ("--representation",), None),
+    ("cohomology", None): (_run_cohomology, ("--reynolds", "--max-degree", "--size-guard"), None),
+    ("deform", None): (_run_deform, ("--reynolds", "--direction", "--witness"), None),
+    ("operator", "from-derivation"): ("reynolds.derivation_to_reynolds", ("--operator",), "operator_document"),
+    ("operator", "series"): (
+        "reynolds.reynolds_from_nilpotent_derivation", ("--operator",), "operator_document"),
+    ("operator", "to-derivation"): ("reynolds.reynolds_to_derivation", ("--operator",), "operator_document"),
+}
+
+
+@cache
+def _build_parser():
+    """The argument parser, built from ``COMMANDS`` on first use and shared
+    by later calls: each (command, what) takes --algebra and its own flags."""
+    parser = argparse.ArgumentParser(
+        prog="nlie",
+        description="Exact checks and constructions for n-Lie algebras with "
+        "Reynolds and Nijenhuis operators.",
+    )
+    parser.add_argument("--json", action="store_true", help="emit a JSON report")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--json", action="store_true", help="emit a JSON report")
+    sub = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for (command, what), (_, flags, _) in COMMANDS.items():
+        if command not in groups:
+            group = sub.add_parser(command, help=HELP[command], parents=[shared])
+            groups[command] = group.add_subparsers(dest="what", required=True) if what else group
+        leaf = groups[command].add_parser(what, parents=[shared]) if what else groups[command]
+        leaf.set_defaults(what=what)
+        for flag in ("--algebra",) + flags:
+            leaf.add_argument(flag, **OPTIONS.get(flag, {"action": "append"}))
+    return parser
+
+
+def _run(args, report):
+    function, flags, emit = COMMANDS[args.command, args.what]
+    if callable(function):
+        function(args, report)
+        return
+    module, name = function.split(".")
+    result = getattr(import_module(f"{__package__}.{module}"), name)(*_documents(args, ("--algebra",) + flags))
+    if emit is None:
+        report.add(result)
+        return
+    if args.command == "operator":
+        report.add(ok(f"operator-{args.what}"))
+    report.artifacts.append(getattr(documents, emit)(result))
 
 
 def run_command(argv):
@@ -247,16 +215,7 @@ def run_command(argv):
         return None, (2 if exc.code else 0)
     report = documents.Report(command=list(argv))
     try:
-        if args.command == "check":
-            _run_check(args, report)
-        elif args.command == "construct":
-            _run_construct(args, report)
-        elif args.command == "cohomology":
-            _run_cohomology(args, report)
-        elif args.command == "deform":
-            _run_deform(args, report)
-        elif args.command == "operator":
-            _run_operator(args, report)
+        _run(args, report)
     except InternalConsistencyError as exc:
         report.notes.append(f"internal error: {exc}")
         return report, 3

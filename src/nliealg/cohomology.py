@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import add, sub
 
 from .algebra import (
     NAryAlgebra,
@@ -107,29 +108,32 @@ class Cochain:
                     out = vec_add(out, vec_scale(coeff * vj, self.value_on_basis(keys, j + 1)))
         return out
 
+    def _shape(self):
+        """(arity, dim, module_dim, degree): the data of two cochains line up exactly when these agree."""
+        return self.arity, self.dim, self.module_dim, self.degree
+
     def __eq__(self, other):
         if not isinstance(other, Cochain):
             return NotImplemented
-        return (
-            (self.arity, self.dim, self.module_dim, self.degree) ==
-            (other.arity, other.dim, other.module_dim, other.degree)
-            and self.data == other.data
-        )
+        return self._shape() == other._shape() and self.data == other.data
 
     def is_zero(self):
         return all(not a for a in self.data)
 
+    def _combine(self, other, op):
+        if self._shape() != other._shape():
+            raise InputError(
+                f"cochain shapes {self._shape()} and {other._shape()} differ (arity, dim, module_dim, degree)")
+        return Cochain(*self._shape(), [op(a, b) for a, b in zip(self.data, other.data)])
+
     def __add__(self, other):
-        return Cochain(self.arity, self.dim, self.module_dim, self.degree,
-                       [a + b for a, b in zip(self.data, other.data)])
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        return Cochain(self.arity, self.dim, self.module_dim, self.degree,
-                       [a - b for a, b in zip(self.data, other.data)])
+        return self._combine(other, sub)
 
     def scale(self, c):
-        return Cochain(self.arity, self.dim, self.module_dim, self.degree,
-                       [c * a for a in self.data])
+        return Cochain(*self._shape(), [c * a for a in self.data])
 
 
 def coboundary(algebra, rho, cochain):
@@ -257,13 +261,16 @@ class ReynoldsComplex:
         rows = [{j: rational(Fraction(x, scale)) for j, x in row.items()} for row in mat.row_maps]
         return Matrix.sparse(mat.rows, mat.cols, rows)
 
-    def _integer_differential(self, m, size_guard):
-        """(D, D d_m): an integer D > 0 and a matrix of ints."""
+    def _require_cells(self, m, size_guard):
         src, dst = self.cochain_dim(m), self.cochain_dim(m + 1)
         if src * dst > size_guard:
             raise SizeGuardError(
                 f"differential at degree {m} needs a {dst}x{src} matrix, over the guard {size_guard}"
             )
+
+    def _integer_differential(self, m, size_guard):
+        """(D, D d_m): an integer D > 0 and a matrix of ints."""
+        self._require_cells(m, size_guard)
         if m == 0:
             return integer_delta(self.base, self.op)
         return self._scale, self._assemble(m)
@@ -334,6 +341,17 @@ class ReynoldsComplex:
         """
         if m_max < 0:
             raise InputError("m_max must be >= 0")
+        # before anything is assembled: each differential's cells, and the reads
+        # of all of them, about (m+1)^2 per row of d_m; the reads bound a run of
+        # many small differentials, as when the wedge basis has one element
+        reads = 0
+        for m in range(m_max + 1):
+            self._require_cells(m, size_guard)
+            reads += (m + 1) ** 2 * self.cochain_dim(m + 1)
+            if reads > size_guard:
+                raise SizeGuardError(
+                    f"differentials up to degree {m} read about {reads} cochain slots, over the guard {size_guard}"
+                )
         mats = [self._integer_differential(m, size_guard)[1] for m in range(m_max + 1)]
         out = []
         prev_rank = 0

@@ -177,7 +177,7 @@ def parse_document(text, expect=None):
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     kind = doc.get("kind")
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise InputError(f"unknown document kind {kind!r}; expected one of {', '.join(KINDS)}")
     if expect is not None and kind != expect:
         raise InputError(f"expected a {expect!r} document, got {kind!r}")

@@ -1,4 +1,6 @@
+import argparse
 import json
+from collections import Counter
 
 from nliealg import cli
 from nliealg.algebra import adjoint_representation
@@ -6,10 +8,13 @@ from nliealg.cli import run_command
 from nliealg.documents import (
     algebra_document,
     emit_document,
+    ns_document,
     operator_document,
     representation_document,
+    wedge_document,
 )
 from nliealg.linalg import Matrix
+from nliealg.ns import ns_from_reynolds
 
 from conftest import euler_derivation
 
@@ -126,6 +131,16 @@ def test_json_flag_after_subcommand(docs):
     assert payload["verdicts"][0]["passed"] is True
 
 
+def test_json_flag_before_and_after_the_command(docs, capsys):
+    """--json is read before the command, after it and after the flags."""
+    tail = ["filippov", "--algebra", docs["g.json"]]
+    outputs = []
+    for argv in (["--json", "check"] + tail, ["check", "--json"] + tail, ["check"] + tail + ["--json"]):
+        assert cli.main(argv) == 0
+        outputs.append(json.loads(capsys.readouterr().out)["verdicts"])
+    assert outputs == [[{"check": "filippov", "passed": True}]] * 3
+
+
 def test_json_output_is_deterministic(docs):
     args = ["construct", "induced", "--algebra", docs["g.json"],
             "--operator", docs["r1.json"], "--json"]
@@ -215,3 +230,113 @@ def test_representation_of_a_symmetric_product_exit_2(tmp_path, trunc_xy):
         report, code = run_command(argv)
         assert code == 2
         assert report.notes == ["error: representation check applies to alternating brackets"]
+
+
+def _bad_reynolds(tmp_path):
+    path = tmp_path / "bad_op.json"
+    path.write_text(emit_document(operator_document(Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))))
+    return str(path)
+
+
+def test_repeated_document_flag_is_refused(docs, tmp_path):
+    """A document flag given twice is an input error: the failing operator
+    given first is not dropped for the passing one given last."""
+    bad = _bad_reynolds(tmp_path)
+    check = ["check", "reynolds", "--algebra", docs["g.json"]]
+    assert run_command(check + ["--operator", bad])[1] == 1
+    for ops in ((bad, docs["r1.json"]), (docs["r1.json"], bad)):
+        report, code = run_command(check + ["--operator", ops[0], "--operator", ops[1]])
+        assert code == 2
+        assert report.notes == ["error: exactly one --operator document is required"]
+    report, code = run_command(["check", "reynolds", "--algebra", docs["g.json"]])
+    assert code == 2 and report.notes == ["error: exactly one --operator document is required"]
+
+
+def test_repeated_flag_on_cohomology_deform_and_operator(docs):
+    g, r, zero = docs["g.json"], docs["r1.json"], docs["zero3.json"]
+    for argv, flag in (
+        (["cohomology", "--algebra", g, "--reynolds", r, "--reynolds", zero], "--reynolds"),
+        (["deform", "--algebra", g, "--reynolds", r, "--reynolds", zero, "--direction", zero], "--reynolds"),
+        (["deform", "--algebra", g, "--reynolds", r, "--direction", zero, "--direction", r], "--direction"),
+        (["operator", "from-derivation", "--algebra", g, "--operator", zero, "--operator", r], "--operator"),
+        (["check", "filippov", "--algebra", g, "--algebra", docs["ab33.json"]], "--algebra"),
+    ):
+        report, code = run_command(argv)
+        assert code == 2
+        assert report.notes == [f"error: exactly one {flag} document is required"]
+
+
+def _refused_by_the_parser(argv, capsys):
+    assert run_command(argv) == (None, 2)
+    assert cli.main(argv + ["--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments" in out.err
+
+
+def test_operator_the_command_does_not_read_is_a_usage_error(docs, tmp_path, capsys):
+    """A failing operator given to a command that never reads one is refused
+    by the parser (usage on stderr, no report), not passed over."""
+    bad, g = _bad_reynolds(tmp_path), docs["g.json"]
+    _refused_by_the_parser(["check", "filippov", "--algebra", g, "--operator", bad], capsys)
+    _refused_by_the_parser(
+        ["construct", "gf", "--algebra", g, "--functional", docs["f.json"], "--operator", bad, "--variant", "dd"],
+        capsys)
+
+
+def test_path_the_command_does_not_read_is_a_usage_error(docs, capsys):
+    """A missing file named by a flag the command never opens is refused too."""
+    _refused_by_the_parser(
+        ["check", "reynolds", "--algebra", docs["g.json"], "--operator", docs["r1.json"],
+         "--representation", "/no/such"], capsys)
+
+
+def _leaves(parser, prefix=()):
+    """(words, parser) for each (command, what) the parser offers."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaves(child, prefix + (name,))
+
+
+def test_every_subcommand_on_lie3_with_exactly_its_flags(docs, tmp_path, lie3, family1):
+    """Each (command, what) the parser offers runs on valid lie3 documents
+    to a defined outcome, and an exit 0 holds a verdict or an artifact; one
+    more document flag that the command does not read exits 2."""
+    written = {
+        "representation": representation_document(adjoint_representation(lie3)),
+        "wedge_element": wedge_document(lie3.arity, lie3.dim, {(1,): 1}),
+        "ns_algebra": ns_document(ns_from_reynolds(lie3, family1)),
+    }
+    paths = {"n_lie_algebra": docs["g.json"], "linear_operator": docs["r1.json"], "functional": docs["f.json"]}
+    for kind, doc in written.items():
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(emit_document(doc))
+    leaves = list(_leaves(cli._build_parser()))
+    document_flags = {a.option_strings[0] for _, leaf in leaves for a in leaf._actions
+                      if isinstance(a, argparse._AppendAction)}
+    assert document_flags == set(cli.FLAG_KINDS)
+    codes = Counter()
+    for words, leaf in leaves:
+        own = [a for a in leaf._actions if a.option_strings and a.dest not in ("help", "json")]
+        argvs = [list(words)]
+        for action in own:
+            flag = action.option_strings[0]
+            if isinstance(action, argparse._AppendAction):
+                ns_algebra = words == ("check", "ns") and flag == "--algebra"
+                kind = "ns_algebra" if ns_algebra else cli.FLAG_KINDS[flag]
+                argvs = [argv + [flag, str(paths[kind])] for argv in argvs]
+            elif action.choices:
+                argvs = [argv + [flag, choice] for argv in argvs for choice in action.choices]
+        for argv in argvs:
+            report, code = run_command(argv)
+            assert code in (0, 1, 2), argv
+            assert report is not None, argv
+            assert code != 0 or report.verdicts or report.artifacts, argv
+            codes[code] += 1
+            taken = {a.option_strings[0] for a in own}
+            for flag in sorted(document_flags - taken):
+                assert run_command(argv + [flag, str(paths[cli.FLAG_KINDS[flag]])]) == (None, 2), (argv, flag)
+    # most commands run to a PASS on these inputs, so the sweep is not vacuous
+    assert len(leaves) == len(cli.COMMANDS) and codes[0] > len(leaves) // 2

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,9 @@ from nliealg.cohomology import (
     delta_r_operator,
     reynolds_representation,
 )
-from nliealg.errors import InternalConsistencyError, PreconditionError, SizeGuardError, UnsupportedRingError
+from nliealg.cli import run_command
+from nliealg.documents import algebra_document, emit_document, operator_document
+from nliealg.errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError, UnsupportedRingError
 from nliealg.linalg import Matrix, unit_vector
 from nliealg.reynolds import derivation_to_reynolds, induced_bracket
 from nliealg.rings import EPS, Dual
@@ -131,6 +134,40 @@ def test_size_guard_triggers(lie3, family1):
     with pytest.raises(SizeGuardError, match="degree 0"):
         cx.differential_matrix(0, size_guard=1)
     assert cx.dimensions(0, size_guard=27) == [(0, 2, 0, 2)]
+
+
+def test_degree_guard_bounds_a_one_element_wedge_basis(tmp_path):
+    """A 1-dim Lie algebra (and arity 3 on dim 2) has 1x1 (4x4) differentials,
+    which never trip the cell guard; the reads of all of them do, before any
+    is assembled, and the note names the degree."""
+    alg, zero = tmp_path / "g1.json", tmp_path / "zero1.json"
+    alg.write_text(emit_document(algebra_document(NAryAlgebra(2, 1, {}))))
+    zero.write_text(emit_document(operator_document(Matrix.zero(1))))
+    argv = ["cohomology", "--algebra", str(alg), "--reynolds", str(zero), "--max-degree"]
+    start = time.perf_counter()
+    report, code = run_command(argv + ["100000"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report.notes == [
+        "error: differentials up to degree 181 read about 2026115 cochain slots, over the guard 2000000"]
+    report, code = run_command(argv + ["20"])
+    assert code == 0 and [row["dimension"] for row in report.artifacts[0]["rows"]] == [1] * 21
+    with pytest.raises(SizeGuardError, match="up to degree 113 "):
+        ReynoldsComplex(NAryAlgebra(3, 2, {}), Matrix.zero(2)).dimensions(100000)
+
+
+def test_cochain_arithmetic_refuses_mismatched_shapes():
+    """Sums and differences line the data up slot by slot, so the two
+    cochains must agree in arity, dim, module_dim and degree."""
+    f = Cochain(2, 2, 2, 2, range(8))
+    assert (f + f).data == tuple(2 * a for a in range(8)) and (f - f).is_zero()
+    for g, h in ((Cochain(2, 2, 2, 1, [1, 2, 3, 4]), f), (Cochain(2, 2, 1, 2, range(4)), f),
+                 (Cochain(2, 2, 2, 3, range(16)), f),
+                 # the same data length: the arity would silently be the first one's
+                 (Cochain(3, 3, 3, 2, range(27)), Cochain(2, 3, 3, 2, range(27)))):
+        for combined in (lambda: g + h, lambda: h - g):
+            with pytest.raises(InputError, match="cochain shapes"):
+                combined()
 
 
 def test_complex_requires_reynolds(lie3):

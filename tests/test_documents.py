@@ -82,8 +82,9 @@ def test_kind_mismatch_and_unknown_kind():
         parse_document(json.dumps({"kind": "functional", "dim": 1,
                                    "coefficients": ["1"]}),
                        expect="n_lie_algebra")
-    with pytest.raises(InputError, match="unknown document kind"):
-        parse_document(json.dumps({"kind": "mystery"}))
+    for kind in ("mystery", [], {"n_lie_algebra": 1}, None):
+        with pytest.raises(InputError, match="unknown document kind"):
+            parse_document(json.dumps({"kind": kind}))
 
 
 def test_missing_file_and_malformed_json(tmp_path):
