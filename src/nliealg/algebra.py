@@ -86,6 +86,11 @@ class NAryAlgebra:
         if self.symmetry != ALTERNATING:
             raise InputError(f"{what} applies to alternating brackets")
 
+    def require_symmetric(self, what):
+        """InputError unless the product is symmetric: ``what`` is defined on commutative products only."""
+        if self.symmetry != SYMMETRIC:
+            raise InputError(f"{what} applies to commutative products")
+
     def basis_tuples(self):
         """Canonical tuples sufficient to quantify a multilinear identity."""
         if self.symmetry == ALTERNATING:

@@ -111,19 +111,19 @@ def _run_cohomology(args, report):
 
 
 def _run_deform(args, report):
-    algebra, op, direction = _documents(args, ("--algebra", "--reynolds", "--direction"))
+    algebra, op, direction, *witness = _documents(
+        args, ("--algebra", "--reynolds", "--direction") + ("--witness",) * bool(args.witness))
+    shape = (algebra.arity, algebra.dim)
+    if witness and witness[0][:2] != shape:
+        raise InputError(f"witness of (arity, dim) {witness[0][:2]} on an algebra of (arity, dim) {shape}")
     cocycle = deformation.is_infinitesimal_deformation(algebra, op, direction)
     report.add(cocycle)
     if not cocycle:
         return
     # the direction has just passed the cocycle test, and the zero
     # direction is a cocycle of every Reynolds operator
-    if args.witness:
-        (witness,) = _documents(args, ("--witness",))
-        verdict = deformation._witness_verdict(
-            algebra, op, direction, Matrix.zero(algebra.dim), witness
-        )
-        report.add(verdict)
+    if witness:
+        report.add(deformation._witness_verdict(algebra, op, direction, Matrix.zero(algebra.dim), witness[0][2]))
         return
     result = deformation._triviality(algebra, op, direction)
     passed = result.status == "trivial"

@@ -51,8 +51,7 @@ def comm_assoc_algebra(dim, products, basis_names=None):
 
 def check_associative(algebra):
     """(xy)z = x(yz) on all basis triples."""
-    if algebra.symmetry != SYMMETRIC:
-        raise InputError("associativity check expects a symmetric product")
+    algebra.require_symmetric("the associativity check")
     d = algebra.dim
     for i in range(1, d + 1):
         for j in range(1, d + 1):
@@ -100,32 +99,37 @@ def reynolds_lift_criterion(algebra, op, functional):
 
 
 def _lift(algebra, op, functional):
-    """(verdict, values, base) of the lift criterion.  ``base`` is the
-    operator's Reynolds walk on the n-Lie algebra, as ``verified_values``
-    gives it, and the criterion reads each [Rx_1,...,^Rx_i,...,Rx_{n+1}]
-    off it.  On PASS ``values`` is the walk on the extended algebra, as
-    ``reynolds_values`` gives it; a failing walk there is a bug.  On FAIL
-    it is None."""
+    """(verdict, values, base) of the lift criterion: R of each sum of
+    ``_lift_sums`` on ``base``, the walk ``verified_values`` gives on the n-Lie
+    algebra.  On PASS ``values`` is the walk ``reynolds_values`` gives on the
+    extended algebra (a failing walk there is a bug); on FAIL it is None."""
     algebra.require_alternating("the functional extension")
     base = verified_values(algebra, op)
     require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
-    n, d = algebra.arity, algebra.dim
-    for tup in increasing_tuples(d, n + 1):
-        acc = vec_zero(d)
-        for i in range(n + 1):
-            c = functional.coefficients[tup[i] - 1]
-            if not c:
-                continue
-            top = base[tup[:i] + tup[i + 1:]][0]
-            acc = vec_add(acc, vec_scale(sign(n - i) * c, op.apply(top)))
+    for tup, acc in _lift_sums(algebra, base, functional):
+        acc = op.apply(acc)
         if not vec_is_zero(acc):
-            return fail("lift-criterion", {"tuple": tup}, acc, vec_zero(d)), None, base
+            return fail("lift-criterion", {"tuple": tup}, acc, vec_zero(algebra.dim)), None, base
     lifted, values = reynolds_values(_extension(algebra, functional), op)
     if not lifted:
         raise InternalConsistencyError(
             f"criterion holds but the lifted check fails: {jsonable(lifted.counterexample)}"
         )
     return ok("lift-criterion"), values, base
+
+
+def _lift_sums(algebra, base, functional):
+    """(tuple, sum_i (-1)^{n+1-i} f(x_i) [Rx_1,...,^Rx_i,...,Rx_{n+1}]) for each
+    increasing basis (n+1)-tuple, every bracket read off the Reynolds walk
+    ``base`` on the n-Lie algebra: the lift criterion before R is applied."""
+    n, d = algebra.arity, algebra.dim
+    for tup in increasing_tuples(d, n + 1):
+        acc = vec_zero(d)
+        for i in range(n + 1):
+            c = functional.coefficients[tup[i] - 1]
+            if c:
+                acc = vec_add(acc, vec_scale(sign(n - i) * c, base[tup[:i] + tup[i + 1:]][0]))
+        yield tup, acc
 
 
 def corollary_bracket(algebra, op, functional):
@@ -161,8 +165,6 @@ def corollary_bracket(algebra, op, functional):
 def check_assoc_reynolds(algebra, op):
     """Rx.Ry = R(Rx.y + x.Ry - Rx.Ry) on all basis pairs of an associative
     commutative product: its Reynolds identity, walked by ``check_reynolds``."""
-    if algebra.symmetry != SYMMETRIC:
-        raise InputError("expected a commutative product")
     require(check_associative(algebra), "product is not associative")
     verdict = check_reynolds(algebra, op)
     if verdict:
@@ -206,39 +208,20 @@ def _require_commuting(pairs):
 
 
 def three_lie_from_f_D(algebra, functional, deriv):
-    """Determinant bracket with rows (f-values, D-images, elements)."""
-    require(is_derivation(algebra, deriv), "operator is not a derivation")
-    d = algebra.dim
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            x, y = algebra.units((i, j))
-            lhs = functional(algebra.bracket([deriv.apply(x), y]))
-            rhs = functional(algebra.bracket([x, deriv.apply(y)]))
-            if lhs != rhs:
-                raise PreconditionError(
-                    f"functional is not balanced against the derivation at pair {(i, j)}"
-                )
-
-    def value(tup):
-        units = algebra.units(tup)
-        return _fd_sum(algebra, [functional(u) for u in units], [deriv.apply(u) for u in units], units)
-
-    return algebra_from_bracket_function(3, d, value, basis_names=algebra.basis_names)
+    """Determinant bracket with rows (f-values, D-images, elements): the
+    functional extension of [x,y]_D (``lie_from_derivation``)."""
+    return _balanced_extension(lie_from_derivation(algebra, deriv), functional)
 
 
-def _fd_sum(algebra, f_vals, d_units, units):
-    """sum_i (-1)^i f_i ([Dy_a, y_b] - [Dy_b, y_a]) over the three slots i,
-    with a < b the other two: the determinant with rows (f-values,
-    D-images, elements)."""
-    acc = vec_zero(algebra.dim)
-    for i in range(3):
-        a, b = [k for k in range(3) if k != i]
-        minor = vec_sub(
-            algebra.bracket([d_units[a], units[b]]),
-            algebra.bracket([d_units[b], units[a]]),
-        )
-        acc = vec_add(acc, vec_scale(sign(i) * f_vals[i], minor))
-    return acc
+def _balanced_extension(lie, functional):
+    """The functional extension of ``lie`` = [.]_D.  On a commutative product
+    f([x,y]_D) = f(D(x).y) - f(x.D(y)), so f vanishes on the brackets of
+    [.]_D exactly when it is balanced against D."""
+    vanishes = functional.vanishes_on_brackets(lie)
+    if not vanishes:
+        pair = vanishes.counterexample["where"]["tuple"]
+        raise PreconditionError(f"functional is not balanced against the derivation at pair {pair}")
+    return _extension(lie, functional)
 
 
 def three_lie_from_two_derivations(algebra, d1, d2):
@@ -270,63 +253,60 @@ def _three_lie_from_derivations(algebra, derivs):
 def three_lie_algebra(algebra, variant, data):
     """The determinant 3-Lie algebra of ``variant`` on ``data``, one entry
     per letter: 'fd' takes (functional, D), 'dd' (D1, D2), 'ddd' (D1, D2, D3)."""
-    if variant not in ("fd", "dd", "ddd"):
+    algebra.require_symmetric("the determinant 3-Lie construction")
+    build = {"fd": three_lie_from_f_D, "dd": three_lie_from_two_derivations, "ddd": three_lie_from_three_derivations}
+    if variant not in build:
         raise InputError(f"unknown variant {variant!r}")
     if len(data) != len(variant):
         wanted = "a functional and one derivation" if variant == "fd" else f"{len(variant)} derivations"
         raise InputError(f"variant {variant} takes {wanted}")
-    if variant == "fd":
-        return three_lie_from_f_D(algebra, *data)
-    if variant == "dd":
-        return three_lie_from_two_derivations(algebra, *data)
-    return three_lie_from_three_derivations(algebra, *data)
+    return build[variant](algebra, *data)
 
 
 def det_triple_identity(algebra, op, cols, correction=2):
-    """|Rx Ry Rz| = R(|Rx Ry z| + c.p.) - correction * R(|Rx Ry Rz|) for
-    column triples over a commutative associative Reynolds algebra.
-
-    The identity that actually follows from the binary Reynolds law has
-    correction = 2; see the tests for the failing correction = 1 variant.
+    """|Rx Ry Rz| = R(|Rx Ry z| + c.p.) - correction * R(|Rx Ry Rz|) for column
+    triples over a commutative associative Reynolds algebra, where a
+    determinant equals that of its transpose (``_det_of_rows`` of the columns).
+    The identity that follows from the binary Reynolds law has correction = 2;
+    the tests show correction = 1 failing.
     """
     x, y, z = cols
     rx = [op.apply(v) for v in x]
     ry = [op.apply(v) for v in y]
     rz = [op.apply(v) for v in z]
-    lhs = _det_of_rows(algebra, _cols_to_rows([rx, ry, rz]))
-    cp = _det_of_rows(algebra, _cols_to_rows([rx, ry, z]))
-    cp = vec_add(cp, _det_of_rows(algebra, _cols_to_rows([x, ry, rz])))
-    cp = vec_add(cp, _det_of_rows(algebra, _cols_to_rows([rx, y, rz])))
+    lhs = _det_of_rows(algebra, [rx, ry, rz])
+    cp = _det_of_rows(algebra, [rx, ry, z])
+    cp = vec_add(cp, _det_of_rows(algebra, [x, ry, rz]))
+    cp = vec_add(cp, _det_of_rows(algebra, [rx, y, rz]))
     rhs = op.apply(vec_sub(cp, vec_scale(rational(correction), lhs)))
     if lhs != rhs:
         return fail("det-triple-identity", {"correction": correction}, lhs, rhs)
     return ok("det-triple-identity")
 
 
-def _cols_to_rows(cols):
-    return [[cols[c][r] for c in range(3)] for r in range(3)]
-
-
 def check_reynolds_on_det_3lie(algebra, op, variant, data):
     """Is R Reynolds on the chosen determinant 3-Lie algebra?
 
-    variant 'fd': data = (functional, D); also evaluates the determinant
-    criterion with rows (f-values, D(R.)-images, R-images) and reports if
-    the criterion and the direct check disagree.
+    variant 'fd': data = (functional, D).  R is Reynolds on [.]_D too (else
+    a bug), and the criterion is the lift sum of ``_lift_sums`` on [.]_D,
+    before R is applied: the first triple where it is nonzero is returned
+    as a det3-criterion FAIL, and R is checked on the 3-Lie algebra itself
+    only when it vanishes on every triple.
     variant 'dd': data = (D1, D2).  variant 'ddd': data = (D1, D2, D3).
     """
     require(check_assoc_reynolds(algebra, op), "operator fails the binary Reynolds law")
     fd = variant == "fd"
     names = ["D"] if fd else ["D1", "D2", "D3"]
     _require_commuting([(f"R, {name}", op, deriv) for name, deriv in zip(names, data[1:] if fd else data)])
-    three = three_lie_algebra(algebra, variant, data)
-    if fd:
-        functional, deriv = data
-        d = algebra.dim
-        for tup in increasing_tuples(d, 3):
-            units = algebra.units(tup)
-            r_units = [op.apply(u) for u in units]
-            acc = _fd_sum(algebra, [functional(u) for u in units], [deriv.apply(r) for r in r_units], r_units)
-            if not vec_is_zero(acc):
-                return fail("det3-criterion", {"tuple": tup}, acc, vec_zero(d))
+    if not fd or len(data) != 2:  # three_lie_algebra refuses fd data of another length
+        return check_reynolds(three_lie_algebra(algebra, variant, data), op)
+    functional, deriv = data
+    lie = lie_from_derivation(algebra, deriv)
+    three = _balanced_extension(lie, functional)
+    walk, base = reynolds_values(lie, op)
+    if not walk:
+        raise InternalConsistencyError(f"R is not Reynolds on [.]_D: {jsonable(walk.counterexample)}")
+    for tup, acc in _lift_sums(lie, base, functional):
+        if not vec_is_zero(acc):
+            return fail("det3-criterion", {"tuple": tup}, acc, vec_zero(algebra.dim))
     return check_reynolds(three, op)

@@ -146,13 +146,13 @@ def _parse_representation(doc):
 
 
 def _parse_wedge(doc):
-    """A wedge element; repeated terms add up, and zero coefficients drop."""
+    """(arity, dim, terms) of a wedge element: repeated terms add up, zero coefficients drop."""
     dim = _int_field(doc, "dim", 1)
     arity = _int_field(doc, "arity", 2, default=2)
     terms = _table(doc, "terms", "'on' and 'coeff'", lambda entry, at: (
         _as_index_tuple(entry.get("on"), arity - 1, dim, f"{at}/on"),
         _as_rational(entry.get("coeff"), f"{at}/coeff")), merge=lambda a, b: a + b)
-    return {k: v for k, v in terms.items() if v}
+    return arity, dim, {k: v for k, v in terms.items() if v}
 
 
 _PARSERS = {

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
@@ -521,7 +522,7 @@ def naive_check_assoc_reynolds(algebra, op):
     """The former ``constructions.check_assoc_reynolds`` body, on dense
     vectors: Rx.Ry = R(Rx.y + x.Ry - Rx.Ry) on all basis pairs."""
     if algebra.symmetry != SYMMETRIC:
-        raise InputError("expected a commutative product")
+        raise InputError("the associativity check applies to commutative products")
     require(check_associative(algebra), "product is not associative")
     d = algebra.dim
     for i in range(1, d + 1):
@@ -535,6 +536,99 @@ def naive_check_assoc_reynolds(algebra, op):
             if lhs != rhs:
                 return fail("assoc-reynolds", {"pair": (i, j)}, lhs, rhs)
     return ok("assoc-reynolds")
+
+
+def naive_fd_sum(algebra, f_vals, d_units, units):
+    """The former ``constructions._fd_sum``: sum_i (-1)^i f_i ([Dy_a, y_b] -
+    [Dy_b, y_a]) over the three slots i, with a < b the other two."""
+    acc = vec_zero(algebra.dim)
+    for i in range(3):
+        a, b = [k for k in range(3) if k != i]
+        minor = vec_sub(algebra.bracket([d_units[a], units[b]]), algebra.bracket([d_units[b], units[a]]))
+        acc = vec_add(acc, vec_scale(sign(i) * f_vals[i], minor))
+    return acc
+
+
+def naive_three_lie_from_f_D(algebra, functional, deriv):
+    """The former ``constructions.three_lie_from_f_D`` body: f(D(x).y) =
+    f(x.D(y)) checked on every ordered basis pair, then the determinant with
+    rows (f-values, D-images, elements) written out on dense vectors; the
+    reference for the functional extension of [.]_D."""
+    require(naive_is_derivation(algebra, deriv), "operator is not a derivation")
+    d = algebra.dim
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            x, y = algebra.units((i, j))
+            lhs = functional(algebra.bracket([deriv.apply(x), y]))
+            rhs = functional(algebra.bracket([x, deriv.apply(y)]))
+            if lhs != rhs:
+                raise PreconditionError(f"functional is not balanced against the derivation at pair {(i, j)}")
+
+    def value(tup):
+        units = algebra.units(tup)
+        return naive_fd_sum(algebra, [functional(u) for u in units], [deriv.apply(u) for u in units], units)
+
+    return algebra_from_bracket_function(3, d, value, basis_names=algebra.basis_names)
+
+
+def naive_det3_fd_check(algebra, op, functional, deriv):
+    """The former ``constructions.check_reynolds_on_det_3lie`` on the fd
+    variant: the determinant with rows (f-values, D(R.)-images, R-images)
+    on every basis triple, then R checked on the 3-Lie algebra; the
+    reference for the lift sum on [.]_D before R is applied."""
+    require(naive_check_assoc_reynolds(algebra, op), "operator fails the binary Reynolds law")
+    if op @ deriv != deriv @ op:
+        raise PreconditionError("operators R, D do not commute")
+    three = naive_three_lie_from_f_D(algebra, functional, deriv)
+    for tup in increasing_tuples(algebra.dim, 3):
+        units = algebra.units(tup)
+        r_units = [op.apply(u) for u in units]
+        acc = naive_fd_sum(algebra, [functional(u) for u in units], [deriv.apply(r) for r in r_units], r_units)
+        if any(acc):
+            return fail("det3-criterion", {"tuple": tup}, acc, vec_zero(algebra.dim))
+    return naive_check_reynolds(three, op)
+
+
+def derivation_space(algebra):
+    """A basis of the derivations of a commutative product: the nullspace of
+    D(x.y) - D(x).y - x.D(y) on the basis pairs, in the d^2 entries of D
+    (entry (r, c) at r*d + c)."""
+    d = algebra.dim
+    rows = []
+    for i, j in algebra.basis_tuples():
+        xy = algebra.bracket_on_basis((i, j))
+        for r in range(d):
+            row = [0] * (d * d)
+            for c in range(d):
+                row[r * d + c] += xy[c]
+                row[c * d + i - 1] -= algebra.bracket_on_basis((c + 1, j))[r]
+                row[c * d + j - 1] -= algebra.bracket_on_basis((i, c + 1))[r]
+            rows.append(row)
+    return [Matrix([v[r * d:(r + 1) * d] for r in range(d)]) for v in Matrix(rows).nullspace_basis()]
+
+
+def commuting_derivations(basis, deriv):
+    """A basis of the derivations that commute with ``deriv``, from a basis
+    of all derivations."""
+    cols = [[a for row in (e @ deriv - deriv @ e).entries for a in row] for e in basis]
+    return [rand_combination(None, basis, v) for v in Matrix.from_columns(cols).nullspace_basis()]
+
+
+def balanced_functionals(algebra, deriv):
+    """A basis of the functionals with f(D(x).y) = f(x.D(y)) on all x, y."""
+    units = algebra.units(range(1, algebra.dim + 1))
+    rows = [vec_sub(algebra.bracket([deriv.apply(x), y]), algebra.bracket([x, deriv.apply(y)]))
+            for x in units for y in units]
+    return Matrix(rows).nullspace_basis()
+
+
+def rand_combination(rng, basis, coeffs=None):
+    """sum_k c_k b_k over matrices or vectors, with seeded c_k in -2..2
+    unless ``coeffs`` gives them."""
+    coeffs = coeffs if coeffs is not None else [rng.randint(-2, 2) for _ in basis]
+    if isinstance(basis[0], Matrix):
+        return reduce(lambda acc, term: acc + term, (b.scale(c) for c, b in zip(coeffs, basis)))
+    return reduce(vec_add, (vec_scale(c, b) for c, b in zip(coeffs, basis)))
 
 
 def naive_matrix_for_wedge(rho, wedge_elem):

@@ -5,9 +5,11 @@ from collections import Counter
 from nliealg import cli
 from nliealg.algebra import adjoint_representation
 from nliealg.cli import run_command
+from nliealg.constructions import LinearFunctional
 from nliealg.documents import (
     algebra_document,
     emit_document,
+    functional_document,
     ns_document,
     operator_document,
     representation_document,
@@ -340,3 +342,44 @@ def test_every_subcommand_on_lie3_with_exactly_its_flags(docs, tmp_path, lie3, f
                 assert run_command(argv + [flag, str(paths[cli.FLAG_KINDS[flag]])]) == (None, 2), (argv, flag)
     # most commands run to a PASS on these inputs, so the sweep is not vacuous
     assert len(leaves) == len(cli.COMMANDS) and codes[0] > len(leaves) // 2
+
+
+def test_deform_reads_every_document_before_judging(docs, tmp_path):
+    """deform reads --witness with its other documents: a repeated --witness
+    exits 2 although the direction fails the cocycle test."""
+    direction = tmp_path / "s.json"
+    direction.write_text(emit_document(operator_document(Matrix([[0, 1, 0], [0, 0, 0], [5, 0, 0]]))))
+    argv = ["deform", "--algebra", docs["g.json"], "--reynolds", docs["r1.json"], "--direction", str(direction)]
+    report, code = run_command(argv)
+    assert code == 1 and not report.verdicts[0].passed
+    report, code = run_command(argv + ["--witness", "/no/such", "--witness", "/no/such2"])
+    assert code == 2 and report.notes == ["error: exactly one --witness document is required"]
+
+
+def test_deform_refuses_a_witness_of_another_size(docs, tmp_path):
+    """A witness declared for another dim or arity than the algebra's is an
+    input error, not a witness to judge."""
+    argv = ["deform", "--algebra", docs["g.json"], "--reynolds", docs["zero3.json"],
+            "--direction", docs["zero3.json"], "--witness"]
+    for arity, dim, on, code in ((2, 3, [1], 0), (2, 2, [1], 2), (2, 5, [1], 2), (3, 3, [1, 2], 2)):
+        witness = tmp_path / f"x{arity}{dim}.json"
+        witness.write_text(json.dumps({"kind": "wedge_element", "dim": dim, "arity": arity,
+                                       "terms": [{"on": on, "coeff": "1"}]}))
+        report, got = run_command(argv + [str(witness)])
+        assert got == code, (arity, dim)
+        if code == 2:
+            assert report.notes == [f"error: witness of (arity, dim) {(arity, dim)} on an algebra of (arity, dim) (2, 3)"]
+
+
+def test_det3_refuses_a_product_that_is_not_commutative(docs, tmp_path):
+    """On the Lie algebra lie3 every variant of det3 exits 2 before any
+    construction, fd with D = ad_e1 and f = e1* among them."""
+    ad1, e1 = tmp_path / "ad1.json", tmp_path / "e1.json"
+    ad1.write_text(emit_document(operator_document(Matrix([[0, 0, 0], [0, 1, 0], [0, 0, 0]]))))
+    e1.write_text(emit_document(functional_document(LinearFunctional([1, 0, 0]))))
+    for variant in ("fd", "dd", "ddd"):
+        argv = ["construct", "det3", "--algebra", docs["g.json"], "--variant", variant]
+        argv += ["--operator", str(ad1)] * variant.count("d") + ["--functional", str(e1)] * ("f" in variant)
+        report, code = run_command(argv)
+        assert code == 2, variant
+        assert report.notes == ["error: the determinant 3-Lie construction applies to commutative products"]

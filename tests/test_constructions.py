@@ -22,16 +22,23 @@ from nliealg.constructions import (
     three_lie_from_two_derivations,
 )
 from nliealg.documents import algebra_document, emit_document, functional_document, operator_document
-from nliealg.errors import InputError, InternalConsistencyError, NLieError, PreconditionError
+from nliealg.errors import InputError, InternalConsistencyError, NLieError, NotInvertibleError, PreconditionError
 from nliealg.linalg import Matrix
 from nliealg.reynolds import check_reynolds, derivation_to_reynolds, induced_bracket
 from nliealg.verdict import spelled
 
 from conftest import (
+    balanced_functionals,
+    commuting_derivations,
+    derivation_space,
     euler_derivation,
     naive_check_assoc_reynolds,
     naive_corollary_bracket,
+    naive_det3_fd_check,
     naive_lift_criterion,
+    naive_three_lie_from_f_D,
+    rand_combination,
+    rand_matrix,
     rand_vector,
     report_bytes,
     trunc_xyz,
@@ -404,3 +411,53 @@ def test_corrupted_extension_walk_trips_the_corollary_check(lie3, family1, trace
         f"double sum {spelled(good)}, induced {spelled(bad)}"
     )
     assert "/2" in spelled(bad) and "Fraction" not in str(caught.value)
+
+
+def test_f_D_bracket_matches_naive_oracle(trunc_xy, trunc_x3, rng):
+    """``three_lie_from_f_D``, the functional extension of [.]_D, gives the
+    bytes of the determinant written out, or the same error with the same
+    first failing pair: on seeded derivations with balanced and unbalanced
+    functionals, and on operators that are not derivations."""
+    seen = Counter()
+    for alg in (trunc_xy, trunc_x3, trunc_xyz()):
+        basis = derivation_space(alg)
+        for _ in range(5):
+            deriv = rand_combination(rng, basis)
+            balanced = balanced_functionals(alg, deriv)
+            functionals = [rand_combination(rng, balanced) for _ in range(2)] + [rand_vector(rng, alg.dim)]
+            cases = [(f, deriv) for f in functionals] + [(functionals[0], deriv + rand_matrix(rng, alg.dim))]
+            for coefficients, op in cases:
+                f = LinearFunctional(coefficients)
+                got = outcome(three_lie_from_f_D, alg, f, op)
+                assert got == outcome(naive_three_lie_from_f_D, alg, f, op), (alg.dim, coefficients, op)
+                seen["built" if isinstance(got, str) else got[1].split(" at pair")[0]] += 1
+    assert set(seen) == {"built", "functional is not balanced against the derivation",
+                         "operator is not a derivation"}
+
+
+def test_det3_fd_criterion_matches_naive_oracle(trunc_xy, trunc_x3, rng):
+    """``check_reynolds_on_det_3lie`` on 'fd' gives the verdict and the
+    counterexample of the determinant criterion written out, for
+    assoc-Reynolds operators that commute with D: zero, Id, the series
+    operator Id - xy d/dx (which fails, ``test_series_operator_fails_fd_criterion``)
+    and (Id + E)^-1 for seeded derivations E."""
+    cases = [(trunc_xy, Matrix.identity(4) - d0_op(), [1, 0, 0, 0], d1_op())]
+    for alg in (trunc_xy, trunc_x3, trunc_xyz()):
+        basis = derivation_space(alg)
+        for _ in range(3):
+            deriv = rand_combination(rng, basis)
+            ops, commuting = [Matrix.zero(alg.dim), Matrix.identity(alg.dim)], commuting_derivations(basis, deriv)
+            for _ in range(3):
+                try:
+                    ops.append(derivation_to_reynolds(alg, rand_combination(rng, commuting)))
+                except NotInvertibleError:
+                    pass
+            balanced = balanced_functionals(alg, deriv)
+            cases += [(alg, op, rand_combination(rng, balanced), deriv) for op in ops for _ in range(2)]
+    seen = Counter()
+    for alg, op, coefficients, deriv in cases:
+        f = LinearFunctional(coefficients)
+        got = outcome(check_reynolds_on_det_3lie, alg, op, "fd", (f, deriv))
+        assert got == outcome(naive_det3_fd_check, alg, op, f, deriv), (alg.dim, coefficients, op, deriv)
+        seen['"passed": true' in got if isinstance(got, str) else got] += 1
+    assert set(seen) == {True, False}

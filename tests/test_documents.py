@@ -120,13 +120,14 @@ def test_wedge_element_merges_terms():
         {"on": [1, 2], "coeff": "1/2"},
         {"on": [1, 3], "coeff": "0"},
     ]}
-    assert parse_document(json.dumps(doc)) == {(1, 2): Fraction(1)}
+    assert parse_document(json.dumps(doc)) == (3, 3, {(1, 2): Fraction(1)})
 
 
 def test_wedge_element_round_trip():
+    """The parser gives back the arity, dim and terms the emitter took."""
     terms = {(1, 2): Fraction(1, 2), (2, 3): -3}
-    text = emit_document(wedge_document(3, 3, terms))
-    assert parse_document(text, expect="wedge_element") == terms
+    text = emit_document(wedge_document(3, 4, terms))
+    assert parse_document(text, expect="wedge_element") == (3, 4, terms)
     assert json.loads(text)["terms"] == [{"on": [1, 2], "coeff": "1/2"}, {"on": [2, 3], "coeff": "-3"}]
 
 

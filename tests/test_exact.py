@@ -11,6 +11,7 @@ inputs like the benchmark's.
 import ast
 import json
 import pathlib
+from collections import Counter
 from fractions import Fraction
 
 from nliealg.algebra import (
@@ -114,6 +115,35 @@ def test_every_imported_name_is_read():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
                 names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
                 unused += [(path.parent.name, path.name, name) for name in names if name not in read]
+    assert unused == []
+
+
+def _identifiers(tree):
+    """Each name read or written under ``tree``, as a Name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_private_definition_is_named_elsewhere():
+    """Every ``_private`` function, class or method defined at module or
+    class level in ``src/`` is named somewhere in ``src/`` outside its own
+    definition: a helper whose last caller is gone is deleted with it."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    named = Counter(name for tree in trees for name in _identifiers(tree))
+    unused = []
+    for path, tree in zip(SOURCES, trees):
+        scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in (node for scope in scopes for node in scope.body):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                inside = sum(1 for name in _identifiers(node) if name == node.name)
+                if named[node.name] == inside:
+                    unused.append((path.name, node.name))
+    assert len(named) > 500
     assert unused == []
 
 
