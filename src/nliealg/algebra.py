@@ -252,7 +252,7 @@ def check_filippov(algebra):
     kernel each (ad_xs = 0 passes trivially)."""
     algebra.require_alternating("Filippov check")
     d = algebra.dim
-    scale, values, ad_cols = _integer_brackets(algebra)
+    scale, values, ad_cols = integer_brackets(algebra)
     hats = hatted(algebra.basis_tuples(), True)
     for xs, cols in ad_cols.items():
         failure = any(cols) and _leibniz_failure(hats, values, ad_cols, cols, d)
@@ -269,7 +269,7 @@ def is_derivation(algebra, op):
     if op.rows != d or op.cols != d:
         raise InputError("operator dimension mismatch")
     op._require_rational("derivation check")
-    scale, values, ad_cols, cols = _integer_brackets(algebra, dict(enumerate(zip(*op.entries))))
+    scale, values, ad_cols, cols = integer_brackets(algebra, dict(enumerate(zip(*op.entries))))
     hats = hatted(algebra.basis_tuples(), algebra.symmetry == ALTERNATING)
     failure = _leibniz_failure(hats, values, ad_cols, cols, d)
     if failure:
@@ -290,7 +290,7 @@ def check_representation(algebra, rho):
     for mat in rho.tables.values():
         mat._require_rational("representation check")
     columns = {(xs, j): col for xs, mat in rho.tables.items() for j, col in enumerate(zip(*mat.entries))}
-    scale, values, ad_cols, columns = _integer_brackets(algebra, columns)
+    scale, values, ad_cols, columns = integer_brackets(algebra, columns)
     width = dv * dv
     flat, product = tabulated_products({xs: [columns.get((xs, j), []) for j in range(dv)] for xs in ad_cols}, dv)
     mixed = extensions(d, n - 2)
@@ -311,13 +311,14 @@ def check_representation(algebra, rho):
     return ok("representation")
 
 
-def _integer_brackets(algebra, *tables):
-    """(D^2, values, ad_cols, *tables): the brackets and {key: vector}
-    ``tables`` as ``int`` supports, and the columns of each ad_xs."""
+def integer_brackets(algebra, *tables):
+    """(D, values, ad_cols, *tables): the brackets and {key: vector}
+    ``tables`` scaled to ``int`` by one D, the lcm of their denominators, as
+    supports, and the columns of each D ad_xs."""
     scale, scaled = integer_scale([algebra.brackets, *tables])
     values, *tables = [{key: support(vec) for key, vec in table.items()} for table in scaled]
     tuples = increasing_tuples(algebra.dim, algebra.arity - 1)
-    return (scale * scale, values, ad_columns(values, tuples, algebra.dim, algebra.symmetry == ALTERNATING), *tables)
+    return (scale, values, ad_columns(values, tuples, algebra.dim, algebra.symmetry == ALTERNATING), *tables)
 
 
 def ad_columns(values, tuples, d, alternating=True):
@@ -403,9 +404,10 @@ def _holds(lhs, rhs, width):
     return not any(combine(lhs[0] + [-c for c in rhs[0]], lhs[1] + rhs[1], width))
 
 
-def _unscaled(terms, width, d2):
-    """A sum of (coefficients, supports) terms, divided by ``d2``."""
-    return [rational(Fraction(x, d2)) for x in combine(*terms, width)]
+def _unscaled(terms, width, scale):
+    """A sum of (coefficients, supports) terms of an identity of degree 2,
+    divided by ``scale`` squared."""
+    return [rational(Fraction(x, scale * scale)) for x in combine(*terms, width)]
 
 
 def ad(algebra, wedge_elem):

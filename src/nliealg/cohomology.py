@@ -6,6 +6,13 @@ are stored as flat coefficient tuples in lexicographic basis order
 (I_1, ..., I_{m-1}, j, v).  Degree 0 of the Reynolds complex is
 Lambda^{n-1}(g) itself.
 
+The complex of R is read off two matrices per increasing (n-1)-tuple J,
+A_J = ad(Re_J1 ^ ... ^ Re_J(n-1)) and
+H_J = ad(sum_i Re_J1 ^ .. e_Ji .. ^ Re_J(n-1) - Re_J1 ^ ... ^ Re_J(n-1)):
+rho_R(e_J) = A_J - R H_J, [e_J, e_j]_R = H_J Re_j + A_J e_j for j > J_(n-1),
+the Reynolds identity at J + (j) is A_J Re_j = R[e_J, e_j]_R, and
+delta_R(e_J) = R ad_J - R ad_J R - ad_J R.
+
 ``ReynoldsComplex.dimensions`` runs in ``int``: for D != 0, (D [.]_R, D rho_R)
 is again an n-Lie algebra with a representation (each identity involved is
 homogeneous of degree 2 in the two), whose coboundary is D d_m.  With D the
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import add, sub
 
 from .algebra import (
@@ -25,12 +33,13 @@ from .algebra import (
     _action,
     ad,
     fundamental_action,
+    integer_brackets,
     support,
-    unit_supports,
+    wedge_add_term,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError
-from .linalg import Matrix, integer_scale, vec_add, vec_scale, vec_sub, vec_zero
-from .reynolds import basis_images, check_reynolds, induced_bracket, induced_value
+from .linalg import Matrix, combine, vec_add, vec_scale, vec_zero
+from .reynolds import check_reynolds
 from .rings import QQ_ONE, QQ_ZERO, rational, sign
 from .verdict import require
 from .wedge import WedgeBasis
@@ -192,25 +201,69 @@ def _accumulate(vec, c, terms, val):
 
 def reynolds_representation(algebra, op):
     """The action rho_R making (g; rho_R) a representation of (g, [.]_R)."""
-    require(check_reynolds(algebra, op), "operator is not a Reynolds operator")
-    return tabulate_reynolds_representation(algebra, op)
+    return ReynoldsComplex(algebra, op).rho
 
 
-def tabulate_reynolds_representation(algebra, op):
-    """rho_R of an operator the caller has already verified, from the basis
-    images' supports with R applied once per column:
-    rho_R(e_I) e_j = [Re_I, e_j] - R(induced_value(e_I; e_j))."""
-    n, d = algebra.arity, algebra.dim
-    images = [support(v) for v in basis_images(algebra, op)[1]]
-    tables = {}
-    for tup in WedgeBasis(d, n - 1):
-        units, top = unit_supports(tup), [images[i - 1] for i in tup]
-        cols = []
-        for last in unit_supports(range(1, d + 1)):
-            val, rest = induced_value(algebra, units, top, [last])
-            cols.append(vec_sub(val, op.apply(rest)))
-        tables[tup] = Matrix.from_columns(cols)
-    return RepresentationTable(n, d, d, tables)
+def reynolds_tables(algebra, op, scale, ad, images):
+    """(t, brackets, columns): t [.]_R on the increasing n-tuples and the
+    columns of each t rho_R(e_J), in ``int``, from A_J and H_J on the
+    ``_integer_operators`` of R, with t = D^(n+1).  At the first J + (j), in
+    ``basis_tuples`` order, where the Reynolds identity fails,
+    ``check_reynolds`` forms the counterexample (and must fail there too)."""
+    d = algebra.dim
+    brackets, columns = {}, {}
+    for tup, (top, hat) in _image_wedges(images, algebra.arity - 1, scale).items():
+        a, h = _ad_of(top, ad, d), _ad_of(hat, ad, d)
+        columns[tup] = [combine([scale] + [-c for _, c in col], [a[j]] + [images[k] for k, _ in col], d)
+                        for j, col in enumerate(h)]
+        for j in range(tup[-1], d):
+            value = combine([scale] + [c for _, c in images[j]], [a[j]] + [h[k] for k, _ in images[j]], d)
+            if [scale * x for x in _apply(a, images[j], d)] != _apply(images, support(value), d):
+                require(check_reynolds(algebra, op), "operator is not a Reynolds operator")
+                raise InternalConsistencyError(f"the Reynolds walk passes, the tables fail at {tup + (j + 1,)}")
+            brackets[tup + (j + 1,)] = value
+    return scale ** (algebra.arity + 1), brackets, columns
+
+
+def _integer_operators(algebra, op):
+    """(D, ad, images): the column supports of D ad_K for each increasing
+    (n-1)-tuple K and those of S = D op, D the lcm of all denominators."""
+    d = algebra.dim
+    if op.rows != d or op.cols != d:
+        raise InputError("operator dimension mismatch")
+    scale, _, ad, images = integer_brackets(algebra, dict(enumerate(zip(*op.entries))))
+    return scale, ad, [images[j] for j in range(d)]
+
+
+def _image_wedges(images, k, scale):
+    """{J: (A, H)}: the wedges of A_J and H_J (times D^k) for each increasing
+    k-tuple J, from its prefix: (A, H) ^ e_j = (A ^ Se_j, H ^ Se_j + A ^ De_j)."""
+    d, level = len(images), {(): ({(): 1}, {(): -1})}
+    for _ in range(k):
+        level = {key + (j,): (_wedge(top, images[j - 1], d),
+                              _wedge(hat, images[j - 1], d, _wedge(top, [(j - 1, scale)], d)))
+                 for key, (top, hat) in level.items() for j in range(key[-1] + 1 if key else 1, d + 1)}
+    return level
+
+
+def _wedge(elem, vec, d, acc=None):
+    """``acc`` plus elem ^ v, for v given by its support."""
+    acc = {} if acc is None else acc
+    for key, a in elem.items():
+        for k, b in vec:
+            wedge_add_term(acc, key + (k + 1,), a * b, d)
+    return acc
+
+
+def _ad_of(wedge, ad, d):
+    """The column supports of ad(X) for a wedge element X, from those of each ad_K."""
+    coeffs = list(wedge.values())
+    return [support(combine(coeffs, [ad[key][j] for key in wedge], d)) for j in range(d)]
+
+
+def _apply(cols, vec, d):
+    """M v for M given by the supports of its columns and v by its support."""
+    return combine([c for _, c in vec], [cols[k] for k, _ in vec], d)
 
 
 def delta_r_operator(algebra, op, x_wedge):
@@ -229,16 +282,24 @@ class ReynoldsComplex:
         op._require_rational("the Reynolds complex")
         self.base = algebra
         self.op = op
-        self.induced = induced_bracket(algebra, op)
-        self.rho = tabulate_reynolds_representation(algebra, op)
         self.wedge = WedgeBasis(algebra.dim, algebra.arity - 1)
         n, d = algebra.arity, algebra.dim
-        flat = {key: [c for row in mat.entries for c in row] for key, mat in self.rho.tables.items()}
-        self._scale, (brackets, flat) = integer_scale([self.induced.brackets, flat])
-        self._pair = (self.induced, self.rho) if self._scale == 1 else (
-            NAryAlgebra(n, d, brackets),
-            RepresentationTable(n, d, d, {key: [v[i:i + d] for i in range(0, d * d, d)] for key, v in flat.items()}),
-        )
+        self._operators = _integer_operators(algebra, op)
+        t, brackets, columns = reynolds_tables(algebra, op, *self._operators)
+        g = gcd(t, *(x for vec in brackets.values() for x in vec), *(x for c in columns.values() for v in c for x in v))
+        self._scale = t // g
+
+        def tables(entry):
+            return (
+                NAryAlgebra(n, d, {key: [entry(x) for x in vec] for key, vec in brackets.items()},
+                            basis_names=algebra.basis_names),
+                RepresentationTable(n, d, d, {key: Matrix.from_columns([[entry(x) for x in v] for v in cols])
+                                              for key, cols in columns.items()}),
+            )
+
+        # (D [.]_R, D rho_R) with D = t / g the lcm of the denominators of the exact pair
+        self._pair = tables(lambda x: x // g)
+        self.induced, self.rho = self._pair if self._scale == 1 else tables(lambda x: rational(Fraction(x, t)))
 
     def cochain_dim(self, m):
         d = self.base.dim
@@ -272,7 +333,7 @@ class ReynoldsComplex:
         """(D, D d_m): an integer D > 0 and a matrix of ints."""
         self._require_cells(m, size_guard)
         if m == 0:
-            return integer_delta(self.base, self.op)
+            return _delta(self.base.dim, *self._operators)
         return self._scale, self._assemble(m)
 
     def _assemble(self, m):
@@ -385,22 +446,26 @@ class ReynoldsComplex:
 
 def integer_delta(algebra, op):
     """(D, D delta_R): delta_R: C^0 -> C^1 in the flattened bases, one D for
-    the whole matrix (a scale per row would break d_1 d_0 = 0), from
-    delta_R(X) e_j = R([X,e_j] - [X,Re_j]) - [X,Re_j]."""
+    the whole matrix (a scale per row would break d_1 d_0 = 0), read off the
+    columns of each ad_J: delta_R(e_J) = R ad_J - R ad_J R - ad_J R."""
     algebra.require_alternating("delta_R")
     op._require_rational("delta_R")
-    d = algebra.dim
-    images = [support(v) for v in basis_images(algebra, op)[1]]
-    cols = {}
-    for c, tup in enumerate(WedgeBasis(d, algebra.arity - 1)):
-        cols[c] = []
-        for j, image in enumerate(images):
-            moved = algebra.bracket_supports(unit_supports(tup) + [image])
-            rest = vec_sub(algebra.bracket_on_basis(tup + (j + 1,)), moved)
-            cols[c] += vec_sub(op.apply(rest), moved)
-    scale, (cols,) = integer_scale([cols])
-    rows = [{c: col[r] for c, col in cols.items()} for r in range(d * d)]
-    return scale, Matrix.sparse(d * d, len(cols), rows)
+    return _delta(algebra.dim, *_integer_operators(algebra, op))
+
+
+def _delta(d, scale, ad, images):
+    """``integer_delta`` on the ``_integer_operators`` of R."""
+    cols = []
+    for adj in ad.values():
+        col = []
+        for j in range(d):
+            once, moved = _apply(images, adj[j], d), _apply(adj, images[j], d)  # D^2 R[X, e_j], D^2 [X, Re_j]
+            col += [scale * (a - m) - b for a, m, b in zip(once, moved, _apply(images, support(moved), d))]
+        cols.append(col)
+    t = scale ** 3
+    g = gcd(t, *(x for col in cols for x in col))
+    rows = [{c: col[r] // g for c, col in enumerate(cols)} for r in range(d * d)]
+    return t // g, Matrix.sparse(d * d, len(cols), rows)
 
 
 def _matrix_terms(mat):

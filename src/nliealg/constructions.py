@@ -9,11 +9,11 @@ from derivations.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
-from .algebra import SYMMETRIC, NAryAlgebra, algebra_from_bracket_function, is_derivation
+from .algebra import SYMMETRIC, NAryAlgebra, algebra_from_bracket_function, is_derivation, support
 from .errors import InputError, InternalConsistencyError, PreconditionError
-from .linalg import vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
+from .linalg import combine, vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .reynolds import basis_images, check_reynolds, reynolds_values, verified_values
 from .rings import rational, sign
 from .verdict import fail, jsonable, ok, require, spelled
@@ -35,6 +35,12 @@ class LinearFunctional:
             total += c * v
         return total
 
+    def require_dim(self, algebra):
+        """InputError unless the functional is on the algebra's space: checked
+        before any walk, so every route gives the same note."""
+        if self.dim != algebra.dim:
+            raise InputError("functional dimension mismatch")
+
     def vanishes_on_brackets(self, algebra):
         """f([x_1,...,x_n]) = 0, checked on stored structure constants."""
         for tup in increasing_tuples(algebra.dim, algebra.arity):
@@ -50,24 +56,24 @@ def comm_assoc_algebra(dim, products, basis_names=None):
 
 
 def check_associative(algebra):
-    """(xy)z = x(yz) on all basis triples."""
+    """(xy)z = x(yz) on all basis triples, both sides read off the d^2 basis
+    products tabulated once: (e_i e_j) e_k and e_i (e_j e_k), one ``combine`` each."""
     algebra.require_symmetric("the associativity check")
     d = algebra.dim
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            for k in range(1, d + 1):
-                ij = algebra.bracket_on_basis((i, j))
-                jk = algebra.bracket_on_basis((j, k))
-                lhs = algebra.bracket([ij, algebra.units((k,))[0]])
-                rhs = algebra.bracket([algebra.units((i,))[0], jk])
-                if lhs != rhs:
-                    return fail("associativity", {"triple": (i, j, k)}, lhs, rhs)
+    products = [[support(algebra.bracket_on_basis((i, j))) for j in range(1, d + 1)] for i in range(1, d + 1)]
+    for i, j, k in product(range(d), repeat=3):
+        ij, jk = products[i][j], products[j][k]
+        lhs = combine([c for _, c in ij], [products[m][k] for m, _ in ij], d)
+        rhs = combine([c for _, c in jk], [products[i][m] for m, _ in jk], d)
+        if lhs != rhs:
+            return fail("associativity", {"triple": (i + 1, j + 1, k + 1)}, lhs, rhs)
     return ok("associativity")
 
 
 def extend_by_functional(algebra, functional):
     """{x_1,...,x_{n+1}} = sum_i (-1)^{i-1} f(x_i) [x_1,...,^x_i,...,x_{n+1}]."""
     algebra.require_alternating("the functional extension")
+    functional.require_dim(algebra)
     extension = _extension(algebra, functional)
     require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
     return extension
@@ -75,8 +81,6 @@ def extend_by_functional(algebra, functional):
 
 def _extension(algebra, functional):
     """``extend_by_functional`` without the vanishing check."""
-    if functional.dim != algebra.dim:
-        raise InputError("functional dimension mismatch")
     n, d = algebra.arity, algebra.dim
 
     def value(tup):
@@ -104,6 +108,7 @@ def _lift(algebra, op, functional):
     algebra.  On PASS ``values`` is the walk ``reynolds_values`` gives on the
     extended algebra (a failing walk there is a bug); on FAIL it is None."""
     algebra.require_alternating("the functional extension")
+    functional.require_dim(algebra)
     base = verified_values(algebra, op)
     require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
     for tup, acc in _lift_sums(algebra, base, functional):
@@ -210,6 +215,7 @@ def _require_commuting(pairs):
 def three_lie_from_f_D(algebra, functional, deriv):
     """Determinant bracket with rows (f-values, D-images, elements): the
     functional extension of [x,y]_D (``lie_from_derivation``)."""
+    functional.require_dim(algebra)
     return _balanced_extension(lie_from_derivation(algebra, deriv), functional)
 
 
@@ -294,8 +300,10 @@ def check_reynolds_on_det_3lie(algebra, op, variant, data):
     only when it vanishes on every triple.
     variant 'dd': data = (D1, D2).  variant 'ddd': data = (D1, D2, D3).
     """
-    require(check_assoc_reynolds(algebra, op), "operator fails the binary Reynolds law")
     fd = variant == "fd"
+    if fd and len(data) == 2:
+        data[0].require_dim(algebra)
+    require(check_assoc_reynolds(algebra, op), "operator fails the binary Reynolds law")
     names = ["D"] if fd else ["D1", "D2", "D3"]
     _require_commuting([(f"R, {name}", op, deriv) for name, deriv in zip(names, data[1:] if fd else data)])
     if not fd or len(data) != 2:  # three_lie_algebra refuses fd data of another length

@@ -129,7 +129,6 @@ def _check_ns(ns, angle):
     ys_range = increasing_tuples(d, n)
     curly = {prefix + (j,): vec for (prefix, j), vec in ns.curly_table.items()}
     scale, (curly, square, angles) = integer_scale([curly, ns.square.brackets, angle.brackets])
-    d2 = scale * scale
     # supports of the square and angle values on n-tuples, and of the columns
     # of C_I, S_I and A_I, and of F_I: v -> {v, e_I[:-1], e_I[-1]} (axiom 2)
     square_y = {ys: support(square.get(ys, ())) for ys in ys_range}
@@ -142,7 +141,7 @@ def _check_ns(ns, angle):
     failure = _commutator_failure(a_cols, extensions(d, n - 2), flat, product, d * d)
     if failure:
         xs, ys, lhs, yx, action = failure
-        lhs, rhs = _unscaled(lhs, d * d, d2), _unscaled((yx[0] + action[0], yx[1] + action[1]), d * d, d2)
+        lhs, rhs = _unscaled(lhs, d * d, scale), _unscaled((yx[0] + action[0], yx[1] + action[1]), d * d, scale)
         j = next(j for j in range(d) if lhs[j::d] != rhs[j::d])
         return fail("ns-axiom-1", {"x": xs, "y": ys, "last": j + 1}, lhs[j::d], rhs[j::d])
     hats = hatted(ys_range, True)
@@ -156,7 +155,7 @@ def _check_ns(ns, angle):
                 [c_cols[rest][m] for rest, _, y in hats[ys] for m, _ in f[y]],
             )
             if not _holds(lhs, rhs, d):
-                return fail("ns-axiom-2", {"x": xs, "y": ys}, _unscaled(lhs, d, d2), _unscaled(rhs, d, d2))
+                return fail("ns-axiom-2", {"x": xs, "y": ys}, _unscaled(lhs, d, scale), _unscaled(rhs, d, scale))
     # axiom 3: S_x <y> = -C_x [y] + sum_j (-1)^{n-1-j} (S_{y^j} A_x e_{y_j} + C_{y^j} S_x e_{y_j})
     for xs in xs_range:
         for ys in ys_range:
@@ -170,7 +169,7 @@ def _check_ns(ns, angle):
                 + [c_cols[rest][m] for rest, _, y in hats[ys] for m, _ in s_cols[xs][y]],
             )
             if not _holds(lhs, rhs, d):
-                return fail("ns-axiom-3", {"x": xs, "y": ys}, _unscaled(lhs, d, d2), _unscaled(rhs, d, d2))
+                return fail("ns-axiom-3", {"x": xs, "y": ys}, _unscaled(lhs, d, scale), _unscaled(rhs, d, scale))
     return ok("ns-axioms")
 
 

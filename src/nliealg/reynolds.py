@@ -22,23 +22,18 @@ from .rings import sign
 from .verdict import fail, ok, require
 
 
-def induced_value(algebra, units, images, tail=()):
-    """([Rx_1,...,Rx_k, t], sum_i [Rx_1,...,x_i,...,Rx_k, t] - [Rx_1,...,Rx_k, t]),
-    with every argument given by its support: ``units`` those of x_1..x_k,
-    ``images`` those of Rx_1..Rx_k, and ``tail`` those of the fixed
-    trailing arguments t, k + len(tail) = n.
+def induced_value(algebra, units, images):
+    """([Rx_1,...,Rx_n], [x_1,...,x_n]_R), every argument given by its
+    support: ``units`` those of x_1..x_n and ``images`` those of Rx_1..Rx_n.
 
-    With no tail the second value is the induced bracket [x_1,...,x_n]_R,
-    and R of it is the right-hand side of the Reynolds identity: the hatted
+    The second value is sum_i [Rx_1,...,x_i,...,Rx_n] - [Rx_1,...,Rx_n], and
+    R of it is the right-hand side of the Reynolds identity: the hatted
     form, with x_i moved back into slot i, absorbs the (-1)^{n-i} sign.
-    With the tail x and X = x_1 ^ ... ^ x_{n-1} it gives the representation
-    of the Reynolds complex: rho_R(X)x = [RX, x] - R(induced_value(X; x)).
     """
-    tail = list(tail)
-    top = algebra.bracket_supports(images + tail)
+    top = algebra.bracket_supports(images)
     acc = vec_zero(algebra.dim)
     for i, unit in enumerate(units):
-        acc = vec_add(acc, algebra.bracket_supports(images[:i] + [unit] + images[i + 1:] + tail))
+        acc = vec_add(acc, algebra.bracket_supports(images[:i] + [unit] + images[i + 1:]))
     return top, vec_sub(acc, top)
 
 

@@ -39,7 +39,6 @@ from nliealg.algebra import (
 from nliealg.cohomology import Cochain, coboundary, delta_r_operator
 from nliealg.constructions import (
     LinearFunctional,
-    check_associative,
     comm_assoc_algebra,
     extend_by_functional,
 )
@@ -518,12 +517,29 @@ def naive_corollary_bracket(algebra, op, functional):
     return result
 
 
+def naive_check_associative(algebra):
+    """The former ``constructions.check_associative`` body: (xy)z = x(yz) on
+    all basis triples, two dense ``bracket`` calls per triple."""
+    algebra.require_symmetric("the associativity check")
+    d = algebra.dim
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            for k in range(1, d + 1):
+                ij = algebra.bracket_on_basis((i, j))
+                jk = algebra.bracket_on_basis((j, k))
+                lhs = algebra.bracket([ij, algebra.units((k,))[0]])
+                rhs = algebra.bracket([algebra.units((i,))[0], jk])
+                if lhs != rhs:
+                    return fail("associativity", {"triple": (i, j, k)}, lhs, rhs)
+    return ok("associativity")
+
+
 def naive_check_assoc_reynolds(algebra, op):
     """The former ``constructions.check_assoc_reynolds`` body, on dense
     vectors: Rx.Ry = R(Rx.y + x.Ry - Rx.Ry) on all basis pairs."""
     if algebra.symmetry != SYMMETRIC:
         raise InputError("the associativity check applies to commutative products")
-    require(check_associative(algebra), "product is not associative")
+    require(naive_check_associative(algebra), "product is not associative")
     d = algebra.dim
     for i in range(1, d + 1):
         for j in range(i, d + 1):
@@ -696,7 +712,7 @@ def naive_coboundary(algebra, rho, cochain):
 
 def naive_reynolds_representation(algebra, op):
     """rho_R with R applied n times per column to brackets of dense
-    vectors; the reference for ``cohomology.tabulate_reynolds_representation``."""
+    vectors; the reference for rho_R of ``cohomology.reynolds_tables``."""
     n, d = algebra.arity, algebra.dim
     tables = {}
     for tup in increasing_tuples(d, n - 1):

@@ -29,8 +29,9 @@ from nliealg.cli import run_command
 from nliealg.documents import algebra_document, emit_document, operator_document
 from nliealg.errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError, UnsupportedRingError
 from nliealg.linalg import Matrix, unit_vector
-from nliealg.reynolds import derivation_to_reynolds, induced_bracket
+from nliealg.reynolds import check_reynolds, derivation_to_reynolds, induced_bracket
 from nliealg.rings import EPS, Dual
+from nliealg.verdict import ok
 from nliealg.wedge import WedgeBasis
 
 from conftest import (
@@ -351,11 +352,15 @@ def test_assemble_forms_pair_actions_only_from_degree_2(lie3, family1, monkeypat
 
 
 def _tabulation_cases():
-    """Every oracle case, and seeded dense conjugates of three of them."""
+    """Every oracle case, seeded dense conjugates of three of them, and the
+    simple 4-Lie algebra A_5, where the wedges of R-images have three slots."""
     cases = {name: case[:2] for name, case in ORACLE_CASES.items()}
     for name in ("lie3/family2", "a4/ad12", "sl2_like/zero"):
         for s in (7, 8):
             cases[f"{name}/conjugate{s}"] = conjugate(*ORACLE_CASES[name][:2], random.Random(s))
+    a5 = simple_n_lie(4)
+    cases["a5/ad123"] = a5, derivation_to_reynolds(a5, ad(a5, wedge_single((1, 2, 3), 5)))
+    cases["a5/ad123/conjugate3"] = conjugate(*cases["a5/ad123"], random.Random(3))
     return cases
 
 
@@ -366,8 +371,45 @@ TABULATION_CASES = _tabulation_cases()
 def test_rho_and_delta_equal_naive_oracles(case):
     alg, op = TABULATION_CASES[case]
     cx = ReynoldsComplex(alg, op)
+    assert cx.induced == induced_bracket(alg, op)
     assert cx.rho.tables == naive_reynolds_representation(alg, op).tables
     assert Matrix(cx.delta_matrix().entries) == naive_delta_matrix(alg, op)
+
+
+def test_a_non_reynolds_operator_fails_the_tabulation_as_it_fails_the_walk(monkeypatch):
+    """An operator one entry away from each tabulation case raises the
+    ``PreconditionError`` of ``reynolds.verified_values``, with the same note
+    and counterexample (the first failing tuple in ``basis_tuples`` order and
+    both sides), before any differential is built."""
+    def untouched(*_):
+        raise AssertionError("built a differential")
+
+    monkeypatch.setattr(cohomology_module, "_delta", untouched)
+    monkeypatch.setattr(ReynoldsComplex, "_assemble", untouched)
+    rng = random.Random(53)
+    tuples = set()
+    for name, (alg, op) in sorted(TABULATION_CASES.items()):
+        d = alg.dim
+        for _ in range(4):
+            i, j = rng.randrange(d), rng.randrange(d)
+            bump = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 3)))
+            moved = op + Matrix.sparse(d, d, [{j: bump} if r == i else {} for r in range(d)])
+            walk = check_reynolds(alg, moved)
+            if walk:  # on the abelian algebra every operator is Reynolds
+                continue
+            for build in (ReynoldsComplex, reynolds_representation):
+                with pytest.raises(PreconditionError, match="^operator is not a Reynolds operator$") as exc:
+                    build(alg, moved)
+                assert exc.value.counterexample == walk.counterexample, name
+            tuples.add(walk.counterexample["where"]["tuple"])
+    # failures past the first tuple of the walk, where its order decides
+    assert {(1, 3), (2, 3), (1, 3, 4)} <= tuples
+
+
+def test_tables_failing_where_the_walk_passes_trip_the_bug_trap(lie3, monkeypatch):
+    monkeypatch.setattr(cohomology_module, "check_reynolds", lambda *_: ok("reynolds"))
+    with pytest.raises(InternalConsistencyError, match=r"the tables fail at \(1, 2\)$"):
+        ReynoldsComplex(lie3, Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def test_integer_pair_is_d_times_the_exact_pair():
@@ -424,8 +466,8 @@ def test_dual_number_operator_is_rejected_before_tabulation(lie3, family1, monke
     def untouched(*_):
         raise AssertionError("tabulated a dual-number operator")
 
-    monkeypatch.setattr("nliealg.cohomology.induced_bracket", untouched)
-    monkeypatch.setattr("nliealg.cohomology.tabulate_reynolds_representation", untouched)
+    monkeypatch.setattr("nliealg.cohomology.reynolds_tables", untouched)
+    monkeypatch.setattr("nliealg.cohomology.integer_brackets", untouched)
     for direction in (Matrix.identity(3), family1):
         with pytest.raises(UnsupportedRingError):
             ReynoldsComplex(lie3, family1 + direction.scale(EPS))

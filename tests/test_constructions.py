@@ -11,6 +11,7 @@ from nliealg.constructions import (
     check_assoc_reynolds,
     check_associative,
     check_reynolds_on_det_3lie,
+    comm_assoc_algebra,
     corollary_bracket,
     det_triple_identity,
     extend_by_functional,
@@ -33,6 +34,7 @@ from conftest import (
     derivation_space,
     euler_derivation,
     naive_check_assoc_reynolds,
+    naive_check_associative,
     naive_corollary_bracket,
     naive_det3_fd_check,
     naive_lift_criterion,
@@ -72,6 +74,25 @@ def test_truncated_algebras_are_associative(trunc_xy, trunc_x3):
     assert check_associative(trunc_xy)
     assert check_associative(trunc_x3)
     assert check_associative(trunc_xyz())
+
+
+def test_check_associative_matches_naive_oracle(trunc_xy, trunc_x3, field_k, rng):
+    """The tabulated check against the two-bracket walk: the same verdict,
+    first failing triple and sides, on the truncated algebras and on seeded
+    sparse commutative products, most of them not associative."""
+    products = [trunc_xy, trunc_x3, trunc_xyz(), field_k]
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        pairs = [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
+        table = {pair: [Fraction(rng.randint(-2, 2), rng.choice((1, 2))) if rng.random() < 0.4 else 0
+                        for _ in range(d)] for pair in rng.sample(pairs, rng.randint(0, len(pairs)))}
+        products.append(comm_assoc_algebra(d, table))
+    triples = Counter()
+    for alg in products:
+        verdict = check_associative(alg)
+        assert verdict == naive_check_associative(alg)
+        triples[verdict.counterexample["where"]["triple"] if not verdict else "pass"] += 1
+    assert triples["pass"] > 4 and len(triples) > 5
 
 
 def test_partial_derivative_scalings_are_derivations(trunc_xy):
@@ -461,3 +482,56 @@ def test_det3_fd_criterion_matches_naive_oracle(trunc_xy, trunc_x3, rng):
         assert got == outcome(naive_det3_fd_check, alg, op, f, deriv), (alg.dim, coefficients, op, deriv)
         seen['"passed": true' in got if isinstance(got, str) else got] += 1
     assert set(seen) == {True, False}
+
+
+def test_det3_fd_criterion_is_the_lift_sum_before_r_is_applied(trunc_xy):
+    """A singular assoc-Reynolds R that commutes with D = x d/dx and whose
+    image meets its kernel: R1 = 1, Rx = xy, Ry = R(xy) = 0.  The lift sum on
+    [.]_D at (1, 2, 3) is -xy, which R kills, so the criterion fails there
+    only because it reads the sum itself, not R of it; R is Reynolds on the
+    3-Lie algebra all the same (the criterion is sufficient, not necessary)."""
+    op = Matrix([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]])
+    functional, deriv = LinearFunctional([1, 0, 1, 0]), d1_op()
+    assert check_assoc_reynolds(trunc_xy, op) and op @ deriv == deriv @ op and op.rank() == 2
+    verdict = check_reynolds_on_det_3lie(trunc_xy, op, "fd", (functional, deriv))
+    assert verdict == naive_det3_fd_check(trunc_xy, op, functional, deriv)
+    assert verdict.check_name == "det3-criterion" and verdict.counterexample["where"] == {"tuple": (1, 2, 3)}
+    assert verdict.counterexample["lhs"] == [0, 0, 0, -1] and op.apply(verdict.counterexample["lhs"]) == [0] * 4
+    assert check_reynolds(three_lie_algebra(trunc_xy, "fd", (functional, deriv)), op)
+
+
+def test_a_functional_of_the_wrong_dimension_is_refused_before_any_walk(lie3, family1, trunc_xy, field_k,
+                                                                        tmp_path, monkeypatch):
+    """Every command that reads --functional exits 2 with one note, on an
+    n-Lie algebra and on commutative products of dimension 4 and 1, and
+    before it walks anything: an operator that is not Reynolds, or not a
+    derivation, is never looked at."""
+    def untouched(*_):
+        raise AssertionError("walked before the dimension check")
+
+    for module, name in ((reynolds, "reynolds_values"), (constructions, "reynolds_values"),
+                         (constructions, "verified_values"), (constructions, "is_derivation"),
+                         (constructions, "check_assoc_reynolds"), (LinearFunctional, "vanishes_on_brackets")):
+        monkeypatch.setattr(module, name, untouched)
+    not_reynolds = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    files = {}
+    for name, doc in (("lie3", algebra_document(lie3)), ("trunc_xy", algebra_document(trunc_xy)),
+                      ("k", algebra_document(field_k)), ("r1", operator_document(family1)),
+                      ("bad_r", operator_document(not_reynolds)), ("zero4", operator_document(Matrix.zero(4))),
+                      ("one4", operator_document(Matrix.identity(4))), ("zero1", operator_document(Matrix.zero(1))),
+                      ("f2", functional_document(LinearFunctional([1, 0]))),
+                      ("f3", functional_document(LinearFunctional([1, 0, 1])))):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(emit_document(doc))
+    argvs = [["construct", "gf", "--algebra", files["lie3"]]]
+    for command in (["check", "lift"], ["construct", "corollary"]):
+        argvs += [command + ["--algebra", files["lie3"], "--operator", files[r]] for r in ("r1", "bad_r")]
+    argvs += [["construct", "det3", "--variant", "fd", "--algebra", files["trunc_xy"], "--operator", files[d]]
+              for d in ("zero4", "one4")]
+    argvs.append(["construct", "det3", "--variant", "fd", "--algebra", files["k"], "--operator", files["zero1"]])
+    for argv in argvs:
+        f = files["f3"] if argv[argv.index("--algebra") + 1] != files["lie3"] else files["f2"]
+        report, code = run_command(argv + ["--functional", f])
+        assert (code, report.notes) == (2, ["error: functional dimension mismatch"]), argv
+    with pytest.raises(InputError, match="^functional dimension mismatch$"):
+        check_reynolds_on_det_3lie(trunc_xy, Matrix.identity(4), "fd", (LinearFunctional([1, 0, 1]), Matrix.zero(4)))
