@@ -4,7 +4,10 @@ An algebra stores its bracket only on canonical index tuples: strictly
 increasing for alternating brackets, non-decreasing for the symmetric
 (commutative associative) variant.  Brackets of basis or arbitrary
 vectors go through ``expand`` (shared with the curly bracket of
-``ns.NSAlgebra``), which sorts each index tuple it meets.
+``ns.NSAlgebra``), which sorts each index tuple it meets.  Operators
+built from the bracket, ad(X) and ad(Te_J1 ^ ... ^ Te_J(n-1)), are read
+off the stored brackets instead, through the columns of each ad_K
+(``ad_table``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from functools import reduce
 from itertools import product
 
 from .errors import InputError
-from .linalg import Matrix, combine, integer_scale, unit_vector, vec_add, vec_is_zero, vec_scale, vec_zero
+from .linalg import Matrix, combine, integer_scale, unit_vector, vec_is_zero
 from .rings import QQ_ONE, QQ_ZERO, rational, sign
 from .verdict import fail, ok, require
 from .wedge import canonicalize_wedge, check_indices, increasing_tuples
@@ -314,11 +317,20 @@ def check_representation(algebra, rho):
 def integer_brackets(algebra, *tables):
     """(D, values, ad_cols, *tables): the brackets and {key: vector}
     ``tables`` scaled to ``int`` by one D, the lcm of their denominators, as
-    supports, and the columns of each D ad_xs."""
+    supports, and the ``ad_table`` of the scaled brackets."""
     scale, scaled = integer_scale([algebra.brackets, *tables])
     values, *tables = [{key: support(vec) for key, vec in table.items()} for table in scaled]
+    return (scale, values, ad_table(algebra, values), *tables)
+
+
+def ad_table(algebra, values=None):
+    """{xs: supports of the columns e_j -> [e_xs, e_j]} for each increasing
+    (n-1)-tuple xs, from the supports ``values`` of the brackets on canonical
+    tuples, by default the stored brackets (exact)."""
+    if values is None:
+        values = {key: support(vec) for key, vec in algebra.brackets.items()}
     tuples = increasing_tuples(algebra.dim, algebra.arity - 1)
-    return (scale, values, ad_columns(values, tuples, algebra.dim, algebra.symmetry == ALTERNATING), *tables)
+    return ad_columns(values, tuples, algebra.dim, algebra.symmetry == ALTERNATING)
 
 
 def ad_columns(values, tuples, d, alternating=True):
@@ -332,6 +344,49 @@ def ad_columns(values, tuples, d, alternating=True):
             negate = alternating and (len(ys) - 1 - i) % 2
             cols[ys[:i] + ys[i + 1:]][ys[i] - 1] = [(k, -c) for k, c in value] if negate else value
     return cols
+
+
+def ad_of(wedge, ad, d):
+    """The columns of ad(X), dense, for X = {increasing tuple: coefficient},
+    from the column supports ``ad`` of each ad_K (an ``ad_table``)."""
+    coeffs = list(wedge.values())
+    return [combine(coeffs, [ad[key][j] for key in wedge], d) for j in range(d)]
+
+
+def image_wedges(images, k, scale=None):
+    """{J: (A, H)} for each increasing k-tuple J, for S given by the supports
+    of its columns ``images``: A = Se_J1 ^ ... ^ Se_Jk and, given the scale D
+    of S, H = sum_i Se_J1 ^ .. De_Ji .. ^ Se_Jk - A (times D^k), else None.
+    Each is built from its prefix: (A, H) ^ e_j = (A ^ Se_j, H ^ Se_j + A ^ De_j)."""
+    d, level = len(images), {(): ({(): 1}, None if scale is None else {(): -1})}
+    for _ in range(k):
+        level = {key + (j,): (_wedge(top, images[j - 1], d),
+                              hat if hat is None else _wedge(hat, images[j - 1], d, _wedge(top, [(j - 1, scale)], d)))
+                 for key, (top, hat) in level.items() for j in range(key[-1] + 1 if key else 1, d + 1)}
+    return level
+
+
+def _wedge(elem, vec, d, acc=None):
+    """``acc`` plus elem ^ v, for v given by its support."""
+    acc = {} if acc is None else acc
+    for key, a in elem.items():
+        for k, b in vec:
+            wedge_add_term(acc, key + (k + 1,), a * b, d)
+    return acc
+
+
+def operator_ad(algebra, op):
+    """{J: columns of ad(Te_J1 ^ ... ^ Te_J(n-1))} for each increasing
+    (n-1)-tuple J: the curly bracket [Tx_1, ..., Tx_(n-1), x_n] of the NS
+    structure of T, and rho_N when T is a Nijenhuis operator."""
+    d, table = algebra.dim, ad_table(algebra)
+    images = [support(col) for col in zip(*op.entries)]
+    return {tup: ad_of(top, table, d) for tup, (top, _) in image_wedges(images, algebra.arity - 1).items()}
+
+
+def apply_columns(cols, vec, d):
+    """M v for M given by the supports of its columns and v by its support."""
+    return combine([c for _, c in vec], [cols[k] for k, _ in vec], d)
 
 
 def hatted(tuples, alternating):
@@ -411,67 +466,52 @@ def _unscaled(terms, width, scale):
 
 
 def ad(algebra, wedge_elem):
-    """Adjoint operator y -> [X, y] for X in Lambda^{n-1}(g)."""
-    d = algebra.dim
-    cols = []
-    for j in range(1, d + 1):
-        col = vec_zero(d)
-        for key, coeff in sorted(wedge_elem.items()):
-            col = vec_add(col, vec_scale(coeff, algebra.bracket_on_basis(tuple(key) + (j,))))
-        cols.append(col)
-    return Matrix.from_columns(cols)
+    """Adjoint operator y -> [X, y] for X in Lambda^{n-1}(g), its keys in any
+    order, read off the ``ad_table``."""
+    n, d, x = algebra.arity, algebra.dim, {}
+    for key, coeff in wedge_elem.items():
+        if len(key) != n - 1:
+            raise InputError(f"expected {n} indices, got {len(key) + 1}")
+        wedge_add_term(x, key, coeff, d)
+    return Matrix.from_columns(ad_of(x, ad_table(algebra), d))
 
 
 def fundamental_action(algebra, x_wedge, y_wedge):
     """X o Y = sum_i y_1 ^ ... ^ [X, y_i] ^ ... ^ y_{n-1}."""
-    return _action(x_wedge, y_wedge, lambda xk, y: algebra.bracket_on_basis(xk + (y,)), algebra.dim)
+    return _action(x_wedge, y_wedge, lambda xk, y: support(algebra.bracket_on_basis(xk + (y,))), algebra.dim)
 
 
 def _action(x_wedge, y_wedge, moved, d):
-    """``fundamental_action`` with each [e_xk, e_y] read from ``moved(xk, y)``."""
+    """``fundamental_action`` with each [e_xk, e_y] read from ``moved(xk, y)``, its support."""
     out = {}
     for xk, xc in sorted(x_wedge.items()):
         for yk, yc in sorted(y_wedge.items()):
             coeff = xc * yc
             for i in range(len(yk)):
-                for j, mc in enumerate(moved(tuple(xk), yk[i])):
-                    if mc:
-                        new = yk[:i] + (j + 1,) + yk[i + 1:]
-                        wedge_add_term(out, new, coeff * mc, d)
+                for j, mc in moved(tuple(xk), yk[i]):
+                    wedge_add_term(out, yk[:i] + (j + 1,) + yk[i + 1:], coeff * mc, d)
     return out
 
 
 def adjoint_representation(algebra):
-    """rho(X) = ad_X on the algebra itself."""
+    """rho(X) = ad_X on the algebra itself, read off the ``ad_table``."""
     d, n = algebra.dim, algebra.arity
-    tables = {tup: ad(algebra, wedge_single(tup, d)) for tup in increasing_tuples(d, n - 1)}
-    return RepresentationTable(n, d, d, tables)
+    table = ad_table(algebra)
+    return RepresentationTable(n, d, d, {xs: Matrix.from_columns(ad_of({xs: 1}, table, d)) for xs in table})
 
 
 def semidirect_product(algebra, rho):
-    """Semidirect n-Lie structure on g + V for a verified representation."""
+    """Semidirect n-Lie structure on g + V for a verified representation:
+    the brackets of g, and [e_J, v] = rho(e_J) v for each stored rho(e_J)
+    (the V slot is last in an increasing tuple, so its sign is +1)."""
     require(check_representation(algebra, rho), "representation check failed")
     n, d, dv = algebra.arity, algebra.dim, rho.module_dim
-    total = d + dv
-    brackets = {}
-    for tup in increasing_tuples(total, n):
-        in_v = [i for i in tup if i > d]
-        if len(in_v) >= 2:
-            continue
-        vec = vec_zero(total)
-        if not in_v:
-            g_val = algebra.bracket_on_basis(tup)
-            vec[:d] = g_val
-        else:
-            g_part = tuple(i for i in tup if i <= d)
-            v_index = in_v[0] - d
-            # the V slot is last in the increasing tuple, so its sign is +1
-            col = rho.matrix_for_tuple(g_part).apply(unit_vector(dv, v_index - 1))
-            vec[d:] = col
-        if not vec_is_zero(vec):
-            brackets[tup] = vec
+    brackets = {key: vec + [QQ_ZERO] * dv for key, vec in algebra.brackets.items()}
+    for key, mat in rho.tables.items():
+        for v, col in enumerate(zip(*mat.entries), d + 1):
+            brackets[key + (v,)] = [QQ_ZERO] * d + list(col)
     names = list(algebra.basis_names) + [f"v{i}" for i in range(1, dv + 1)]
-    return NAryAlgebra(n, total, brackets, basis_names=names)
+    return NAryAlgebra(n, d + dv, dict(sorted(brackets.items())), basis_names=names)
 
 
 def algebra_from_bracket_function(arity, dim, func, basis_names=None):

@@ -8,7 +8,8 @@ Lambda^{n-1}(g) itself.
 
 The complex of R is read off two matrices per increasing (n-1)-tuple J,
 A_J = ad(Re_J1 ^ ... ^ Re_J(n-1)) and
-H_J = ad(sum_i Re_J1 ^ .. e_Ji .. ^ Re_J(n-1) - Re_J1 ^ ... ^ Re_J(n-1)):
+H_J = ad(sum_i Re_J1 ^ .. e_Ji .. ^ Re_J(n-1) - Re_J1 ^ ... ^ Re_J(n-1)),
+built by ``algebra.image_wedges`` and ``algebra.ad_of``:
 rho_R(e_J) = A_J - R H_J, [e_J, e_j]_R = H_J Re_j + A_J e_j for j > J_(n-1),
 the Reynolds identity at J + (j) is A_J Re_j = R[e_J, e_j]_R, and
 delta_R(e_J) = R ad_J - R ad_J R - ad_J R.
@@ -32,10 +33,13 @@ from .algebra import (
     RepresentationTable,
     _action,
     ad,
+    ad_of,
+    ad_table,
+    apply_columns,
     fundamental_action,
+    image_wedges,
     integer_brackets,
     support,
-    wedge_add_term,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError
 from .linalg import Matrix, combine, vec_add, vec_scale, vec_zero
@@ -212,13 +216,13 @@ def reynolds_tables(algebra, op, scale, ad, images):
     ``check_reynolds`` forms the counterexample (and must fail there too)."""
     d = algebra.dim
     brackets, columns = {}, {}
-    for tup, (top, hat) in _image_wedges(images, algebra.arity - 1, scale).items():
-        a, h = _ad_of(top, ad, d), _ad_of(hat, ad, d)
+    for tup, wedges in image_wedges(images, algebra.arity - 1, scale).items():
+        a, h = ([support(col) for col in ad_of(wedge, ad, d)] for wedge in wedges)
         columns[tup] = [combine([scale] + [-c for _, c in col], [a[j]] + [images[k] for k, _ in col], d)
                         for j, col in enumerate(h)]
         for j in range(tup[-1], d):
             value = combine([scale] + [c for _, c in images[j]], [a[j]] + [h[k] for k, _ in images[j]], d)
-            if [scale * x for x in _apply(a, images[j], d)] != _apply(images, support(value), d):
+            if [scale * x for x in apply_columns(a, images[j], d)] != apply_columns(images, support(value), d):
                 require(check_reynolds(algebra, op), "operator is not a Reynolds operator")
                 raise InternalConsistencyError(f"the Reynolds walk passes, the tables fail at {tup + (j + 1,)}")
             brackets[tup + (j + 1,)] = value
@@ -233,37 +237,6 @@ def _integer_operators(algebra, op):
         raise InputError("operator dimension mismatch")
     scale, _, ad, images = integer_brackets(algebra, dict(enumerate(zip(*op.entries))))
     return scale, ad, [images[j] for j in range(d)]
-
-
-def _image_wedges(images, k, scale):
-    """{J: (A, H)}: the wedges of A_J and H_J (times D^k) for each increasing
-    k-tuple J, from its prefix: (A, H) ^ e_j = (A ^ Se_j, H ^ Se_j + A ^ De_j)."""
-    d, level = len(images), {(): ({(): 1}, {(): -1})}
-    for _ in range(k):
-        level = {key + (j,): (_wedge(top, images[j - 1], d),
-                              _wedge(hat, images[j - 1], d, _wedge(top, [(j - 1, scale)], d)))
-                 for key, (top, hat) in level.items() for j in range(key[-1] + 1 if key else 1, d + 1)}
-    return level
-
-
-def _wedge(elem, vec, d, acc=None):
-    """``acc`` plus elem ^ v, for v given by its support."""
-    acc = {} if acc is None else acc
-    for key, a in elem.items():
-        for k, b in vec:
-            wedge_add_term(acc, key + (k + 1,), a * b, d)
-    return acc
-
-
-def _ad_of(wedge, ad, d):
-    """The column supports of ad(X) for a wedge element X, from those of each ad_K."""
-    coeffs = list(wedge.values())
-    return [support(combine(coeffs, [ad[key][j] for key in wedge], d)) for j in range(d)]
-
-
-def _apply(cols, vec, d):
-    """M v for M given by the supports of its columns and v by its support."""
-    return combine([c for _, c in vec], [cols[k] for k, _ in vec], d)
 
 
 def delta_r_operator(algebra, op, x_wedge):
@@ -348,11 +321,11 @@ class ReynoldsComplex:
         tuples = self.wedge.tuples
         b = len(tuples)
         # [X_x, e_j], X_x o X_y read off them (pair terms start at m = 2), rho_R(X_x) as term lists
-        brackets = [[alg.bracket_on_basis(t + (j,)) for j in range(1, d + 1)] for t in tuples]
-        moved = [[support(vec) for vec in row] for row in brackets]
+        table = ad_table(alg)
+        moved = [table[t] for t in tuples]
         action = m >= 2 and [
             [[(self.wedge.index[key], c) for key, c in _action({s: 1}, {t: 1}, lambda _, k: row[k - 1], d).items()]
-             for t in tuples] for s, row in zip(tuples, brackets)]
+             for t in tuples] for s, row in zip(tuples, moved)]
         acts = [_matrix_terms(rho.matrix_for_tuple(t)) for t in tuples]
         # last-block terms: rho(X_m minus its i-th index, e_j) on the value at e_{X_m[i]}
         last = [[[(t[i - 1] - 1, vo, vi, sign(n + m - i + 1) * c)
@@ -459,8 +432,9 @@ def _delta(d, scale, ad, images):
     for adj in ad.values():
         col = []
         for j in range(d):
-            once, moved = _apply(images, adj[j], d), _apply(adj, images[j], d)  # D^2 R[X, e_j], D^2 [X, Re_j]
-            col += [scale * (a - m) - b for a, m, b in zip(once, moved, _apply(images, support(moved), d))]
+            # D^2 R[X, e_j], D^2 [X, Re_j]
+            once, moved = apply_columns(images, adj[j], d), apply_columns(adj, images[j], d)
+            col += [scale * (a - m) - b for a, m, b in zip(once, moved, apply_columns(images, support(moved), d))]
         cols.append(col)
     t = scale ** 3
     g = gcd(t, *(x for col in cols for x in col))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .algebra import SYMMETRIC, NAryAlgebra, algebra_from_bracket_function, is_derivation, support
+from .algebra import SYMMETRIC, NAryAlgebra, ad_table, algebra_from_bracket_function, is_derivation
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import combine, vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .reynolds import basis_images, check_reynolds, reynolds_values, verified_values
@@ -42,9 +42,10 @@ class LinearFunctional:
             raise InputError("functional dimension mismatch")
 
     def vanishes_on_brackets(self, algebra):
-        """f([x_1,...,x_n]) = 0, checked on stored structure constants."""
-        for tup in increasing_tuples(algebra.dim, algebra.arity):
-            val = self(algebra.bracket_on_basis(tup))
+        """f([x_1,...,x_n]) = 0, checked on the stored structure constants in
+        tuple order."""
+        for tup, vec in sorted(algebra.brackets.items()):
+            val = self(vec)
             if val:
                 return fail("functional-vanishes", {"tuple": tup}, [val], [0])
         return ok("functional-vanishes")
@@ -57,10 +58,10 @@ def comm_assoc_algebra(dim, products, basis_names=None):
 
 def check_associative(algebra):
     """(xy)z = x(yz) on all basis triples, both sides read off the d^2 basis
-    products tabulated once: (e_i e_j) e_k and e_i (e_j e_k), one ``combine`` each."""
+    products of the ``ad_table``: (e_i e_j) e_k and e_i (e_j e_k), one ``combine`` each."""
     algebra.require_symmetric("the associativity check")
     d = algebra.dim
-    products = [[support(algebra.bracket_on_basis((i, j))) for j in range(1, d + 1)] for i in range(1, d + 1)]
+    products = list(ad_table(algebra).values())  # products[i][j]: e_i e_j by its support
     for i, j, k in product(range(d), repeat=3):
         ij, jk = products[i][j], products[j][k]
         lhs = combine([c for _, c in ij], [products[m][k] for m, _ in ij], d)
@@ -86,11 +87,9 @@ def _extension(algebra, functional):
     def value(tup):
         acc = vec_zero(d)
         for i in range(n + 1):
-            c = functional.coefficients[tup[i] - 1]
-            if not c:
-                continue
-            rest = tup[:i] + tup[i + 1:]
-            acc = vec_add(acc, vec_scale(sign(i) * c, algebra.bracket_on_basis(rest)))
+            c, rest = functional.coefficients[tup[i] - 1], tup[:i] + tup[i + 1:]
+            if c and rest in algebra.brackets:
+                acc = vec_add(acc, vec_scale(sign(i) * c, algebra.brackets[rest]))
         return acc
 
     return algebra_from_bracket_function(n + 1, d, value, basis_names=algebra.basis_names)
@@ -103,30 +102,15 @@ def reynolds_lift_criterion(algebra, op, functional):
 
 
 def _lift(algebra, op, functional):
-    """(verdict, values, base) of the lift criterion: R of each sum of
-    ``_lift_sums`` on ``base``, the walk ``verified_values`` gives on the n-Lie
-    algebra.  On PASS ``values`` is the walk ``reynolds_values`` gives on the
-    extended algebra (a failing walk there is a bug); on FAIL it is None."""
+    """(verdict, values, base) of the lift criterion: on each increasing basis
+    (n+1)-tuple, R of sum_i (-1)^{n+1-i} f(x_i) [Rx_1,...,^Rx_i,...,Rx_{n+1}],
+    every bracket read off ``base``, the walk ``verified_values`` gives on the
+    n-Lie algebra.  On PASS ``values`` is the walk ``reynolds_values`` gives on
+    the extended algebra (a failing walk there is a bug); on FAIL it is None."""
     algebra.require_alternating("the functional extension")
     functional.require_dim(algebra)
     base = verified_values(algebra, op)
     require(functional.vanishes_on_brackets(algebra), "functional does not vanish on brackets")
-    for tup, acc in _lift_sums(algebra, base, functional):
-        acc = op.apply(acc)
-        if not vec_is_zero(acc):
-            return fail("lift-criterion", {"tuple": tup}, acc, vec_zero(algebra.dim)), None, base
-    lifted, values = reynolds_values(_extension(algebra, functional), op)
-    if not lifted:
-        raise InternalConsistencyError(
-            f"criterion holds but the lifted check fails: {jsonable(lifted.counterexample)}"
-        )
-    return ok("lift-criterion"), values, base
-
-
-def _lift_sums(algebra, base, functional):
-    """(tuple, sum_i (-1)^{n+1-i} f(x_i) [Rx_1,...,^Rx_i,...,Rx_{n+1}]) for each
-    increasing basis (n+1)-tuple, every bracket read off the Reynolds walk
-    ``base`` on the n-Lie algebra: the lift criterion before R is applied."""
     n, d = algebra.arity, algebra.dim
     for tup in increasing_tuples(d, n + 1):
         acc = vec_zero(d)
@@ -134,7 +118,15 @@ def _lift_sums(algebra, base, functional):
             c = functional.coefficients[tup[i] - 1]
             if c:
                 acc = vec_add(acc, vec_scale(sign(n - i) * c, base[tup[:i] + tup[i + 1:]][0]))
-        yield tup, acc
+        acc = op.apply(acc)
+        if not vec_is_zero(acc):
+            return fail("lift-criterion", {"tuple": tup}, acc, vec_zero(d)), None, base
+    lifted, values = reynolds_values(_extension(algebra, functional), op)
+    if not lifted:
+        raise InternalConsistencyError(
+            f"criterion holds but the lifted check fails: {jsonable(lifted.counterexample)}"
+        )
+    return ok("lift-criterion"), values, base
 
 
 def corollary_bracket(algebra, op, functional):
@@ -294,10 +286,9 @@ def check_reynolds_on_det_3lie(algebra, op, variant, data):
     """Is R Reynolds on the chosen determinant 3-Lie algebra?
 
     variant 'fd': data = (functional, D).  R is Reynolds on [.]_D too (else
-    a bug), and the criterion is the lift sum of ``_lift_sums`` on [.]_D,
-    before R is applied: the first triple where it is nonzero is returned
-    as a det3-criterion FAIL, and R is checked on the 3-Lie algebra itself
-    only when it vanishes on every triple.
+    a bug), so its Reynolds defect on the 3-Lie algebra at a triple is minus
+    R of the lift sum there: the lift criterion on [.]_D (``_lift``) decides,
+    and its first failing triple is returned as a det3-criterion FAIL.
     variant 'dd': data = (D1, D2).  variant 'ddd': data = (D1, D2, D3).
     """
     fd = variant == "fd"
@@ -310,11 +301,12 @@ def check_reynolds_on_det_3lie(algebra, op, variant, data):
         return check_reynolds(three_lie_algebra(algebra, variant, data), op)
     functional, deriv = data
     lie = lie_from_derivation(algebra, deriv)
-    three = _balanced_extension(lie, functional)
-    walk, base = reynolds_values(lie, op)
-    if not walk:
-        raise InternalConsistencyError(f"R is not Reynolds on [.]_D: {jsonable(walk.counterexample)}")
-    for tup, acc in _lift_sums(lie, base, functional):
-        if not vec_is_zero(acc):
-            return fail("det3-criterion", {"tuple": tup}, acc, vec_zero(algebra.dim))
-    return check_reynolds(three, op)
+    _balanced_extension(lie, functional)
+    try:
+        verdict = _lift(lie, op, functional)[0]
+    except PreconditionError as exc:  # f is balanced, so R is not Reynolds on [.]_D
+        raise InternalConsistencyError(f"R is not Reynolds on [.]_D: {jsonable(exc.counterexample)}") from None
+    if verdict:  # R passed the Reynolds walk of the 3-Lie algebra itself
+        return ok("reynolds")
+    found = verdict.counterexample
+    return fail("det3-criterion", found["where"], found["lhs"], found["rhs"])

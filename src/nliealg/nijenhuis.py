@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import NAryAlgebra, RepresentationTable, support, unit_supports
+from .algebra import NAryAlgebra, RepresentationTable, operator_ad, support, unit_supports
 from .errors import InputError
 from .linalg import Matrix, vec_add, vec_sub, vec_zero
 from .reynolds import basis_images
 from .verdict import fail, ok, require
-from .wedge import increasing_tuples
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,5 @@ def nijenhuis_representation(algebra, op):
     """rho_N(x_1,...,x_{n-1})x = [Nx_1,...,Nx_{n-1},x]; represents the
     deformed algebra on the underlying space."""
     verified_ladder(algebra, op)
-    n, d = algebra.arity, algebra.dim
-    tables = {}
-    for tup in increasing_tuples(d, n - 1):
-        n_units = [op.apply(u) for u in algebra.units(tup)]
-        cols = [algebra.bracket(n_units + [u]) for u in algebra.units(range(1, d + 1))]
-        tables[tup] = Matrix.from_columns(cols)
-    return RepresentationTable(n, d, d, tables)
+    tables = {tup: Matrix.from_columns(cols) for tup, cols in operator_ad(algebra, op).items()}
+    return RepresentationTable(algebra.arity, algebra.dim, algebra.dim, tables)

@@ -25,6 +25,7 @@ from .algebra import (
     expand_supports,
     extensions,
     hatted,
+    operator_ad,
     support,
     tabulated_products,
     term_table,
@@ -33,7 +34,7 @@ from .algebra import (
 from .errors import InputError, InternalConsistencyError
 from .linalg import Matrix, integer_scale, vec_add, vec_is_zero, vec_scale, vec_zero
 from .nijenhuis import verified_ladder
-from .reynolds import basis_images, verified_values
+from .reynolds import verified_values
 from .rings import rational, sign
 from .verdict import fail, jsonable, ok, require
 from .wedge import canonicalize_wedge, check_indices, increasing_tuples
@@ -205,27 +206,21 @@ def subadjacent(ns):
 def ns_from_reynolds(algebra, op):
     """{x_1..x_n} = [Rx_1,...,Rx_{n-1},x_n]; square = -[Rx_1,...,Rx_n]."""
     square = {tup: lhs for tup, (lhs, _) in verified_values(algebra, op).items()}
-    return _ns_from_operator(algebra, *basis_images(algebra, op), square)
+    return _ns_from_operator(algebra, op, square)
 
 
 def ns_from_nijenhuis(algebra, op):
     """{x_1..x_n} = [Nx_1,...,Nx_{n-1},x_n]; square = -N(level n-2)."""
     lower = verified_ladder(algebra, op).level(algebra.arity - 2)
-    tuples = increasing_tuples(algebra.dim, algebra.arity)
-    square = {tup: op.apply(lower.bracket_on_basis(tup)) for tup in tuples}
-    return _ns_from_operator(algebra, *basis_images(algebra, op), square)
+    return _ns_from_operator(algebra, op, {tup: op.apply(vec) for tup, vec in lower.brackets.items()})
 
 
-def _ns_from_operator(algebra, units, images, square):
-    """{x_1..x_n} = [Tx_1,...,Tx_{n-1},x_n] from the images T e_j, with
-    minus ``square`` as the square bracket, re-checked against the axioms."""
+def _ns_from_operator(algebra, op, square):
+    """{x_1..x_n} = [Tx_1,...,Tx_{n-1},x_n], column x_n of ``operator_ad``,
+    with minus ``square`` as the square bracket, re-checked against the axioms."""
     algebra.require_alternating("the NS construction")
     n, d = algebra.arity, algebra.dim
-    curly = {}
-    for prefix in increasing_tuples(d, n - 1):
-        t_units = [images[i - 1] for i in prefix]
-        for j in range(1, d + 1):
-            curly[(prefix, j)] = algebra.bracket(t_units + [units[j - 1]])
+    curly = {(prefix, j): col for prefix, cols in operator_ad(algebra, op).items() for j, col in enumerate(cols, 1)}
     square = {tup: [-v for v in vec] for tup, vec in square.items()}
     ns = NSAlgebra(n, d, curly, square, basis_names=algebra.basis_names)
     verdict = check_ns(ns)

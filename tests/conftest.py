@@ -31,7 +31,6 @@ from nliealg.algebra import (
     SYMMETRIC,
     NAryAlgebra,
     RepresentationTable,
-    ad,
     algebra_from_bracket_function,
     fundamental_action,
     wedge_single,
@@ -588,10 +587,10 @@ def naive_three_lie_from_f_D(algebra, functional, deriv):
 
 
 def naive_det3_fd_check(algebra, op, functional, deriv):
-    """The former ``constructions.check_reynolds_on_det_3lie`` on the fd
-    variant: the determinant with rows (f-values, D(R.)-images, R-images)
-    on every basis triple, then R checked on the 3-Lie algebra; the
-    reference for the lift sum on [.]_D before R is applied."""
+    """``constructions.check_reynolds_on_det_3lie`` on the fd variant written
+    out: R of the determinant with rows (f-values, D(R.)-images, R-images) on
+    every basis triple, then R checked on the 3-Lie algebra; the reference
+    for R of the lift sum on [.]_D."""
     require(naive_check_assoc_reynolds(algebra, op), "operator fails the binary Reynolds law")
     if op @ deriv != deriv @ op:
         raise PreconditionError("operators R, D do not commute")
@@ -600,6 +599,7 @@ def naive_det3_fd_check(algebra, op, functional, deriv):
         units = algebra.units(tup)
         r_units = [op.apply(u) for u in units]
         acc = naive_fd_sum(algebra, [functional(u) for u in units], [deriv.apply(r) for r in r_units], r_units)
+        acc = op.apply(acc)
         if any(acc):
             return fail("det3-criterion", {"tuple": tup}, acc, vec_zero(algebra.dim))
     return naive_check_reynolds(three, op)
@@ -656,6 +656,87 @@ def naive_matrix_for_wedge(rho, wedge_elem):
     return out
 
 
+def naive_ad(algebra, wedge_elem):
+    """The former ``algebra.ad`` body: one ``bracket_on_basis`` per (key, j),
+    summed on dense vectors; the reference for ``algebra.ad``."""
+    d = algebra.dim
+    cols = []
+    for j in range(1, d + 1):
+        col = vec_zero(d)
+        for key, coeff in sorted(wedge_elem.items()):
+            col = vec_add(col, vec_scale(coeff, algebra.bracket_on_basis(tuple(key) + (j,))))
+        cols.append(col)
+    return Matrix.from_columns(cols)
+
+
+def naive_adjoint_representation(algebra):
+    """The former ``algebra.adjoint_representation`` body: ``naive_ad`` of
+    each increasing (n-1)-tuple."""
+    d, n = algebra.dim, algebra.arity
+    tables = {tup: naive_ad(algebra, wedge_single(tup, d)) for tup in increasing_tuples(d, n - 1)}
+    return RepresentationTable(n, d, d, tables)
+
+
+def naive_semidirect_product(algebra, rho):
+    """The former ``algebra.semidirect_product`` body: a walk over every
+    increasing n-tuple of g + V, g's brackets expanded and rho read per
+    tuple; the reference for ``algebra.semidirect_product``."""
+    require(naive_check_representation(algebra, rho), "representation check failed")
+    n, d, dv = algebra.arity, algebra.dim, rho.module_dim
+    total = d + dv
+    brackets = {}
+    for tup in increasing_tuples(total, n):
+        in_v = [i for i in tup if i > d]
+        if len(in_v) >= 2:
+            continue
+        vec = vec_zero(total)
+        if not in_v:
+            vec[:d] = algebra.bracket_on_basis(tup)
+        else:
+            g_part = tuple(i for i in tup if i <= d)
+            unit = vec_zero(dv)
+            unit[in_v[0] - d - 1] = QQ_ONE
+            vec[d:] = rho.matrix_for_tuple(g_part).apply(unit)
+        if any(vec):
+            brackets[tup] = vec
+    names = list(algebra.basis_names) + [f"v{i}" for i in range(1, dv + 1)]
+    return NAryAlgebra(n, total, brackets, basis_names=names)
+
+
+def naive_operator_ad(algebra, op):
+    """The former curly loop of ``ns._ns_from_operator`` and
+    ``nijenhuis.nijenhuis_representation``: {J: [[Te_J1, ..., Te_J(n-1), e_j]
+    for each j]}, one dense ``bracket`` per (J, j); the reference for
+    ``algebra.operator_ad``."""
+    n, d = algebra.arity, algebra.dim
+    units = algebra.units(range(1, d + 1))
+    return {tup: [algebra.bracket([op.apply(units[i - 1]) for i in tup] + [u]) for u in units]
+            for tup in increasing_tuples(d, n - 1)}
+
+
+def naive_nijenhuis_representation(algebra, op):
+    """The former ``nijenhuis.nijenhuis_representation`` tables, from
+    ``naive_operator_ad``."""
+    d = algebra.dim
+    tables = {tup: Matrix.from_columns(cols) for tup, cols in naive_operator_ad(algebra, op).items()}
+    return RepresentationTable(algebra.arity, d, d, tables)
+
+
+def unimodular_conjugate(rng, alg, op):
+    """(g, R) moved to the basis of the columns of a seeded phi = L.U, with
+    L and U integer unitriangular and entries in -1..1 off the diagonal:
+    [x_1..x_n]' = phi^-1 [phi x_1..phi x_n] and R' = phi^-1 R phi."""
+    d = alg.dim
+    lower = Matrix([[1 if i == j else rng.randint(-1, 1) if i > j else 0 for j in range(d)] for i in range(d)])
+    upper = Matrix([[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(d)] for i in range(d)])
+    phi = lower @ upper
+    inv = phi.inverse()
+    moved = algebra_from_bracket_function(
+        alg.arity, d, lambda tup: inv.apply(alg.bracket([phi.apply(u) for u in alg.units(tup)])),
+        basis_names=alg.basis_names)
+    return moved, inv @ op @ phi
+
+
 def naive_coboundary(algebra, rho, cochain):
     """The n-Lie coboundary with every block-level value formed once per
     output slot; the reference for ``cohomology.coboundary``."""
@@ -688,7 +769,7 @@ def naive_coboundary(algebra, rho, cochain):
             # bracket into the plain slot
             for a in range(1, m + 1):
                 args = [block_dicts[idx - 1] for idx in range(1, m + 1) if idx != a]
-                moved = ad(algebra, block_dicts[a - 1]).apply(unit_j)
+                moved = naive_ad(algebra, block_dicts[a - 1]).apply(unit_j)
                 term = cochain.evaluate(args, moved)
                 vec = vec_add(vec, vec_scale(Fraction((-1) ** a), term))
             # representation acting on the value

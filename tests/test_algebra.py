@@ -29,13 +29,17 @@ from conftest import (
     naive_check_filippov,
     naive_check_representation,
     naive_expansion,
+    naive_ad,
+    naive_adjoint_representation,
     naive_is_derivation,
+    naive_semidirect_product,
     rand_vector,
     report_bytes,
     simple_n_lie,
     sparse_args,
     stored_bracket,
     trunc_xyz,
+    unimodular_conjugate,
 )
 
 
@@ -459,3 +463,98 @@ def test_integer_checkers_reject_dual_numbers(lie3):
     rho = RepresentationTable(2, 3, 1, {(1,): [[Dual(1, 1)]]})
     with pytest.raises(UnsupportedRingError):
         check_representation(lie3, rho)
+
+
+# -- the ad-column readers ------------------------------------------------
+
+
+def _random_wedge(rng, alg, terms=4):
+    """A seeded {key: coefficient} with keys of n-1 random indices, unsorted
+    and repeated ones included, and fractional coefficients."""
+    return {tuple(rng.randint(1, alg.dim) for _ in range(alg.arity - 1)):
+            Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(terms)}
+
+
+def test_ad_matches_naive_oracle(lie3, sl2_like, three_lie4, trunc_xy, rng):
+    """``ad`` read off the ``ad_table`` equals one ``bracket_on_basis`` per
+    (key, j) summed densely, on seeded wedges with unsorted and repeated
+    keys, on n-Lie algebras of arity 2 to 5 and on a commutative product."""
+    seen = Counter()
+    for alg in (lie3, sl2_like, three_lie4, trunc_xy, simple_n_lie(3), simple_n_lie(4)):
+        for _ in range(6):
+            wedge = _random_wedge(rng, alg)
+            assert ad(alg, wedge) == naive_ad(alg, wedge), (alg.arity, wedge)
+            seen["unsorted"] += any(list(key) != sorted(key) for key in wedge)
+            seen["repeated"] += any(len(set(key)) < len(key) for key in wedge)
+    assert seen["unsorted"] and seen["repeated"]
+    assert ad(trunc_xy, {(2,): 1, (3,): 2}) == naive_ad(trunc_xy, {(2,): 1, (3,): 2}) != Matrix.zero(4)
+    with pytest.raises(InputError, match="^expected 3 indices, got 2$"):
+        ad(three_lie4, {(1,): 1})
+
+
+def _representations(rng):
+    """(algebra, representation) pairs: the adjoint of A_4, A_5 and
+    three_lie4 and, not the adjoint, the curly action of the NS structure of
+    a Reynolds operator on its sub-adjacent algebra: on A_4, on a seeded
+    conjugate of it and on A_5."""
+    from nliealg.ns import ns_from_reynolds, subadjacent
+    from nliealg.reynolds import derivation_to_reynolds
+
+    a4, a5 = simple_n_lie(3), simple_n_lie(4)
+    pairs = [(alg, adjoint_representation(alg)) for alg in (a4, a5, NAryAlgebra(3, 4, {(1, 2, 3): [0, 0, 0, 1]}))]
+    reynolds = [(a4, derivation_to_reynolds(a4, ad(a4, {(1, 2): 1})))]
+    reynolds += [unimodular_conjugate(rng, *reynolds[0]), (a5, Matrix.identity(5).scale(3))]
+    pairs += [subadjacent(ns_from_reynolds(alg, op)) for alg, op in reynolds]
+    return pairs
+
+
+def test_adjoint_and_semidirect_match_naive_oracles(rng):
+    """``adjoint_representation`` and ``semidirect_product`` give the tables
+    and the brackets, in tuple order, of the per-tuple expansion."""
+    for alg in (simple_n_lie(3), simple_n_lie(4), NAryAlgebra(3, 4, {(1, 2, 3): [0, 0, 0, 1]})):
+        assert adjoint_representation(alg).tables == naive_adjoint_representation(alg).tables
+    for alg, rho in _representations(rng):
+        big, want = semidirect_product(alg, rho), naive_semidirect_product(alg, rho)
+        assert big == want and list(big.brackets) == list(want.brackets) and big.basis_names == want.basis_names
+        assert any(key[-1] > alg.dim for key in big.brackets)
+
+
+def test_ad_column_readers_expand_no_bracket(lie3, family1, three_lie4, monkeypatch):
+    """``ad``, ``adjoint_representation``, ``semidirect_product``,
+    ``nijenhuis_representation``, the NS constructions (the curly
+    tabulation of ``ns._ns_from_operator``) and ``ReynoldsComplex._assemble``
+    read the ``ad_table`` and expand no ``bracket``/``bracket_on_basis``;
+    the bug traps ``coboundary``, ``deformation._t_linear_check`` and
+    ``check_hom_pair`` expand their brackets, and run with ``ad_columns``
+    gone, so they stay independent of it."""
+    from nliealg.cohomology import Cochain, ReynoldsComplex, coboundary
+    from nliealg.deformation import _t_linear_check
+    from nliealg.nijenhuis import nijenhuis_representation
+    from nliealg.ns import ns_from_nijenhuis, ns_from_reynolds
+    from nliealg.reynolds import check_hom_pair
+
+    calls = Counter()
+    for name in ("bracket", "bracket_on_basis"):
+        def counted(self, args, original=getattr(NAryAlgebra, name), name=name):
+            calls[name] += 1
+            return original(self, args)
+
+        monkeypatch.setattr(NAryAlgebra, name, counted)
+
+    def expansions(fn, *args):
+        calls.clear()
+        fn(*args)
+        return sum(calls.values())
+
+    rho, cx, twice = adjoint_representation(three_lie4), ReynoldsComplex(lie3, family1), Matrix.identity(3).scale(2)
+    readers = [(ad, lie3, {(2,): 1}), (ad, three_lie4, {(2, 1): 1, (3, 3): 2}),
+               (adjoint_representation, three_lie4), (semidirect_product, three_lie4, rho),
+               (nijenhuis_representation, lie3, twice), (ns_from_reynolds, lie3, family1),
+               (ns_from_nijenhuis, lie3, twice), (cx._assemble, 1), (cx._assemble, 2)]
+    assert [expansions(*reader) for reader in readers] == [0] * len(readers)
+    cochain = Cochain(2, 3, 3, 2, [1 + c % 5 for c in range(27)])
+    monkeypatch.setattr(algebra_module, "ad_columns", None)
+    ident = Matrix.identity(3)
+    traps = [(coboundary, *cx._pair, cochain), (_t_linear_check, lie3, family1, ident),
+             (check_hom_pair, lie3, family1, family1, ident, ident)]
+    assert all(expansions(*trap) for trap in traps)

@@ -24,9 +24,10 @@ from nliealg.constructions import (
 )
 from nliealg.documents import algebra_document, emit_document, functional_document, operator_document
 from nliealg.errors import InputError, InternalConsistencyError, NLieError, NotInvertibleError, PreconditionError
-from nliealg.linalg import Matrix
+from nliealg.linalg import Matrix, vec_sub
 from nliealg.reynolds import check_reynolds, derivation_to_reynolds, induced_bracket
 from nliealg.verdict import spelled
+from nliealg.wedge import increasing_tuples
 
 from conftest import (
     balanced_functionals,
@@ -37,6 +38,8 @@ from conftest import (
     naive_check_associative,
     naive_corollary_bracket,
     naive_det3_fd_check,
+    naive_fd_sum,
+    naive_induced_value,
     naive_lift_criterion,
     naive_three_lie_from_f_D,
     rand_combination,
@@ -456,14 +459,12 @@ def test_f_D_bracket_matches_naive_oracle(trunc_xy, trunc_x3, rng):
                          "operator is not a derivation"}
 
 
-def test_det3_fd_criterion_matches_naive_oracle(trunc_xy, trunc_x3, rng):
-    """``check_reynolds_on_det_3lie`` on 'fd' gives the verdict and the
-    counterexample of the determinant criterion written out, for
-    assoc-Reynolds operators that commute with D: zero, Id, the series
-    operator Id - xy d/dx (which fails, ``test_series_operator_fails_fd_criterion``)
-    and (Id + E)^-1 for seeded derivations E."""
-    cases = [(trunc_xy, Matrix.identity(4) - d0_op(), [1, 0, 0, 0], d1_op())]
-    for alg in (trunc_xy, trunc_x3, trunc_xyz()):
+def _det3_fd_cases(rng, *algebras):
+    """(algebra, R, f, D) for assoc-Reynolds operators R that commute with a
+    seeded derivation D, with balanced functionals f: zero, Id and
+    (Id + E)^-1 for seeded derivations E that commute with D."""
+    cases = []
+    for alg in algebras:
         basis = derivation_space(alg)
         for _ in range(3):
             deriv = rand_combination(rng, basis)
@@ -475,28 +476,67 @@ def test_det3_fd_criterion_matches_naive_oracle(trunc_xy, trunc_x3, rng):
                     pass
             balanced = balanced_functionals(alg, deriv)
             cases += [(alg, op, rand_combination(rng, balanced), deriv) for op in ops for _ in range(2)]
+    return cases
+
+
+def test_det3_fd_criterion_matches_naive_oracle(trunc_xy, trunc_x3, rng):
+    """``check_reynolds_on_det_3lie`` on 'fd' gives the verdict and the
+    counterexample of R of the determinant criterion written out, and the
+    verdict of R checked on the 3-Lie algebra directly: on the series
+    operator Id - xy d/dx (which fails, ``test_series_operator_fails_fd_criterion``)
+    and the seeded cases of ``_det3_fd_cases``."""
+    cases = [(trunc_xy, Matrix.identity(4) - d0_op(), [1, 0, 0, 0], d1_op())]
+    cases += _det3_fd_cases(rng, trunc_xy, trunc_x3, trunc_xyz())
     seen = Counter()
     for alg, op, coefficients, deriv in cases:
         f = LinearFunctional(coefficients)
         got = outcome(check_reynolds_on_det_3lie, alg, op, "fd", (f, deriv))
         assert got == outcome(naive_det3_fd_check, alg, op, f, deriv), (alg.dim, coefficients, op, deriv)
-        seen['"passed": true' in got if isinstance(got, str) else got] += 1
+        passed = '"passed": true' in got
+        assert passed == bool(check_reynolds(three_lie_algebra(alg, "fd", (f, deriv)), op)), (alg.dim, op, deriv)
+        seen[passed] += 1
     assert set(seen) == {True, False}
 
 
-def test_det3_fd_criterion_is_the_lift_sum_before_r_is_applied(trunc_xy):
+def test_det3_fd_defect_is_minus_r_of_the_lift_sum(trunc_xy, trunc_x3, rng):
+    """For R Reynolds on [.]_D, the Reynolds defect of R on the fd 3-Lie
+    algebra at each basis triple is -R of the lift sum there (the
+    determinant with rows f-values, D(R.)-images and R-images), both written
+    out on dense vectors; the singular R of
+    ``test_det3_fd_criterion_applies_r_to_the_lift_sum`` included."""
+    singular = Matrix([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]])
+    cases = [(trunc_xy, singular, [1, 0, 1, 0], d1_op()),
+             (trunc_xy, Matrix.identity(4) - d0_op(), [1, 0, 0, 0], d1_op())]
+    cases += _det3_fd_cases(rng, trunc_xy, trunc_x3, trunc_xyz())
+    nonzero = 0
+    for alg, op, coefficients, deriv in cases:
+        f = LinearFunctional(coefficients)
+        three = three_lie_algebra(alg, "fd", (f, deriv))
+        for tup in increasing_tuples(alg.dim, 3):
+            units = alg.units(tup)
+            r_units = [op.apply(u) for u in units]
+            defect = vec_sub(three.bracket(r_units), op.apply(naive_induced_value(three, op, tup)))
+            lift = naive_fd_sum(alg, [f(u) for u in units], [deriv.apply(r) for r in r_units], r_units)
+            assert defect == [-x for x in op.apply(lift)], (alg.dim, coefficients, op, deriv, tup)
+            nonzero += any(defect)
+    assert nonzero
+
+
+def test_det3_fd_criterion_applies_r_to_the_lift_sum(trunc_xy):
     """A singular assoc-Reynolds R that commutes with D = x d/dx and whose
     image meets its kernel: R1 = 1, Rx = xy, Ry = R(xy) = 0.  The lift sum on
-    [.]_D at (1, 2, 3) is -xy, which R kills, so the criterion fails there
-    only because it reads the sum itself, not R of it; R is Reynolds on the
-    3-Lie algebra all the same (the criterion is sufficient, not necessary)."""
+    [.]_D at (1, 2, 3) is -xy, which R kills; the criterion reads R of the
+    sum, so it passes, as R is Reynolds on the 3-Lie algebra."""
     op = Matrix([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]])
     functional, deriv = LinearFunctional([1, 0, 1, 0]), d1_op()
     assert check_assoc_reynolds(trunc_xy, op) and op @ deriv == deriv @ op and op.rank() == 2
+    units = trunc_xy.units((1, 2, 3))
+    r_units = [op.apply(u) for u in units]
+    lift = naive_fd_sum(trunc_xy, [functional(u) for u in units], [deriv.apply(r) for r in r_units], r_units)
+    assert lift == [0, 0, 0, -1] and op.apply(lift) == [0] * 4
     verdict = check_reynolds_on_det_3lie(trunc_xy, op, "fd", (functional, deriv))
     assert verdict == naive_det3_fd_check(trunc_xy, op, functional, deriv)
-    assert verdict.check_name == "det3-criterion" and verdict.counterexample["where"] == {"tuple": (1, 2, 3)}
-    assert verdict.counterexample["lhs"] == [0, 0, 0, -1] and op.apply(verdict.counterexample["lhs"]) == [0] * 4
+    assert verdict and verdict.check_name == "reynolds"
     assert check_reynolds(three_lie_algebra(trunc_xy, "fd", (functional, deriv)), op)
 
 

@@ -10,7 +10,7 @@ from nliealg import ns as ns_module
 from nliealg.algebra import ad, wedge_single
 from nliealg.errors import InputError, PreconditionError
 from nliealg.linalg import Matrix, integer_scale
-from nliealg.nijenhuis import deformed_algebra
+from nliealg.nijenhuis import deformed_algebra, nijenhuis_representation
 from nliealg.ns import (
     NSAlgebra,
     check_ns,
@@ -26,10 +26,13 @@ from conftest import (
     naive_angle_on_basis,
     naive_check_ns,
     naive_expansion,
+    naive_nijenhuis_representation,
+    naive_operator_ad,
     rand_fraction,
     simple_n_lie,
     sparse_args,
     stored_curly,
+    unimodular_conjugate,
 )
 
 
@@ -315,3 +318,22 @@ def test_angle_algebra_expands_no_curly_bracket(lie3, family1, monkeypatch):
     angle = ns_module._angle_algebra(ns)
     assert not calls
     assert angle == induced_bracket(lie3, family1)
+
+
+def test_curly_and_nijenhuis_representation_match_the_dense_loop(lie3, family1, family2, three_lie4, rng):
+    """The curly bracket of ``ns_from_reynolds`` and ``ns_from_nijenhuis``,
+    and ``nijenhuis_representation``, equal [Te_J1, ..., Te_J(n-1), e_j]
+    formed by one dense ``bracket`` per (J, j), on the Reynolds and
+    Nijenhuis operators of these tests and a seeded unimodular conjugate of
+    each."""
+    nilpotent = Matrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+    reynolds = [(lie3, family1), (lie3, family2), (three_lie4, derivation_to_reynolds(three_lie4, nilpotent))]
+    nijenhuis = [(lie3, Matrix.identity(3).scale(2)), (lie3, Matrix([[0, 0, 0], [0, 1, 0], [0, 0, 0]])),
+                 (three_lie4, Matrix.identity(4).scale(Fraction(1, 2))), (three_lie4, Matrix.identity(4).scale(3))]
+    for construct, pairs in ((ns_from_reynolds, reynolds), (ns_from_nijenhuis, nijenhuis)):
+        for alg, op in pairs + [unimodular_conjugate(rng, alg, op) for alg, op in pairs]:
+            want = naive_operator_ad(alg, op)
+            curly = {(tup, j): col for tup, cols in want.items() for j, col in enumerate(cols, 1) if any(col)}
+            assert construct(alg, op).curly_table == curly
+            if construct is ns_from_nijenhuis:
+                assert nijenhuis_representation(alg, op).tables == naive_nijenhuis_representation(alg, op).tables
