@@ -7,11 +7,14 @@ vectors go through ``expand`` (shared with the curly bracket of
 ``ns.NSAlgebra``), which sorts each index tuple it meets.  Operators
 built from the bracket, ad(X) and ad(Te_J1 ^ ... ^ Te_J(n-1)), are read
 off the stored brackets instead, through the columns of each ad_K
-(``ad_table``).
+(``ad_table``).  The Reynolds and Nijenhuis walks bracket sums of
+operator images through one truncated graded wedge per basis tuple
+(``graded_brackets``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -167,6 +170,59 @@ def expand_supports(table, supports, dim, skew):
     return combine(coeffs, hits, dim)
 
 
+def graded_brackets(table, slots, top, dim, alternating):
+    """[B(c_0), ..., B(c_top)] for the wedge of the graded slots
+    v_i = sum_g t^g v_(i,g), truncated at t^top: c_0 + t c_1 + ... + t^top c_top
+    = v_1 ^ ... ^ v_n, with B the ``term_table`` ``table`` contracted once
+    per grade.  ``slots[i][g]`` is the support of v_(i,g).
+
+    The wedge is built slot by slot as {(sorted index tuple, grade):
+    coefficient}, each index inserted at its sorted place: with the sign of
+    the moves and a repeated index dropped when ``alternating``, as a sorted
+    multiset for a symmetric binary product.  So c_g, the sum over the
+    grades (g_1..g_n) adding up to g of v_(1,g_1) ^ ... ^ v_(n,g_n), comes
+    from one pass over at most sum_k C(d, k) index tuples per grade, not
+    from one expansion per choice of grades and pick of the supports.
+    """
+    level = {((), 0): QQ_ONE}
+    for slot in slots:
+        grown = {}
+        for (key, h), c in level.items():
+            for g, vec in enumerate(slot[:top + 1 - h], h):
+                for k, b in vec:
+                    at = bisect_left(key, k)
+                    if alternating:
+                        if at < len(key) and key[at] == k:
+                            continue
+                        if (len(key) - at) % 2:
+                            b = -b
+                    new = key[:at] + (k,) + key[at:], g
+                    x, y = b * c, grown.get(new)
+                    grown[new] = x if y is None else y + x
+        level = grown
+    out = [[QQ_ZERO] * dim for _ in range(top + 1)]
+    for (key, g), c in level.items():
+        terms = table.get(key)
+        if terms is not None and c:
+            acc = out[g]
+            for j, t in terms:
+                acc[j] += c * t
+    return out
+
+
+def scaled_terms(algebra, op):
+    """(D, table, images) for a rational ``op``: the brackets as a
+    ``term_table`` and the columns of ``op`` by their supports, both scaled
+    to ``int`` by one D, the lcm of their denominators."""
+    scale, (brackets, cols) = integer_scale([algebra.brackets, dict(enumerate(zip(*op.entries)))])
+    return scale, term_table(brackets), [support(cols[j]) for j in range(algebra.dim)]
+
+
+def divided(vec, divisor):
+    """An ``int`` vector divided by the integer ``divisor``, as exact scalars."""
+    return vec if divisor == 1 else [rational(Fraction(x, divisor)) for x in vec]
+
+
 def unit_supports(indices):
     """Supports of the basis vectors at 1-based ``indices``."""
     return [[(i - 1, QQ_ONE)] for i in indices]
@@ -217,14 +273,6 @@ class RepresentationTable:
 
 
 # -- wedge-coefficient elements of Lambda^{n-1}(g) ----------------------
-
-
-def wedge_single(indices, dim):
-    canon = canonicalize_wedge(indices, dim)
-    if canon is None:
-        return {}
-    key, flip = canon
-    return {key: flip}
 
 
 def wedge_add_term(acc, indices, coeff, dim):
@@ -462,7 +510,7 @@ def _holds(lhs, rhs, width):
 def _unscaled(terms, width, scale):
     """A sum of (coefficients, supports) terms of an identity of degree 2,
     divided by ``scale`` squared."""
-    return [rational(Fraction(x, scale * scale)) for x in combine(*terms, width)]
+    return divided(combine(*terms, width), scale * scale)
 
 
 def ad(algebra, wedge_elem):

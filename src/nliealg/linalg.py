@@ -152,8 +152,12 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch")
 
+    def is_rational(self):
+        """Whether no entry is a dual number."""
+        return not any(isinstance(a, Dual) for row in self.row_maps for a in row.values())
+
     def _require_rational(self, what):
-        if any(isinstance(a, Dual) for row in self.row_maps for a in row.values()):
+        if not self.is_rational():
             raise UnsupportedRingError(f"{what} is only defined over the rationals, not dual numbers")
 
     # -- elimination -----------------------------------------------------

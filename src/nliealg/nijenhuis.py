@@ -5,18 +5,28 @@ subtracts N of the previous level; level 0 is the original bracket, so
 that level n-2 is meaningful even when n = 2.  One walk over the
 canonical basis n-tuples (``NAryAlgebra.basis_tuples``) gives every level
 and the verdict of the Nijenhuis identity [Nx_1,...,Nx_n] = N(level n-1);
-whatever is built from a verified operator reads that walk.
+whatever is built from a verified operator reads that walk.  Per tuple,
+the sums over all j-subsets at once are the grades of one graded wedge
+(``algebra.graded_brackets``), in integers for a rational N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .algebra import NAryAlgebra, RepresentationTable, operator_ad, support, unit_supports
+from .algebra import (
+    ALTERNATING,
+    NAryAlgebra,
+    RepresentationTable,
+    apply_columns,
+    divided,
+    graded_brackets,
+    operator_ad,
+    scaled_terms,
+    support,
+)
 from .errors import InputError
-from .linalg import Matrix, vec_add, vec_sub, vec_zero
-from .reynolds import basis_images
+from .linalg import Matrix, vec_sub
 from .verdict import fail, ok, require
 
 
@@ -35,31 +45,35 @@ class DeformedBracketLadder:
 def nijenhuis_values(algebra, op):
     """(verdict, ladder) from one walk over the canonical basis n-tuples.
 
-    Per tuple, the bracket with N on the slots of S is formed once for each
-    subset S: level j is the sum over |S| = j minus N(level j-1), and the
-    full set gives [Nx_1,...,Nx_n], compared with N(level n-1).  The
+    With B' = D[.] and N' = D N for a rational N, the wedge of
+    the slots (e_i, N'e_i) truncated at t^n has c_j = D^j times the sum
+    over |S| = j of the wedge with N on the slots of S, so
+    L'_j = B'(c_j) - N'L'_(j-1) is D^(j+1) times level j, and the full set
+    gives [Nx_1,...,Nx_n], compared with N(level n-1) as B'(c_n) = N'L'_(n-1).
+    Only the levels and the sides at a failing tuple are divided back.  The
     ladder is defined for any linear N, so the walk does not stop at a
     failing tuple; the verdict names the first one.
     """
     if op.rows != algebra.dim or op.cols != algebra.dim:
         raise InputError("operator dimension mismatch")
+    op._require_rational("Nijenhuis check")
     n, d = algebra.arity, algebra.dim
-    images = [support(v) for v in basis_images(algebra, op)[1]]
+    scale, table, images = scaled_terms(algebra, op)
+    alternating = algebra.symmetry == ALTERNATING
+    slots = [([(k, 1)], image) for k, image in enumerate(images)]
     tables = [{} for _ in range(n)]
     verdict = ok("nijenhuis")
     for tup in algebra.basis_tuples():
-        units, n_units = unit_supports(tup), [images[i - 1] for i in tup]
-        level = algebra.bracket_supports(units)
-        for j in range(1, n + 1):
-            acc = vec_zero(d)
-            for subset in combinations(range(n), j):
-                args = [n_units[i] if i in subset else units[i] for i in range(n)]
-                acc = vec_add(acc, algebra.bracket_supports(args))
-            below = op.apply(level)
-            if j < n:
-                level = tables[j][tup] = vec_sub(acc, below)
-            elif verdict and acc != below:
-                verdict = fail("nijenhuis", {"tuple": tup}, acc, below)
+        grades = graded_brackets(table, [slots[i - 1] for i in tup], n, d, alternating)
+        level = grades[0]
+        for j in range(1, n):
+            level = vec_sub(grades[j], apply_columns(images, support(level), d))
+            tables[j][tup] = divided(level, scale ** (j + 1))
+        if verdict:
+            below = apply_columns(images, support(level), d)
+            if grades[n] != below:
+                verdict = fail("nijenhuis", {"tuple": tup}, divided(grades[n], scale ** (n + 1)),
+                               divided(below, scale ** (n + 1)))
     levels = [algebra] + [NAryAlgebra(n, d, table, algebra.basis_names, algebra.symmetry) for table in tables[1:]]
     return verdict, DeformedBracketLadder(tuple(levels))
 

@@ -6,16 +6,28 @@ bracket (``NAryAlgebra.basis_tuples``), so on a commutative product too:
     [Rx_1,...,Rx_n] = sum_i (-1)^{n-i} R[Rx_1,...,^Rx_i,...,Rx_n, x_i]
                       - R[Rx_1,...,Rx_n]
 
-All checks run over whichever scalar ring the operator matrix carries, so
-the same verifier doubles as the first-order deformation check over the
-dual numbers.
+A rational operator is checked in integers, one graded wedge per basis
+tuple.  A dual-number operator R + eps*S has a walk of its own, each
+bracket of ``induced_value`` expanded over the dual numbers: it is the
+first-order deformation check that ``deformation._t_linear_check`` is
+cross-checked against, so it shares no kernel with the rational walk.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import NAryAlgebra, is_derivation, support, unit_supports
+from .algebra import (
+    ALTERNATING,
+    NAryAlgebra,
+    apply_columns,
+    divided,
+    graded_brackets,
+    is_derivation,
+    scaled_terms,
+    support,
+    unit_supports,
+)
 from .errors import InputError, NotInvertibleError, PreconditionError
 from .linalg import Matrix, vec_add, vec_sub, vec_zero
 from .rings import sign
@@ -47,9 +59,36 @@ def reynolds_values(algebra, op):
     """(verdict, values) from one walk over the canonical basis n-tuples:
     ``values`` maps each tuple that holds to ([Rx_1,...,Rx_n], [x_1,...,x_n]_R),
     the left-hand side and the induced value (R of it is the right-hand
-    side); the walk stops at the first failing tuple."""
+    side); the walk stops at the first failing tuple.
+
+    For a rational R, with B' = D[.] and R' = D R, the wedge of the slots
+    (R'e_i, D e_i) truncated at t^1 gives c_0 and c_1 with B'(c_0) =
+    D^(n+1) [Rx_1..Rx_n] and B'(c_1) - B'(c_0) = D^(n+1) [x_1..x_n]_R, so
+    the identity is D B'(c_0) = R'(B'(c_1) - B'(c_0)) in integers.  Only
+    what a caller reads is divided back: the values, and the two sides at
+    a failing tuple (by D^(n+1) and D^(n+2))."""
     if op.rows != algebra.dim or op.cols != algebra.dim:
         raise InputError("operator dimension mismatch")
+    if not op.is_rational():
+        return _dual_values(algebra, op)
+    n, d = algebra.arity, algebra.dim
+    scale, table, images = scaled_terms(algebra, op)
+    alternating, top_scale = algebra.symmetry == ALTERNATING, scale ** (n + 1)
+    slots = [(image, [(k, scale)]) for k, image in enumerate(images)]
+    values = {}
+    for tup in algebra.basis_tuples():
+        top, hat = graded_brackets(table, [slots[i - 1] for i in tup], 1, d, alternating)
+        value = vec_sub(hat, top)
+        rhs = apply_columns(images, support(value), d)
+        if any(scale * a != b for a, b in zip(top, rhs)):
+            return fail("reynolds", {"tuple": tup}, divided(top, top_scale), divided(rhs, top_scale * scale)), values
+        values[tup] = divided(top, top_scale), divided(value, top_scale)
+    return ok("reynolds"), values
+
+
+def _dual_values(algebra, op):
+    """``reynolds_values`` for a dual-number operator, each bracket of
+    ``induced_value`` expanded over the dual numbers."""
     images = [support(v) for v in basis_images(algebra, op)[1]]
     values = {}
     for tup in algebra.basis_tuples():

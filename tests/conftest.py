@@ -33,7 +33,6 @@ from nliealg.algebra import (
     RepresentationTable,
     algebra_from_bracket_function,
     fundamental_action,
-    wedge_single,
 )
 from nliealg.cohomology import Cochain, coboundary, delta_r_operator
 from nliealg.constructions import (
@@ -61,7 +60,7 @@ from nliealg.reynolds import induced_bracket
 from nliealg.rings import QQ_ONE, QQ_ZERO, Dual, rational, sign
 from nliealg.nijenhuis import DeformedBracketLadder
 from nliealg.verdict import fail, jsonable, ok, require
-from nliealg.wedge import increasing_tuples
+from nliealg.wedge import canonicalize_wedge, increasing_tuples
 
 
 @pytest.fixture
@@ -182,6 +181,16 @@ def euler_derivation(dim, monomial_degrees):
         [Fraction(monomial_degrees[i]) if i == j else Fraction(0) for j in range(dim)]
         for i in range(dim)
     ])
+
+
+def wedge_single(indices, dim):
+    """The basis element e_indices of Lambda^k, as {increasing tuple: sign};
+    {} on a repeated index."""
+    canon = canonicalize_wedge(indices, dim)
+    if canon is None:
+        return {}
+    key, flip = canon
+    return {key: flip}
 
 
 def naive_expansion(value_on_basis, args, dim):

@@ -14,7 +14,6 @@ from nliealg.algebra import (
     NAryAlgebra,
     adjoint_representation,
     check_filippov,
-    wedge_single,
 )
 from nliealg.cli import run_command
 from nliealg.cohomology import (
@@ -62,6 +61,7 @@ from conftest import (
     rand_vector,
     strictly_upper,
     trunc_xyz,
+    wedge_single,
 )
 
 from test_nijenhuis import ladder_level_oracle

@@ -14,13 +14,14 @@ from nliealg.algebra import (
     check_filippov,
     check_representation,
     fundamental_action,
+    graded_brackets,
     is_derivation,
     semidirect_product,
+    term_table,
     unit_supports,
-    wedge_single,
 )
 from nliealg.errors import InputError, PreconditionError, UnsupportedRingError
-from nliealg.linalg import Matrix, unit_vector, vec_zero
+from nliealg.linalg import Matrix, unit_vector, vec_add, vec_zero
 from nliealg.rings import Dual
 from nliealg.wedge import increasing_tuples
 
@@ -40,6 +41,7 @@ from conftest import (
     stored_bracket,
     trunc_xyz,
     unimodular_conjugate,
+    wedge_single,
 )
 
 
@@ -435,6 +437,52 @@ def test_bracket_supports_matches_naive_expansion(dual, sl2_like, three_lie4, tr
             assert alg.bracket_supports(unit_supports(picks)) == stored(picks)
         with pytest.raises(InputError):
             alg.bracket_supports(unit_supports(range(1, alg.arity)))
+
+
+def _graded_slots(rng, alg, ring):
+    """Seeded graded slots for ``graded_brackets``: per slot 1-3 grades,
+    each a ``sparse_args`` vector or a dense one, in the scalars of
+    ``ring``; slot 2 repeats the grade-0 vector of slot 1 and some grades
+    are basis vectors, so indices repeat across slots."""
+    def vector():
+        vec = sparse_args(rng, 1, alg.dim, ring == "dual")[0]
+        if rng.random() < 0.3:
+            vec = [x or Fraction(rng.choice((-2, 1, 3))) for x in vec]
+        if ring == "int":
+            vec = [int(x) for x in vec]
+        elif ring == "fraction":
+            vec = [x / rng.choice((1, 2, 3)) for x in vec]
+        if rng.random() < 0.2:
+            vec = [0] * alg.dim
+            vec[rng.randrange(alg.dim)] = rng.choice((1, -1))
+        return vec
+
+    slots = [[vector() for _ in range(rng.randint(1, 3))] for _ in range(alg.arity)]
+    slots[1][0] = list(slots[0][0])
+    return slots
+
+
+@pytest.mark.parametrize("ring", ["int", "fraction", "dual"])
+def test_graded_brackets_match_the_naive_expansion(ring, sl2_like, three_lie4, trunc_xy, trunc_x3):
+    """Grade g of the truncated graded wedge, contracted with the stored
+    brackets, is the sum over the grades (g_1..g_n) adding up to g of the
+    plain expansion of v_(1,g_1), ..., v_(n,g_n), on alternating brackets
+    and commutative products, truncated below and at the top grade."""
+    rng = random.Random(73)
+    for alg in (sl2_like, three_lie4, trunc_xy, trunc_x3, simple_n_lie(3)):
+        stored, table = stored_bracket(alg), term_table(alg.brackets)
+        alternating = alg.symmetry == "alternating"
+        for _ in range(8):
+            slots = _graded_slots(rng, alg, ring)
+            top = rng.randint(0, sum(len(slot) - 1 for slot in slots))
+            supports = [[[(i, c) for i, c in enumerate(v) if c] for v in slot] for slot in slots]
+            got = graded_brackets(table, supports, top, alg.dim, alternating)
+            expected = [[Fraction(0)] * alg.dim for _ in range(top + 1)]
+            for grades in product(*(range(len(slot)) for slot in slots)):
+                if sum(grades) <= top:
+                    args = [slot[g] for slot, g in zip(slots, grades)]
+                    expected[sum(grades)] = vec_add(expected[sum(grades)], naive_expansion(stored, args, alg.dim))
+            assert got == expected
 
 
 def test_products_skip_only_an_integer_one(lie3):

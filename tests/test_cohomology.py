@@ -15,7 +15,6 @@ from nliealg.algebra import (
     algebra_from_bracket_function,
     check_filippov,
     check_representation,
-    wedge_single,
 )
 from nliealg.cohomology import (
     DEFAULT_SIZE_GUARD,
@@ -42,6 +41,7 @@ from conftest import (
     rand_fraction,
     rand_matrix,
     simple_n_lie,
+    wedge_single,
 )
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from nliealg.algebra import SYMMETRIC, adjoint_representation, check_filippov, check_representation, wedge_single
+from nliealg.algebra import SYMMETRIC, adjoint_representation, check_filippov, check_representation
 from nliealg.cli import run_command
 from nliealg.cohomology import ReynoldsComplex, delta_r_operator, integer_delta
 from nliealg.constructions import (
@@ -36,7 +36,7 @@ from nliealg.nijenhuis import check_nijenhuis, deformed_algebra, deformed_bracke
 from nliealg.ns import ns_from_nijenhuis, ns_from_reynolds
 from nliealg.reynolds import check_reynolds, induced_bracket
 
-from conftest import naive_check_nijenhuis, naive_check_reynolds, naive_t_linear_check
+from conftest import naive_check_nijenhuis, naive_check_reynolds, naive_t_linear_check, wedge_single
 
 REFUSED = "applies to alternating brackets"
 

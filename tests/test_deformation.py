@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nliealg import deformation
-from nliealg.algebra import ad, wedge_single
+from nliealg.algebra import ad
 from nliealg.cli import run_command
 from nliealg.cohomology import Cochain, ReynoldsComplex, delta_r_operator
 from nliealg.documents import algebra_document, emit_document, operator_document
@@ -27,6 +27,7 @@ from conftest import (
     rand_matrix,
     report_bytes,
     simple_n_lie,
+    wedge_single,
 )
 
 

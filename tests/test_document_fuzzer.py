@@ -16,7 +16,7 @@ import pytest
 from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
-from nliealg.algebra import NAryAlgebra, adjoint_representation, wedge_single
+from nliealg.algebra import NAryAlgebra, adjoint_representation
 from nliealg.cli import COMMANDS, run_command
 from nliealg.cohomology import delta_r_operator
 from nliealg.constructions import LinearFunctional, comm_assoc_algebra
@@ -31,6 +31,8 @@ from nliealg.documents import (
 from nliealg.linalg import Matrix
 from nliealg.ns import ns_from_reynolds
 from nliealg.reynolds import derivation_to_reynolds
+
+from conftest import wedge_single
 
 
 def _specs():

@@ -23,7 +23,6 @@ from nliealg.algebra import (
     check_filippov,
     check_representation,
     semidirect_product,
-    wedge_single,
 )
 from nliealg.cli import run_command
 from nliealg.cohomology import Cochain, ReynoldsComplex, coboundary, delta_r_operator
@@ -57,7 +56,7 @@ from nliealg.rings import EPS, Dual, sign
 from nliealg.verdict import CheckResult
 from nliealg.wedge import increasing_tuples
 
-from conftest import euler_derivation, simple_n_lie
+from conftest import euler_derivation, simple_n_lie, wedge_single
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "nliealg").glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))

@@ -7,7 +7,7 @@ import pytest
 from nliealg import nijenhuis
 from nliealg.algebra import check_filippov, check_representation
 from nliealg.cli import run_command
-from nliealg.errors import PreconditionError
+from nliealg.errors import PreconditionError, UnsupportedRingError
 from nliealg.linalg import Matrix, vec_add, vec_zero
 from nliealg.nijenhuis import (
     check_nijenhuis,
@@ -15,6 +15,7 @@ from nliealg.nijenhuis import (
     deformed_bracket_ladder,
     nijenhuis_representation,
 )
+from nliealg.rings import EPS
 from nliealg.wedge import increasing_tuples
 
 from conftest import (
@@ -97,6 +98,15 @@ def test_non_nijenhuis_is_rejected(sl2_like):
         pytest.skip("unexpectedly a Nijenhuis operator")
     with pytest.raises(PreconditionError):
         deformed_algebra(sl2_like, op)
+
+
+def test_dual_number_operator_is_refused(lie3, abelian33):
+    """The ladder of a dual-number N would not be an algebra over the
+    rationals: the walk refuses it, on an abelian algebra too."""
+    for alg in (lie3, abelian33):
+        op = Matrix.identity(3) + Matrix.identity(3).scale(EPS)
+        with pytest.raises(UnsupportedRingError, match="Nijenhuis check"):
+            check_nijenhuis(alg, op)
 
 
 def test_projection_nijenhuis_on_lie3(lie3):

@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from nliealg import ns as ns_module
-from nliealg.algebra import ad, wedge_single
+from nliealg.algebra import ad
 from nliealg.errors import InputError, PreconditionError
 from nliealg.linalg import Matrix, integer_scale
 from nliealg.nijenhuis import deformed_algebra, nijenhuis_representation
@@ -33,6 +33,7 @@ from conftest import (
     sparse_args,
     stored_curly,
     unimodular_conjugate,
+    wedge_single,
 )
 
 

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from nliealg.algebra import ad, check_filippov, is_derivation, support, wedge_single
+from nliealg.algebra import NAryAlgebra, ad, check_filippov, is_derivation, scaled_terms, support
 from nliealg.cohomology import delta_r_operator
 from nliealg.errors import NotInvertibleError, PreconditionError
 from nliealg.linalg import Matrix
+from nliealg.nijenhuis import check_nijenhuis, deformed_bracket_ladder
 from nliealg.reynolds import (
     check_hom_pair,
     check_reynolds,
@@ -22,12 +23,16 @@ from nliealg.wedge import increasing_tuples
 
 from conftest import (
     lie3_nilpotent_derivation,
+    naive_check_nijenhuis,
     naive_check_reynolds,
+    naive_deformed_bracket_ladder,
     naive_induced_value,
     rand_matrix,
     report_bytes,
     simple_n_lie,
     strictly_upper,
+    unimodular_conjugate,
+    wedge_single,
 )
 
 
@@ -191,3 +196,36 @@ def test_induced_value_matches_naive_induced_value(lie3, family1, family2, three
                 assert table.bracket_on_basis(tup) == expected
     # passing walks, and a failing one that stopped past its first tuple
     assert any(passed for passed, _ in walked) and any(not passed and stop for passed, stop in walked)
+
+
+def _halved(alg):
+    """The algebra with every structure constant divided by 2."""
+    brackets = {key: [Fraction(x, 2) for x in vec] for key, vec in alg.brackets.items()}
+    return NAryAlgebra(alg.arity, alg.dim, brackets, alg.basis_names, alg.symmetry)
+
+
+def test_integer_walks_report_the_naive_counterexamples(lie3, three_lie4, sl2_like, trunc_x2):
+    """Seeded operators with non-integral entries, on algebras with integral
+    and halved structure constants (seeded unimodular conjugates of the
+    alternating ones, k[x]/(x^2) as it is): the integer Reynolds and
+    Nijenhuis walks scale by D > 1 and report the naive route's failing
+    tuple, lhs, rhs and difference, and the ladder is the naive one."""
+    rng = random.Random(89)
+    algebras = [trunc_x2, _halved(trunc_x2)]
+    for alg in (lie3, three_lie4, sl2_like, simple_n_lie(3)):
+        algebras += [alg, _halved(unimodular_conjugate(rng, alg, Matrix.identity(alg.dim))[0])]
+    failures = 0
+    for alg in algebras:
+        for _ in range(4):
+            entries = [[Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(alg.dim)]
+                       for _ in range(alg.dim)]
+            entries[rng.randrange(alg.dim)][rng.randrange(alg.dim)] = Fraction(rng.choice((-1, 1)), 2)
+            op = Matrix(entries)
+            assert scaled_terms(alg, op)[0] > 1
+            for got, expected in ((check_reynolds(alg, op), naive_check_reynolds(alg, op)),
+                                  (check_nijenhuis(alg, op), naive_check_nijenhuis(alg, op))):
+                assert got == expected
+                assert report_bytes(got) == report_bytes(expected)
+                failures += not got
+            assert deformed_bracket_ladder(alg, op).levels == naive_deformed_bracket_ladder(alg, op).levels
+    assert failures > 3 * len(algebras)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from nliealg.algebra import NAryAlgebra, RepresentationTable, ad, adjoint_representation, wedge_single
+from nliealg.algebra import NAryAlgebra, RepresentationTable, ad, adjoint_representation
 from nliealg.cli import run_command
 from nliealg.documents import (
     algebra_document,
@@ -30,7 +30,7 @@ from nliealg.linalg import Matrix
 from nliealg.ns import ns_from_reynolds
 from nliealg.reynolds import derivation_to_reynolds
 
-from conftest import simple_n_lie
+from conftest import simple_n_lie, wedge_single
 
 INTEGRAL = re.compile(r"^-?\d+$")
 
