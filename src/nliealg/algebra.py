@@ -7,9 +7,10 @@ vectors go through ``expand`` (shared with the curly bracket of
 ``ns.NSAlgebra``), which sorts each index tuple it meets.  Operators
 built from the bracket, ad(X) and ad(Te_J1 ^ ... ^ Te_J(n-1)), are read
 off the stored brackets instead, through the columns of each ad_K
-(``ad_table``).  The Reynolds and Nijenhuis walks bracket sums of
-operator images through one truncated graded wedge per basis tuple
-(``graded_brackets``).
+(``ad_table``).  Every wedge of operator images, for the Reynolds and
+Nijenhuis walks, [.]_R and rho_R, and the curly bracket of an operator,
+comes from one prefix-shared walk over the canonical tuples
+(``graded_wedges``).
 """
 
 from __future__ import annotations
@@ -170,52 +171,64 @@ def expand_supports(table, supports, dim, skew):
     return combine(coeffs, hits, dim)
 
 
-def graded_brackets(table, slots, top, dim, alternating):
-    """[B(c_0), ..., B(c_top)] for the wedge of the graded slots
-    v_i = sum_g t^g v_(i,g), truncated at t^top: c_0 + t c_1 + ... + t^top c_top
-    = v_1 ^ ... ^ v_n, with B the ``term_table`` ``table`` contracted once
-    per grade.  ``slots[i][g]`` is the support of v_(i,g).
+def graded_wedges(slots, k, top, alternating=True):
+    """(J, wedge) for each canonical k-tuple J of slot indices, in
+    ``basis_tuples`` order (non-decreasing unless ``alternating``): wedge[g]
+    is grade g of v_J1 ^ ... ^ v_Jk truncated at t^top, as {canonical 1-based
+    tuple: coefficient}, for v_j = sum_g t^g v_(j,g) with ``slots[j - 1][g]``
+    the support of v_(j,g).  Each wedge is its prefix's extended by one slot;
+    the walk is lazy, and a prefix is extended only while it can still reach
+    length k."""
+    d = len(slots)
 
-    The wedge is built slot by slot as {(sorted index tuple, grade):
-    coefficient}, each index inserted at its sorted place: with the sign of
-    the moves and a repeated index dropped when ``alternating``, as a sorted
-    multiset for a symmetric binary product.  So c_g, the sum over the
-    grades (g_1..g_n) adding up to g of v_(1,g_1) ^ ... ^ v_(n,g_n), comes
-    from one pass over at most sum_k C(d, k) index tuples per grade, not
-    from one expansion per choice of grades and pick of the supports.
-    """
-    level = {((), 0): QQ_ONE}
-    for slot in slots:
-        grown = {}
-        for (key, h), c in level.items():
-            for g, vec in enumerate(slot[:top + 1 - h], h):
-                for k, b in vec:
-                    at = bisect_left(key, k)
+    def walk(prefix, wedge, low):
+        if len(prefix) == k:
+            yield prefix, wedge
+            return
+        high = d - (k - len(prefix) - 1) if alternating else d
+        for j in range(low, high + 1):
+            grown = _extended(wedge, slots[j - 1], top, alternating)
+            yield from walk(prefix + (j,), grown, j + 1 if alternating else j)
+
+    return walk((), [{(): QQ_ONE}] + [{} for _ in range(top)], 1)
+
+
+def _extended(wedge, slot, top, alternating):
+    """wedge ^ v, truncated at t^top, for the graded vector v of ``slot``:
+    each index inserted at its sorted place, with the sign of the moves and
+    a repeated index dropped when ``alternating``, else as a sorted multiset."""
+    grown = [{} for _ in wedge]
+    for h, layer in enumerate(wedge):
+        for g, vec in enumerate(slot[:top + 1 - h] if layer else (), h):
+            acc = grown[g]
+            for key, c in layer.items():
+                for i, b in vec:
+                    i += 1
+                    at = bisect_left(key, i)
                     if alternating:
-                        if at < len(key) and key[at] == k:
+                        if at < len(key) and key[at] == i:
                             continue
                         if (len(key) - at) % 2:
                             b = -b
-                    new = key[:at] + (k,) + key[at:], g
-                    x, y = b * c, grown.get(new)
-                    grown[new] = x if y is None else y + x
-        level = grown
-    out = [[QQ_ZERO] * dim for _ in range(top + 1)]
-    for (key, g), c in level.items():
-        terms = table.get(key)
-        if terms is not None and c:
-            acc = out[g]
-            for j, t in terms:
-                acc[j] += c * t
-    return out
+                    new, x = key[:at] + (i,) + key[at:], b * c
+                    y = acc.get(new)
+                    acc[new] = x if y is None else y + x
+    return grown
 
 
-def scaled_terms(algebra, op):
-    """(D, table, images) for a rational ``op``: the brackets as a
-    ``term_table`` and the columns of ``op`` by their supports, both scaled
-    to ``int`` by one D, the lcm of their denominators."""
-    scale, (brackets, cols) = integer_scale([algebra.brackets, dict(enumerate(zip(*op.entries)))])
-    return scale, term_table(brackets), [support(cols[j]) for j in range(algebra.dim)]
+def contracted(values, layer, d):
+    """B(X), dense, for X = {canonical tuple: coefficient} and B given by the
+    supports ``values`` of its values on canonical tuples."""
+    return combine(list(layer.values()), [values.get(key, ()) for key in layer], d)
+
+
+def column_supports(op):
+    """The supports of the columns of ``op``, read off its rows."""
+    cols = [[] for _ in range(op.cols)]
+    for i, row in enumerate(op.row_maps):
+        for j, c in row.items():
+            cols[j].append((i, c))
+    return cols
 
 
 def divided(vec, divisor):
@@ -303,7 +316,8 @@ def check_filippov(algebra):
     kernel each (ad_xs = 0 passes trivially)."""
     algebra.require_alternating("Filippov check")
     d = algebra.dim
-    scale, values, ad_cols = integer_brackets(algebra)
+    scale, values = integer_brackets(algebra)
+    ad_cols = ad_table(algebra, values)
     hats = hatted(algebra.basis_tuples(), True)
     for xs, cols in ad_cols.items():
         failure = any(cols) and _leibniz_failure(hats, values, ad_cols, cols, d)
@@ -320,7 +334,8 @@ def is_derivation(algebra, op):
     if op.rows != d or op.cols != d:
         raise InputError("operator dimension mismatch")
     op._require_rational("derivation check")
-    scale, values, ad_cols, cols = integer_brackets(algebra, dict(enumerate(zip(*op.entries))))
+    scale, values, cols = integer_brackets(algebra, op)
+    ad_cols = ad_table(algebra, values)
     hats = hatted(algebra.basis_tuples(), algebra.symmetry == ALTERNATING)
     failure = _leibniz_failure(hats, values, ad_cols, cols, d)
     if failure:
@@ -340,10 +355,11 @@ def check_representation(algebra, rho):
         raise InputError("representation/algebra dimension mismatch")
     for mat in rho.tables.values():
         mat._require_rational("representation check")
-    columns = {(xs, j): col for xs, mat in rho.tables.items() for j, col in enumerate(zip(*mat.entries))}
-    scale, values, ad_cols, columns = integer_brackets(algebra, columns)
+    scale, values, *columns = integer_brackets(algebra, *rho.tables.values())
+    columns = dict(zip(rho.tables, columns))
+    ad_cols = ad_table(algebra, values)
     width = dv * dv
-    flat, product = tabulated_products({xs: [columns.get((xs, j), []) for j in range(dv)] for xs in ad_cols}, dv)
+    flat, product = tabulated_products({xs: columns.get(xs, [[]] * dv) for xs in ad_cols}, dv)
     mixed = extensions(d, n - 2)
     failure = _commutator_failure(ad_cols, mixed, flat, product, width)
     if failure:
@@ -362,13 +378,18 @@ def check_representation(algebra, rho):
     return ok("representation")
 
 
-def integer_brackets(algebra, *tables):
-    """(D, values, ad_cols, *tables): the brackets and {key: vector}
-    ``tables`` scaled to ``int`` by one D, the lcm of their denominators, as
-    supports, and the ``ad_table`` of the scaled brackets."""
-    scale, scaled = integer_scale([algebra.brackets, *tables])
-    values, *tables = [{key: support(vec) for key, vec in table.items()} for table in scaled]
-    return (scale, values, ad_table(algebra, values), *tables)
+def integer_brackets(algebra, *ops):
+    """(D, values, *images): the supports of the brackets, keyed like
+    ``brackets``, and the ``column_supports`` of each operator of ``ops``,
+    scaled to ``int`` by one D, the lcm of their denominators."""
+    tables = [{key: support(vec) for key, vec in algebra.brackets.items()}]
+    tables += [dict(enumerate(column_supports(op))) for op in ops]
+    scale, scaled = integer_scale([{key: [c for _, c in vec] for key, vec in table.items()} for table in tables])
+    values, *images = [
+        {key: [(i, c) for (i, _), c in zip(table[key], ints)] for key, ints in coeffs.items()}
+        for table, coeffs in zip(tables, scaled)
+    ]
+    return (scale, values, *(list(image.values()) for image in images))
 
 
 def ad_table(algebra, values=None):
@@ -401,35 +422,13 @@ def ad_of(wedge, ad, d):
     return [combine(coeffs, [ad[key][j] for key in wedge], d) for j in range(d)]
 
 
-def image_wedges(images, k, scale=None):
-    """{J: (A, H)} for each increasing k-tuple J, for S given by the supports
-    of its columns ``images``: A = Se_J1 ^ ... ^ Se_Jk and, given the scale D
-    of S, H = sum_i Se_J1 ^ .. De_Ji .. ^ Se_Jk - A (times D^k), else None.
-    Each is built from its prefix: (A, H) ^ e_j = (A ^ Se_j, H ^ Se_j + A ^ De_j)."""
-    d, level = len(images), {(): ({(): 1}, None if scale is None else {(): -1})}
-    for _ in range(k):
-        level = {key + (j,): (_wedge(top, images[j - 1], d),
-                              hat if hat is None else _wedge(hat, images[j - 1], d, _wedge(top, [(j - 1, scale)], d)))
-                 for key, (top, hat) in level.items() for j in range(key[-1] + 1 if key else 1, d + 1)}
-    return level
-
-
-def _wedge(elem, vec, d, acc=None):
-    """``acc`` plus elem ^ v, for v given by its support."""
-    acc = {} if acc is None else acc
-    for key, a in elem.items():
-        for k, b in vec:
-            wedge_add_term(acc, key + (k + 1,), a * b, d)
-    return acc
-
-
 def operator_ad(algebra, op):
     """{J: columns of ad(Te_J1 ^ ... ^ Te_J(n-1))} for each increasing
     (n-1)-tuple J: the curly bracket [Tx_1, ..., Tx_(n-1), x_n] of the NS
     structure of T, and rho_N when T is a Nijenhuis operator."""
     d, table = algebra.dim, ad_table(algebra)
-    images = [support(col) for col in zip(*op.entries)]
-    return {tup: ad_of(top, table, d) for tup, (top, _) in image_wedges(images, algebra.arity - 1).items()}
+    slots = [(col,) for col in column_supports(op)]
+    return {tup: ad_of(top, table, d) for tup, (top,) in graded_wedges(slots, algebra.arity - 1, 0)}
 
 
 def apply_columns(cols, vec, d):

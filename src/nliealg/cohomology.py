@@ -6,13 +6,13 @@ are stored as flat coefficient tuples in lexicographic basis order
 (I_1, ..., I_{m-1}, j, v).  Degree 0 of the Reynolds complex is
 Lambda^{n-1}(g) itself.
 
-The complex of R is read off two matrices per increasing (n-1)-tuple J,
-A_J = ad(Re_J1 ^ ... ^ Re_J(n-1)) and
+The complex of a Reynolds operator R is read off its verified walk and
+two matrices per increasing (n-1)-tuple J.  The walk that
+``reynolds.check_reynolds`` runs verifies R and gives [.]_R.  The matrices
+are A_J = ad(Re_J1 ^ ... ^ Re_J(n-1)) and
 H_J = ad(sum_i Re_J1 ^ .. e_Ji .. ^ Re_J(n-1) - Re_J1 ^ ... ^ Re_J(n-1)),
-built by ``algebra.image_wedges`` and ``algebra.ad_of``:
-rho_R(e_J) = A_J - R H_J, [e_J, e_j]_R = H_J Re_j + A_J e_j for j > J_(n-1),
-the Reynolds identity at J + (j) is A_J Re_j = R[e_J, e_j]_R, and
-delta_R(e_J) = R ad_J - R ad_J R - ad_J R.
+from grades 0 and 1 of one graded wedge per J (``algebra.graded_wedges``).
+Then rho_R(e_J) = A_J - R H_J and delta_R(e_J) = R ad_J - R ad_J R - ad_J R.
 
 ``ReynoldsComplex.dimensions`` runs in ``int``: for D != 0, (D [.]_R, D rho_R)
 is again an n-Lie algebra with a representation (each identity involved is
@@ -37,15 +37,14 @@ from .algebra import (
     ad_table,
     apply_columns,
     fundamental_action,
-    image_wedges,
+    graded_wedges,
     integer_brackets,
     support,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError
-from .linalg import Matrix, combine, vec_add, vec_scale, vec_zero
-from .reynolds import check_reynolds
+from .linalg import Matrix, vec_add, vec_scale, vec_sub, vec_zero
+from .reynolds import verified_values
 from .rings import QQ_ONE, QQ_ZERO, rational, sign
-from .verdict import require
 from .wedge import WedgeBasis
 
 DEFAULT_SIZE_GUARD = 2_000_000
@@ -208,35 +207,23 @@ def reynolds_representation(algebra, op):
     return ReynoldsComplex(algebra, op).rho
 
 
-def reynolds_tables(algebra, op, scale, ad, images):
-    """(t, brackets, columns): t [.]_R on the increasing n-tuples and the
-    columns of each t rho_R(e_J), in ``int``, from A_J and H_J on the
-    ``_integer_operators`` of R, with t = D^(n+1).  At the first J + (j), in
-    ``basis_tuples`` order, where the Reynolds identity fails,
-    ``check_reynolds`` forms the counterexample (and must fail there too)."""
-    d = algebra.dim
-    brackets, columns = {}, {}
-    for tup, wedges in image_wedges(images, algebra.arity - 1, scale).items():
-        a, h = ([support(col) for col in ad_of(wedge, ad, d)] for wedge in wedges)
-        columns[tup] = [combine([scale] + [-c for _, c in col], [a[j]] + [images[k] for k, _ in col], d)
-                        for j, col in enumerate(h)]
-        for j in range(tup[-1], d):
-            value = combine([scale] + [c for _, c in images[j]], [a[j]] + [h[k] for k, _ in images[j]], d)
-            if [scale * x for x in apply_columns(a, images[j], d)] != apply_columns(images, support(value), d):
-                require(check_reynolds(algebra, op), "operator is not a Reynolds operator")
-                raise InternalConsistencyError(f"the Reynolds walk passes, the tables fail at {tup + (j + 1,)}")
-            brackets[tup + (j + 1,)] = value
-    return scale ** (algebra.arity + 1), brackets, columns
-
-
-def _integer_operators(algebra, op):
-    """(D, ad, images): the column supports of D ad_K for each increasing
-    (n-1)-tuple K and those of S = D op, D the lcm of all denominators."""
-    d = algebra.dim
-    if op.rows != d or op.cols != d:
-        raise InputError("operator dimension mismatch")
-    scale, _, ad, images = integer_brackets(algebra, dict(enumerate(zip(*op.entries))))
-    return scale, ad, [images[j] for j in range(d)]
+def reynolds_tables(scale, ad, images, n):
+    """{J: columns of D^(n+1) rho_R(e_J)} in ``int`` for each increasing
+    (n-1)-tuple J, from D, the column supports of D ad_K for each K (an
+    ``ad_table`` of the scaled brackets) and those of S = D R.  Through
+    ``ad_of``, grades 0 and 1 of the wedge of the slots (Se_i, De_i) over J
+    give D^n A_J and D^n (A_J + H_J), so D^(n+1) rho_R(e_J) is D times the
+    first minus S times their difference."""
+    d = len(images)
+    slots = [(image, [(j, scale)]) for j, image in enumerate(images)]
+    columns = {}
+    for tup, (low, high) in graded_wedges(slots, n - 1, 1):
+        cols = []
+        for a, b in zip(ad_of(low, ad, d), ad_of(high, ad, d)):
+            moved = apply_columns(images, support(vec_sub(b, a)), d)
+            cols.append([scale * x - y for x, y in zip(a, moved)])
+        columns[tup] = cols
+    return columns
 
 
 def delta_r_operator(algebra, op, x_wedge):
@@ -257,8 +244,13 @@ class ReynoldsComplex:
         self.op = op
         self.wedge = WedgeBasis(algebra.dim, algebra.arity - 1)
         n, d = algebra.arity, algebra.dim
-        self._operators = _integer_operators(algebra, op)
-        t, brackets, columns = reynolds_tables(algebra, op, *self._operators)
+        values = verified_values(algebra, op)
+        scale, scaled, images = integer_brackets(algebra, op)
+        self._operators = scale, ad_table(algebra, scaled), images
+        columns = reynolds_tables(*self._operators, n)
+        # t [.]_R in int, read off the walk, beside the columns of t rho_R
+        t = scale ** (n + 1)
+        brackets = {tup: [int(t * x) for x in value] for tup, (_, value) in values.items()}
         g = gcd(t, *(x for vec in brackets.values() for x in vec), *(x for c in columns.values() for v in c for x in v))
         self._scale = t // g
 
@@ -423,11 +415,15 @@ def integer_delta(algebra, op):
     columns of each ad_J: delta_R(e_J) = R ad_J - R ad_J R - ad_J R."""
     algebra.require_alternating("delta_R")
     op._require_rational("delta_R")
-    return _delta(algebra.dim, *_integer_operators(algebra, op))
+    if op.rows != algebra.dim or op.cols != algebra.dim:
+        raise InputError("operator dimension mismatch")
+    scale, scaled, images = integer_brackets(algebra, op)
+    return _delta(algebra.dim, scale, ad_table(algebra, scaled), images)
 
 
 def _delta(d, scale, ad, images):
-    """``integer_delta`` on the ``_integer_operators`` of R."""
+    """``integer_delta`` on D, the column supports of D ad_K for each
+    increasing (n-1)-tuple K, and those of S = D R."""
     cols = []
     for adj in ad.values():
         col = []

@@ -7,7 +7,7 @@ canonical basis n-tuples (``NAryAlgebra.basis_tuples``) gives every level
 and the verdict of the Nijenhuis identity [Nx_1,...,Nx_n] = N(level n-1);
 whatever is built from a verified operator reads that walk.  Per tuple,
 the sums over all j-subsets at once are the grades of one graded wedge
-(``algebra.graded_brackets``), in integers for a rational N.
+of the walk of ``algebra.graded_wedges``, in integers.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from .algebra import (
     NAryAlgebra,
     RepresentationTable,
     apply_columns,
+    contracted,
     divided,
-    graded_brackets,
+    graded_wedges,
+    integer_brackets,
     operator_ad,
-    scaled_terms,
     support,
 )
 from .errors import InputError
@@ -58,13 +59,12 @@ def nijenhuis_values(algebra, op):
         raise InputError("operator dimension mismatch")
     op._require_rational("Nijenhuis check")
     n, d = algebra.arity, algebra.dim
-    scale, table, images = scaled_terms(algebra, op)
-    alternating = algebra.symmetry == ALTERNATING
+    scale, brackets, images = integer_brackets(algebra, op)
     slots = [([(k, 1)], image) for k, image in enumerate(images)]
     tables = [{} for _ in range(n)]
     verdict = ok("nijenhuis")
-    for tup in algebra.basis_tuples():
-        grades = graded_brackets(table, [slots[i - 1] for i in tup], n, d, alternating)
+    for tup, wedge in graded_wedges(slots, n, n, algebra.symmetry == ALTERNATING):
+        grades = [contracted(brackets, layer, d) for layer in wedge]
         level = grades[0]
         for j in range(1, n):
             level = vec_sub(grades[j], apply_columns(images, support(level), d))

@@ -79,10 +79,6 @@ class NSAlgebra:
             raise InputError(f"expected {self.arity} arguments, got {len(args)}")
         return expand(self._terms, args, self.dim, self.arity - 1)
 
-    def curly_matrix(self, prefix):
-        """The operator x -> {e_prefix, x}."""
-        return Matrix.from_columns(self.curly_on_basis(prefix, j) for j in range(1, self.dim + 1))
-
     def units(self, indices):
         return self.square.units(indices)
 
@@ -194,7 +190,11 @@ def subadjacent(ns):
         raise InternalConsistencyError(
             f"axioms passed but the angle bracket is not Filippov: {jsonable(fil.counterexample)}"
         )
-    rep = RepresentationTable(n, d, d, {tup: ns.curly_matrix(tup) for tup in increasing_tuples(d, n - 1)})
+    # column j of {e_prefix, .} for an increasing prefix: the stored value, else zero
+    zero = vec_zero(d)
+    rep = RepresentationTable(n, d, d, {
+        prefix: Matrix.from_columns([ns.curly_table.get((prefix, j), zero) for j in range(1, d + 1)])
+        for prefix in increasing_tuples(d, n - 1)})
     rep_check = check_representation(algebra, rep)
     if not rep_check:
         raise InternalConsistencyError(

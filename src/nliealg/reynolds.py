@@ -6,11 +6,13 @@ bracket (``NAryAlgebra.basis_tuples``), so on a commutative product too:
     [Rx_1,...,Rx_n] = sum_i (-1)^{n-i} R[Rx_1,...,^Rx_i,...,Rx_n, x_i]
                       - R[Rx_1,...,Rx_n]
 
-A rational operator is checked in integers, one graded wedge per basis
-tuple.  A dual-number operator R + eps*S has a walk of its own, each
-bracket of ``induced_value`` expanded over the dual numbers: it is the
-first-order deformation check that ``deformation._t_linear_check`` is
-cross-checked against, so it shares no kernel with the rational walk.
+A rational operator is checked in integers, in one walk of the graded
+wedges of its images (``algebra.graded_wedges``) that also gives [.]_R:
+whatever is built from a verified operator, the Reynolds complex too,
+reads that walk (``verified_values``).  A dual-number operator R + eps*S
+has a walk of its own, each bracket of ``induced_value`` expanded over
+the dual numbers: the first-order deformation check that
+``deformation._t_linear_check`` is cross-checked against.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from .algebra import (
     ALTERNATING,
     NAryAlgebra,
     apply_columns,
+    contracted,
     divided,
-    graded_brackets,
+    graded_wedges,
+    integer_brackets,
     is_derivation,
-    scaled_terms,
     support,
     unit_supports,
 )
@@ -72,13 +75,13 @@ def reynolds_values(algebra, op):
     if not op.is_rational():
         return _dual_values(algebra, op)
     n, d = algebra.arity, algebra.dim
-    scale, table, images = scaled_terms(algebra, op)
-    alternating, top_scale = algebra.symmetry == ALTERNATING, scale ** (n + 1)
+    scale, brackets, images = integer_brackets(algebra, op)
+    top_scale = scale ** (n + 1)
     slots = [(image, [(k, scale)]) for k, image in enumerate(images)]
     values = {}
-    for tup in algebra.basis_tuples():
-        top, hat = graded_brackets(table, [slots[i - 1] for i in tup], 1, d, alternating)
-        value = vec_sub(hat, top)
+    for tup, (low, high) in graded_wedges(slots, n, 1, algebra.symmetry == ALTERNATING):
+        top = contracted(brackets, low, d)
+        value = vec_sub(contracted(brackets, high, d), top)
         rhs = apply_columns(images, support(value), d)
         if any(scale * a != b for a, b in zip(top, rhs)):
             return fail("reynolds", {"tuple": tup}, divided(top, top_scale), divided(rhs, top_scale * scale)), values

@@ -802,7 +802,8 @@ def naive_coboundary(algebra, rho, cochain):
 
 def naive_reynolds_representation(algebra, op):
     """rho_R with R applied n times per column to brackets of dense
-    vectors; the reference for rho_R of ``cohomology.reynolds_tables``."""
+    vectors; the reference for the rho_R that ``cohomology.reynolds_tables``
+    reads off grades 0 and 1 of the graded wedges of R's images."""
     n, d = algebra.arity, algebra.dim
     tables = {}
     for tup in increasing_tuples(d, n - 1):

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -13,11 +13,11 @@ from nliealg.algebra import (
     adjoint_representation,
     check_filippov,
     check_representation,
+    contracted,
     fundamental_action,
-    graded_brackets,
+    graded_wedges,
     is_derivation,
     semidirect_product,
-    term_table,
     unit_supports,
 )
 from nliealg.errors import InputError, PreconditionError, UnsupportedRingError
@@ -439,13 +439,13 @@ def test_bracket_supports_matches_naive_expansion(dual, sl2_like, three_lie4, tr
             alg.bracket_supports(unit_supports(range(1, alg.arity)))
 
 
-def _graded_slots(rng, alg, ring):
-    """Seeded graded slots for ``graded_brackets``: per slot 1-3 grades,
-    each a ``sparse_args`` vector or a dense one, in the scalars of
-    ``ring``; slot 2 repeats the grade-0 vector of slot 1 and some grades
-    are basis vectors, so indices repeat across slots."""
+def _graded_slots(rng, d, ring):
+    """Seeded graded slots for ``graded_wedges``, one per basis index: per
+    slot 1-3 grades, each a ``sparse_args`` vector or a dense one, in the
+    scalars of ``ring``; slot 2 repeats the grade-0 vector of slot 1 and
+    some grades are basis vectors, so indices repeat across slots."""
     def vector():
-        vec = sparse_args(rng, 1, alg.dim, ring == "dual")[0]
+        vec = sparse_args(rng, 1, d, ring == "dual")[0]
         if rng.random() < 0.3:
             vec = [x or Fraction(rng.choice((-2, 1, 3))) for x in vec]
         if ring == "int":
@@ -453,36 +453,74 @@ def _graded_slots(rng, alg, ring):
         elif ring == "fraction":
             vec = [x / rng.choice((1, 2, 3)) for x in vec]
         if rng.random() < 0.2:
-            vec = [0] * alg.dim
-            vec[rng.randrange(alg.dim)] = rng.choice((1, -1))
+            vec = [0] * d
+            vec[rng.randrange(d)] = rng.choice((1, -1))
         return vec
 
-    slots = [[vector() for _ in range(rng.randint(1, 3))] for _ in range(alg.arity)]
+    slots = [[vector() for _ in range(rng.randint(1, 3))] for _ in range(d)]
     slots[1][0] = list(slots[0][0])
     return slots
 
 
+def _grade_choices(slots, top):
+    """(g, [v_(1,g_1), ..., v_(k,g_k)]) for each choice of grades of the k
+    graded vectors ``slots`` adding up to g <= top."""
+    for grades in product(*(range(len(slot)) for slot in slots)):
+        if sum(grades) <= top:
+            yield sum(grades), [slot[g] for slot, g in zip(slots, grades)]
+
+
+def _naive_wedge(vectors, d, alternating):
+    """v_1 ^ ... ^ v_k as a Counter over canonical 1-based tuples, from
+    every pick of indices: sorted with its sign (a repeat is zero) when
+    ``alternating``, else sorted as a multiset."""
+    out = Counter()
+    for picks in product(range(1, d + 1), repeat=len(vectors)):
+        coeff = Fraction(1)
+        for v, p in zip(vectors, picks):
+            coeff = coeff * v[p - 1]
+        wedge = wedge_single(picks, d) if alternating else {tuple(sorted(picks)): 1}
+        for key, flip in wedge.items():
+            out[key] += flip * coeff
+    return out
+
+
 @pytest.mark.parametrize("ring", ["int", "fraction", "dual"])
-def test_graded_brackets_match_the_naive_expansion(ring, sl2_like, three_lie4, trunc_xy, trunc_x3):
-    """Grade g of the truncated graded wedge, contracted with the stored
-    brackets, is the sum over the grades (g_1..g_n) adding up to g of the
-    plain expansion of v_(1,g_1), ..., v_(n,g_n), on alternating brackets
-    and commutative products, truncated below and at the top grade."""
+def test_graded_wedges_match_the_naive_expansion(ring, sl2_like, three_lie4, trunc_xy, trunc_x3):
+    """The walk yields the canonical k-tuples in order: increasing ones for
+    alternating brackets (none for k > d), non-decreasing ones for a
+    commutative product, at k = 1, d - 1, d, d + 1 and the arity.  At k <= 2
+    each wedge is the naive one, grade by grade; at the arity each grade,
+    contracted with the stored brackets, is the sum over the grades
+    (g_1..g_n) adding up to g of the plain expansion of v_(1,g_1), ...,
+    v_(n,g_n), truncated below and at the top grade."""
     rng = random.Random(73)
     for alg in (sl2_like, three_lie4, trunc_xy, trunc_x3, simple_n_lie(3)):
-        stored, table = stored_bracket(alg), term_table(alg.brackets)
+        d, n, stored = alg.dim, alg.arity, stored_bracket(alg)
+        values = {key: [(i, c) for i, c in enumerate(vec) if c] for key, vec in alg.brackets.items()}
         alternating = alg.symmetry == "alternating"
-        for _ in range(8):
-            slots = _graded_slots(rng, alg, ring)
-            top = rng.randint(0, sum(len(slot) - 1 for slot in slots))
+        for _ in range(3):
+            slots = _graded_slots(rng, d, ring)
             supports = [[[(i, c) for i, c in enumerate(v) if c] for v in slot] for slot in slots]
-            got = graded_brackets(table, supports, top, alg.dim, alternating)
-            expected = [[Fraction(0)] * alg.dim for _ in range(top + 1)]
-            for grades in product(*(range(len(slot)) for slot in slots)):
-                if sum(grades) <= top:
-                    args = [slot[g] for slot, g in zip(slots, grades)]
-                    expected[sum(grades)] = vec_add(expected[sum(grades)], naive_expansion(stored, args, alg.dim))
-            assert got == expected
+            for k in sorted({1, d - 1, d, d + 1, n}):
+                top = rng.randint(0, 2 * k)
+                walk = list(graded_wedges(supports, k, top, alternating))
+                order = combinations if alternating else combinations_with_replacement
+                assert [tup for tup, _ in walk] == list(order(range(1, d + 1), k))
+                assert all(len(wedge) == top + 1 for _, wedge in walk)
+                for tup, wedge in walk:
+                    chosen = [slots[i - 1] for i in tup]
+                    if k <= 2:
+                        expected = [Counter() for _ in range(top + 1)]
+                        for g, args in _grade_choices(chosen, top):
+                            expected[g].update(_naive_wedge(args, d, alternating))
+                        assert [{key: c for key, c in layer.items() if c} for layer in wedge] == [
+                            {key: c for key, c in layer.items() if c} for layer in expected]
+                    if k == n:
+                        expected = [[Fraction(0)] * d for _ in range(top + 1)]
+                        for g, args in _grade_choices(chosen, top):
+                            expected[g] = vec_add(expected[g], naive_expansion(stored, args, d))
+                        assert [contracted(values, layer, d) for layer in wedge] == expected
 
 
 def test_products_skip_only_an_integer_one(lie3):

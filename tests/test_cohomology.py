@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from nliealg import cohomology as cohomology_module
+from nliealg import reynolds as reynolds_module
 from nliealg.algebra import (
     NAryAlgebra,
     RepresentationTable,
@@ -30,7 +31,6 @@ from nliealg.errors import InputError, InternalConsistencyError, PreconditionErr
 from nliealg.linalg import Matrix, unit_vector
 from nliealg.reynolds import check_reynolds, derivation_to_reynolds, induced_bracket
 from nliealg.rings import EPS, Dual
-from nliealg.verdict import ok
 from nliealg.wedge import WedgeBasis
 
 from conftest import (
@@ -407,10 +407,28 @@ def test_a_non_reynolds_operator_fails_the_tabulation_as_it_fails_the_walk(monke
     assert {(1, 3), (2, 3), (1, 3, 4)} <= tuples
 
 
-def test_tables_failing_where_the_walk_passes_trip_the_bug_trap(lie3, monkeypatch):
-    monkeypatch.setattr(cohomology_module, "check_reynolds", lambda *_: ok("reynolds"))
-    with pytest.raises(InternalConsistencyError, match=r"the tables fail at \(1, 2\)$"):
-        ReynoldsComplex(lie3, Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+def test_a_non_reynolds_operator_is_refused_after_one_walk_and_no_table(lie3, monkeypatch):
+    """The complex verifies R by the walk of ``check_reynolds``, once, and
+    refuses a non-Reynolds R with its counterexample before any rho_R table
+    is built."""
+    op = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    walk, walks = reynolds_module.reynolds_values, []
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def untouched(*_):
+        raise AssertionError("built a rho_R table")
+
+    expected = check_reynolds(lie3, op)
+    assert not expected
+    monkeypatch.setattr(reynolds_module, "reynolds_values", counted)
+    monkeypatch.setattr(cohomology_module, "reynolds_tables", untouched)
+    with pytest.raises(PreconditionError, match="^operator is not a Reynolds operator$") as exc:
+        ReynoldsComplex(lie3, op)
+    assert exc.value.counterexample == expected.counterexample
+    assert len(walks) == 1
 
 
 def test_integer_pair_is_d_times_the_exact_pair():

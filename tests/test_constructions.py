@@ -371,7 +371,7 @@ def test_corollary_job_builds_and_walks_the_extension_once(lie3, family1, trace_
     calls = Counter()
     extension, vanishes, walk = (constructions._extension, LinearFunctional.vanishes_on_brackets,
                                  reynolds.reynolds_values)
-    wedge, bracket = reynolds.graded_brackets, NAryAlgebra.bracket
+    wedge, bracket = reynolds.graded_wedges, NAryAlgebra.bracket
 
     def counted_extension(*args):
         calls["extension"] += 1
@@ -386,14 +386,14 @@ def test_corollary_job_builds_and_walks_the_extension_once(lie3, family1, trace_
         return walk(algebra, op)
 
     def counted_wedge(*args):
-        calls["graded_brackets"] += 1
+        calls["graded_wedges"] += 1
         return wedge(*args)
 
     def counted_bracket(*args):
         calls["bracket"] += 1
         return bracket(*args)
 
-    monkeypatch.setattr(reynolds, "graded_brackets", counted_wedge)
+    monkeypatch.setattr(reynolds, "graded_wedges", counted_wedge)
     monkeypatch.setattr(NAryAlgebra, "bracket", counted_bracket)
     monkeypatch.setattr(constructions, "_extension", counted_extension)
     monkeypatch.setattr(LinearFunctional, "vanishes_on_brackets", counted_vanishes)
@@ -408,8 +408,8 @@ def test_corollary_job_builds_and_walks_the_extension_once(lie3, family1, trace_
                                 str(paths["r"]), "--functional", str(paths["f"]), "--json"])
     assert code == 0 and report.artifacts[0]["arity"] == 3
     # the criterion and the double sum read the walk of arity 2: no induced
-    # value or bracket is formed again (3 + 1 graded wedges, one per tuple)
-    assert calls == {"extension": 1, "vanishes": 1, "walk, arity 2": 1, "walk, arity 3": 1, "graded_brackets": 4}
+    # value or bracket is formed again (one graded-wedge walk per Reynolds walk)
+    assert calls == {"extension": 1, "vanishes": 1, "walk, arity 2": 1, "walk, arity 3": 1, "graded_wedges": 2}
 
 
 def test_corrupted_extension_walk_trips_the_corollary_check(lie3, family1, trace_functional, monkeypatch):

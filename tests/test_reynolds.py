@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nliealg.algebra import NAryAlgebra, ad, check_filippov, is_derivation, scaled_terms, support
+from nliealg.algebra import NAryAlgebra, ad, check_filippov, integer_brackets, is_derivation, support
 from nliealg.cohomology import delta_r_operator
 from nliealg.errors import NotInvertibleError, PreconditionError
 from nliealg.linalg import Matrix
@@ -221,7 +221,7 @@ def test_integer_walks_report_the_naive_counterexamples(lie3, three_lie4, sl2_li
                        for _ in range(alg.dim)]
             entries[rng.randrange(alg.dim)][rng.randrange(alg.dim)] = Fraction(rng.choice((-1, 1)), 2)
             op = Matrix(entries)
-            assert scaled_terms(alg, op)[0] > 1
+            assert integer_brackets(alg, op)[0] > 1
             for got, expected in ((check_reynolds(alg, op), naive_check_reynolds(alg, op)),
                                   (check_nijenhuis(alg, op), naive_check_nijenhuis(alg, op))):
                 assert got == expected
