@@ -85,9 +85,6 @@ class NAryAlgebra:
             and self.brackets == other.brackets
         )
 
-    def is_abelian(self):
-        return not self.brackets
-
     def require_alternating(self, what):
         """InputError unless the bracket is alternating: ``what`` is defined on n-Lie algebras only."""
         if self.symmetry != ALTERNATING:

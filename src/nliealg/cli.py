@@ -3,6 +3,10 @@
 Exit codes: 0 when every requested check passes, 1 when a check fails
 mathematically, 2 on usage or input errors, 3 when a bug trap trips (two
 independent routes disagree, ``InternalConsistencyError``).
+
+Only ``argparse``, ``errors`` and the command table load with this module,
+so ``nlie --help`` imports no library module; each runner imports the
+modules it runs when it runs.
 """
 
 from __future__ import annotations
@@ -12,12 +16,7 @@ import sys
 from functools import cache
 from importlib import import_module
 
-from . import constructions, deformation, documents, ns
-from .algebra import adjoint_representation, semidirect_product
-from .cohomology import DEFAULT_SIZE_GUARD, ReynoldsComplex
-from .errors import InputError, InternalConsistencyError, NLieError
-from .linalg import Matrix
-from .verdict import CheckResult, ok
+from .errors import DEFAULT_SIZE_GUARD, InputError, InternalConsistencyError, NLieError
 
 HELP = {
     "check": "verify an identity",
@@ -47,6 +46,7 @@ OPTIONS = {
 
 def _load(path, expect):
     """The document in the file at ``path``, read as UTF-8 (JSON's encoding)."""
+    from .documents import parse_document
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -54,7 +54,7 @@ def _load(path, expect):
         raise InputError(f"no such file: {path}")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    return documents.parse_document(text, expect=expect)
+    return parse_document(text, expect=expect)
 
 
 def _documents(args, flags, kinds=FLAG_KINDS):
@@ -72,26 +72,33 @@ def _documents(args, flags, kinds=FLAG_KINDS):
 
 def _check_ns(args, report):
     """Its --algebra is an NS-n-Lie algebra."""
+    from .ns import check_ns
     (structure,) = _documents(args, ("--algebra",), {"--algebra": "ns_algebra"})
-    report.add(ns.check_ns(structure))
+    report.add(check_ns(structure))
 
 
 def _construct_det3(args, report):
     """One document per letter of --variant: f a functional, d a derivation."""
+    from .constructions import three_lie_algebra
+    from .documents import algebra_document
     letters = {"f": "--functional", "d": "--operator"}
     algebra, *data = _documents(args, ("--algebra",) + tuple(letters[c] for c in args.variant))
-    result = constructions.three_lie_algebra(algebra, args.variant, data)
-    report.artifacts.append(documents.algebra_document(result))
+    result = three_lie_algebra(algebra, args.variant, data)
+    report.artifacts.append(algebra_document(result))
 
 
 def _construct_semidirect(args, report):
     """On --representation if it is given, else on the adjoint representation."""
+    from .algebra import adjoint_representation, semidirect_product
+    from .documents import algebra_document
     algebra, *rep = _documents(args, ("--algebra",) + ("--representation",) * bool(args.representation))
     result = semidirect_product(algebra, rep[0] if rep else adjoint_representation(algebra))
-    report.artifacts.append(documents.algebra_document(result))
+    report.artifacts.append(algebra_document(result))
 
 
 def _run_cohomology(args, report):
+    from .cohomology import ReynoldsComplex
+    from .verdict import ok
     algebra, op = _documents(args, ("--algebra", "--reynolds"))
     complex_ = ReynoldsComplex(algebra, op)
     dims = complex_.dimensions(args.max_degree, size_guard=args.size_guard)
@@ -111,6 +118,10 @@ def _run_cohomology(args, report):
 
 
 def _run_deform(args, report):
+    from . import deformation
+    from .documents import wedge_document
+    from .linalg import Matrix
+    from .verdict import CheckResult
     algebra, op, direction, *witness = _documents(
         args, ("--algebra", "--reynolds", "--direction") + ("--witness",) * bool(args.witness))
     shape = (algebra.arity, algebra.dim)
@@ -130,7 +141,7 @@ def _run_deform(args, report):
     report.add(CheckResult("deformation-trivial", passed))
     report.notes.append(f"status: {result.status}")
     if result.witness is not None and passed:
-        report.artifacts.append(documents.wedge_document(algebra.arity, algebra.dim, result.witness))
+        report.artifacts.append(wedge_document(algebra.arity, algebra.dim, result.witness))
 
 
 # (command, what) -> (function, the flags it reads after --algebra, how its
@@ -192,6 +203,8 @@ def _build_parser():
 
 
 def _run(args, report):
+    from . import documents
+    from .verdict import ok
     function, flags, emit = COMMANDS[args.command, args.what]
     if callable(function):
         function(args, report)
@@ -213,7 +226,8 @@ def run_command(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return None, (2 if exc.code else 0)
-    report = documents.Report(command=list(argv))
+    from .documents import Report
+    report = Report(command=list(argv))
     try:
         _run(args, report)
     except InternalConsistencyError as exc:

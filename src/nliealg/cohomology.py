@@ -8,7 +8,8 @@ Lambda^{n-1}(g) itself.
 
 The complex of a Reynolds operator R is read off its verified walk and
 two matrices per increasing (n-1)-tuple J.  The walk that
-``reynolds.check_reynolds`` runs verifies R and gives [.]_R.  The matrices
+``reynolds.check_reynolds`` runs verifies R and gives [.]_R, in ``int`` and
+with the scaled brackets and images the matrices are built from.  These
 are A_J = ad(Re_J1 ^ ... ^ Re_J(n-1)) and
 H_J = ad(sum_i Re_J1 ^ .. e_Ji .. ^ Re_J(n-1) - Re_J1 ^ ... ^ Re_J(n-1)),
 from grades 0 and 1 of one graded wedge per J (``algebra.graded_wedges``).
@@ -28,6 +29,7 @@ from itertools import product
 from math import gcd
 from operator import add, sub
 
+from . import reynolds
 from .algebra import (
     NAryAlgebra,
     RepresentationTable,
@@ -41,13 +43,11 @@ from .algebra import (
     integer_brackets,
     support,
 )
-from .errors import InputError, InternalConsistencyError, PreconditionError, SizeGuardError
+from .errors import DEFAULT_SIZE_GUARD, InputError, InternalConsistencyError, PreconditionError, SizeGuardError
 from .linalg import Matrix, vec_add, vec_scale, vec_sub, vec_zero
-from .reynolds import verified_values
 from .rings import QQ_ONE, QQ_ZERO, rational, sign
+from .verdict import require
 from .wedge import WedgeBasis
-
-DEFAULT_SIZE_GUARD = 2_000_000
 
 
 class Cochain:
@@ -244,13 +244,13 @@ class ReynoldsComplex:
         self.op = op
         self.wedge = WedgeBasis(algebra.dim, algebra.arity - 1)
         n, d = algebra.arity, algebra.dim
-        values = verified_values(algebra, op)
-        scale, scaled, images = integer_brackets(algebra, op)
+        verdict, values, (scale, scaled, images) = reynolds.reynolds_values(algebra, op, True)
+        require(verdict, "operator is not a Reynolds operator")
         self._operators = scale, ad_table(algebra, scaled), images
         columns = reynolds_tables(*self._operators, n)
-        # t [.]_R in int, read off the walk, beside the columns of t rho_R
+        # t [.]_R in int, as the walk gives it, beside the columns of t rho_R
         t = scale ** (n + 1)
-        brackets = {tup: [int(t * x) for x in value] for tup, (_, value) in values.items()}
+        brackets = {tup: value for tup, (_, value) in values.items()}
         g = gcd(t, *(x for vec in brackets.values() for x in vec), *(x for c in columns.values() for v in c for x in v))
         self._scale = t // g
 

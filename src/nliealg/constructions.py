@@ -261,27 +261,6 @@ def three_lie_algebra(algebra, variant, data):
     return build[variant](algebra, *data)
 
 
-def det_triple_identity(algebra, op, cols, correction=2):
-    """|Rx Ry Rz| = R(|Rx Ry z| + c.p.) - correction * R(|Rx Ry Rz|) for column
-    triples over a commutative associative Reynolds algebra, where a
-    determinant equals that of its transpose (``_det_of_rows`` of the columns).
-    The identity that follows from the binary Reynolds law has correction = 2;
-    the tests show correction = 1 failing.
-    """
-    x, y, z = cols
-    rx = [op.apply(v) for v in x]
-    ry = [op.apply(v) for v in y]
-    rz = [op.apply(v) for v in z]
-    lhs = _det_of_rows(algebra, [rx, ry, rz])
-    cp = _det_of_rows(algebra, [rx, ry, z])
-    cp = vec_add(cp, _det_of_rows(algebra, [x, ry, rz]))
-    cp = vec_add(cp, _det_of_rows(algebra, [rx, y, rz]))
-    rhs = op.apply(vec_sub(cp, vec_scale(rational(correction), lhs)))
-    if lhs != rhs:
-        return fail("det-triple-identity", {"correction": correction}, lhs, rhs)
-    return ok("det-triple-identity")
-
-
 def check_reynolds_on_det_3lie(algebra, op, variant, data):
     """Is R Reynolds on the chosen determinant 3-Lie algebra?
 

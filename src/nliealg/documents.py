@@ -12,10 +12,8 @@ import json
 from dataclasses import dataclass, field
 
 from .algebra import ALTERNATING, SYMMETRIC, NAryAlgebra, RepresentationTable
-from .constructions import LinearFunctional
 from .errors import InputError
 from .linalg import Matrix
-from .ns import NSAlgebra
 from .rings import format_rational, parse_rational, rational
 from .verdict import jsonable
 
@@ -117,11 +115,13 @@ def _parse_operator(doc):
 
 
 def _parse_functional(doc):
+    from .constructions import LinearFunctional
     dim = _int_field(doc, "dim", 1)
     return LinearFunctional(_as_vector(doc.get("coefficients"), dim, "/coefficients"))
 
 
 def _parse_ns(doc):
+    from .ns import NSAlgebra
     dim = _int_field(doc, "dim", 1)
     arity = _int_field(doc, "arity", 2, default=2)
     names = _as_basis(doc, dim)

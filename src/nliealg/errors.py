@@ -28,6 +28,10 @@ class NotInvertibleError(NLieError):
     """An operator required to be invertible is singular."""
 
 
+# the cells a differential may have before ``SizeGuardError`` refuses it
+DEFAULT_SIZE_GUARD = 2_000_000
+
+
 class SizeGuardError(NLieError):
     """A requested computation exceeds the configured size guard."""
 

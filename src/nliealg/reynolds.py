@@ -58,7 +58,7 @@ def basis_images(algebra, op):
     return units, [op.apply(u) for u in units]
 
 
-def reynolds_values(algebra, op):
+def reynolds_values(algebra, op, scaled=False):
     """(verdict, values) from one walk over the canonical basis n-tuples:
     ``values`` maps each tuple that holds to ([Rx_1,...,Rx_n], [x_1,...,x_n]_R),
     the left-hand side and the induced value (R of it is the right-hand
@@ -69,7 +69,9 @@ def reynolds_values(algebra, op):
     D^(n+1) [Rx_1..Rx_n] and B'(c_1) - B'(c_0) = D^(n+1) [x_1..x_n]_R, so
     the identity is D B'(c_0) = R'(B'(c_1) - B'(c_0)) in integers.  Only
     what a caller reads is divided back: the values, and the two sides at
-    a failing tuple (by D^(n+1) and D^(n+2))."""
+    a failing tuple (by D^(n+1) and D^(n+2)).  With ``scaled``, the values
+    stay D^(n+1) times theirs in ``int`` and (D, B', columns of R') come
+    third, for a caller that tabulates in integers."""
     if op.rows != algebra.dim or op.cols != algebra.dim:
         raise InputError("operator dimension mismatch")
     if not op.is_rational():
@@ -78,15 +80,17 @@ def reynolds_values(algebra, op):
     scale, brackets, images = integer_brackets(algebra, op)
     top_scale = scale ** (n + 1)
     slots = [(image, [(k, scale)]) for k, image in enumerate(images)]
-    values = {}
+    keep = (lambda vec: vec) if scaled else (lambda vec: divided(vec, top_scale))
+    verdict, values = ok("reynolds"), {}
     for tup, (low, high) in graded_wedges(slots, n, 1, algebra.symmetry == ALTERNATING):
         top = contracted(brackets, low, d)
         value = vec_sub(contracted(brackets, high, d), top)
         rhs = apply_columns(images, support(value), d)
         if any(scale * a != b for a, b in zip(top, rhs)):
-            return fail("reynolds", {"tuple": tup}, divided(top, top_scale), divided(rhs, top_scale * scale)), values
-        values[tup] = divided(top, top_scale), divided(value, top_scale)
-    return ok("reynolds"), values
+            verdict = fail("reynolds", {"tuple": tup}, divided(top, top_scale), divided(rhs, top_scale * scale))
+            break
+        values[tup] = keep(top), keep(value)
+    return (verdict, values, (scale, brackets, images)) if scaled else (verdict, values)
 
 
 def _dual_values(algebra, op):

@@ -37,6 +37,7 @@ from nliealg.algebra import (
 from nliealg.cohomology import Cochain, coboundary, delta_r_operator
 from nliealg.constructions import (
     LinearFunctional,
+    _det_of_rows,
     comm_assoc_algebra,
     extend_by_functional,
 )
@@ -593,6 +594,32 @@ def naive_three_lie_from_f_D(algebra, functional, deriv):
         return naive_fd_sum(algebra, [functional(u) for u in units], [deriv.apply(u) for u in units], units)
 
     return algebra_from_bracket_function(3, d, value, basis_names=algebra.basis_names)
+
+
+def det_triple_identity(algebra, op, cols, correction=2):
+    """|Rx Ry Rz| = R(|Rx Ry z| + c.p.) - correction * R(|Rx Ry Rz|) for column
+    triples over a commutative associative Reynolds algebra, where a
+    determinant equals that of its transpose (``constructions._det_of_rows``
+    of the columns).  The identity that follows from the binary Reynolds law
+    has correction = 2; the tests show correction = 1 failing.
+    """
+    x, y, z = cols
+    rx = [op.apply(v) for v in x]
+    ry = [op.apply(v) for v in y]
+    rz = [op.apply(v) for v in z]
+    lhs = _det_of_rows(algebra, [rx, ry, rz])
+    cp = _det_of_rows(algebra, [rx, ry, z])
+    cp = vec_add(cp, _det_of_rows(algebra, [x, ry, rz]))
+    cp = vec_add(cp, _det_of_rows(algebra, [rx, y, rz]))
+    rhs = op.apply(vec_sub(cp, vec_scale(rational(correction), lhs)))
+    if lhs != rhs:
+        return fail("det-triple-identity", {"correction": correction}, lhs, rhs)
+    return ok("det-triple-identity")
+
+
+def is_abelian(algebra):
+    """Every bracket of ``algebra`` vanishes: it stores none."""
+    return not algebra.brackets
 
 
 def naive_det3_fd_check(algebra, op, functional, deriv):

@@ -135,10 +135,11 @@ def _identifiers(tree):
 # public module-level functions of ``src/`` that nothing there names, each
 # with the reason it stays
 UNNAMED_PUBLIC = {
+    ("__init__.py", "__getattr__"): "PEP 562 hooks, called by the import system",
+    ("__init__.py", "__dir__"): "PEP 562 hooks, called by the import system",
     ("documents.py", "functional_document"): "bench/tracer.py patches it; tests write functional documents with it",
     ("documents.py", "representation_document"): "bench/tracer.py patches it; construct entries are to emit "
                                                  "representations through it (ROADMAP item 4)",
-    ("constructions.py", "det_triple_identity"): "test-only, to move to tests/ (ROADMAP item 4)",
     ("constructions.py", "check_reynolds_on_det_3lie"): "decides the paper's det-3 theorem by its criterion; "
                                                         "to be exposed as a check command (ROADMAP item 4)",
     ("nijenhuis.py", "nijenhuis_representation"): "the paper's representation of a Nijenhuis operator; to be "
