@@ -18,13 +18,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import compress, product
 
 from .errors import InputError
 from .linalg import Matrix, combine, integer_scale, unit_vector, vec_is_zero
 from .rings import QQ_ONE, QQ_ZERO, rational, sign
 from .verdict import fail, ok, require
-from .wedge import canonicalize_wedge, check_indices, increasing_tuples
+from .wedge import canonical, canonicalize_wedge, check_indices, increasing_tuples
 
 ALTERNATING = "alternating"
 SYMMETRIC = "symmetric"
@@ -55,16 +55,16 @@ class NAryAlgebra:
         clean = {}
         for key, vec in brackets.items():
             key = tuple(key)
-            if len(key) != arity:
-                raise InputError(f"bracket tuple {key} has length != arity {arity}")
-            check_indices(key, dim)
-            if symmetry == ALTERNATING:
-                if any(a >= b for a, b in zip(key, key[1:])):
+            if not canonical(key, arity, dim, symmetry == ALTERNATING):  # one test, else each check
+                if len(key) != arity:
+                    raise InputError(f"bracket tuple {key} has length != arity {arity}")
+                check_indices(key, dim)
+                if symmetry == ALTERNATING and any(a >= b for a, b in zip(key, key[1:])):
                     raise InputError(f"alternating bracket tuple {key} is not strictly increasing")
-            else:
-                if any(a > b for a, b in zip(key, key[1:])):
+                if symmetry == SYMMETRIC and any(a > b for a, b in zip(key, key[1:])):
                     raise InputError(f"symmetric product tuple {key} is not non-decreasing")
-            vec = [rational(v) for v in vec]
+            vec = list(vec)  # rational() returns an int entry itself
+            vec = vec if set(map(type, vec)) <= {int} else [rational(v) for v in vec]
             if len(vec) != dim:
                 raise InputError(f"bracket value for {key} has length != dim {dim}")
             if not vec_is_zero(vec):
@@ -126,13 +126,13 @@ class NAryAlgebra:
 
 def support(vec):
     """The nonzero (0-based index, coefficient) pairs of a vector."""
-    return [(i, c) for i, c in enumerate(vec) if c]
+    return list(compress(enumerate(vec), vec))
 
 
 def term_table(values):
     """{0-based index tuple: support} of each stored value, keyed by its
     1-based index tuple."""
-    return {tuple(k - 1 for k in key): support(vec) for key, vec in values.items()}
+    return {tuple([k - 1 for k in key]): support(vec) for key, vec in values.items()}
 
 
 def expand(table, args, dim, skew):
@@ -257,11 +257,12 @@ class RepresentationTable:
         clean = {}
         for key, mat in tables.items():
             key = tuple(key)
-            if len(key) != arity - 1:
-                raise InputError(f"representation tuple {key} has length != {arity - 1}")
-            check_indices(key, algebra_dim)
-            if any(a >= b for a, b in zip(key, key[1:])):
-                raise InputError(f"representation tuple {key} is not strictly increasing")
+            if not canonical(key, arity - 1, algebra_dim):
+                if len(key) != arity - 1:
+                    raise InputError(f"representation tuple {key} has length != {arity - 1}")
+                check_indices(key, algebra_dim)
+                if any(a >= b for a, b in zip(key, key[1:])):
+                    raise InputError(f"representation tuple {key} is not strictly increasing")
             if not isinstance(mat, Matrix):
                 mat = Matrix(mat)
             if mat.rows != module_dim or mat.cols != module_dim:

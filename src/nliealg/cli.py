@@ -179,8 +179,8 @@ COMMANDS = {
 
 @cache
 def _build_parser():
-    """The argument parser, built from ``COMMANDS`` on first use and shared
-    by later calls: each (command, what) takes --algebra and its own flags."""
+    """The argument parser, built from ``COMMANDS`` on first use and shared by later calls: each
+    (command, what) takes --algebra and its own flags, in the parser ``leaves`` holds for its key."""
     parser = argparse.ArgumentParser(
         prog="nlie",
         description="Exact checks and constructions for n-Lie algebras with "
@@ -190,13 +190,14 @@ def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
-    groups = {}
+    groups, parser.leaves = {}, {}
     for (command, what), (_, flags, _) in COMMANDS.items():
         if command not in groups:
             group = sub.add_parser(command, help=HELP[command], parents=[shared])
             groups[command] = group.add_subparsers(dest="what", required=True) if what else group
         leaf = groups[command].add_parser(what, parents=[shared]) if what else groups[command]
         leaf.set_defaults(what=what)
+        parser.leaves[command, what] = leaf
         for flag in ("--algebra",) + flags:
             leaf.add_argument(flag, **OPTIONS.get(flag, {"action": "append"}))
     return parser
@@ -219,11 +220,24 @@ def _run(args, report):
     report.artifacts.append(getattr(documents, emit)(result))
 
 
+def _parse(argv):
+    """``parse_args(argv)``, read by the parser of the ``COMMANDS`` key argv starts with, which the tree
+    hands the rest; words left over, or a ``--=...`` the upper parsers refuse first, go through the tree."""
+    parser = _build_parser()
+    words = argv[:2] if tuple(argv[:2]) in parser.leaves else argv[:1]
+    leaf, rest = parser.leaves.get((*words, None)[:2]), argv[len(words):]
+    if leaf is not None and not any(word.startswith("--=") for word in rest):
+        args, extra = leaf.parse_known_args(rest)
+        if not extra:
+            args.command = words[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run_command(argv):
     """Execute one CLI invocation; returns (report, exit code)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return None, (2 if exc.code else 0)
     from .documents import Report

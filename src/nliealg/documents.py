@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .algebra import ALTERNATING, SYMMETRIC, NAryAlgebra, RepresentationTable
 from .errors import InputError
 from .linalg import Matrix
-from .rings import format_rational, parse_rational, rational
+from .rings import format_rational, over_digit_limit, parse_rational, rational
 from .verdict import jsonable
+from .wedge import canonical
 
 
 def _err(pointer, message):
-    return InputError(f"{message} (at {pointer})")
+    """The error at ``pointer``, a tuple of keys spelled "/a/0" only here."""
+    return InputError(f"{message} (at /{'/'.join(map(str, pointer))})")
 
 
 def _as_rational(value, pointer):
@@ -35,16 +38,21 @@ def _as_rational(value, pointer):
     raise _err(pointer, f"expected a rational string or integer, got {type(value).__name__}")
 
 
-def _as_vector(value, dim, pointer):
+def _as_vector(value, dim, pointer, literals):
+    if type(value) is list and len(value) == dim and set(map(type, value)) <= {str}:
+        try:  # ``literals``: each rational string of the document read so far, parsed once
+            return [literals[v] if v in literals else literals.setdefault(v, parse_rational(v)) for v in value]
+        except InputError:  # an entry to read, and refuse, by itself
+            pass
     if not isinstance(value, list) or len(value) != dim:
         raise _err(pointer, f"expected a list of {dim} rationals")
-    return [_as_rational(v, f"{pointer}/{i}") for i, v in enumerate(value)]
+    return [_as_rational(v, (*pointer, i)) for i, v in enumerate(value)]
 
 
-def _as_matrix(value, dim, pointer):
+def _as_matrix(value, dim, pointer, literals):
     if not isinstance(value, list) or len(value) != dim:
         raise _err(pointer, f"expected {dim} rows")
-    return Matrix([_as_vector(row, dim, f"{pointer}/{i}") for i, row in enumerate(value)])
+    return Matrix([_as_vector(row, dim, (*pointer, i), literals) for i, row in enumerate(value)])
 
 
 def _as_int(value, pointer, what, low, high=None):
@@ -55,15 +63,17 @@ def _as_int(value, pointer, what, low, high=None):
 
 
 def _int_field(doc, key, low, default=None):
-    return _as_int(doc.get(key, default), f"/{key}", key, low)
+    return _as_int(doc.get(key, default), (key,), key, low)
 
 
 def _as_index_tuple(value, length, dim, pointer, strict=True):
     """Basis indices in 1..dim, strictly increasing, or non-decreasing unless ``strict``."""
+    if type(value) is list and canonical(value, length, dim, strict):
+        return tuple(value)
     if not isinstance(value, list) or len(value) != length:
         raise _err(pointer, f"expected a list of {length} basis indices")
     for i, v in enumerate(value):
-        _as_int(v, f"{pointer}/{i}", "basis index", 1, dim)
+        _as_int(v, (*pointer, i), "basis index", 1, dim)
     if any(a > b or (strict and a == b) for a, b in zip(value, value[1:])):
         raise _err(pointer, f"indices must be {'strictly increasing' if strict else 'non-decreasing'}")
     return tuple(value)
@@ -71,9 +81,9 @@ def _as_index_tuple(value, length, dim, pointer, strict=True):
 
 def _as_basis(doc, dim):
     names = doc.get("basis")
-    if names is not None:
-        if not isinstance(names, list) or len(names) != dim or not all(isinstance(s, str) for s in names):
-            raise _err("/basis", f"basis must be a list of {dim} names")
+    if names is not None and (
+            not isinstance(names, list) or len(names) != dim or not all(isinstance(s, str) for s in names)):
+        raise _err(("basis",), f"basis must be a list of {dim} names")
     return names
 
 
@@ -83,10 +93,10 @@ def _table(doc, name, fields, read, merge=None):
     repeated key is an error, unless ``merge`` combines the two values."""
     entries = doc.get(name, [])
     if not isinstance(entries, list):
-        raise _err(f"/{name}", f"expected a list of objects with {fields}")
+        raise _err((name,), f"expected a list of objects with {fields}")
     table = {}
     for i, entry in enumerate(entries):
-        pointer = f"/{name}/{i}"
+        pointer = (name, i)
         if not isinstance(entry, dict):
             raise _err(pointer, f"expected an object with {fields}")
         key, value = read(entry, pointer)
@@ -96,62 +106,62 @@ def _table(doc, name, fields, read, merge=None):
     return table
 
 
-def _parse_algebra(doc):
+def _parse_algebra(doc, literals):
     dim = _int_field(doc, "dim", 1)
     arity = _int_field(doc, "arity", 2, default=2)
     symmetry = doc.get("symmetry", ALTERNATING)
     if symmetry not in (ALTERNATING, SYMMETRIC):
-        raise _err("/symmetry", f"unknown symmetry {symmetry!r}")
+        raise _err(("symmetry",), f"unknown symmetry {symmetry!r}")
     names, strict = _as_basis(doc, dim), symmetry == ALTERNATING
     brackets = _table(doc, "brackets", "'on' and 'value'", lambda entry, at: (
-        _as_index_tuple(entry.get("on"), arity, dim, f"{at}/on", strict),
-        _as_vector(entry.get("value"), dim, f"{at}/value")))
+        _as_index_tuple(entry.get("on"), arity, dim, (*at, "on"), strict),
+        _as_vector(entry.get("value"), dim, (*at, "value"), literals)))
     return NAryAlgebra(arity, dim, brackets, basis_names=names, symmetry=symmetry)
 
 
-def _parse_operator(doc):
+def _parse_operator(doc, literals):
     dim = _int_field(doc, "dim", 1)
-    return _as_matrix(doc.get("matrix"), dim, "/matrix")
+    return _as_matrix(doc.get("matrix"), dim, ("matrix",), literals)
 
 
-def _parse_functional(doc):
+def _parse_functional(doc, literals):
     from .constructions import LinearFunctional
     dim = _int_field(doc, "dim", 1)
-    return LinearFunctional(_as_vector(doc.get("coefficients"), dim, "/coefficients"))
+    return LinearFunctional(_as_vector(doc.get("coefficients"), dim, ("coefficients",), literals))
 
 
-def _parse_ns(doc):
+def _parse_ns(doc, literals):
     from .ns import NSAlgebra
     dim = _int_field(doc, "dim", 1)
     arity = _int_field(doc, "arity", 2, default=2)
     names = _as_basis(doc, dim)
     curly = _table(doc, "curly", "'wedge', 'last' and 'value'", lambda entry, at: (
-        (_as_index_tuple(entry.get("wedge"), arity - 1, dim, f"{at}/wedge"),
-         _as_int(entry.get("last"), f"{at}/last", "last index", 1, dim)),
-        _as_vector(entry.get("value"), dim, f"{at}/value")))
+        (_as_index_tuple(entry.get("wedge"), arity - 1, dim, (*at, "wedge")),
+         _as_int(entry.get("last"), (*at, "last"), "last index", 1, dim)),
+        _as_vector(entry.get("value"), dim, (*at, "value"), literals)))
     square = _table(doc, "square", "'on' and 'value'", lambda entry, at: (
-        _as_index_tuple(entry.get("on"), arity, dim, f"{at}/on"),
-        _as_vector(entry.get("value"), dim, f"{at}/value")))
+        _as_index_tuple(entry.get("on"), arity, dim, (*at, "on")),
+        _as_vector(entry.get("value"), dim, (*at, "value"), literals)))
     return NSAlgebra(arity, dim, curly, square, basis_names=names)
 
 
-def _parse_representation(doc):
+def _parse_representation(doc, literals):
     arity = _int_field(doc, "arity", 2, default=2)
     algebra_dim = _int_field(doc, "algebra_dim", 1)
     module_dim = _int_field(doc, "module_dim", 1)
     tables = _table(doc, "tables", "'on' and 'matrix'", lambda entry, at: (
-        _as_index_tuple(entry.get("on"), arity - 1, algebra_dim, f"{at}/on"),
-        _as_matrix(entry.get("matrix"), module_dim, f"{at}/matrix")))
+        _as_index_tuple(entry.get("on"), arity - 1, algebra_dim, (*at, "on")),
+        _as_matrix(entry.get("matrix"), module_dim, (*at, "matrix"), literals)))
     return RepresentationTable(arity, algebra_dim, module_dim, tables)
 
 
-def _parse_wedge(doc):
+def _parse_wedge(doc, literals):
     """(arity, dim, terms) of a wedge element: repeated terms add up, zero coefficients drop."""
     dim = _int_field(doc, "dim", 1)
     arity = _int_field(doc, "arity", 2, default=2)
     terms = _table(doc, "terms", "'on' and 'coeff'", lambda entry, at: (
-        _as_index_tuple(entry.get("on"), arity - 1, dim, f"{at}/on"),
-        _as_rational(entry.get("coeff"), f"{at}/coeff")), merge=lambda a, b: a + b)
+        _as_index_tuple(entry.get("on"), arity - 1, dim, (*at, "on")),
+        _as_rational(entry.get("coeff"), (*at, "coeff"))), merge=lambda a, b: a + b)
     return arity, dim, {k: v for k, v in terms.items() if v}
 
 
@@ -174,6 +184,8 @@ def parse_document(text, expect=None):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}")
+    except ValueError:  # a number over the interpreter's digit limit
+        raise over_digit_limit() from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     kind = doc.get("kind")
@@ -181,7 +193,7 @@ def parse_document(text, expect=None):
         raise InputError(f"unknown document kind {kind!r}; expected one of {', '.join(KINDS)}")
     if expect is not None and kind != expect:
         raise InputError(f"expected a {expect!r} document, got {kind!r}")
-    return _PARSERS[kind](doc)
+    return _PARSERS[kind](doc, {})
 
 
 # -- emission ------------------------------------------------------------
@@ -192,7 +204,7 @@ def _vec_doc(vec):
 
 
 def algebra_document(algebra):
-    doc = {
+    return {
         "kind": "n_lie_algebra",
         "arity": algebra.arity,
         "dim": algebra.dim,
@@ -203,7 +215,6 @@ def algebra_document(algebra):
             for key, vec in sorted(algebra.brackets.items())
         ],
     }
-    return doc
 
 
 def operator_document(op):
@@ -264,7 +275,30 @@ def representation_document(rep):
 
 def emit_document(doc):
     """Canonical single-format serialization of a document dict."""
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return _encode(doc) + "\n"
+
+
+# the spelling of each scalar type, as ``json.dumps`` writes it
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            type(None): lambda _: "null"}
+
+
+def _encode(value, newline="\n"):
+    """``json.dumps(value, indent=2)`` of str, int, bool, None and lists and str-keyed
+    dicts of them, by one recursive join; any other type is a ``TypeError``."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return _SCALARS[kind](value)
+    if kind is not list and kind is not dict:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    ends, inner = "[]" if kind is list else "{}", newline + "  "
+    if kind is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in value.items()]
+    else:  # a vector or an index tuple holds one scalar type, spelled by one map
+        kinds = set(map(type, value))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, value) if scalar else [_encode(v, inner) for v in value]
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{newline}{ends[1]}" if value else ends
 
 
 # -- reports -------------------------------------------------------------
@@ -290,22 +324,15 @@ class Report:
         payload = {
             "command": list(self.command),
             "verdicts": [
-                {
-                    "check": v.check_name,
-                    "passed": v.passed,
-                    **(
-                        {"counterexample": jsonable(v.counterexample)}
-                        if v.counterexample is not None
-                        else {}
-                    ),
-                }
+                {"check": v.check_name, "passed": v.passed,
+                 **({"counterexample": jsonable(v.counterexample)} if v.counterexample is not None else {})}
                 for v in self.verdicts
             ],
             "artifacts": self.artifacts,
         }
         if self.notes:
             payload["notes"] = list(self.notes)
-        return json.dumps(payload, indent=2) + "\n"
+        return _encode(payload) + "\n"
 
     def to_text(self):
         lines = []

@@ -326,7 +326,7 @@ def vec_zero(n):
 
 
 def vec_is_zero(v):
-    return all(not a for a in v)
+    return not any(v)
 
 
 def unit_vector(n, i):

@@ -11,6 +11,7 @@ over either ring without modification.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -122,23 +123,28 @@ def minus(a, b):
     return a - b
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text):
-    """Parse "p/q" or "p" exactly; no decimals, no whitespace."""
+    """Parse "p/q" or "p" exactly: an optional sign, ASCII digits, no decimals, no whitespace."""
     if isinstance(text, int):
         return rational(text)
     if not isinstance(text, str):
         raise InputError(f"rational literal must be a string, got {type(text).__name__}")
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise InputError(f"malformed rational literal {text!r}")
-    if "/" not in text:
-        return int(text)
     try:
-        return rational(Fraction(text))
+        return int(text) if "/" not in text else rational(Fraction(text))
     except ZeroDivisionError as exc:
         raise InputError(f"zero denominator in {text!r}") from exc
+    except ValueError:  # int() refuses more digits than the interpreter's limit
+        raise over_digit_limit() from None
+
+
+def over_digit_limit():
+    """The ``InputError`` for an integer literal over the interpreter's int/str digit limit."""
+    return InputError(f"integer literal over the limit of {sys.get_int_max_str_digits()} digits")
 
 
 def format_rational(x) -> str:

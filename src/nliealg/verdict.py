@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .rings import Dual, format_rational
+from .rings import Dual
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,8 @@ def ok(name):
 
 
 def fail(name, where, lhs, rhs):
-    lhs, rhs = _reported(lhs), _reported(rhs)
-    diff = [a - b for a, b in zip(lhs, rhs)]
-    return CheckResult(name, False, {"where": where, "lhs": lhs, "rhs": rhs, "difference": diff})
+    diff = _reported([a - b for a, b in zip(lhs, rhs)])
+    return CheckResult(name, False, {"where": where, "lhs": _reported(lhs), "rhs": _reported(rhs), "difference": diff})
 
 
 def require(verdict, message):
@@ -53,14 +52,14 @@ def jsonable(value):
     a rational as "p/q", a dual number a + b*eps as {"a": .., "b": ..},
     or as its rational part a when b = 0, so each scalar has one spelling."""
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return str(value)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, Dual):
-        a = format_rational(value.a)
-        return {"a": a, "b": format_rational(value.b)} if value.b else a
+        a = str(value.a)
+        return {"a": a, "b": str(value.b)} if value.b else a
     return value
 
 

@@ -9,6 +9,7 @@ sign, and tuples with a repeated index canonicalize to None (zero).
 from __future__ import annotations
 
 from itertools import combinations
+from operator import le, lt
 
 from .errors import InputError
 
@@ -18,6 +19,13 @@ def check_indices(indices, dim):
     for i in indices:
         if not 1 <= i <= dim:
             raise InputError(f"basis index {i} out of range 1..{dim}")
+
+
+def canonical(key, length, dim, strict=True):
+    """Whether ``key`` is a tuple or list of ``length`` ints in 1..dim, increasing (strictly unless
+    not ``strict``): one test that passes only where ``check_indices`` and the order tests pass."""
+    return type(key) in (tuple, list) and len(key) == length > 0 and set(map(type, key)) <= {int} and (
+        0 < key[0] and key[-1] <= dim and all(map(lt if strict else le, key, key[1:])))
 
 
 def canonicalize_wedge(indices, dim):

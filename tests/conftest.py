@@ -1,5 +1,6 @@
 """Shared instances: small algebras, operator families, random generators."""
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -58,8 +59,9 @@ from nliealg.errors import (
 )
 from nliealg.linalg import Matrix, vec_add, vec_scale, vec_sub, vec_zero
 from nliealg.reynolds import induced_bracket
-from nliealg.rings import QQ_ONE, QQ_ZERO, Dual, rational, sign
+from nliealg.rings import QQ_ONE, QQ_ZERO, Dual, over_digit_limit, parse_rational, rational, sign
 from nliealg.nijenhuis import DeformedBracketLadder
+from nliealg.ns import NSAlgebra
 from nliealg.verdict import fail, jsonable, ok, require
 from nliealg.wedge import canonicalize_wedge, increasing_tuples
 
@@ -1054,3 +1056,174 @@ def lie3_nilpotent_derivation(rng):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+# -- the document parser, element by element: the oracle of documents.parse_document
+
+
+def _naive_err(pointer, message):
+    return InputError(f"{message} (at {pointer})")
+
+
+def _naive_as_rational(value, pointer):
+    if isinstance(value, bool):
+        raise _naive_err(pointer, "expected a rational, got a boolean")
+    if isinstance(value, int):
+        return rational(value)
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except InputError as exc:
+            raise _naive_err(pointer, str(exc))
+    raise _naive_err(pointer, f"expected a rational string or integer, got {type(value).__name__}")
+
+
+def _naive_as_vector(value, dim, pointer):
+    if not isinstance(value, list) or len(value) != dim:
+        raise _naive_err(pointer, f"expected a list of {dim} rationals")
+    return [_naive_as_rational(v, f"{pointer}/{i}") for i, v in enumerate(value)]
+
+
+def _naive_as_matrix(value, dim, pointer):
+    if not isinstance(value, list) or len(value) != dim:
+        raise _naive_err(pointer, f"expected {dim} rows")
+    return Matrix([_naive_as_vector(row, dim, f"{pointer}/{i}") for i, row in enumerate(value)])
+
+
+def _naive_as_int(value, pointer, what, low, high=None):
+    """``value`` if it is an integer in low..high (or >= low when ``high`` is None)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise _naive_err(pointer, f"{what} must be an integer " + bounds)
+    return value
+
+
+def _naive_int_field(doc, key, low, default=None):
+    return _naive_as_int(doc.get(key, default), f"/{key}", key, low)
+
+
+def _naive_as_index_tuple(value, length, dim, pointer, strict=True):
+    """Basis indices in 1..dim, strictly increasing, or non-decreasing unless ``strict``."""
+    if not isinstance(value, list) or len(value) != length:
+        raise _naive_err(pointer, f"expected a list of {length} basis indices")
+    for i, v in enumerate(value):
+        _naive_as_int(v, f"{pointer}/{i}", "basis index", 1, dim)
+    if any(a > b or (strict and a == b) for a, b in zip(value, value[1:])):
+        raise _naive_err(pointer, f"indices must be {'strictly increasing' if strict else 'non-decreasing'}")
+    return tuple(value)
+
+
+def _naive_as_basis(doc, dim):
+    names = doc.get("basis")
+    if names is not None:
+        if not isinstance(names, list) or len(names) != dim or not all(isinstance(s, str) for s in names):
+            raise _naive_err("/basis", f"basis must be a list of {dim} names")
+    return names
+
+
+def _naive_table(doc, name, fields, read, merge=None):
+    """{key: value} of the entries of the list ``doc[name]``, objects with
+    ``fields``, each read by ``read(entry, pointer)`` into (key, value).  A
+    repeated key is an error, unless ``merge`` combines the two values."""
+    entries = doc.get(name, [])
+    if not isinstance(entries, list):
+        raise _naive_err(f"/{name}", f"expected a list of objects with {fields}")
+    table = {}
+    for i, entry in enumerate(entries):
+        pointer = f"/{name}/{i}"
+        if not isinstance(entry, dict):
+            raise _naive_err(pointer, f"expected an object with {fields}")
+        key, value = read(entry, pointer)
+        if key in table and merge is None:
+            raise _naive_err(pointer, f"duplicate entry {key}")
+        table[key] = merge(table[key], value) if key in table else value
+    return table
+
+
+def _naive_parse_algebra(doc):
+    dim = _naive_int_field(doc, "dim", 1)
+    arity = _naive_int_field(doc, "arity", 2, default=2)
+    symmetry = doc.get("symmetry", ALTERNATING)
+    if symmetry not in (ALTERNATING, SYMMETRIC):
+        raise _naive_err("/symmetry", f"unknown symmetry {symmetry!r}")
+    names, strict = _naive_as_basis(doc, dim), symmetry == ALTERNATING
+    brackets = _naive_table(doc, "brackets", "'on' and 'value'", lambda entry, at: (
+        _naive_as_index_tuple(entry.get("on"), arity, dim, f"{at}/on", strict),
+        _naive_as_vector(entry.get("value"), dim, f"{at}/value")))
+    return NAryAlgebra(arity, dim, brackets, basis_names=names, symmetry=symmetry)
+
+
+def _naive_parse_operator(doc):
+    dim = _naive_int_field(doc, "dim", 1)
+    return _naive_as_matrix(doc.get("matrix"), dim, "/matrix")
+
+
+def _naive_parse_functional(doc):
+    dim = _naive_int_field(doc, "dim", 1)
+    return LinearFunctional(_naive_as_vector(doc.get("coefficients"), dim, "/coefficients"))
+
+
+def _naive_parse_ns(doc):
+    dim = _naive_int_field(doc, "dim", 1)
+    arity = _naive_int_field(doc, "arity", 2, default=2)
+    names = _naive_as_basis(doc, dim)
+    curly = _naive_table(doc, "curly", "'wedge', 'last' and 'value'", lambda entry, at: (
+        (_naive_as_index_tuple(entry.get("wedge"), arity - 1, dim, f"{at}/wedge"),
+         _naive_as_int(entry.get("last"), f"{at}/last", "last index", 1, dim)),
+        _naive_as_vector(entry.get("value"), dim, f"{at}/value")))
+    square = _naive_table(doc, "square", "'on' and 'value'", lambda entry, at: (
+        _naive_as_index_tuple(entry.get("on"), arity, dim, f"{at}/on"),
+        _naive_as_vector(entry.get("value"), dim, f"{at}/value")))
+    return NSAlgebra(arity, dim, curly, square, basis_names=names)
+
+
+def _naive_parse_representation(doc):
+    arity = _naive_int_field(doc, "arity", 2, default=2)
+    algebra_dim = _naive_int_field(doc, "algebra_dim", 1)
+    module_dim = _naive_int_field(doc, "module_dim", 1)
+    tables = _naive_table(doc, "tables", "'on' and 'matrix'", lambda entry, at: (
+        _naive_as_index_tuple(entry.get("on"), arity - 1, algebra_dim, f"{at}/on"),
+        _naive_as_matrix(entry.get("matrix"), module_dim, f"{at}/matrix")))
+    return RepresentationTable(arity, algebra_dim, module_dim, tables)
+
+
+def _naive_parse_wedge(doc):
+    """(arity, dim, terms) of a wedge element: repeated terms add up, zero coefficients drop."""
+    dim = _naive_int_field(doc, "dim", 1)
+    arity = _naive_int_field(doc, "arity", 2, default=2)
+    terms = _naive_table(doc, "terms", "'on' and 'coeff'", lambda entry, at: (
+        _naive_as_index_tuple(entry.get("on"), arity - 1, dim, f"{at}/on"),
+        _naive_as_rational(entry.get("coeff"), f"{at}/coeff")), merge=lambda a, b: a + b)
+    return arity, dim, {k: v for k, v in terms.items() if v}
+
+
+_naive_PARSERS = {
+    "n_lie_algebra": _naive_parse_algebra,
+    "linear_operator": _naive_parse_operator,
+    "functional": _naive_parse_functional,
+    "ns_algebra": _naive_parse_ns,
+    "representation": _naive_parse_representation,
+    "wedge_element": _naive_parse_wedge,
+}
+
+
+_NAIVE_KINDS = tuple(_naive_PARSERS)
+
+
+def naive_parse_document(text, expect=None):
+    """``documents.parse_document`` as it read a document entry by entry, every
+    scalar through ``parse_rational`` and every pointer spelled as it goes;
+    the one addition is the digit-limit error of ``json.loads``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON: {exc}")
+    except ValueError:
+        raise over_digit_limit() from None
+    if not isinstance(doc, dict):
+        raise InputError("document must be a JSON object")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _naive_PARSERS:
+        raise InputError(f"unknown document kind {kind!r}; expected one of {', '.join(_NAIVE_KINDS)}")
+    if expect is not None and kind != expect:
+        raise InputError(f"expected a {expect!r} document, got {kind!r}")
+    return _naive_PARSERS[kind](doc)

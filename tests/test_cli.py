@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 from collections import Counter
 
 from nliealg import cli
@@ -383,3 +384,86 @@ def test_det3_refuses_a_product_that_is_not_commutative(docs, tmp_path):
         report, code = run_command(argv)
         assert code == 2, variant
         assert report.notes == ["error: the determinant 3-Lie construction applies to commutative products"]
+
+
+def test_the_leaf_parser_reads_argv_as_the_whole_tree_does(docs, tmp_path, lie3, family1, capsys, monkeypatch):
+    """``run_command`` hands the words after a ``COMMANDS`` key to that key's
+    own parser.  On each argv here, well formed or not, ``main`` gives the
+    exit code, stdout and stderr it gives through ``parse_args`` of the
+    whole tree."""
+    ns = tmp_path / "ns.json"
+    ns.write_text(emit_document(ns_document(ns_from_reynolds(lie3, family1))))
+    rep = tmp_path / "rep.json"
+    rep.write_text(emit_document(representation_document(adjoint_representation(lie3))))
+    witness = tmp_path / "witness.json"
+    witness.write_text(emit_document(wedge_document(2, 3, {(2,): 1})))
+    values = {"n_lie_algebra": docs["g.json"], "linear_operator": docs["r1.json"], "functional": docs["f.json"],
+              "representation": str(rep), "wedge_element": str(witness), "--variant": "dd",
+              "--max-degree": "1", "--size-guard": "100000"}
+    g = docs["g.json"]
+    argvs = [["check"], ["construct"], ["chek", "filippov"], ["--help"],
+             ["--json", "check", "filippov", "--algebra", g]]
+    for (command, what), (_, flags, _) in cli.COMMANDS.items():
+        words = [command] + ([what] if what else [])
+        argv = list(words)
+        for flag in ("--algebra",) + flags:
+            kind = "ns_algebra" if (command, what, flag) == ("check", "ns", "--algebra") else cli.FLAG_KINDS.get(flag)
+            argv += [flag, str(ns) if kind == "ns_algebra" else values[kind or flag]]
+        argvs += [argv, words + ["-h"], argv + ["--json"], words[:1] + ["--json"] + words[1:] + argv[len(words):]]
+    reynolds = ["check", "reynolds", "--algebra", g, "--operator", docs["r1.json"]]
+    cohomology = ["cohomology", "--algebra", g, "--reynolds", docs["r1.json"]]
+    argvs += [
+        ["check", "reynolds", "--alg", g, "--operator", docs["r1.json"]],
+        cohomology + ["--max-degree=2"],
+        cohomology + ["--max-degree", "-1"],
+        reynolds + ["--operator", docs["zero3.json"]],
+        reynolds + ["--algebra", g],
+        reynolds + ["--bogus"],
+        reynolds + ["extra"],
+        reynolds + ["--=x"],
+        reynolds + ["--", "x"],
+        ["construct", "det3", "--algebra", g, "--variant", "xx"],
+        ["check", "reynolds", "--operator", docs["r1.json"]],
+        ["construct", "det3", "--algebra", g],
+        ["cohomology"],
+    ]
+
+    def outcome(argv):
+        code = cli.main(list(argv))
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    direct = [outcome(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    assert [outcome(argv) for argv in argvs] == direct
+    # the set is not vacuous: every exit code that parsing or running can give shows up
+    assert {code for code, _, _ in direct} == {0, 1, 2}
+    assert sum(err.startswith("usage: nlie") for _, _, err in direct) > 10
+    assert sum(out.startswith("usage: nlie") for _, out, _ in direct) == len(cli.COMMANDS) + 1
+
+
+def test_a_literal_over_the_digit_limit_is_an_input_error(docs, tmp_path):
+    """A rational string or a JSON integer with more digits than the
+    interpreter converts exits 2 with a note that names the limit, at its
+    pointer when the parser knows it, not as a ValueError traceback."""
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 700)
+    for entry, where in ((f'"{digits}"', " (at /matrix/0/0)"), (f'"1/{digits}"', " (at /matrix/0/0)"),
+                         (digits, "")):
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind": "linear_operator", "dim": 1, "matrix": [[%s]]}' % entry)
+        report, code = run_command(["check", "derivation", "--algebra", docs["g.json"], "--operator", str(path)])
+        assert code == 2
+        assert report.notes == [f"error: integer literal over the limit of {limit} digits{where}"]
+
+
+def test_a_rational_literal_is_ascii_digits_with_no_whitespace(docs, tmp_path):
+    """A final newline, which ``$`` would match before, and a non-ASCII
+    digit are refused as malformed literals."""
+    for literal in ("0\n", "3/4\n", "٣"):
+        path = tmp_path / "op.json"
+        rows = [[literal, "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+        path.write_text(json.dumps({"kind": "linear_operator", "dim": 3, "matrix": rows}))
+        report, code = run_command(["check", "derivation", "--algebra", docs["g.json"], "--operator", str(path)])
+        assert code == 2
+        assert report.notes == [f"error: malformed rational literal {literal!r} (at /matrix/0/0)"]

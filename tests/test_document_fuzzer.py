@@ -3,21 +3,25 @@
 Each job starts from valid documents for one (command, what), passes
 exactly the flags that entry takes, and mutates one document once: a key
 deleted, a value of the wrong JSON type, an entry repeated, a huge integer,
-"1/0", or the text cut short.  Every job must end as a defined outcome:
-exit 0, 1 or 2 with a report, never exit 3 and never an escaping exception.
+"1/0", a literal over the interpreter's digit limit, or the text cut short.
+Every job must end as a defined outcome: exit 0, 1 or 2 with a report,
+never exit 3 and never an escaping exception.  The same mutants, parsed
+alone, must give what ``conftest.naive_parse_document`` gives.
 One mutation per document keeps each job small: a huge "dim" or "arity"
 always meets a basis, vector or tuple of the old length and is refused.
 """
 
 import copy
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
 from nliealg.algebra import NAryAlgebra, adjoint_representation
-from nliealg.cli import COMMANDS, run_command
+from nliealg.cli import COMMANDS, FLAG_KINDS, run_command
 from nliealg.cohomology import delta_r_operator
 from nliealg.constructions import LinearFunctional, comm_assoc_algebra
 from nliealg.documents import (
@@ -25,14 +29,16 @@ from nliealg.documents import (
     functional_document,
     ns_document,
     operator_document,
+    parse_document,
     representation_document,
     wedge_document,
 )
+from nliealg.errors import InputError
 from nliealg.linalg import Matrix
 from nliealg.ns import ns_from_reynolds
 from nliealg.reynolds import derivation_to_reynolds
 
-from conftest import wedge_single
+from conftest import naive_parse_document, wedge_single
 
 
 def _specs():
@@ -81,9 +87,11 @@ def _specs():
 
 
 SPECS = _specs()
+# json.dumps refuses an int over the digit limit, so the text gets these digits in place of the marker
+HUGE_INT = "<an integer of 5000 digits>"
 # wrong-type, malformed and huge values; floats are not rationals
 VALUES = [None, True, False, 0, -1, 1, 2, 1.5, "1/0", "x", "", 2 ** 64, -(10 ** 30), "99999999999999999999/7",
-          [], {}, [1], [[1]], {"a": 1}]
+          "1" * 5000, HUGE_INT, [], {}, [1], [[1]], {"a": 1}]
 
 
 def _argv(spec, paths):
@@ -150,7 +158,7 @@ def mutated(draw, doc):
             parent.insert(key, copy.deepcopy(parent[key]))
         else:
             parent[key] = [parent[key], parent[key]]
-    text = json.dumps(doc)
+    text = json.dumps(doc).replace(json.dumps(HUGE_INT), "1" * 5000)
     return text[:draw(st.integers(0, len(text) - 1))] if how == "cut" else text
 
 
@@ -166,3 +174,50 @@ def test_mutated_documents_end_in_a_defined_outcome(data, fuzz_dir):
     paths = [_write(fuzz_dir, f"doc{j}.json", text) for j, text in enumerate(texts)]
     report, code = run_command(_argv(spec, paths))
     assert report is not None and code in (0, 1, 2), (spec[0], texts[target], report and report.notes)
+
+
+def _kind(spec, flag):
+    return "ns_algebra" if spec[0] == ("check", "ns") and flag == "--algebra" else FLAG_KINDS[flag]
+
+
+def _state(value):
+    """A parsed value as nested builtins, each scalar with its type, so that
+    two parses compare equal only when they built the same objects."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return type(value).__name__, value
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_state(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _state(v) for key, v in value.items()}
+    if hasattr(value, "__slots__") or hasattr(value, "__dict__"):
+        fields = value.__slots__ if hasattr(value, "__slots__") else vars(value)
+        return type(value).__name__, {name: _state(getattr(value, name)) for name in fields}
+    return value
+
+
+def _outcome(parse, text, kind):
+    """The state of what ``parse`` builds from ``text``, or its error message."""
+    try:
+        return _state(parse(text, expect=kind))
+    except InputError as exc:
+        return str(exc)
+
+
+def test_the_parser_builds_what_the_entry_by_entry_parser_builds(docs):
+    """Every valid document of the fuzzer and of the CLI fixtures parses to
+    the same objects as with ``naive_parse_document``."""
+    fixtures = [(_kind(spec, flag), json.dumps(doc)) for spec in SPECS for flag, doc in spec[2]]
+    fixtures += [(None, Path(path).read_text(encoding="utf-8")) for path in docs.values()]
+    outcomes = [_outcome(parse_document, text, kind) for kind, text in fixtures]
+    assert outcomes == [_outcome(naive_parse_document, text, kind) for kind, text in fixtures]
+    assert sum(isinstance(outcome, str) for outcome in outcomes) == 1  # the fixtures' bad.json
+
+
+@seed(20261020)
+@settings(max_examples=1000, deadline=None, database=None, phases=(Phase.generate,))
+@given(data=st.data())
+def test_a_mutated_document_parses_or_fails_as_the_entry_by_entry_parser_does(data):
+    spec = data.draw(st.sampled_from(SPECS))
+    flag, doc = data.draw(st.sampled_from(spec[2]))
+    text, kind = data.draw(mutated(doc)), _kind(spec, flag)
+    assert _outcome(parse_document, text, kind) == _outcome(naive_parse_document, text, kind)

@@ -2,8 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, seed, settings
+from hypothesis import strategies as st
 
 from nliealg.documents import (
+    Report,
     algebra_document,
     emit_document,
     functional_document,
@@ -168,3 +171,26 @@ def test_bounded_integers():
     ):
         with pytest.raises(InputError, match=f"must be an integer .*at {pointer}\\)"):
             parse_document(json.dumps(doc))
+
+
+# strings with non-ASCII, surrogate-free and control characters, ints past 64 bits
+SCALARS = st.none() | st.booleans() | st.integers(-(10 ** 40), 10 ** 40) | st.text(max_size=6)
+JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                                        max_size=4), max_leaves=20)
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None, database=None, phases=(Phase.generate,))
+@given(payload=JSON)
+def test_emission_is_json_dumps_with_indent_2(payload):
+    """``emit_document`` and ``Report.to_json`` write what ``json.dumps(..., indent=2)`` writes."""
+    assert emit_document(payload) == json.dumps(payload, indent=2) + "\n"
+    report = Report(command=["x"], artifacts=[payload], notes=["\u00e9\x00"])
+    assert report.to_json() == json.dumps(
+        {"command": ["x"], "verdicts": [], "artifacts": [payload], "notes": ["\u00e9\x00"]}, indent=2) + "\n"
+
+
+def test_emission_refuses_what_is_not_json_of_the_report_types():
+    for value in (1.5, Fraction(1, 2), (1, 2), {1: "a"}, ["x", {"y": object()}]):
+        with pytest.raises(TypeError):
+            emit_document({"kind": value})

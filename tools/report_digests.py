@@ -1,17 +1,21 @@
-"""Digest every benchmark job's report: exit code and sha256 of stdout.
+"""Digest every benchmark job's report, and the parser's answers: exit code
+and sha256 of stdout and of stderr.
 
     python3 tools/report_digests.py OUT.json
 
 Runs each job of seeds 1-3 of every workload in ``bench/workloads.py``,
 traced-only anchors included, through ``nliealg.cli.main`` of this
-checkout's ``src/``, one after another in this process.  Job files go to
-a temporary directory that is removed afterwards; its path is cut from
-stdout before hashing, so the command line a report echoes is the same
-on every run.  OUT.json maps "<workload>/<seed>/<job key>" to
-[exit code, sha256 hex of stdout]; an exception escaping ``main`` is
-recorded by its type name in place of the exit code.  Checkouts whose
-reports agree byte for byte write identical files, so one ``diff`` of
-two OUT.json files checks that a change keeps every report.
+checkout's ``src/``, one after another in this process, then a fixed
+list of argvs that the parser answers by itself: ``--help``, the ``-h``
+of each command and usage errors.  Job files go to a temporary
+directory that is removed afterwards; its path is cut from the output
+before hashing, so the command line a report echoes is the same on every
+run.  OUT.json maps "<workload>/<seed>/<job key>" and "argv/<argv>" to
+[exit code, sha256 hex of stdout, sha256 hex of stderr]; an exception
+escaping ``main`` is recorded by its type name in place of the exit
+code.  Checkouts whose reports, help and usage texts agree byte for byte
+write identical files, so one ``diff`` of two OUT.json files checks that
+a change keeps every one of them.
 """
 
 from __future__ import annotations
@@ -28,10 +32,36 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 
 
+def parser_argvs(commands):
+    """``--help``, and per command its ``-h`` and usage errors: no flags, an
+    abbreviation, a typo, a word left over, a bad choice, ``--json`` between
+    the words, an ambiguous ``--=``."""
+    argvs = [["--help"], [], ["--json"], ["check"], ["construct", "--json"], ["chek", "filippov"]]
+    for command, what in commands:
+        words = [command] + ([what] if what else [])
+        flags = ["--algebra", "a.json"]
+        argvs += [words + ["-h"], words, words + ["--alg"], words + flags + ["--bogus"], words + flags + ["extra"],
+                  words + flags + ["--variant", "xx"], words[:1] + ["--json"] + words[1:] + ["--help"],
+                  words + ["--=x"]]
+    return argvs
+
+
+def _run(main, argv, directory=""):
+    """[exit code, sha256 of stdout, sha256 of stderr] of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:  # recorded, so a crash shows in the diff
+        code = type(exc).__name__
+    texts = (buf.getvalue().replace(directory + os.sep, "") if directory else buf.getvalue() for buf in (out, err))
+    return [code, *(hashlib.sha256(text.encode()).hexdigest() for text in texts)]
+
+
 def digests():
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import workloads
-    from nliealg.cli import main
+    from nliealg.cli import COMMANDS, main
 
     out = {}
     for workload in workloads.WORKLOADS:
@@ -43,14 +73,9 @@ def digests():
                     key = f"{workload}/{seed}/{job.key}"
                     if key in out:
                         raise SystemExit(f"report_digests: job key {key} repeats")
-                    buf = io.StringIO()
-                    try:
-                        with contextlib.redirect_stdout(buf):
-                            code = main(job.argv)
-                    except Exception as exc:  # recorded, so a crash shows in the diff
-                        code = type(exc).__name__
-                    text = buf.getvalue().replace(directory + os.sep, "")
-                    out[key] = [code, hashlib.sha256(text.encode()).hexdigest()]
+                    out[key] = _run(main, job.argv, directory)
+    for argv in parser_argvs(COMMANDS):
+        out["argv/" + " ".join(argv)] = _run(main, argv)
     return out
 
 
@@ -61,4 +86,4 @@ if __name__ == "__main__":
     with open(sys.argv[1], "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"{len(result)} jobs digested into {sys.argv[1]}")
+    print(f"{len(result)} jobs and argvs digested into {sys.argv[1]}")
