@@ -22,9 +22,9 @@ from itertools import compress, product
 
 from .errors import InputError
 from .linalg import Matrix, combine, integer_scale, unit_vector, vec_is_zero
-from .rings import QQ_ONE, QQ_ZERO, rational, sign
+from .rings import QQ_ONE, QQ_ZERO, exact_scalars, rational, sign
 from .verdict import fail, ok, require
-from .wedge import canonical, canonicalize_wedge, check_indices, increasing_tuples
+from .wedge import canonical, canonicalize_wedge, check_indices, increasing_tuples, key_rule
 
 ALTERNATING = "alternating"
 SYMMETRIC = "symmetric"
@@ -52,19 +52,11 @@ class NAryAlgebra:
         self.basis_names = list(basis_names) if basis_names else [f"e{i}" for i in range(1, dim + 1)]
         if len(self.basis_names) != dim:
             raise InputError("basis_names length must equal dim")
-        clean = {}
+        clean, strict = {}, symmetry == ALTERNATING
         for key, vec in brackets.items():
-            key = tuple(key)
-            if not canonical(key, arity, dim, symmetry == ALTERNATING):  # one test, else each check
-                if len(key) != arity:
-                    raise InputError(f"bracket tuple {key} has length != arity {arity}")
-                check_indices(key, dim)
-                if symmetry == ALTERNATING and any(a >= b for a, b in zip(key, key[1:])):
-                    raise InputError(f"alternating bracket tuple {key} is not strictly increasing")
-                if symmetry == SYMMETRIC and any(a > b for a, b in zip(key, key[1:])):
-                    raise InputError(f"symmetric product tuple {key} is not non-decreasing")
-            vec = list(vec)  # rational() returns an int entry itself
-            vec = vec if set(map(type, vec)) <= {int} else [rational(v) for v in vec]
+            if not canonical(key, arity, dim, strict):
+                raise InputError(f"bracket key {key!r} is not {key_rule(arity, dim, strict)}")
+            vec = exact_scalars(vec)
             if len(vec) != dim:
                 raise InputError(f"bracket value for {key} has length != dim {dim}")
             if not vec_is_zero(vec):
@@ -89,6 +81,11 @@ class NAryAlgebra:
         """InputError unless the bracket is alternating: ``what`` is defined on n-Lie algebras only."""
         if self.symmetry != ALTERNATING:
             raise InputError(f"{what} applies to alternating brackets")
+
+    def require_operator(self, op, what="operator"):
+        """InputError unless ``op`` is a dim x dim matrix, an operator on the algebra's space."""
+        if op.rows != self.dim or op.cols != self.dim:
+            raise InputError(f"{what} dimension mismatch")
 
     def require_symmetric(self, what):
         """InputError unless the product is symmetric: ``what`` is defined on commutative products only."""
@@ -256,15 +253,9 @@ class RepresentationTable:
         self.module_dim = module_dim
         clean = {}
         for key, mat in tables.items():
-            key = tuple(key)
             if not canonical(key, arity - 1, algebra_dim):
-                if len(key) != arity - 1:
-                    raise InputError(f"representation tuple {key} has length != {arity - 1}")
-                check_indices(key, algebra_dim)
-                if any(a >= b for a, b in zip(key, key[1:])):
-                    raise InputError(f"representation tuple {key} is not strictly increasing")
-            if not isinstance(mat, Matrix):
-                mat = Matrix(mat)
+                raise InputError(f"representation key {key!r} is not {key_rule(arity - 1, algebra_dim)}")
+            mat = mat if isinstance(mat, Matrix) else Matrix(mat)
             if mat.rows != module_dim or mat.cols != module_dim:
                 raise InputError(f"representation matrix for {key} is not {module_dim}x{module_dim}")
             if not mat.is_zero():
@@ -329,8 +320,7 @@ def is_derivation(algebra, op):
     """The Leibniz rule for a rational operator over the stored bracket,
     alternating or symmetric: one run of the Leibniz kernel."""
     d = algebra.dim
-    if op.rows != d or op.cols != d:
-        raise InputError("operator dimension mismatch")
+    algebra.require_operator(op)
     op._require_rational("derivation check")
     scale, values, cols = integer_brackets(algebra, op)
     ad_cols = ad_table(algebra, values)

@@ -187,8 +187,9 @@ def _build_parser():
         "Reynolds and Nijenhuis operators.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
+    # below the top, an absent --json sets nothing, so it cannot overwrite one given higher up
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", help="emit a JSON report")
+    shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="emit a JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
     groups, parser.leaves = {}, {}
     for (command, what), (_, flags, _) in COMMANDS.items():
@@ -227,7 +228,7 @@ def _parse(argv):
     words = argv[:2] if tuple(argv[:2]) in parser.leaves else argv[:1]
     leaf, rest = parser.leaves.get((*words, None)[:2]), argv[len(words):]
     if leaf is not None and not any(word.startswith("--=") for word in rest):
-        args, extra = leaf.parse_known_args(rest)
+        args, extra = leaf.parse_known_args(rest, argparse.Namespace(json=False))
         if not extra:
             args.command = words[0]
             return args
@@ -241,7 +242,7 @@ def run_command(argv):
     except SystemExit as exc:
         return None, (2 if exc.code else 0)
     from .documents import Report
-    report = Report(command=list(argv))
+    report = Report(command=list(argv), as_json=args.json)
     try:
         _run(args, report)
     except InternalConsistencyError as exc:
@@ -256,10 +257,9 @@ def run_command(argv):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    want_json = "--json" in argv
     report, code = run_command(argv)
     if report is not None:
-        sys.stdout.write(report.to_json() if want_json else report.to_text())
+        sys.stdout.write(report.to_json() if report.as_json else report.to_text())
     return code
 
 

@@ -45,7 +45,7 @@ from .algebra import (
 )
 from .errors import DEFAULT_SIZE_GUARD, InputError, InternalConsistencyError, PreconditionError, SizeGuardError
 from .linalg import Matrix, vec_add, vec_scale, vec_sub, vec_zero
-from .rings import QQ_ONE, QQ_ZERO, rational, sign
+from .rings import QQ_ONE, QQ_ZERO, exact_scalars, sign
 from .verdict import require
 from .wedge import WedgeBasis
 
@@ -62,15 +62,9 @@ class Cochain:
         self.degree = degree
         self.wedge = WedgeBasis(dim, arity - 1)
         expected = len(self.wedge) ** (degree - 1) * dim * module_dim
-        data = tuple(data)
-        if len(data) != expected:
-            raise InputError(f"cochain data length {len(data)} != {expected}")
-        self.data = data
-
-    @classmethod
-    def zero(cls, arity, dim, module_dim, degree):
-        size = len(WedgeBasis(dim, arity - 1)) ** (degree - 1) * dim * module_dim
-        return cls(arity, dim, module_dim, degree, [QQ_ZERO] * size)
+        self.data = tuple(exact_scalars(data, dual=True))
+        if len(self.data) != expected:
+            raise InputError(f"cochain data length {len(self.data)} != {expected}")
 
     @classmethod
     def from_operator(cls, arity, op):
@@ -81,12 +75,8 @@ class Cochain:
     def to_operator(self):
         if self.degree != 1:
             raise InputError("only degree-1 cochains are operators")
-        return Matrix(
-            [
-                [self.data[j * self.module_dim + v] for j in range(self.dim)]
-                for v in range(self.module_dim)
-            ]
-        )
+        m = self.module_dim
+        return Matrix([[self.data[j * m + v] for j in range(self.dim)] for v in range(m)])
 
     def _index(self, blocks, j):
         b = len(self.wedge)
@@ -229,6 +219,7 @@ def reynolds_tables(scale, ad, images, n):
 def delta_r_operator(algebra, op, x_wedge):
     """delta_R(X) x = R[X,x] - [X,Rx] - R[X,Rx] as a linear operator."""
     algebra.require_alternating("delta_R")
+    algebra.require_operator(op)
     adx = ad(algebra, x_wedge)
     return op @ adx - adx @ op - op @ adx @ op
 
@@ -264,7 +255,7 @@ class ReynoldsComplex:
 
         # (D [.]_R, D rho_R) with D = t / g the lcm of the denominators of the exact pair
         self._pair = tables(lambda x: x // g)
-        self.induced, self.rho = self._pair if self._scale == 1 else tables(lambda x: rational(Fraction(x, t)))
+        self.induced, self.rho = self._pair if self._scale == 1 else tables(lambda x: Fraction(x, t))
 
     def cochain_dim(self, m):
         d = self.base.dim
@@ -284,7 +275,7 @@ class ReynoldsComplex:
         """Sparse matrix of the level-m differential (m >= 0), exact: the
         integer matrix of ``dimensions`` divided by its scale."""
         scale, mat = self._integer_differential(m, size_guard)
-        rows = [{j: rational(Fraction(x, scale)) for j, x in row.items()} for row in mat.row_maps]
+        rows = [{j: Fraction(x, scale) for j, x in row.items()} for row in mat.row_maps]
         return Matrix.sparse(mat.rows, mat.cols, rows)
 
     def _require_cells(self, m, size_guard):
@@ -415,8 +406,7 @@ def integer_delta(algebra, op):
     columns of each ad_J: delta_R(e_J) = R ad_J - R ad_J R - ad_J R."""
     algebra.require_alternating("delta_R")
     op._require_rational("delta_R")
-    if op.rows != algebra.dim or op.cols != algebra.dim:
-        raise InputError("operator dimension mismatch")
+    algebra.require_operator(op)
     scale, scaled, images = integer_brackets(algebra, op)
     return _delta(algebra.dim, scale, ad_table(algebra, scaled), images)
 

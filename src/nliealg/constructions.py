@@ -15,7 +15,7 @@ from .algebra import SYMMETRIC, NAryAlgebra, ad_table, algebra_from_bracket_func
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import combine, vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .reynolds import basis_images, check_reynolds, reynolds_values, verified_values
-from .rings import rational, sign
+from .rings import exact_scalars, sign
 from .verdict import fail, jsonable, ok, require, spelled
 from .wedge import increasing_tuples
 
@@ -24,16 +24,13 @@ class LinearFunctional:
     """A covector, evaluated coordinate-wise on coefficient vectors."""
 
     def __init__(self, coefficients):
-        self.coefficients = [rational(c) for c in coefficients]
+        self.coefficients = exact_scalars(coefficients)
         self.dim = len(self.coefficients)
 
     def __call__(self, vec):
         if len(vec) != self.dim:
             raise InputError(f"vector length {len(vec)} != functional dim {self.dim}")
-        total = self.coefficients[0] * vec[0]
-        for c, v in zip(self.coefficients[1:], vec[1:]):
-            total += c * v
-        return total
+        return sum(c * v for c, v in zip(self.coefficients, vec))
 
     def require_dim(self, algebra):
         """InputError unless the functional is on the algebra's space: checked

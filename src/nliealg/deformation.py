@@ -63,6 +63,7 @@ def _t_linear_check(algebra, op, direction):
 
 def is_infinitesimal_deformation(algebra, op, direction):
     """Does R + tS stay Reynolds to first order?  Verified by two routes."""
+    algebra.require_operator(direction, "direction")
     require(check_reynolds(algebra, op), "base operator is not a Reynolds operator")
     direct = _t_linear_check(algebra, op, direction)
     dual_op = op + direction.scale(EPS)

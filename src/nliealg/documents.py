@@ -186,6 +186,8 @@ def parse_document(text, expect=None):
         raise InputError(f"malformed JSON: {exc}")
     except ValueError:  # a number over the interpreter's digit limit
         raise over_digit_limit() from None
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise InputError("malformed JSON: the document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     kind = doc.get("kind")
@@ -307,12 +309,14 @@ def _encode(value, newline="\n"):
 @dataclass
 class Report:
     """Outcome of one CLI invocation: the command echo, check verdicts in
-    a stable order, and any constructed documents."""
+    a stable order, any constructed documents, and whether ``--json`` asked
+    for it as JSON."""
 
     command: list
     verdicts: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    as_json: bool = False
 
     def add(self, result):
         self.verdicts.append(result)

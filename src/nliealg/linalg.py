@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 
 from .errors import InputError, NotInvertibleError, UnsupportedRingError
-from .rings import Dual, QQ_ZERO, QQ_ONE, minus, plus, rational
+from .rings import Dual, QQ_ZERO, QQ_ONE, exact_scalars, minus, plus, rational
+
+_INT = frozenset((int,))
 
 
 class Matrix:
@@ -40,6 +42,8 @@ class Matrix:
         cols = len(entries[0])
         if any(len(row) != cols for row in entries):
             raise InputError("ragged matrix rows")
+        if not _INT.issuperset(map(type, chain.from_iterable(entries))):  # an int passes the gate as itself
+            entries = [exact_scalars(row, dual=True) for row in entries]
         self._set(len(entries), cols, [dict(compress(enumerate(row), row)) for row in entries])
 
     def _set(self, rows, cols, row_maps):
@@ -56,7 +60,8 @@ class Matrix:
         the {column: value} dict ``row_maps[i]``."""
         if len(row_maps) != rows:
             raise InputError(f"{len(row_maps)} row dicts for {rows} rows")
-        return _matrix(rows, cols, [{j: a for j, a in row.items() if a} for row in row_maps])
+        return _matrix(rows, cols, [{j: a for j, a in zip(row, exact_scalars(row.values(), dual=True)) if a}
+                                    for row in row_maps])
 
     @classmethod
     def identity(cls, n):
@@ -99,7 +104,8 @@ class Matrix:
 
     def _merge(self, other, op):
         """op(a, b) entry by entry, over the columns either row stores."""
-        self._check_same_shape(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise InputError("shape mismatch")
         out = []
         for ra, rb in zip(self.row_maps, other.row_maps):
             row = {}
@@ -114,6 +120,7 @@ class Matrix:
         return _matrix(self.rows, self.cols, [{j: -a for j, a in row.items()} for row in self.row_maps])
 
     def scale(self, c):
+        (c,) = exact_scalars((c,), dual=True)
         if not c:
             return Matrix.zero(self.rows, self.cols)
         if c == 1:
@@ -147,10 +154,6 @@ class Matrix:
 
     def is_zero(self):
         return not any(self.row_maps)
-
-    def _check_same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("shape mismatch")
 
     def is_rational(self):
         """Whether no entry is a dual number."""

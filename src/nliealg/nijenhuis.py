@@ -55,8 +55,7 @@ def nijenhuis_values(algebra, op):
     ladder is defined for any linear N, so the walk does not stop at a
     failing tuple; the verdict names the first one.
     """
-    if op.rows != algebra.dim or op.cols != algebra.dim:
-        raise InputError("operator dimension mismatch")
+    algebra.require_operator(op)
     op._require_rational("Nijenhuis check")
     n, d = algebra.arity, algebra.dim
     scale, brackets, images = integer_brackets(algebra, op)

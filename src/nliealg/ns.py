@@ -35,9 +35,9 @@ from .errors import InputError, InternalConsistencyError
 from .linalg import Matrix, integer_scale, vec_add, vec_is_zero, vec_scale, vec_zero
 from .nijenhuis import verified_ladder
 from .reynolds import verified_values
-from .rings import rational, sign
+from .rings import exact_scalars, sign
 from .verdict import fail, jsonable, ok, require
-from .wedge import canonicalize_wedge, check_indices, increasing_tuples
+from .wedge import canonical, canonicalize_wedge, check_indices, increasing_tuples, key_rule
 
 
 class NSAlgebra:
@@ -45,25 +45,21 @@ class NSAlgebra:
     alternating square bracket on the same space."""
 
     def __init__(self, arity, dim, curly, square, basis_names=None):
-        if arity < 2:
-            raise InputError(f"arity must be >= 2, got {arity}")
+        self.square = NAryAlgebra(arity, dim, square, basis_names=basis_names)
         self.arity = arity
         self.dim = dim
-        self.square = NAryAlgebra(arity, dim, square, basis_names=basis_names)
         self.basis_names = self.square.basis_names
         clean = {}
-        for (prefix, j), vec in curly.items():
-            prefix = tuple(prefix)
-            if len(prefix) != arity - 1:
-                raise InputError(f"curly prefix {prefix} has length != {arity - 1}")
-            if any(a >= b for a, b in zip(prefix, prefix[1:])):
-                raise InputError(f"curly prefix {prefix} is not strictly increasing")
-            check_indices(prefix + (j,), dim)
-            vec = [rational(v) for v in vec]
+        for key, vec in curly.items():  # the last index is a key of length 1
+            if not (type(key) is tuple and len(key) == 2 and canonical(key[0], arity - 1, dim)
+                    and canonical(key[1:], 1, dim)):
+                raise InputError(f"curly key {key!r} is not (prefix, last): {key_rule(arity - 1, dim)}, "
+                                 f"and an int in 1..{dim}")
+            vec = exact_scalars(vec)
             if len(vec) != dim:
-                raise InputError(f"curly value for ({prefix}, {j}) has length != dim {dim}")
+                raise InputError(f"curly value for {key} has length != dim {dim}")
             if not vec_is_zero(vec):
-                clean[(prefix, j)] = vec
+                clean[key] = vec
         self.curly_table = clean
         self._terms = term_table({prefix + (j,): vec for (prefix, j), vec in clean.items()})
 

@@ -31,7 +31,7 @@ from .algebra import (
     support,
     unit_supports,
 )
-from .errors import InputError, NotInvertibleError, PreconditionError
+from .errors import NotInvertibleError, PreconditionError
 from .linalg import Matrix, vec_add, vec_sub, vec_zero
 from .rings import sign
 from .verdict import fail, ok, require
@@ -72,8 +72,7 @@ def reynolds_values(algebra, op, scaled=False):
     a failing tuple (by D^(n+1) and D^(n+2)).  With ``scaled``, the values
     stay D^(n+1) times theirs in ``int`` and (D, B', columns of R') come
     third, for a caller that tabulates in integers."""
-    if op.rows != algebra.dim or op.cols != algebra.dim:
-        raise InputError("operator dimension mismatch")
+    algebra.require_operator(op)
     if not op.is_rational():
         return _dual_values(algebra, op)
     n, d = algebra.arity, algebra.dim
@@ -130,6 +129,8 @@ def induced_bracket(algebra, op):
 def check_hom_pair(algebra, r_from, r_to, phi, psi):
     """(phi, psi) is a homomorphism of Reynolds operators: phi is an algebra
     homomorphism and phi . r_from = r_to . psi."""
+    for op in (r_from, r_to, phi, psi):
+        algebra.require_operator(op)
     left, right = phi @ r_from, r_to @ psi
     if left != right:
         return fail(

@@ -2,10 +2,10 @@
 
 Scalars are exact ``int``/``Fraction`` values, never ``float``: an
 integral scalar is a plain ``int`` and a ``Fraction`` only carries a
-denominator other than 1 (``rational`` normalises to that form).  Dual
-numbers ``a + b*eps`` are a small immutable class that mixes freely with
-both in arithmetic, so every multilinear routine in the library works
-over either ring without modification.
+denominator other than 1.  ``rational``, the gate of every stored scalar,
+normalises to that form and refuses any other type.  Dual numbers
+``a + b*eps`` are a small immutable class that mixes freely with both in
+arithmetic, so every multilinear routine works over either ring.
 """
 
 from __future__ import annotations
@@ -14,19 +14,28 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, UnsupportedRingError
 
 QQ_ZERO = 0
 QQ_ONE = 1
 
 
 def rational(x):
-    """x as an exact scalar: an ``int`` when it is integral, else a ``Fraction``."""
+    """The one scalar gate: an ``int`` as itself, a ``Fraction`` normalised; a dual number
+    is an ``UnsupportedRingError``, anything else (a float, a bool, a str) an ``InputError``."""
     if type(x) is int:
         return x
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, Dual):
+        raise UnsupportedRingError(f"dual number {x!r} where a rational scalar is required")
+    raise InputError(f"a scalar must be an int or a Fraction, not {type(x).__name__} {x!r}")
+
+
+def exact_scalars(values, dual=False):
+    """``values`` as a list of exact scalars, each entry through ``rational`` but an ``int``,
+    and a dual number where ``dual`` admits it, kept as it is."""
+    return [x if type(x) is int or dual and type(x) is Dual else rational(x) for x in values]
 
 
 def sign(k):
@@ -128,8 +137,6 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 def parse_rational(text):
     """Parse "p/q" or "p" exactly: an optional sign, ASCII digits, no decimals, no whitespace."""
-    if isinstance(text, int):
-        return rational(text)
     if not isinstance(text, str):
         raise InputError(f"rational literal must be a string, got {type(text).__name__}")
     if not _RATIONAL_RE.fullmatch(text):

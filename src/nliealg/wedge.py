@@ -13,6 +13,8 @@ from operator import le, lt
 
 from .errors import InputError
 
+_INT = frozenset((int,))
+
 
 def check_indices(indices, dim):
     """Raise ``InputError`` unless every basis index lies in 1..dim."""
@@ -24,8 +26,14 @@ def check_indices(indices, dim):
 def canonical(key, length, dim, strict=True):
     """Whether ``key`` is a tuple or list of ``length`` ints in 1..dim, increasing (strictly unless
     not ``strict``): one test that passes only where ``check_indices`` and the order tests pass."""
-    return type(key) in (tuple, list) and len(key) == length > 0 and set(map(type, key)) <= {int} and (
+    return type(key) in (tuple, list) and len(key) == length > 0 and _INT.issuperset(map(type, key)) and (
         0 < key[0] and key[-1] <= dim and all(map(lt if strict else le, key, key[1:])))
+
+
+def key_rule(length, dim, strict=True):
+    """What ``canonical`` accepts, in words, for the one ``InputError`` that refuses a key."""
+    order = f", {'strictly increasing' if strict else 'non-decreasing'}" if length > 1 else ""
+    return f"a tuple of {length} int{'s' * (length != 1)} in 1..{dim}{order}"
 
 
 def canonicalize_wedge(indices, dim):

@@ -1212,13 +1212,15 @@ _NAIVE_KINDS = tuple(_naive_PARSERS)
 def naive_parse_document(text, expect=None):
     """``documents.parse_document`` as it read a document entry by entry, every
     scalar through ``parse_rational`` and every pointer spelled as it goes;
-    the one addition is the digit-limit error of ``json.loads``."""
+    the additions are the digit-limit and nesting-depth errors of ``json.loads``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}")
     except ValueError:
         raise over_digit_limit() from None
+    except RecursionError:
+        raise InputError("malformed JSON: the document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     kind = doc.get("kind")

@@ -4,7 +4,7 @@ import sys
 from collections import Counter
 
 from nliealg import cli
-from nliealg.algebra import adjoint_representation
+from nliealg.algebra import NAryAlgebra, adjoint_representation
 from nliealg.cli import run_command
 from nliealg.constructions import LinearFunctional
 from nliealg.documents import (
@@ -467,3 +467,85 @@ def test_a_rational_literal_is_ascii_digits_with_no_whitespace(docs, tmp_path):
         report, code = run_command(["check", "derivation", "--algebra", docs["g.json"], "--operator", str(path)])
         assert code == 2
         assert report.notes == [f"error: malformed rational literal {literal!r} (at /matrix/0/0)"]
+
+
+def test_a_document_nested_too_deeply_is_an_input_error(tmp_path, capsys):
+    """A document that ``json.loads`` cannot decode within the recursion
+    limit exits 2 with a note, not as a RecursionError traceback (exit 1)."""
+    deep = '{"kind": "n_lie_algebra", "dim": 3, "brackets": %s}' % ("[" * 5000 + "]" * 5000)
+    note = "error: malformed JSON: the document is nested too deeply"
+    for name, text in (("open.json", "[" * 100000), ("brackets.json", deep)):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["check", "filippov", "--algebra", str(path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == note + "\n"
+        assert cli.main(argv + ["--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["notes"] == [note]
+
+
+def test_the_output_format_is_read_off_the_parse(docs, capsys):
+    """``--json`` and each abbreviation argparse accepts for it, before,
+    between or after the words, write the same JSON report, the bytes of
+    the argv it echoes aside; without it the report is text."""
+    outputs = set()
+    tail = ["--algebra", docs["g.json"], "--operator", docs["zero3.json"]]
+    for flag in ("--json", "--js", "--jso"):
+        for argv in ([flag, "check", "derivation"] + tail, ["check", flag, "derivation"] + tail,
+                     ["check", "derivation", flag] + tail, ["check", "derivation"] + tail + [flag]):
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            assert json.loads(out)["command"] == argv
+            outputs.add(out.replace(json.dumps(argv, indent=2).replace("\n", "\n  "), "ARGV"))
+    assert len(outputs) == 1 and json.loads(outputs.pop().replace("ARGV", "[]"))["verdicts"] == [
+        {"check": "derivation", "passed": True}]
+    assert cli.main(["check", "derivation"] + tail) == 0
+    assert capsys.readouterr().out == "PASS derivation\n"
+
+
+# the note of each document flag that names an operator, a functional or a
+# representation, given for another dimension than the algebra's
+MISMATCH = {"--operator": "operator", "--reynolds": "operator", "--direction": "direction",
+            "--functional": "functional", "--representation": "representation/algebra"}
+
+
+def test_every_document_of_another_dimension_is_refused(tmp_path, lie3, family1, trunc_x3):
+    """Each command run on a dim-3 algebra, with one of its sized documents
+    given at dim 2 and the others valid at dim 3, exits 2 with that
+    document's ``... dimension mismatch`` note, --direction of deform too."""
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(emit_document(doc))
+        return str(path)
+
+    lie2 = NAryAlgebra(2, 2, {(1, 2): [0, 1]})
+    small = {"--operator": write("op2.json", operator_document(Matrix.identity(2))),
+             "--functional": write("f2.json", functional_document(LinearFunctional([1, 0]))),
+             "--representation": write("rep2.json", representation_document(adjoint_representation(lie2)))}
+    small["--reynolds"] = small["--direction"] = small["--operator"]
+    lie, commutative = write("lie3.json", algebra_document(lie3)), write("x3.json", algebra_document(trunc_x3))
+    valid = {"--operator": write("r.json", operator_document(family1)),
+             "--reynolds": write("r.json", operator_document(family1)),
+             "--direction": write("zero.json", operator_document(Matrix.zero(3))),
+             "--functional": write("f.json", functional_document(LinearFunctional([1, 0, 1]))),
+             "--representation": write("rep.json", representation_document(adjoint_representation(lie3)))}
+    euler = write("euler.json", operator_document(euler_derivation(3, [0, 1, 2])))
+    swept = Counter()
+    for (command, what), (_, flags, _) in cli.COMMANDS.items():
+        words = [command] + ([what] if what else [])
+        if "--variant" in flags:  # one document per letter: f a functional, d a derivation
+            letters = {"f": "--functional", "d": "--operator"}
+            runs = [(["--variant", v], [letters[c] for c in v]) for v in ("fd", "dd", "ddd")]
+        else:
+            runs = [([], [flag for flag in flags if flag in MISMATCH])]
+        symmetric = (command, what) in (("check", "assoc-reynolds"), ("construct", "det3"))
+        for options, sized in runs:
+            for i, wrong in enumerate(sized):
+                argv = words + ["--algebra", commutative if symmetric else lie] + options
+                for j, flag in enumerate(sized):
+                    right = euler if symmetric and flag == "--operator" else valid[flag]
+                    argv += [flag, small[flag] if i == j else right]
+                report, code = run_command(argv)
+                assert (code, report.notes) == (2, [f"error: {MISMATCH[wrong]} dimension mismatch"]), argv
+                swept[wrong] += 1
+    assert set(swept) == set(MISMATCH) and sum(swept.values()) > len(cli.COMMANDS)

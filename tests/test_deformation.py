@@ -15,9 +15,9 @@ from nliealg.deformation import (
     is_infinitesimal_deformation,
     is_trivial_deformation,
 )
-from nliealg.errors import InternalConsistencyError, PreconditionError, UnsupportedRingError
+from nliealg.errors import InputError, InternalConsistencyError, PreconditionError, UnsupportedRingError
 from nliealg.linalg import Matrix
-from nliealg.reynolds import check_reynolds, derivation_to_reynolds
+from nliealg.reynolds import check_hom_pair, check_reynolds, derivation_to_reynolds
 from nliealg.rings import EPS, Dual
 from nliealg.verdict import jsonable, ok, spelled
 
@@ -288,3 +288,27 @@ def test_corrupted_coboundary_trips_the_witness_check(lie3, family1, monkeypatch
         "homomorphism pair verified for X = {(2,): 1/3} but dir1 - dir2 is not the coboundary of X: "
         f"entry (2, 3) of dir1 - dir2 is {spelled(dir1[1, 2])}, of delta_R(X) {spelled(dir1[1, 2] + 1)}"
     )
+
+
+def test_every_operator_argument_is_checked_for_the_algebra_dimension(lie3, family1):
+    """A dim-2 operator in any operator slot on a dim-3 algebra is one
+    ``InputError``, raised by ``NAryAlgebra.require_operator`` before any
+    walk, where a slot unchecked before failed inside a product or an apply."""
+    small, zero, ident = Matrix.identity(2), Matrix.zero(3), Matrix.identity(3)
+    x = wedge_single((2,), 3)
+    calls = [
+        ("direction", lambda: is_infinitesimal_deformation(lie3, family1, small)),
+        ("direction", lambda: is_trivial_deformation(lie3, family1, small)),
+        ("direction", lambda: check_equivalence_witness(lie3, family1, small, zero, x)),
+        ("direction", lambda: check_equivalence_witness(lie3, family1, zero, small, x)),
+        ("operator", lambda: is_infinitesimal_deformation(lie3, small, zero)),
+        ("operator", lambda: delta_r_operator(lie3, small, x)),
+    ]
+    for slot in range(4):  # r_from, r_to, phi, psi
+        ops = [ident] * 4
+        ops[slot] = small
+        calls.append(("operator", lambda ops=ops: check_hom_pair(lie3, *ops)))
+    for what, call in calls:
+        with pytest.raises(InputError) as raised:
+            call()
+        assert str(raised.value) == f"{what} dimension mismatch"

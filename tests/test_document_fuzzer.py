@@ -3,7 +3,8 @@
 Each job starts from valid documents for one (command, what), passes
 exactly the flags that entry takes, and mutates one document once: a key
 deleted, a value of the wrong JSON type, an entry repeated, a huge integer,
-"1/0", a literal over the interpreter's digit limit, or the text cut short.
+"1/0", a literal over the interpreter's digit limit, a list nested past the
+recursion limit, or the text cut short.
 Every job must end as a defined outcome: exit 0, 1 or 2 with a report,
 never exit 3 and never an escaping exception.  The same mutants, parsed
 alone, must give what ``conftest.naive_parse_document`` gives.
@@ -87,11 +88,14 @@ def _specs():
 
 
 SPECS = _specs()
-# json.dumps refuses an int over the digit limit, so the text gets these digits in place of the marker
+# json.dumps refuses an int over the digit limit and a list nested 5,000 deep,
+# so the text gets these in place of the markers
 HUGE_INT = "<an integer of 5000 digits>"
-# wrong-type, malformed and huge values; floats are not rationals
+DEEP = "<a list nested 5000 deep>"
+MARKERS = {json.dumps(HUGE_INT): "1" * 5000, json.dumps(DEEP): "[" * 5000 + "]" * 5000}
+# wrong-type, malformed, huge and deep values; floats are not rationals
 VALUES = [None, True, False, 0, -1, 1, 2, 1.5, "1/0", "x", "", 2 ** 64, -(10 ** 30), "99999999999999999999/7",
-          "1" * 5000, HUGE_INT, [], {}, [1], [[1]], {"a": 1}]
+          "1" * 5000, HUGE_INT, DEEP, [], {}, [1], [[1]], {"a": 1}]
 
 
 def _argv(spec, paths):
@@ -158,7 +162,9 @@ def mutated(draw, doc):
             parent.insert(key, copy.deepcopy(parent[key]))
         else:
             parent[key] = [parent[key], parent[key]]
-    text = json.dumps(doc).replace(json.dumps(HUGE_INT), "1" * 5000)
+    text = json.dumps(doc)
+    for marker, raw in MARKERS.items():
+        text = text.replace(marker, raw)
     return text[:draw(st.integers(0, len(text) - 1))] if how == "cut" else text
 
 

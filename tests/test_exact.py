@@ -5,7 +5,11 @@
 have a ``Fraction`` operand, and a sign must not be spelled ``(-1) ** k``
 (a float for negative k).  The walker then checks what actually comes out:
 every CLI report, every verdict and every library object built on a set of
-inputs like the benchmark's.
+inputs like the benchmark's.  On the inputs side, every constructor refuses
+what is not exact, key by key and scalar by scalar: each key
+``wedge.canonical`` refuses and each scalar that ``rings.rational`` refuses
+is an ``InputError`` (a dual number where the ring has none, an
+``UnsupportedRingError``), never a ``TypeError`` and never stored.
 """
 
 import ast
@@ -13,6 +17,8 @@ import json
 import pathlib
 from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 import nliealg
 from nliealg.algebra import (
@@ -34,6 +40,7 @@ from nliealg.deformation import (
     is_infinitesimal_deformation,
     is_trivial_deformation,
 )
+from nliealg.errors import InputError, UnsupportedRingError
 from nliealg.documents import (
     Report,
     algebra_document,
@@ -53,7 +60,7 @@ from nliealg.reynolds import (
     induced_bracket,
     reynolds_to_derivation,
 )
-from nliealg.rings import EPS, Dual, sign
+from nliealg.rings import EPS, Dual, parse_rational, rational, sign
 from nliealg.verdict import CheckResult
 from nliealg.wedge import increasing_tuples
 
@@ -403,3 +410,109 @@ def test_cli_reports_and_library_objects_hold_no_float(docs, tmp_path, lie3, fam
     assert any(scale > 1 for scale, _ in built)
     assert_exact(extend_by_functional(lie3, LinearFunctional([1, 0, 1])), seen)
     assert {int, Fraction, "counterexample"} <= seen
+
+
+# -- the inputs side -------------------------------------------------------------
+
+# (what, key) refused by ``wedge.canonical``: a float, a bool, a str, wrong length, out of range, out of order
+BAD_PAIRS = [(1.0, 2), (True, 3), ("a", "b"), (1, 2, 3), (1, 4), (0, 1), (2, 1)]
+# the constructor of each key position, on dim 3, given one key, and its message
+KEY_POSITIONS = {
+    "bracket": (lambda key: NAryAlgebra(2, 3, {key: [1, 0, 0]}),
+                "bracket key {key!r} is not a tuple of 2 ints in 1..3, strictly increasing"),
+    "product": (lambda key: NAryAlgebra(2, 3, {key: [1, 0, 0]}, symmetry="symmetric"),
+                "bracket key {key!r} is not a tuple of 2 ints in 1..3, non-decreasing"),
+    "representation": (lambda key: RepresentationTable(3, 3, 1, {key: [[1]]}),
+                       "representation key {key!r} is not a tuple of 2 ints in 1..3, strictly increasing"),
+    "curly prefix": (lambda key: NSAlgebra(3, 3, {(key, 1): [1, 0, 0]}, {}),
+                     "curly key {curly!r} is not (prefix, last): a tuple of 2 ints in 1..3, strictly increasing, "
+                     "and an int in 1..3"),
+    "square": (lambda key: NSAlgebra(3, 3, {}, {key + (3,) if len(key) == 2 else key: [1, 0, 0]}),
+               "bracket key {square!r} is not a tuple of 3 ints in 1..3, strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("position", KEY_POSITIONS)
+@pytest.mark.parametrize("key", BAD_PAIRS, ids=repr)
+def test_every_constructor_refuses_a_key_that_canonical_refuses(position, key):
+    build, message = KEY_POSITIONS[position]
+    square = key + (3,) if len(key) == 2 else key
+    if position == "square" and square == (1, 2, 3):  # one index more is the valid 3-tuple
+        square = key = (1, 2, 3, 3)
+    with pytest.raises(InputError) as raised:
+        build(key)
+    assert str(raised.value) == message.format(key=key, curly=(key, 1), square=square)
+
+
+@pytest.mark.parametrize("last", [1.0, True, "a", (1,), 0, 4])
+def test_the_last_curly_index_is_a_key_of_length_1(last):
+    with pytest.raises(InputError, match=r"^curly key .* is not \(prefix, last\)"):
+        NSAlgebra(2, 3, {((1,), last): [1, 0, 0]}, {})
+    for key in (1, ((1,),), ((1,), 2, 3)):  # not a pair
+        with pytest.raises(InputError, match=r"^curly key .* is not \(prefix, last\)"):
+            NSAlgebra(2, 3, {key: [1, 0, 0]}, {})
+
+
+BAD_SCALARS = [0.1, True, "1/2", Dual(1, 1)]
+# each scalar position of a constructor, given one scalar, and whether it admits dual numbers
+SCALAR_POSITIONS = {
+    "rational": (rational, False),
+    "bracket value": (lambda x: NAryAlgebra(2, 3, {(1, 2): [0, x, 0]}), False),
+    "product value": (lambda x: NAryAlgebra(2, 3, {(1, 1): [x, 0, 0]}, symmetry="symmetric"), False),
+    "curly value": (lambda x: NSAlgebra(2, 3, {((1,), 2): [x, 0, 0]}, {}), False),
+    "square value": (lambda x: NSAlgebra(2, 3, {}, {(1, 2): [0, 0, x]}), False),
+    "functional": (lambda x: LinearFunctional([1, x]), False),
+    "dual part": (lambda x: Dual(0, x), False),
+    "representation matrix": (lambda x: RepresentationTable(2, 3, 2, {(1,): [[0, x], [0, 0]]}), True),
+    "matrix": (lambda x: Matrix([[1, 0], [x, 1]]), True),
+    "sparse matrix": (lambda x: Matrix.sparse(1, 2, [{0: 1, 1: x}]), True),
+    "matrix scale": (lambda x: Matrix.identity(2).scale(x), True),
+    "cochain": (lambda x: Cochain(2, 1, 1, 1, [x]), True),
+}
+
+
+@pytest.mark.parametrize("position", SCALAR_POSITIONS)
+@pytest.mark.parametrize("value", BAD_SCALARS, ids=repr)
+def test_every_constructor_refuses_a_scalar_that_rational_refuses(position, value):
+    build, dual = SCALAR_POSITIONS[position]
+    if isinstance(value, Dual):
+        if dual:  # the ring of matrices and cochains holds dual numbers
+            held = build(value)
+            held = held.tables[1,] if isinstance(held, RepresentationTable) else held
+            assert value in (held.data if isinstance(held, Cochain) else [a for r in held.row_maps for a in r.values()])
+            return
+        error, message = UnsupportedRingError, "dual number Dual(1, 1) where a rational scalar is required"
+    else:
+        error, message = InputError, f"a scalar must be an int or a Fraction, not {type(value).__name__} {value!r}"
+    with pytest.raises(error) as raised:
+        build(value)
+    assert str(raised.value) == message
+
+
+def test_a_literal_is_a_str_and_a_scalar_is_not():
+    for value in (True, 1, 0.5, Fraction(1, 2)):
+        with pytest.raises(InputError, match="^rational literal must be a string, got "):
+            parse_rational(value)
+
+
+@pytest.mark.parametrize("position", SCALAR_POSITIONS)
+def test_every_constructor_stores_only_normalised_scalars(position):
+    """The walker on the inputs side: each scalar position, given an int,
+    an integral Fraction and a proper one, stores ints and proper Fractions."""
+    build, _ = SCALAR_POSITIONS[position]
+    seen = set()
+    for value in (-3, Fraction(4, 2), Fraction(-2, 2), Fraction(6, 4)):
+        held = build(value)
+        assert_exact(held, seen)
+        assert all(type(x) is int or x.denominator > 1 for x in scalars(held)), (value, held)
+    assert seen == {int, Fraction}
+
+
+def test_a_dual_operator_builds_no_bracket_table(lie3, family1):
+    """A Reynolds operator over the dual numbers passes its check, but the
+    bracket tables built from it refuse its dual entries."""
+    dual_op = family1 + delta_r_operator(lie3, family1, wedge_single((2,), 3)).scale(EPS)
+    assert check_reynolds(lie3, dual_op)
+    for construction in (induced_bracket, ns_from_reynolds):
+        with pytest.raises(UnsupportedRingError, match="^dual number Dual"):
+            construction(lie3, dual_op)

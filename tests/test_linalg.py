@@ -13,7 +13,7 @@ from conftest import naive_inverse, naive_solve, rand_matrix, rand_vector
 def naive_rank(matrix):
     """Plain fraction Gaussian elimination, used as an independent oracle
     for the fraction-free path."""
-    rows = [list(r) for r in matrix.entries]
+    rows = [[Fraction(x) for x in r] for r in matrix.entries]  # exact, also where an entry is an int
     rank = 0
     col = 0
     while rank < len(rows) and col < matrix.cols:

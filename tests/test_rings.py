@@ -54,10 +54,10 @@ def test_format_round_trip():
 
 
 def test_rational_keeps_integral_scalars_as_int():
-    for x, expected in ((3, 3), (Fraction(6, 2), 3), (Fraction(-0), 0), (True, 1), ("3/4", Fraction(3, 4))):
+    for x, expected in ((3, 3), (Fraction(6, 2), 3), (Fraction(-0), 0), (Fraction(3, 4), Fraction(3, 4))):
         got = rational(x)
         assert got == expected and type(got) is type(expected)
-    for text, expected in (("3", 3), ("-0", 0), ("+7", 7), ("6/2", 3), ("-6/4", Fraction(-3, 2)), (5, 5)):
+    for text, expected in (("3", 3), ("-0", 0), ("+7", 7), ("6/2", 3), ("-6/4", Fraction(-3, 2))):
         got = parse_rational(text)
         assert got == expected and type(got) is type(expected)
     assert [format_rational(x) for x in (3, Fraction(6, 2), Fraction(-3, 4), 0)] == ["3", "3", "-3/4", "0"]
@@ -72,7 +72,7 @@ def test_constructors_normalise_scalars():
     dual = Dual(Fraction(4, 2), Fraction(1, 2))
     assert type(dual.a) is int and dual.b == Fraction(1, 2)
     alg = NAryAlgebra(2, 2, {(1, 2): [Fraction(2, 2), Fraction(1, 2)]})
-    functional = LinearFunctional([Fraction(3, 1), "1/3"])
+    functional = LinearFunctional([Fraction(3, 1), Fraction(1, 3)])
     ns = NSAlgebra(2, 2, {((1,), 2): [Fraction(0), Fraction(4, 2)]}, {})
     assert [type(x) for x in alg.brackets[1, 2]] == [int, Fraction]
     assert [type(x) for x in functional.coefficients] == [int, Fraction]

@@ -7,11 +7,14 @@ Runs each job of seeds 1-3 of every workload in ``bench/workloads.py``,
 traced-only anchors included, through ``nliealg.cli.main`` of this
 checkout's ``src/``, one after another in this process, then a fixed
 list of argvs that the parser answers by itself: ``--help``, the ``-h``
-of each command and usage errors.  Job files go to a temporary
-directory that is removed afterwards; its path is cut from the output
-before hashing, so the command line a report echoes is the same on every
-run.  OUT.json maps "<workload>/<seed>/<job key>" and "argv/<argv>" to
-[exit code, sha256 hex of stdout, sha256 hex of stderr]; an exception
+of each command and usage errors, and a few error paths that read files
+of ``ERROR_FILES``: a document nested 100,000 deep, ``--js`` for
+``--json``, and a dim-2 ``--direction`` on a dim-3 algebra.  Job and
+error-path files go to temporary directories that are removed
+afterwards; their path is cut from the output before hashing, so the
+command line a report echoes is the same on every run.  OUT.json maps
+"<workload>/<seed>/<job key>" and "argv/<argv>" to [exit code, sha256
+hex of stdout, sha256 hex of stderr]; an exception
 escaping ``main`` is recorded by its type name in place of the exit
 code.  Checkouts whose reports, help and usage texts agree byte for byte
 write identical files, so one ``diff`` of two OUT.json files checks that
@@ -46,6 +49,21 @@ def parser_argvs(commands):
     return argvs
 
 
+# the files the error-path argvs read, by name, as text
+ERROR_FILES = {
+    "deep.json": "[" * 100000,
+    "lie3.json": json.dumps({"kind": "n_lie_algebra", "dim": 3,
+                             "brackets": [{"on": [1, 2], "value": ["0", "1", "0"]}]}),
+    "zero3.json": json.dumps({"kind": "linear_operator", "dim": 3, "matrix": [["0"] * 3] * 3}),
+    "zero2.json": json.dumps({"kind": "linear_operator", "dim": 2, "matrix": [["0"] * 2] * 2}),
+}
+ERROR_ARGVS = [
+    ["check", "filippov", "--algebra", "deep.json"],
+    ["check", "filippov", "--algebra", "lie3.json", "--js"],
+    ["deform", "--algebra", "lie3.json", "--reynolds", "zero3.json", "--direction", "zero2.json"],
+]
+
+
 def _run(main, argv, directory=""):
     """[exit code, sha256 of stdout, sha256 of stderr] of ``main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
@@ -76,6 +94,13 @@ def digests():
                     out[key] = _run(main, job.argv, directory)
     for argv in parser_argvs(COMMANDS):
         out["argv/" + " ".join(argv)] = _run(main, argv)
+    with tempfile.TemporaryDirectory() as directory:
+        for name, text in ERROR_FILES.items():
+            with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for argv in ERROR_ARGVS:
+            paths = [os.path.join(directory, word) if word in ERROR_FILES else word for word in argv]
+            out["argv/" + " ".join(argv)] = _run(main, paths, directory)
     return out
 
 
