@@ -20,10 +20,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress, product
 
-from .errors import InputError
+from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import Matrix, combine, integer_scale, unit_vector, vec_is_zero
 from .rings import QQ_ONE, QQ_ZERO, exact_scalars, rational, sign
-from .verdict import fail, ok, require
+from .verdict import fail, jsonable, ok, require
 from .wedge import canonical, canonicalize_wedge, check_indices, increasing_tuples, key_rule
 
 ALTERNATING = "alternating"
@@ -314,6 +314,18 @@ def check_filippov(algebra):
             ys, lhs, rhs = failure
             return fail("filippov", {"x": xs, "y": ys}, _unscaled(lhs, d, scale), _unscaled(rhs, d, scale))
     return ok("filippov")
+
+
+def bug_trap(algebra, what, message):
+    """Raise for a bug trap that ``what`` tripped on ``algebra``: ``PreconditionError``
+    naming the Filippov counterexample when the bracket is not n-Lie, which the
+    theorem behind the trap needs, else ``InternalConsistencyError(message)``.
+    Only a tripped trap runs the Filippov check."""
+    verdict = check_filippov(algebra)
+    if not verdict:
+        raise PreconditionError(f"{what} applies to n-Lie algebras, and the bracket fails the Filippov identity: "
+                                f"{jsonable(verdict.counterexample)}", verdict.counterexample)
+    raise InternalConsistencyError(message)
 
 
 def is_derivation(algebra, op):

@@ -38,30 +38,34 @@ from .algebra import (
     ad_of,
     ad_table,
     apply_columns,
+    bug_trap,
     fundamental_action,
     graded_wedges,
     integer_brackets,
     support,
 )
-from .errors import DEFAULT_SIZE_GUARD, InputError, InternalConsistencyError, PreconditionError, SizeGuardError
+from .errors import DEFAULT_SIZE_GUARD, InputError, InternalConsistencyError, SizeGuardError
 from .linalg import Matrix, vec_add, vec_scale, vec_sub, vec_zero
 from .rings import QQ_ONE, QQ_ZERO, exact_scalars, sign
 from .verdict import require
-from .wedge import WedgeBasis
+from .wedge import increasing_tuples
 
 
 class Cochain:
     """Degree-m cochain with coefficients in a module of dimension module_dim."""
 
     def __init__(self, arity, dim, module_dim, degree, data):
+        if arity < 2:
+            raise InputError(f"arity must be >= 2, got {arity}")
         if degree < 1:
             raise InputError("Cochain degree must be >= 1; degree 0 is a wedge element")
         self.arity = arity
         self.dim = dim
         self.module_dim = module_dim
         self.degree = degree
-        self.wedge = WedgeBasis(dim, arity - 1)
-        expected = len(self.wedge) ** (degree - 1) * dim * module_dim
+        self.tuples = increasing_tuples(dim, arity - 1)
+        self.index = {t: i for i, t in enumerate(self.tuples)}
+        expected = len(self.tuples) ** (degree - 1) * dim * module_dim
         self.data = tuple(exact_scalars(data, dual=True))
         if len(self.data) != expected:
             raise InputError(f"cochain data length {len(self.data)} != {expected}")
@@ -79,10 +83,10 @@ class Cochain:
         return Matrix([[self.data[j * m + v] for j in range(self.dim)] for v in range(m)])
 
     def _index(self, blocks, j):
-        b = len(self.wedge)
+        b = len(self.tuples)
         idx = 0
         for blk in blocks:
-            idx = idx * b + self.wedge.index[blk]
+            idx = idx * b + self.index[blk]
         return (idx * self.dim + (j - 1)) * self.module_dim
 
     def value_on_basis(self, blocks, j):
@@ -151,11 +155,11 @@ def coboundary(algebra, rho, cochain):
         raise InputError("representation/cochain mismatch")
     m, dv, value = cochain.degree, cochain.module_dim, cochain.value_on_basis
     # per block X: [X, e_j] by its nonzero (k, c), rho(X) by its nonzero (row, column, entry)
-    moved = {x: [support(algebra.bracket_on_basis(x + (j,))) for j in range(1, d + 1)] for x in cochain.wedge}
-    acts = {x: _matrix_terms(rho.matrix_for_tuple(x)) for x in cochain.wedge}
+    moved = {x: [support(algebra.bracket_on_basis(x + (j,))) for j in range(1, d + 1)] for x in cochain.tuples}
+    acts = {x: _matrix_terms(rho.matrix_for_tuple(x)) for x in cochain.tuples}
     scalar = [(v, v, QQ_ONE) for v in range(dv)]
     actions, mats, out = {}, {}, []
-    for blocks in product(cochain.wedge.tuples, repeat=m):
+    for blocks in product(cochain.tuples, repeat=m):
         drop = [blocks[:a] + blocks[a + 1:] for a in range(m)]
         for j in range(1, d + 1):
             vec = [QQ_ZERO] * dv
@@ -233,7 +237,8 @@ class ReynoldsComplex:
         op._require_rational("the Reynolds complex")
         self.base = algebra
         self.op = op
-        self.wedge = WedgeBasis(algebra.dim, algebra.arity - 1)
+        self.tuples = increasing_tuples(algebra.dim, algebra.arity - 1)
+        self.index = {t: i for i, t in enumerate(self.tuples)}
         n, d = algebra.arity, algebra.dim
         verdict, values, (scale, scaled, images) = reynolds.reynolds_values(algebra, op, True)
         require(verdict, "operator is not a Reynolds operator")
@@ -260,21 +265,14 @@ class ReynoldsComplex:
     def cochain_dim(self, m):
         d = self.base.dim
         if m == 0:
-            return len(self.wedge)
-        return len(self.wedge) ** (m - 1) * d * d
-
-    def d_r(self, cochain):
-        """The coboundary of the induced algebra with coefficients in rho_R."""
-        return coboundary(self.induced, self.rho, cochain)
-
-    def delta_matrix(self):
-        """Sparse matrix of delta_R: C^0 -> C^1 in the flattened bases."""
-        return self.differential_matrix(0)
+            return len(self.tuples)
+        return len(self.tuples) ** (m - 1) * d * d
 
     def differential_matrix(self, m, size_guard=DEFAULT_SIZE_GUARD):
         """Sparse matrix of the level-m differential (m >= 0), exact: the
         integer matrix of ``dimensions`` divided by its scale."""
-        scale, mat = self._integer_differential(m, size_guard)
+        self._require_cells(m, size_guard)
+        scale, mat = self._integer_differential(m)
         rows = [{j: Fraction(x, scale) for j, x in row.items()} for row in mat.row_maps]
         return Matrix.sparse(mat.rows, mat.cols, rows)
 
@@ -285,9 +283,8 @@ class ReynoldsComplex:
                 f"differential at degree {m} needs a {dst}x{src} matrix, over the guard {size_guard}"
             )
 
-    def _integer_differential(self, m, size_guard):
+    def _integer_differential(self, m):
         """(D, D d_m): an integer D > 0 and a matrix of ints."""
-        self._require_cells(m, size_guard)
         if m == 0:
             return _delta(self.base.dim, *self._operators)
         return self._scale, self._assemble(m)
@@ -301,13 +298,13 @@ class ReynoldsComplex:
         """
         alg, rho = self._pair
         n, d = alg.arity, alg.dim
-        tuples = self.wedge.tuples
+        tuples = self.tuples
         b = len(tuples)
         # [X_x, e_j], X_x o X_y read off them (pair terms start at m = 2), rho_R(X_x) as term lists
         table = ad_table(alg)
         moved = [table[t] for t in tuples]
         action = m >= 2 and [
-            [[(self.wedge.index[key], c) for key, c in _action({s: 1}, {t: 1}, lambda _, k: row[k - 1], d).items()]
+            [[(self.index[key], c) for key, c in _action({s: 1}, {t: 1}, lambda _, k: row[k - 1], d).items()]
              for t in tuples] for s, row in zip(tuples, moved)]
         acts = [_matrix_terms(rho.matrix_for_tuple(t)) for t in tuples]
         # last-block terms: rho(X_m minus its i-th index, e_j) on the value at e_{X_m[i]}
@@ -369,20 +366,17 @@ class ReynoldsComplex:
                 raise SizeGuardError(
                     f"differentials up to degree {m} read about {reads} cochain slots, over the guard {size_guard}"
                 )
-        mats = [self._integer_differential(m, size_guard)[1] for m in range(m_max + 1)]
+        mats = [self._integer_differential(m)[1] for m in range(m_max + 1)]
         out = []
         prev_rank = 0
         for m, dm in enumerate(mats):
             if m > 0:
                 self._cross_check(m, dm)
                 if not (dm @ mats[m - 1]).is_zero():
-                    raise PreconditionError(f"differential square is nonzero at degree {m}")
+                    bug_trap(self.base, "the Reynolds complex", f"differential square is nonzero at degree {m}")
             rank = dm.rank()
             z = dm.cols - rank
-            b = prev_rank
-            if z - b < 0:
-                raise PreconditionError(f"negative cohomology dimension at degree {m}")
-            out.append((m, z, b, z - b))
+            out.append((m, z, prev_rank, z - prev_rank))
             prev_rank = rank
         return out
 
@@ -391,7 +385,7 @@ class ReynoldsComplex:
         cochain; a mismatch names its first output slot (blocks, e_j, v)."""
         n, d = self.base.arity, self.base.dim
         f = Cochain(n, d, d, m, [1 + c % 7 for c in range(dm.cols)])
-        slots = product(product(self.wedge.tuples, repeat=m), range(1, d + 1), range(1, d + 1))
+        slots = product(product(self.tuples, repeat=m), range(1, d + 1), range(1, d + 1))
         for (blocks, j, v), got, want in zip(slots, dm.apply(f.data), coboundary(*self._pair, f).data, strict=True):
             if got != want:
                 raise InternalConsistencyError(

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import ad, support, unit_supports
+from .algebra import ad
 from .cohomology import Cochain, delta_r_operator, integer_delta
 from .errors import InternalConsistencyError
 from .linalg import Matrix, vec_add, vec_sub, vec_zero
-from .reynolds import basis_images, check_hom_pair, check_reynolds, induced_value
+from .reynolds import basis_images, check_hom_pair, check_reynolds, reynolds_values
 from .rings import EPS
 from .verdict import fail, ok, require, spelled
 from .wedge import increasing_tuples
@@ -27,11 +27,13 @@ def _t_linear_check(algebra, op, direction):
     sum_i [..S x_i..] = S [x_1..x_n]_R - sum_i R [..S x_i..]
                         + sum_{i != j} R [..x_i..S x_j..]
 
-    with R x_k in every slot not shown.  Each [..S x_i..] is formed once.
+    with R x_k in every slot not shown.  Each [..S x_i..] is formed once, and
+    [x_1..x_n]_R is read off the walk that verifies R.
     """
+    verdict, values = reynolds_values(algebra, op)
+    require(verdict, "base operator is not a Reynolds operator")
     n, d = algebra.arity, algebra.dim
     units, r_images = basis_images(algebra, op)
-    r_supports = [support(v) for v in r_images]
     s_images = [direction.apply(u) for u in units]
     for tup in algebra.basis_tuples():
         xs = [units[i - 1] for i in tup]
@@ -45,7 +47,7 @@ def _t_linear_check(algebra, op, direction):
         lhs = vec_zero(d)
         for v in moved:
             lhs = vec_add(lhs, v)
-        rhs = direction.apply(induced_value(algebra, unit_supports(tup), [r_supports[i - 1] for i in tup])[1])
+        rhs = direction.apply(values[tup][1])
         for v in moved:
             rhs = vec_sub(rhs, op.apply(v))
         for i in range(n):
@@ -64,7 +66,6 @@ def _t_linear_check(algebra, op, direction):
 def is_infinitesimal_deformation(algebra, op, direction):
     """Does R + tS stay Reynolds to first order?  Verified by two routes."""
     algebra.require_operator(direction, "direction")
-    require(check_reynolds(algebra, op), "base operator is not a Reynolds operator")
     direct = _t_linear_check(algebra, op, direction)
     dual_op = op + direction.scale(EPS)
     dual = check_reynolds(algebra, dual_op)

@@ -343,6 +343,8 @@ class Report:
         for v in self.verdicts:
             if v.passed:
                 lines.append(f"PASS {v.check_name}")
+            elif v.counterexample is None:
+                lines.append(f"FAIL {v.check_name}")
             else:
                 lines.append(f"FAIL {v.check_name}: {jsonable(v.counterexample)}")
         for note in self.notes:

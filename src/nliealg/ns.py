@@ -19,17 +19,16 @@ from .algebra import (
     _unscaled,
     ad_columns,
     algebra_from_bracket_function,
+    bug_trap,
     check_filippov,
     check_representation,
     expand,
-    expand_supports,
     extensions,
     hatted,
     operator_ad,
     support,
     tabulated_products,
     term_table,
-    unit_supports,
 )
 from .errors import InputError, InternalConsistencyError
 from .linalg import Matrix, integer_scale, vec_add, vec_is_zero, vec_scale, vec_zero
@@ -37,7 +36,7 @@ from .nijenhuis import verified_ladder
 from .reynolds import verified_values
 from .rings import exact_scalars, sign
 from .verdict import fail, jsonable, ok, require
-from .wedge import canonical, canonicalize_wedge, check_indices, increasing_tuples, key_rule
+from .wedge import canonical, increasing_tuples, key_rule
 
 
 class NSAlgebra:
@@ -62,12 +61,6 @@ class NSAlgebra:
                 clean[key] = vec
         self.curly_table = clean
         self._terms = term_table({prefix + (j,): vec for (prefix, j), vec in clean.items()})
-
-    def curly_on_basis(self, prefix, j):
-        """{e_{i1},...,e_{i_{n-1}}, e_j}; the prefix may be unordered."""
-        indices = tuple(prefix) + (j,)
-        check_indices(indices, self.dim)
-        return expand_supports(self._terms, unit_supports(indices), self.dim, self.arity - 1)
 
     def curly(self, args):
         """Multilinear curly bracket on arbitrary coefficient vectors."""
@@ -123,15 +116,19 @@ def _check_ns(ns, angle):
     curly = {prefix + (j,): vec for (prefix, j), vec in ns.curly_table.items()}
     scale, (curly, square, angles) = integer_scale([curly, ns.square.brackets, angle.brackets])
     # supports of the square and angle values on n-tuples, and of the columns
-    # of C_I, S_I and A_I, and of F_I: v -> {v, e_I[:-1], e_I[-1]} (axiom 2)
+    # of C_I, S_I and A_I, and of F_I: v -> {v, e_I[:-1], e_I[-1]} (axiom 2);
+    # F_I e_k reads the prefix I[:-1] + (k,) as ``extensions`` sorts it, with
+    # (-1)^(n-2) for moving k from the front past the n-2 indices of I[:-1]
     square_y = {ys: support(square.get(ys, ())) for ys in ys_range}
     angle_y = {ys: support(angles.get(ys, ())) for ys in ys_range}
     c_cols = {xs: [support(curly.get(xs + (j,), ())) for j in range(1, d + 1)] for xs in xs_range}
     s_cols, a_cols = ad_columns(square_y, xs_range, d), ad_columns(angle_y, xs_range, d)
-    f_cols = {xs: [support(_lookup(curly, (k,) + xs[:-1], xs[-1:], d)) for k in range(1, d + 1)] for xs in xs_range}
+    rests, flip = extensions(d, n - 2), sign(n - 2)
+    f_cols = {xs: [[(i, flip * canon[1] * c) for i, c in support(curly.get(canon[0] + xs[-1:], ()))] if canon else []
+                   for canon in rests[xs[:-1]]] for xs in xs_range}
     # axiom 1: C_x C_y = C_y C_x + C_{x o y}, the commutator kernel
     flat, product = tabulated_products(c_cols, d)
-    failure = _commutator_failure(a_cols, extensions(d, n - 2), flat, product, d * d)
+    failure = _commutator_failure(a_cols, rests, flat, product, d * d)
     if failure:
         xs, ys, lhs, yx, action = failure
         lhs, rhs = _unscaled(lhs, d * d, scale), _unscaled((yx[0] + action[0], yx[1] + action[1]), d * d, scale)
@@ -164,16 +161,6 @@ def _check_ns(ns, angle):
             if not _holds(lhs, rhs, d):
                 return fail("ns-axiom-3", {"x": xs, "y": ys}, _unscaled(lhs, d, scale), _unscaled(rhs, d, scale))
     return ok("ns-axioms")
-
-
-def _lookup(table, head, tail, d):
-    """table[sorted(head) + tail] times the sign of sorting ``head``; zero
-    when ``head`` repeats an index or the value is absent."""
-    canon = canonicalize_wedge(head, d)
-    vec = None if canon is None else table.get(canon[0] + tail)
-    if vec is None:
-        return [0] * d
-    return vec if canon[1] > 0 else [-c for c in vec]
 
 
 def subadjacent(ns):
@@ -221,7 +208,6 @@ def _ns_from_operator(algebra, op, square):
     ns = NSAlgebra(n, d, curly, square, basis_names=algebra.basis_names)
     verdict = check_ns(ns)
     if not verdict:
-        raise InternalConsistencyError(
-            f"construction from a verified operator fails the axioms: {jsonable(verdict.counterexample)}"
-        )
+        bug_trap(algebra, "the NS construction",
+                 f"construction from a verified operator fails the axioms: {jsonable(verdict.counterexample)}")
     return ns

@@ -49,22 +49,3 @@ def canonicalize_wedge(indices, dim):
 def increasing_tuples(dim, k):
     """All strictly increasing k-tuples from 1..dim, in lexicographic order."""
     return list(combinations(range(1, dim + 1), k))
-
-
-class WedgeBasis:
-    """Lexicographically ordered basis of Lambda^k of a dim-dimensional space."""
-
-    def __init__(self, dim, k):
-        if k < 0 or k > dim:
-            self.tuples = [] if k != 0 else [()]
-        else:
-            self.tuples = increasing_tuples(dim, k)
-        self.dim = dim
-        self.k = k
-        self.index = {t: i for i, t in enumerate(self.tuples)}
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def __iter__(self):
-        return iter(self.tuples)

@@ -33,7 +33,9 @@ from nliealg.algebra import (
     NAryAlgebra,
     RepresentationTable,
     algebra_from_bracket_function,
+    expand_supports,
     fundamental_action,
+    unit_supports,
 )
 from nliealg.cohomology import Cochain, coboundary, delta_r_operator
 from nliealg.constructions import (
@@ -63,7 +65,7 @@ from nliealg.rings import QQ_ONE, QQ_ZERO, Dual, over_digit_limit, parse_rationa
 from nliealg.nijenhuis import DeformedBracketLadder
 from nliealg.ns import NSAlgebra
 from nliealg.verdict import fail, jsonable, ok, require
-from nliealg.wedge import canonicalize_wedge, increasing_tuples
+from nliealg.wedge import canonicalize_wedge, check_indices, increasing_tuples
 
 
 @pytest.fixture
@@ -235,6 +237,13 @@ def stored_curly(ns):
         key, sign = _sorted_with_sign(picks[:-1])
         return [sign * v for v in ns.curly_table.get((key, picks[-1]), [Fraction(0)] * ns.dim)]
     return value
+
+
+def curly_on_basis(ns, prefix, j):
+    """{e_{i1},...,e_{i_{n-1}}, e_j}; the prefix may be unordered."""
+    indices = tuple(prefix) + (j,)
+    check_indices(indices, ns.dim)
+    return expand_supports(ns._terms, unit_supports(indices), ns.dim, ns.arity - 1)
 
 
 def naive_angle_bracket(ns, args):
@@ -784,10 +793,9 @@ def naive_coboundary(algebra, rho, cochain):
     if rho.arity != n or rho.algebra_dim != d or rho.module_dim != cochain.module_dim:
         raise InputError("representation/cochain mismatch")
     m = cochain.degree
-    wedge = cochain.wedge
     dv = cochain.module_dim
     out = []
-    for blocks in product(wedge.tuples, repeat=m):
+    for blocks in product(cochain.tuples, repeat=m):
         for j in range(1, d + 1):
             vec = vec_zero(dv)
             block_dicts = [wedge_single(blk, d) for blk in blocks]
@@ -862,7 +870,7 @@ def naive_delta_r_cochain(algebra, op, x_wedge):
 
 def naive_delta_matrix(algebra, op):
     """delta_R: C^0 -> C^1 column by column from ``naive_delta_r_cochain``;
-    the reference for ``ReynoldsComplex.delta_matrix``."""
+    the reference for ``ReynoldsComplex.differential_matrix(0)``."""
     d = algebra.dim
     cols = [naive_delta_r_cochain(algebra, op, wedge_single(tup, d)).data
             for tup in increasing_tuples(d, algebra.arity - 1)]

@@ -19,6 +19,7 @@ from nliealg.cli import run_command
 from nliealg.cohomology import (
     Cochain,
     ReynoldsComplex,
+    coboundary,
 )
 from nliealg.constructions import (
     LinearFunctional,
@@ -49,7 +50,7 @@ from nliealg.reynolds import (
     reynolds_from_nilpotent_derivation,
     reynolds_to_derivation,
 )
-from nliealg.wedge import WedgeBasis, increasing_tuples
+from nliealg.wedge import increasing_tuples
 
 from conftest import (
     check_complex,
@@ -69,7 +70,7 @@ from test_nijenhuis import ladder_level_oracle
 
 
 def _rand_cochain(rng, arity, dim, degree):
-    size = len(WedgeBasis(dim, arity - 1)) ** (degree - 1) * dim * dim
+    size = len(increasing_tuples(dim, arity - 1)) ** (degree - 1) * dim * dim
     return Cochain(arity, dim, dim, degree,
                    [rand_fraction(rng, 2) for _ in range(size)])
 
@@ -159,11 +160,11 @@ def test_criterion_03_complex_property(lie3, sl2_like, three_lie4, family1, fami
         for m in (1, 2):
             for _ in range(3):
                 f = _rand_cochain(rng, alg.arity, alg.dim, m)
-                assert cx.d_r(cx.d_r(f)).is_zero()
+                assert coboundary(cx.induced, cx.rho, coboundary(cx.induced, cx.rho, f)).is_zero()
                 instances += 1
-        for tup in cx.wedge:
+        for tup in cx.tuples:
             f = naive_delta_r_cochain(alg, cx.op, wedge_single(tup, alg.dim))
-            assert cx.d_r(f).is_zero()
+            assert coboundary(cx.induced, cx.rho, f).is_zero()
             instances += 1
     assert instances >= 50
 

@@ -18,7 +18,6 @@ from nliealg.algebra import (
     check_representation,
 )
 from nliealg.cohomology import (
-    DEFAULT_SIZE_GUARD,
     Cochain,
     ReynoldsComplex,
     coboundary,
@@ -31,7 +30,7 @@ from nliealg.errors import InputError, InternalConsistencyError, PreconditionErr
 from nliealg.linalg import Matrix, unit_vector
 from nliealg.reynolds import check_reynolds, derivation_to_reynolds, induced_bracket
 from nliealg.rings import EPS, Dual
-from nliealg.wedge import WedgeBasis
+from nliealg.wedge import increasing_tuples
 
 from conftest import (
     check_complex,
@@ -46,9 +45,16 @@ from conftest import (
 
 
 def rand_cochain(rng, arity, dim, module_dim, degree, span=2):
-    size = len(WedgeBasis(dim, arity - 1)) ** (degree - 1) * dim * module_dim
+    size = len(increasing_tuples(dim, arity - 1)) ** (degree - 1) * dim * module_dim
     return Cochain(arity, dim, module_dim, degree,
                    [rand_fraction(rng, span) for _ in range(size)])
+
+
+def test_cochain_refuses_an_arity_below_two():
+    """Like ``NAryAlgebra``: no wedge basis of a negative length is formed."""
+    for arity in (-1, 0, 1):
+        with pytest.raises(InputError, match="arity must be >= 2"):
+            Cochain(arity, 3, 3, 1, [0] * 9)
 
 
 def test_operator_cochain_round_trip(rng):
@@ -97,9 +103,9 @@ def test_reynolds_representation_represents_induced(lie3, family1, family2):
 
 def test_delta_r_is_a_one_cocycle_of_the_complex(lie3, family1):
     cx = ReynoldsComplex(lie3, family1)
-    for tup in cx.wedge:
+    for tup in cx.tuples:
         f = Cochain.from_operator(2, delta_r_operator(lie3, family1, wedge_single(tup, 3)))
-        assert cx.d_r(f).is_zero()
+        assert coboundary(cx.induced, cx.rho, f).is_zero()
 
 
 def test_cohomology_dimensions_family1(lie3, family1):
@@ -199,7 +205,7 @@ def dense_differential(cx, m):
     for c in range(src):
         data = [Fraction(0)] * src
         data[c] = Fraction(1)
-        cols.append(cx.d_r(Cochain(n, d, d, m, data)).data)
+        cols.append(coboundary(cx.induced, cx.rho, Cochain(n, d, d, m, data)).data)
     return Matrix([[cols[c][r] for c in range(src)] for r in range(cx.cochain_dim(m + 1))])
 
 
@@ -262,6 +268,25 @@ def test_conjugate_fixture_is_a_dense_change_of_basis():
     alg, op, _ = ORACLE_CASES["lie3/family1/conjugate"]
     assert ReynoldsComplex(alg, op).dimensions(2) == [(0, 2, 0, 2), (1, 6, 1, 5), (2, 13, 3, 10)]
     assert sum(1 for row in op.entries for a in row if a) > 5
+
+
+def test_a_nonzero_square_on_an_n_lie_algebra_is_a_bug(lie3, family1, docs, monkeypatch):
+    """A corrupt rho_R table of the integer pair, which the assembled d_1 and
+    the coboundary formula read alike, so the cross-check agrees: d_1 d_0 is
+    then nonzero on an n-Lie algebra with a verified R, which the paper's
+    theorem forbids, so it is a bug trap (exit 3), not a failed precondition."""
+    init = ReynoldsComplex.__init__
+
+    def corrupt(self, algebra, op):
+        init(self, algebra, op)
+        rho = self._pair[1]
+        rho.tables[(1,)] = rho.matrix_for_tuple((1,)) + Matrix.identity(3)
+
+    monkeypatch.setattr(ReynoldsComplex, "__init__", corrupt)
+    with pytest.raises(InternalConsistencyError, match="differential square is nonzero at degree 1"):
+        ReynoldsComplex(lie3, family1).dimensions(1)
+    report, code = run_command(["cohomology", "--algebra", docs["g.json"], "--reynolds", docs["r1.json"]])
+    assert code == 3 and report.notes == ["internal error: differential square is nonzero at degree 1"]
 
 
 def test_corrupted_entry_trips_the_cross_check(lie3, family1, monkeypatch):
@@ -374,7 +399,7 @@ def test_rho_and_delta_equal_naive_oracles(case):
     cx = ReynoldsComplex(alg, op)
     assert cx.induced == induced_bracket(alg, op)
     assert cx.rho.tables == naive_reynolds_representation(alg, op).tables
-    assert Matrix(cx.delta_matrix().entries) == naive_delta_matrix(alg, op)
+    assert Matrix(cx.differential_matrix(0).entries) == naive_delta_matrix(alg, op)
 
 
 def test_a_non_reynolds_operator_fails_the_tabulation_as_it_fails_the_walk(monkeypatch):
@@ -450,7 +475,7 @@ def test_integer_pair_is_d_times_the_exact_pair():
             assert induced is cx.induced and rho is cx.rho
         top = ORACLE_CASES[name][2] if name in ORACLE_CASES else 1
         for m in range(top + 1):
-            d_scale, mat = cx._integer_differential(m, DEFAULT_SIZE_GUARD)
+            d_scale, mat = cx._integer_differential(m)
             assert m == 0 or d_scale == scale
             assert all(type(x) is int for row in mat.row_maps for x in row.values())
             assert Matrix(mat.entries) == Matrix(cx.differential_matrix(m).entries).scale(d_scale)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nliealg import deformation
+from nliealg import deformation, reynolds
 from nliealg.algebra import ad
 from nliealg.cli import run_command
 from nliealg.cohomology import Cochain, ReynoldsComplex, delta_r_operator
@@ -148,7 +148,9 @@ def test_dual_base_operator_is_rejected_before_the_solve(lie3, family1):
 
 def test_trivial_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path, monkeypatch):
     """One CLI triviality job: only the CLI's own cocycle check runs; the
-    triviality decision and its witness pair do not re-check the direction."""
+    triviality decision and its witness pair do not re-check the direction.
+    Two Reynolds walks run: the t-linear route's, which verifies R and gives
+    [.]_R, and the dual-number route's."""
     calls = Counter()
 
     def counted(name, fn):
@@ -159,6 +161,9 @@ def test_trivial_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path,
 
     for name in ("is_infinitesimal_deformation", "check_reynolds", "_t_linear_check"):
         monkeypatch.setattr(deformation, name, counted(name, getattr(deformation, name)))
+    walk = counted("reynolds_values", reynolds.reynolds_values)
+    for module in (deformation, reynolds):
+        monkeypatch.setattr(module, "reynolds_values", walk)
     paths = {}
     direction = delta_r_operator(lie3, family1, wedge_single((2,), 3))
     for name, doc in (("g", algebra_document(lie3)), ("r", operator_document(family1)),
@@ -169,12 +174,30 @@ def test_trivial_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path,
                                 "--direction", str(paths["s"]), "--json"])
     assert code == 0
     assert "status: trivial" in report.notes
-    assert calls == {"is_infinitesimal_deformation": 1, "check_reynolds": 2, "_t_linear_check": 1}
+    assert calls == {"is_infinitesimal_deformation": 1, "reynolds_values": 2, "check_reynolds": 1, "_t_linear_check": 1}
+
+
+def test_a_nontrivial_deform_reports_its_verdict_without_a_counterexample(lie3, family1, tmp_path):
+    """The triviality verdict carries no counterexample: its text line is
+    ``FAIL deformation-trivial`` alone, and its JSON verdict has no
+    counterexample key."""
+    docs = {"g": algebra_document(lie3), "r": operator_document(family1),
+            "s": operator_document(Matrix([[0, 0, 0], [0, 0, 0], [1, 0, 0]]))}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(emit_document(doc))
+    report, code = run_command(["deform", "--algebra", str(paths["g"]), "--reynolds", str(paths["r"]),
+                                "--direction", str(paths["s"])])
+    assert code == 1
+    assert report.to_text() == "PASS deformation-cocycle\nFAIL deformation-trivial\nstatus: nontrivial\n"
+    assert json.loads(report.to_json())["verdicts"][1] == {"check": "deformation-trivial", "passed": False}
 
 
 def test_witness_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path, monkeypatch):
     """One CLI witness job: only the CLI's own cocycle check runs; the
-    witness pair is judged without re-checking either direction."""
+    witness pair is judged without re-checking either direction, and R is
+    walked once per route."""
     calls = Counter()
 
     def counted(name, fn):
@@ -185,6 +208,9 @@ def test_witness_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path,
 
     for name in ("is_infinitesimal_deformation", "check_reynolds", "_t_linear_check"):
         monkeypatch.setattr(deformation, name, counted(name, getattr(deformation, name)))
+    walk = counted("reynolds_values", reynolds.reynolds_values)
+    for module in (deformation, reynolds):
+        monkeypatch.setattr(module, "reynolds_values", walk)
     direction = delta_r_operator(lie3, family1, wedge_single((2,), 3))
     docs = {"g": algebra_document(lie3), "r": operator_document(family1), "s": operator_document(direction)}
     for coeff in ("1", "2"):
@@ -209,8 +235,8 @@ def test_witness_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path,
         assert got == code
         # [X, R] and each side of phi.R = R'.psi formed once; a passing pair
         # also builds delta_R(X) for the consistency check
-        assert calls == {"is_infinitesimal_deformation": 1, "check_reynolds": 2, "_t_linear_check": 1,
-                         "matmul": products}
+        assert calls == {"is_infinitesimal_deformation": 1, "reynolds_values": 2, "check_reynolds": 1,
+                         "_t_linear_check": 1, "matmul": products}
         outcomes.append([(v.check_name, v.passed) for v in report.verdicts])
     assert outcomes == [[("deformation-cocycle", True), ("hom-pair", True)],
                         [("deformation-cocycle", True), ("hom-square", False)]]

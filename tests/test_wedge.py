@@ -1,7 +1,8 @@
 import pytest
 
+from nliealg.cohomology import Cochain
 from nliealg.errors import InputError
-from nliealg.wedge import WedgeBasis, canonicalize_wedge, increasing_tuples
+from nliealg.wedge import canonicalize_wedge, increasing_tuples
 
 
 def test_canonicalize_sorts_and_signs():
@@ -32,5 +33,12 @@ def test_increasing_tuples_lexicographic():
 
 
 def test_wedge_basis_positions():
-    basis = WedgeBasis(4, 2)
-    assert len(basis) == 6
+    """The empty and the over-long wedge bases are what ``combinations``
+    gives, and a cochain places each block at its index in the lexicographic
+    list of increasing tuples."""
+    assert increasing_tuples(4, 0) == [()]
+    assert increasing_tuples(2, 3) == []
+    f = Cochain(3, 4, 4, 2, range(6 * 4 * 4))
+    assert f.tuples == increasing_tuples(4, 2) and len(f.tuples) == 6
+    assert [f.index[t] for t in f.tuples] == list(range(6))
+    assert f.value_on_basis(((2, 3),), 2) == [3 * 16 + 4 + v for v in range(4)]

@@ -9,7 +9,8 @@ checkout's ``src/``, one after another in this process, then a fixed
 list of argvs that the parser answers by itself: ``--help``, the ``-h``
 of each command and usage errors, and a few error paths that read files
 of ``ERROR_FILES``: a document nested 100,000 deep, ``--js`` for
-``--json``, and a dim-2 ``--direction`` on a dim-3 algebra.  Job and
+``--json``, a dim-2 ``--direction`` on a dim-3 algebra, and the NS
+construction and the complex of R = Id on a bracket that is not Lie.  Job and
 error-path files go to temporary directories that are removed
 afterwards; their path is cut from the output before hashing, so the
 command line a report echoes is the same on every run.  OUT.json maps
@@ -56,11 +57,18 @@ ERROR_FILES = {
                              "brackets": [{"on": [1, 2], "value": ["0", "1", "0"]}]}),
     "zero3.json": json.dumps({"kind": "linear_operator", "dim": 3, "matrix": [["0"] * 3] * 3}),
     "zero2.json": json.dumps({"kind": "linear_operator", "dim": 2, "matrix": [["0"] * 2] * 2}),
+    "notlie3.json": json.dumps({"kind": "n_lie_algebra", "dim": 3,
+                                "brackets": [{"on": [1, 2], "value": ["0", "0", "1"]},
+                                             {"on": [1, 3], "value": ["1", "0", "0"]}]}),
+    "ident3.json": json.dumps({"kind": "linear_operator", "dim": 3,
+                               "matrix": [["1" if i == j else "0" for j in range(3)] for i in range(3)]}),
 }
 ERROR_ARGVS = [
     ["check", "filippov", "--algebra", "deep.json"],
     ["check", "filippov", "--algebra", "lie3.json", "--js"],
     ["deform", "--algebra", "lie3.json", "--reynolds", "zero3.json", "--direction", "zero2.json"],
+    ["construct", "ns-from-reynolds", "--algebra", "notlie3.json", "--operator", "ident3.json"],
+    ["cohomology", "--algebra", "notlie3.json", "--reynolds", "ident3.json"],
 ]
 
 
