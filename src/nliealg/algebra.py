@@ -7,10 +7,10 @@ vectors go through ``expand`` (shared with the curly bracket of
 ``ns.NSAlgebra``), which sorts each index tuple it meets.  Operators
 built from the bracket, ad(X) and ad(Te_J1 ^ ... ^ Te_J(n-1)), are read
 off the stored brackets instead, through the columns of each ad_K
-(``ad_table``).  Every wedge of operator images, for the Reynolds and
-Nijenhuis walks, [.]_R and rho_R, and the curly bracket of an operator,
-comes from one prefix-shared walk over the canonical tuples
-(``graded_wedges``).
+(``ad_table``).  Every wedge of operator images, for the Reynolds,
+Nijenhuis and t-linear deformation walks, [.]_R and rho_R, and the curly
+bracket of an operator, comes from one prefix-shared walk over the
+canonical tuples (``graded_wedges``).
 """
 
 from __future__ import annotations

@@ -270,7 +270,8 @@ class ReynoldsComplex:
 
     def differential_matrix(self, m, size_guard=DEFAULT_SIZE_GUARD):
         """Sparse matrix of the level-m differential (m >= 0), exact: the
-        integer matrix of ``dimensions`` divided by its scale."""
+        integer matrix of ``dimensions`` divided by its scale.  It runs no
+        check; ``dimensions`` is the checked route (square zero, cross-check)."""
         self._require_cells(m, size_guard)
         scale, mat = self._integer_differential(m)
         rows = [{j: Fraction(x, scale) for j, x in row.items()} for row in mat.row_maps]

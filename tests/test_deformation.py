@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nliealg import algebra as algebra_module
 from nliealg import deformation, reynolds
 from nliealg.algebra import ad
 from nliealg.cli import run_command
@@ -19,7 +20,7 @@ from nliealg.errors import InputError, InternalConsistencyError, PreconditionErr
 from nliealg.linalg import Matrix
 from nliealg.reynolds import check_hom_pair, check_reynolds, derivation_to_reynolds
 from nliealg.rings import EPS, Dual
-from nliealg.verdict import jsonable, ok, spelled
+from nliealg.verdict import fail, jsonable, ok, spelled
 
 from conftest import (
     naive_is_trivial_deformation,
@@ -144,6 +145,71 @@ def test_dual_base_operator_is_rejected_before_the_solve(lie3, family1):
     dual_op = family1 + delta_r_operator(lie3, family1, wedge_single((1,), 3)).scale(EPS)
     with pytest.raises(UnsupportedRingError):
         is_trivial_deformation(lie3, dual_op, Matrix.zero(3))
+
+
+def test_a_dual_operator_or_direction_is_refused_before_either_route(lie3, family1, rng, monkeypatch):
+    """R = family1 + eps*delta_R(e_1) is Reynolds over the dual numbers, but
+    the dual-number route would take R's own eps for t: on 200 seeded
+    directions with entries in -1..1 the cocycle test refuses R with
+    ``UnsupportedRingError`` before either route runs, and a dual direction
+    the same way."""
+    dual_op = family1 + delta_r_operator(lie3, family1, wedge_single((1,), 3)).scale(EPS)
+    assert check_reynolds(lie3, dual_op)
+
+    def route(*args):
+        raise AssertionError("a route ran")
+
+    for name in ("reynolds_values", "check_reynolds"):
+        monkeypatch.setattr(deformation, name, route)
+    calls = [(dual_op, Matrix([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])) for _ in range(200)]
+    calls.append((family1, Matrix.identity(3).scale(EPS)))
+    for op, direction in calls:
+        with pytest.raises(UnsupportedRingError, match="first-order deformation check is only defined over"):
+            is_infinitesimal_deformation(lie3, op, direction)
+
+
+def test_the_two_first_order_routes_share_no_kernel(lie3, family1, monkeypatch):
+    """The t-linear route reads the graded-wedge walk and expands no bracket;
+    the dual-number route expands its brackets and walks no graded wedge.
+    Each runs with the other's kernel gone, and they agree."""
+    def gone(*args):
+        raise AssertionError("the routes share a kernel")
+
+    directions = [delta_r_operator(lie3, family1, wedge_single((2,), 3)), Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])]
+    with monkeypatch.context() as patched:
+        for name in ("expand", "expand_supports"):
+            patched.setattr(algebra_module, name, gone)
+        t_linear = [bool(_t_linear_check(lie3, family1, s)) for s in directions]
+    with monkeypatch.context() as patched:
+        for module in (algebra_module, reynolds, deformation):
+            patched.setattr(module, "graded_wedges", gone)
+        dual = [bool(check_reynolds(lie3, family1 + s.scale(EPS))) for s in directions]
+    assert t_linear == dual == [True, False]
+
+
+def test_a_failing_pair_of_a_solved_witness_is_a_bug_trap(lie3, family1, tmp_path, monkeypatch):
+    """Once delta_R X = S is solved, (Id + eps ad_X, Id + eps ad_X - eps ad_X R)
+    is a homomorphism pair on an n-Lie algebra: ad_X is a derivation and the
+    square is S = delta_R(X).  A pair that fails there is exit 3 with the
+    witness and the failing check's counterexample, not a FAIL verdict."""
+    direction = delta_r_operator(lie3, family1, wedge_single((2,), 3))
+    witness = is_trivial_deformation(lie3, family1, direction).witness
+    failing = fail("hom-square", {"identity": "phi.R = R'.psi"}, [1], [0])
+    monkeypatch.setattr(deformation, "check_hom_pair", lambda *args: failing)
+    message = (f"the homomorphism pair of the solved witness X = {spelled(witness)} fails: "
+               f"{jsonable(failing.counterexample)}")
+    with pytest.raises(InternalConsistencyError) as caught:
+        is_trivial_deformation(lie3, family1, direction)
+    assert str(caught.value) == message
+    paths = {}
+    for name, doc in (("g", algebra_document(lie3)), ("r", operator_document(family1)),
+                      ("s", operator_document(direction))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(emit_document(doc))
+    report, code = run_command(["deform", "--algebra", str(paths["g"]), "--reynolds", str(paths["r"]),
+                                "--direction", str(paths["s"]), "--json"])
+    assert code == 3
+    assert report.notes == [f"internal error: {message}"]
 
 
 def test_trivial_deform_job_runs_the_cocycle_check_once(lie3, family1, tmp_path, monkeypatch):

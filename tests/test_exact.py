@@ -31,7 +31,7 @@ from nliealg.algebra import (
     check_representation,
     semidirect_product,
 )
-from nliealg.cli import run_command
+from nliealg.cli import COMMANDS, run_command
 from nliealg.cohomology import Cochain, ReynoldsComplex, coboundary, delta_r_operator
 from nliealg.constructions import LinearFunctional, extend_by_functional
 from nliealg.deformation import (
@@ -125,18 +125,23 @@ def test_every_imported_name_is_read():
     assert unused == []
 
 
-def _identifiers(tree):
-    """Each name read or written under ``tree``, as a Name or an attribute,
-    and each part of a dotted-name string, the form in which the command
-    table of ``cli`` names the functions it runs."""
+def _reads(tree):
+    """Counters of the names loaded (``ast.Name``) and the attributes read
+    (``ast.Attribute``) under ``tree``."""
+    loads, attrs = Counter(), Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if all(part.isidentifier() for part in node.value.split(".")):
-                yield from node.value.split(".")
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs[node.attr] += 1
+    return loads, attrs
+
+
+def _commands():
+    """Each function or encoder that an entry of ``cli.COMMANDS`` names as a
+    string: the attribute of its "module.attribute"."""
+    return Counter(part.rsplit(".", 1)[-1] for fn, _, emit in COMMANDS.values()
+                   for part in (fn, emit) if isinstance(part, str))
 
 
 # public module-level functions and methods of ``src/`` that nothing there
@@ -151,6 +156,8 @@ UNNAMED_PUBLIC = {
                                                         "to be exposed as a check command (ROADMAP item 4)",
     ("nijenhuis.py", "nijenhuis_representation"): "the paper's representation of a Nijenhuis operator; to be "
                                                   "emitted by construct (ROADMAP item 4)",
+    ("ns.py", "NSAlgebra.curly"): "bench/tracer.py counts its calls; the conftest NS oracles expand the curly "
+                                  "bracket through it",
     ("cohomology.py", "Cochain.evaluate"): "bench/tracer.py patches it; the conftest coboundary oracle evaluates "
                                            "cochains on wedge elements through it",
     ("cohomology.py", "Cochain.to_operator"): "degree-1 classes are to be emitted as operators through it "
@@ -167,11 +174,19 @@ def test_every_private_definition_is_named_elsewhere():
     class level in ``src/``, and every public module-level function and
     public method, is named somewhere in ``src/`` outside its own
     definition: a helper whose last caller is gone is deleted with it.  A
-    public function may instead be exported in ``nliealg.__all__``, and a
-    public function or method listed, with its reason, in ``UNNAMED_PUBLIC``;
-    a method is listed as ``Class.method``."""
+    module-level definition is named by a load of its name, a read of it as
+    an attribute, or an entry of ``cli.COMMANDS``; a method by a read of it
+    as an attribute only, so neither a string such as a document key nor a
+    local variable of the same name counts.  A public function may instead
+    be exported in ``nliealg.__all__``, and a public function or method
+    listed, with its reason, in ``UNNAMED_PUBLIC``; a method is listed as
+    ``Class.method``."""
     trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
-    named = Counter(name for tree in trees for name in _identifiers(tree))
+    loads, attrs, commands = Counter(), Counter(), _commands()
+    for tree in trees:
+        tree_loads, tree_attrs = _reads(tree)
+        loads.update(tree_loads)
+        attrs.update(tree_attrs)
     unused, public = [], []
     for path, tree in zip(SOURCES, trees):
         scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
@@ -182,8 +197,13 @@ def test_every_private_definition_is_named_elsewhere():
                 private = node.name.startswith("_") and not node.name.endswith("__")
                 if not private and (isinstance(node, ast.ClassDef) or scope is not tree and node.name.endswith("__")):
                     continue
-                inside = sum(1 for name in _identifiers(node) if name == node.name)
-                if named[node.name] > inside:
+                inside_loads, inside_attrs = _reads(node)
+                if scope is tree:
+                    named = loads[node.name] + attrs[node.name] + commands[node.name]
+                    inside = inside_loads[node.name] + inside_attrs[node.name]
+                else:
+                    named, inside = attrs[node.name], inside_attrs[node.name]
+                if named > inside:
                     continue
                 if private:
                     unused.append((path.name, node.name))
@@ -191,7 +211,7 @@ def test_every_private_definition_is_named_elsewhere():
                     public.append((path.name, f"{scope.name}.{node.name}"))
                 elif node.name not in nliealg.__all__:
                     public.append((path.name, node.name))
-    assert len(named) > 500
+    assert sum(loads.values()) > 4000 and sum(attrs.values()) > 500 and len(commands) > 15
     assert unused == []
     assert sorted(public) == sorted(UNNAMED_PUBLIC)
 
@@ -218,7 +238,7 @@ def scalars(obj):
     elif isinstance(obj, CheckResult):
         yield from scalars(obj.counterexample)
     elif isinstance(obj, TrivialityResult):
-        yield from scalars([obj.witness, obj.detail])
+        yield from scalars(obj.witness)
     elif isinstance(obj, Report):
         yield from scalars([obj.verdicts, obj.artifacts])
     elif isinstance(obj, dict):

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from nliealg.algebra import NAryAlgebra, adjoint_representation, check_filippov
+from nliealg import deformation
 from nliealg.cli import COMMANDS, run_command
 from nliealg.cohomology import ReynoldsComplex, delta_r_operator
 from nliealg.constructions import LinearFunctional
@@ -30,7 +31,7 @@ from nliealg.linalg import Matrix
 from nliealg.nijenhuis import check_nijenhuis
 from nliealg.ns import ns_from_nijenhuis, ns_from_reynolds
 from nliealg.reynolds import check_reynolds
-from nliealg.verdict import jsonable
+from nliealg.verdict import fail, jsonable
 
 from conftest import wedge_single
 
@@ -106,3 +107,22 @@ def test_every_command_on_a_bracket_that_is_not_lie_ends_in_a_report(not_lie, tm
     for key in (("construct", "ns-from-reynolds"), ("construct", "ns-from-nijenhuis"), ("cohomology", None)):
         code, notes = codes[key]
         assert code == 2 and notes[-1].startswith("error: ") and FILIPPOV in notes[-1], (key, notes)
+
+
+def test_a_failing_witness_pair_names_the_filippov_counterexample(not_lie, tmp_path, monkeypatch):
+    """The zero direction is a cocycle of R = Id and solves to X = 0; a
+    homomorphism pair that then fails is a bug trap on an n-Lie algebra, but
+    here the triviality decision exits 2 with the Filippov note."""
+    ident, zero = Matrix.identity(3), Matrix.zero(3)
+    monkeypatch.setattr(deformation, "check_hom_pair",
+                        lambda *args: fail("hom-square", {"identity": "phi.R = R'.psi"}, [1], [0]))
+    paths = {}
+    for name, doc in (("g", algebra_document(not_lie)), ("r", operator_document(ident)),
+                      ("s", operator_document(zero))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(emit_document(doc))
+    report, code = run_command(["deform", "--algebra", paths["g"], "--reynolds", paths["r"],
+                                "--direction", paths["s"], "--json"])
+    expected = jsonable(check_filippov(not_lie).counterexample)
+    assert code == 2
+    assert report.notes == [f"error: the triviality decision {FILIPPOV}: {expected}"]

@@ -9,8 +9,11 @@ checkout's ``src/``, one after another in this process, then a fixed
 list of argvs that the parser answers by itself: ``--help``, the ``-h``
 of each command and usage errors, and a few error paths that read files
 of ``ERROR_FILES``: a document nested 100,000 deep, ``--js`` for
-``--json``, a dim-2 ``--direction`` on a dim-3 algebra, and the NS
-construction and the complex of R = Id on a bracket that is not Lie.  Job and
+``--json``, a dim-2 ``--direction`` on a dim-3 algebra, the NS
+construction and the complex of R = Id on a bracket that is not Lie, and
+four deform directions that fail: a non-cocycle and a nontrivial cocycle
+on lie3 (``[e1, e2] = e2``) with R = family1, a non-cocycle of R = 2 Id on
+A_4 and one of R = Id on k[x]/(x^2), failing at a diagonal tuple.  Job and
 error-path files go to temporary directories that are removed
 afterwards; their path is cut from the output before hashing, so the
 command line a report echoes is the same on every run.  OUT.json maps
@@ -62,6 +65,26 @@ ERROR_FILES = {
                                              {"on": [1, 3], "value": ["1", "0", "0"]}]}),
     "ident3.json": json.dumps({"kind": "linear_operator", "dim": 3,
                                "matrix": [["1" if i == j else "0" for j in range(3)] for i in range(3)]}),
+    "family1.json": json.dumps({"kind": "linear_operator", "dim": 3,
+                                "matrix": [["1", "0", "1"], ["1", "0", "1"], ["0", "0", "1"]]}),
+    "e11_3.json": json.dumps({"kind": "linear_operator", "dim": 3,
+                              "matrix": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}),
+    "e31_3.json": json.dumps({"kind": "linear_operator", "dim": 3,
+                              "matrix": [["0", "0", "0"], ["0", "0", "0"], ["1", "0", "0"]]}),
+    # A_4: [e_1..^e_i..e_4] = (-1)^(4+i) e_i
+    "a4.json": json.dumps({"kind": "n_lie_algebra", "arity": 3, "dim": 4,
+                           "brackets": [{"on": [k for k in range(1, 5) if k != i],
+                                         "value": [str((-1) ** (4 + i)) if k == i else "0" for k in range(1, 5)]}
+                                        for i in range(1, 5)]}),
+    "twice4.json": json.dumps({"kind": "linear_operator", "dim": 4,
+                               "matrix": [["2" if i == j else "0" for j in range(4)] for i in range(4)]}),
+    "e11_4.json": json.dumps({"kind": "linear_operator", "dim": 4,
+                              "matrix": [["1" if i == j == 0 else "0" for j in range(4)] for i in range(4)]}),
+    # k[x]/(x^2) on the basis 1, x
+    "x2.json": json.dumps({"kind": "n_lie_algebra", "dim": 2, "symmetry": "symmetric",
+                           "brackets": [{"on": [1, 1], "value": ["1", "0"]}, {"on": [1, 2], "value": ["0", "1"]}]}),
+    "ident2.json": json.dumps({"kind": "linear_operator", "dim": 2, "matrix": [["1", "0"], ["0", "1"]]}),
+    "e12_2.json": json.dumps({"kind": "linear_operator", "dim": 2, "matrix": [["0", "1"], ["0", "0"]]}),
 }
 ERROR_ARGVS = [
     ["check", "filippov", "--algebra", "deep.json"],
@@ -69,6 +92,10 @@ ERROR_ARGVS = [
     ["deform", "--algebra", "lie3.json", "--reynolds", "zero3.json", "--direction", "zero2.json"],
     ["construct", "ns-from-reynolds", "--algebra", "notlie3.json", "--operator", "ident3.json"],
     ["cohomology", "--algebra", "notlie3.json", "--reynolds", "ident3.json"],
+    ["deform", "--algebra", "lie3.json", "--reynolds", "family1.json", "--direction", "e11_3.json"],
+    ["deform", "--algebra", "lie3.json", "--reynolds", "family1.json", "--direction", "e31_3.json"],
+    ["deform", "--algebra", "a4.json", "--reynolds", "twice4.json", "--direction", "e11_4.json"],
+    ["deform", "--algebra", "x2.json", "--reynolds", "ident2.json", "--direction", "e12_2.json"],
 ]
 
 
